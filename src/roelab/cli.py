@@ -15,7 +15,7 @@ import numpy as np
 
 from . import propa, quasilocal, randsub, reps, spaces, translations
 from .operators import SpaceOperator, dist_to_band_bounds, eps_propagation_radius, operator_norm
-from .report import jsonable, make_report
+from .report import make_report
 from .errors import RoelabError
 
 
@@ -45,6 +45,9 @@ def _parse_group(spec: str) -> reps.UnitaryRep:
     if spec.startswith("file:"):
         with open(spec.split(":", 1)[1]) as fh:
             obj = json.load(fh)
+        for key in ("table", "matrices"):
+            if not isinstance(obj, dict) or key not in obj:
+                raise ValueError(f"group file needs a {key!r} field")
         group = reps.TableGroup(np.array(obj["table"]))
         mats = np.array(
             [[[complex(re, im) for re, im in row] for row in m] for m in obj["matrices"]]
@@ -421,7 +424,7 @@ def build_parser() -> _Parser:
 def _merge_config(argv: list) -> list:
     """Splice config-file values into argv as flags, so required args may come
     from the file; explicitly passed flags win."""
-    if "--config" not in argv:
+    if "--config" not in argv[:-1]:  # a trailing --config is argparse's error to report
         return argv
     path = argv[argv.index("--config") + 1]
     with open(path) as fh:
@@ -438,10 +441,16 @@ def _merge_config(argv: list) -> list:
     return list(argv) + extra
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    return build_parser().parse_args(_merge_config(list(argv)))
+
+
 def run(argv) -> tuple:
     """Parse arguments, dispatch, and build the report; returns (report, exit_code)."""
-    parser = build_parser()
-    args = parser.parse_args(_merge_config(list(argv)))
+    return _execute(_parse_args(argv))
+
+
+def _execute(args: argparse.Namespace) -> tuple:
     command = f"{args.module}.{args.action}"
     handler = _HANDLERS[command]
     cfg = {
@@ -452,7 +461,7 @@ def run(argv) -> tuple:
     start = time.monotonic()
     results, ok = handler(cfg)
     wall = time.monotonic() - start
-    report = make_report(command, cfg, jsonable(results), wall)
+    report = make_report(command, cfg, results, wall)
     return report, (0 if ok else 2)
 
 
@@ -476,13 +485,13 @@ def _to_csv(results: dict) -> str:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        report, code = run(argv)
+        args = _parse_args(argv)
+        report, code = _execute(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (RoelabError, FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    args = build_parser().parse_args(_merge_config(list(argv)))
     if args.format == "csv":
         text = _to_csv(report["results"])
     else:

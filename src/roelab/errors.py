@@ -29,12 +29,6 @@ class GenerationFailed(RoelabError):
     pass
 
 
-class NoConvergence(RoelabError):
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class NotPrime(RoelabError):
     pass
 

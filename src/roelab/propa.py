@@ -28,18 +28,18 @@ ROW_TOL = 1e-12
 
 
 def interval_space(N: int, label: str = "") -> FiniteMetricSpace:
-    """The path metric on {0, ..., N-1}."""
+    """The path metric on {0, ..., N-1}; a metric by construction, not re-validated."""
     idx = np.arange(N)
     dist = np.abs(idx[:, None] - idx[None, :]).astype(np.int64)
-    return FiniteMetricSpace(dist=dist, label=label or f"interval{N}")
+    return FiniteMetricSpace._trusted(dist, label or f"interval{N}")
 
 
 def torus_space(N: int, label: str = "") -> FiniteMetricSpace:
-    """The cyclic metric on Z/N."""
+    """The cyclic metric on Z/N; a metric by construction, not re-validated."""
     idx = np.arange(N)
     diff = np.abs(idx[:, None] - idx[None, :])
     dist = np.minimum(diff, N - diff).astype(np.int64)
-    return FiniteMetricSpace(dist=dist, label=label or f"torus{N}")
+    return FiniteMetricSpace._trusted(dist, label or f"torus{N}")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ def formal_bound(delta: float, c0: float = DEFAULT_C0) -> float:
     """c0 * sqrt(delta log(1/delta)); the certified threshold for restricted norms."""
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    return c0 * math.sqrt(delta * math.log(1.0 / delta)) if delta != 1 else 0.0
+    return c0 * math.sqrt(delta * math.log(1.0 / delta))
 
 
 def trial_seed(seed: int, index: int) -> np.random.Generator:

@@ -11,8 +11,17 @@ from .errors import SchemaMismatch
 TOOL_VERSION = "0.1.0"
 
 
+_PLAIN = (int, str, bool, type(None))
+
+
 def jsonable(obj):
     """Convert results (dataclasses, numpy scalars/arrays, tuples) to plain JSON types."""
+    t = type(obj)
+    # exact types: np.float64 subclasses float and np.bool_ is not bool
+    if t in _PLAIN:
+        return obj
+    if t is list:
+        return [v if type(v) in _PLAIN else jsonable(v) for v in obj]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {k: jsonable(v) for k, v in dataclasses.asdict(obj).items()}
     if isinstance(obj, dict):

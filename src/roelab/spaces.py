@@ -3,12 +3,19 @@
 All spaces are finite with points 0..n-1 and a dense distance matrix.
 Graph metrics are integer valued (shortest-path distances); explicit
 metrics are float64 and validated to 1e-9.
+
+Distance matrices from outside the library, through
+``FiniteMetricSpace(dist=...)``, ``from_json`` and ``load_space``, are
+checked by ``_validate_metric`` (O(n^3)). The in-library constructors
+``from_graph`` (and so ``random_regular``), ``far_points``,
+``coarse_union`` and ``propa.interval_space``/``torus_space`` build
+metrics by construction and skip that check through
+``FiniteMetricSpace._trusted``.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +31,7 @@ from .errors import (
 
 METRIC_TOL = 1e-9
 EXACT_KAPPA_MAX = 22
+BFS_CELLS = 1 << 24
 
 KAPPA_EXACT = "exact-brute-force"
 KAPPA_SPECTRAL = "spectral-lower-bound"
@@ -43,6 +51,15 @@ class FiniteMetricSpace:
             raise InvalidMetric("distance matrix must be square")
         object.__setattr__(self, "dist", d)
         _validate_metric(d)
+
+    @classmethod
+    def _trusted(cls, dist: np.ndarray, label: str = "") -> "FiniteMetricSpace":
+        """A space over `dist` without the metric check: only for in-library
+        constructors whose output is a metric by construction."""
+        space = object.__new__(cls)
+        object.__setattr__(space, "dist", dist)
+        object.__setattr__(space, "label", label)
+        return space
 
     @property
     def n(self) -> int:
@@ -84,8 +101,14 @@ class FiniteMetricSpace:
 
     @staticmethod
     def from_json(obj: dict) -> "FiniteMetricSpace":
-        kind = obj["metric"]["kind"]
-        data = np.array(obj["metric"]["data"])
+        metric = obj.get("metric") if isinstance(obj, dict) else None
+        if not isinstance(metric, dict):
+            raise InvalidMetric("space JSON needs a 'metric' object")
+        for key in ("kind", "data"):
+            if key not in metric:
+                raise InvalidMetric(f"space JSON 'metric' needs a '{key}' field")
+        kind = metric["kind"]
+        data = np.array(metric["data"])
         if kind == "graph":
             data = data.astype(np.int64)
         else:
@@ -132,29 +155,43 @@ class ExpanderFamily:
 
 
 def from_graph(adjacency: np.ndarray, label: str = "") -> FiniteMetricSpace:
-    """Shortest-path metric of a connected simple graph, via BFS from each vertex."""
+    """Shortest-path metric of a connected simple graph.
+
+    One level-synchronous BFS from all sources at once: row s of the boolean
+    frontier holds the points at distance `level` from s, and the next level
+    is the OR of the frontier over each point's neighbour list, minus the
+    points already reached. A shortest-path metric is a metric by
+    construction, so the result is not re-validated.
+    """
     a = np.asarray(adjacency)
     n = a.shape[0]
     if a.ndim != 2 or a.shape[1] != n or not np.array_equal(a, a.T):
         raise NonSymmetricInput("adjacency must be a square symmetric 0/1 matrix")
     if np.any(np.diag(a) != 0):
         raise NonSymmetricInput("adjacency must have a zero diagonal")
-    neighbors = [np.flatnonzero(a[i]) for i in range(n)]
+    rows, cols = np.nonzero(a)  # CSR order: the neighbours of each point in turn
+    degree = np.bincount(rows, minlength=n)
+    if n > 1 and np.any(degree == 0):
+        raise DisconnectedGraph("graph is not connected")
     dist = np.full((n, n), -1, dtype=np.int64)
-    for s in range(n):
-        dist[s, s] = 0
-        q = deque([s])
-        row = dist[s]
-        while q:
-            v = q.popleft()
-            dv = row[v]
-            for w in neighbors[v]:
-                if row[w] < 0:
-                    row[w] = dv + 1
-                    q.append(w)
+    np.fill_diagonal(dist, 0)
+    if cols.size:
+        starts = np.concatenate(([0], np.cumsum(degree[:-1])))
+        # sources go in blocks so that the gathered frontier (block x |E|)
+        # stays near BFS_CELLS booleans on dense graphs
+        block = max(1, BFS_CELLS // cols.size)
+        for lo in range(0, n, block):
+            part = dist[lo:lo + block]  # a view: levels land in dist
+            frontier = part == 0
+            level = 0
+            while frontier.any():
+                level += 1
+                # every neighbour list is nonempty, as reduceat needs
+                frontier = np.logical_or.reduceat(frontier[:, cols], starts, axis=1) & (part < 0)
+                part[frontier] = level
     if np.any(dist < 0):
         raise DisconnectedGraph("graph is not connected")
-    return FiniteMetricSpace(dist=dist, label=label)
+    return FiniteMetricSpace._trusted(dist, label)
 
 
 def growth(space: FiniteMetricSpace, R) -> int:
@@ -171,11 +208,13 @@ def coarse_union(members, gap_rule=None, label: str = "") -> FiniteMetricSpace:
     g(j) = max over requested gaps up to j and all diameters up to j,
     which keeps the triangle inequality and makes the gaps nondecreasing.
     The default requested gap between pieces i < j is max(diam_j, 2^j).
+    With positive gaps the union of metric spaces is a metric by
+    construction, so it is not re-validated.
     """
     if not members:
         raise ValueError("coarse_union needs at least one member")
     if len(members) == 1:
-        return FiniteMetricSpace(dist=members[0].dist.copy(), label=label or members[0].label)
+        return FiniteMetricSpace._trusted(members[0].dist.copy(), label or members[0].label)
     diams = [m.diameter for m in members]
     if gap_rule is None:
         gap_rule = lambda i, j: max(diams[j], 2 ** j)
@@ -184,6 +223,8 @@ def coarse_union(members, gap_rule=None, label: str = "") -> FiniteMetricSpace:
     for j in range(1, m):
         requested = max(gap_rule(i, j) for i in range(j))
         g[j] = max(g[j - 1], requested, max(diams[: j + 1]))
+    if not np.all(g[1:] > 0):
+        raise InvalidMetric("coarse union gaps must be positive")
     integer = all(mm.is_integer for mm in members)
     if integer:
         g = np.ceil(g).astype(np.int64)
@@ -197,7 +238,7 @@ def coarse_union(members, gap_rule=None, label: str = "") -> FiniteMetricSpace:
             sl_i = slice(offsets[i], offsets[i + 1])
             dist[sl_i, sl_j] = g[j]
             dist[sl_j, sl_i] = g[j]
-    return FiniteMetricSpace(dist=dist, label=label or "+".join(mm.label for mm in members))
+    return FiniteMetricSpace._trusted(dist, label or "+".join(mm.label for mm in members))
 
 
 def piece_slices(members) -> list:
@@ -215,8 +256,10 @@ def expansion_kappa(space: FiniteMetricSpace, R, mode: str = "exact"):
 
     exact: min over nonempty A with |A| <= |X|/2 of |N_R(A)| / |A|,
     by a full subset scan (|X| <= 22).
-    spectral: certified lower bound 1 + h/d with h = (d - lambda_2)/2
-    from the adjacency spectrum; valid for any R >= 1.
+    spectral: certified lower bound 1 + lambda_2(L)/(2 d_max) from the
+    Laplacian L of the unit-distance graph (Cheeger: at least
+    lambda_2(L)|A|/2 edges leave A, each boundary point takes at most d_max
+    of them); valid for any R >= 1, and R < 1 is rejected.
     """
     n = space.n
     if mode == "exact":
@@ -240,15 +283,15 @@ def expansion_kappa(space: FiniteMetricSpace, R, mode: str = "exact"):
         ratios = size_n[valid] / size_a[valid]
         return float(ratios.min()), KAPPA_EXACT
     if mode == "spectral":
+        if not R >= 1:
+            raise ValueError("the spectral expansion bound needs R >= 1")
         adjacency = (space.dist == 1).astype(np.float64)
         deg = adjacency.sum(axis=1)
         d = deg.max()
         if d == 0:
             raise InvalidMetric("space has no unit-distance pairs; no adjacency structure")
-        evals = np.linalg.eigvalsh(adjacency)
-        lam2 = evals[-2]
-        h = (d - lam2) / 2.0
-        return float(1.0 + h / d), KAPPA_SPECTRAL
+        lam2 = np.linalg.eigvalsh(np.diag(deg) - adjacency)[1]
+        return float(1.0 + lam2 / (2.0 * d)), KAPPA_SPECTRAL
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -297,7 +340,9 @@ def far_points(n: int, separation=10, label: str = "") -> FiniteMetricSpace:
     """n points at mutual distance `separation` (uniform metric)."""
     dist = np.full((n, n), separation, dtype=np.int64)
     np.fill_diagonal(dist, 0)
-    return FiniteMetricSpace(dist=dist, label=label or f"far{n}")
+    if n > 1 and not dist[0, 1] > 0:
+        raise InvalidMetric("far points need a positive integer separation")
+    return FiniteMetricSpace._trusted(dist, label or f"far{n}")
 
 
 def save_space(space: FiniteMetricSpace, path) -> None:

@@ -47,6 +47,34 @@ class TestExitCodes:
         assert not report["results"]["certificate"]["irreducible"]
 
 
+class TestMalformedInput:
+    FILES = {
+        "no_metric.json": {},
+        "no_data.json": {"metric": {"kind": "graph"}},
+        "not_an_object.json": [1, 2],
+        "no_matrices.json": {"table": [[0]]},
+        "no_table.json": {"matrices": [[[[1.0, 0.0]]]]},
+    }
+    CASES = [
+        ["space", "kappa", "--space", "{dir}/no_metric.json"],
+        ["space", "kappa", "--space", "{dir}/no_data.json"],
+        ["translations", "decompose", "--space", "{dir}/not_an_object.json"],
+        ["reps", "irr-check", "--group", "file:{dir}/no_matrices.json"],
+        ["reps", "irr-check", "--group", "file:{dir}/no_table.json"],
+        ["reps", "irr-check", "--group", "file:{dir}/not_an_object.json"],
+        ["space", "kappa", "--space", "regular:16:4:2", "--mode", "spectral", "-R", "0"],
+        ["randsub", "levy", "--config"],
+    ]
+
+    @pytest.mark.parametrize("argv", CASES, ids=lambda a: " ".join(a[-2:]))
+    def test_exit_one_with_one_line(self, argv, tmp_path, capsys):
+        for name, obj in self.FILES.items():
+            (tmp_path / name).write_text(json.dumps(obj))
+        assert main([a.format(dir=tmp_path) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1, err
+
+
 class TestDeterminism:
     CASES = [
         ["space", "kappa", "--space", "regular:14:3:3", "--mode", "exact"],

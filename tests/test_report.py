@@ -18,6 +18,10 @@ class TestJsonable:
     def test_numpy_scalars_and_arrays(self):
         out = jsonable({"a": np.float64(1.5), "b": np.arange(3), "c": np.bool_(True)})
         assert out == {"a": 1.5, "b": [0, 1, 2], "c": True}
+        # numpy scalars become exact Python types, even float64, a float subclass
+        assert [type(out[k]) for k in "abc"] == [float, list, bool]
+        assert [type(v) for v in jsonable([np.float64(2.0), np.int64(1), 3, "s", None])] == [
+            float, int, int, str, type(None)]
 
     def test_dataclass(self):
         out = jsonable(Payload(x=2.0, tags=("u", "v")))

@@ -1,4 +1,5 @@
 import json
+from collections import deque
 
 import numpy as np
 import pytest
@@ -14,11 +15,13 @@ from roelab.errors import (
     NonSymmetricInput,
     TooLargeForExact,
 )
+from roelab.propa import interval_space, torus_space
 from roelab.spaces import (
     KAPPA_EXACT,
     KAPPA_SPECTRAL,
     ExpanderFamily,
     FiniteMetricSpace,
+    _validate_metric,
     coarse_union,
     expansion_kappa,
     far_points,
@@ -30,6 +33,28 @@ from roelab.spaces import (
     save_space,
     separation_bound,
 )
+
+
+def reference_bfs(adj):
+    """Plain per-source BFS; -1 marks unreachable points."""
+    n = adj.shape[0]
+    dist = np.full((n, n), -1, dtype=np.int64)
+    for s in range(n):
+        dist[s, s] = 0
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            for w in np.flatnonzero(adj[v]):
+                if dist[s, w] < 0:
+                    dist[s, w] = dist[s, v] + 1
+                    queue.append(w)
+    return dist
+
+
+def random_adjacency(seed, n, p):
+    rng = np.random.default_rng(seed)
+    adj = np.triu((rng.random((n, n)) < p).astype(np.int64), 1)
+    return adj + adj.T
 
 
 def path_space(n):
@@ -99,6 +124,68 @@ class TestFromGraph:
         assert sp.dist[0, 4] == 4
         assert sp.diameter == 4
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_graphs(self, n):
+        adj = 1 - np.eye(n, dtype=np.int64)
+        assert np.array_equal(from_graph(adj).dist, reference_bfs(adj))
+
+    def test_isolated_points_raise(self):
+        with pytest.raises(DisconnectedGraph):
+            from_graph(np.zeros((2, 2), dtype=np.int64))
+
+    def test_dense_graph_in_source_blocks(self, monkeypatch):
+        import roelab.spaces
+
+        adj = random_adjacency(4, 40, 0.5)
+        monkeypatch.setattr(roelab.spaces, "BFS_CELLS", 100)
+        assert np.array_equal(from_graph(adj).dist, reference_bfs(adj))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=30),
+    st.floats(min_value=0.0, max_value=0.5),
+    st.integers(min_value=0, max_value=2 ** 31),
+)
+def test_bfs_matches_reference(n, p, seed):
+    adj = random_adjacency(seed, n, p)
+    expected = reference_bfs(adj)
+    if np.any(expected < 0):
+        with pytest.raises(DisconnectedGraph):
+            from_graph(adj)
+    else:
+        assert np.array_equal(from_graph(adj).dist, expected)
+
+
+class TestTrustedConstructors:
+    """Constructors that skip _validate_metric must still produce metrics."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 17, 40])
+    def test_interval_torus_far_points(self, n):
+        for space in (interval_space(n), torus_space(n), far_points(n), far_points(n, separation=1)):
+            _validate_metric(space.dist)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_graphs_and_unions(self, seed):
+        rng = np.random.default_rng(seed)
+        members = [random_connected_graph_space(rng, n) for n in (3, 6, 11)]
+        regular = [random_regular(n, 3, seed=seed) for n in (8, 16, 30)]
+        for space in [*members, *regular, coarse_union(members), coarse_union(regular),
+                      coarse_union(regular[:1]), coarse_union([far_points(1), far_points(2)])]:
+            _validate_metric(space.dist)
+
+    def test_custom_gap_rule_union_is_metric(self):
+        members = [path_space(4), path_space(2), path_space(5)]
+        _validate_metric(coarse_union(members, gap_rule=lambda i, j: 1).dist)
+
+    def test_non_positive_gap_rejected(self):
+        with pytest.raises(InvalidMetric):
+            coarse_union([far_points(1), far_points(1)], gap_rule=lambda i, j: 0)
+
+    def test_non_positive_separation_rejected(self):
+        with pytest.raises(InvalidMetric):
+            far_points(3, separation=0)
+
 
 class TestBallsAndGrowth:
     def test_ball_and_growth_on_path(self):
@@ -143,6 +230,15 @@ class TestSerialization:
         assert not back.is_integer
         assert np.allclose(back.dist, d)
 
+    @pytest.mark.parametrize(
+        "obj, field",
+        [({}, "metric"), ({"metric": [1]}, "metric"), ([], "metric"),
+         ({"metric": {"data": [[0]]}}, "kind"), ({"metric": {"kind": "graph"}}, "data")],
+    )
+    def test_missing_fields_name_the_field(self, obj, field):
+        with pytest.raises(InvalidMetric, match=field):
+            FiniteMetricSpace.from_json(obj)
+
     def test_json_schema(self):
         obj = path_space(3).to_json()
         assert set(obj) == {"label", "n", "metric"}
@@ -176,9 +272,8 @@ class TestCoarseUnion:
         assert g1 <= g2
 
     def test_union_is_valid_metric(self):
-        # constructor re-validates the triangle inequality
         members = [path_space(n) for n in (2, 6, 3 + 10)]
-        coarse_union(members)
+        _validate_metric(coarse_union(members).dist)
 
     def test_single_member(self):
         sp = path_space(4)
@@ -232,6 +327,24 @@ class TestExpansion:
         assert kind == KAPPA_SPECTRAL
         assert spectral <= exact + 1e-9
         assert spectral > 1
+
+    def test_spectral_rejects_radius_below_one(self):
+        sp = random_regular(16, 4, seed=2)
+        for R in (0, 0.5):
+            with pytest.raises(ValueError):
+                expansion_kappa(sp, R, mode="spectral")
+
+    def test_spectral_on_irregular_graph(self):
+        # 10-vertex star plus one edge between leaves: the adjacency-spectrum
+        # bound gave 1.458 here against an exact 1.20
+        adj = np.zeros((10, 10), dtype=np.int64)
+        adj[0, 1:] = adj[1:, 0] = 1
+        adj[1, 2] = adj[2, 1] = 1
+        sp = from_graph(adj)
+        exact, _ = expansion_kappa(sp, 1, mode="exact")
+        spectral, _ = expansion_kappa(sp, 1, mode="spectral")
+        assert exact == pytest.approx(1.2)
+        assert spectral <= exact + 1e-9
 
     def test_expansion_at_least_one(self):
         rng = np.random.default_rng(11)
@@ -309,6 +422,19 @@ class TestExpanderFamily:
                 kappa=1.0,
                 kappa_kind=KAPPA_EXACT,
             )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=14),
+    st.integers(min_value=0, max_value=2 ** 31),
+    st.sampled_from([1, 2]),
+)
+def test_spectral_kappa_below_exact(n, seed, R):
+    sp = random_connected_graph_space(np.random.default_rng(seed), n)
+    exact, _ = expansion_kappa(sp, R, mode="exact")
+    spectral, _ = expansion_kappa(sp, R, mode="spectral")
+    assert spectral <= exact + 1e-9
 
 
 @settings(max_examples=25, deadline=None)
