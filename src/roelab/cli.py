@@ -208,6 +208,7 @@ def _cmd_ql_build(cfg):
         "c0": cfg["c0"],
         "rejections": rejects,
         "schedule": assembly.schedule,
+        "schedule_vacuous": assembly.schedule_vacuous,
         "projection": inv,
     }, ok
 

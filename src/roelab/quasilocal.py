@@ -13,7 +13,6 @@ from .operators import (
     _sigma_max,
     dist_to_band_bounds,
     eps_propagation_radius,
-    operator_norm,
 )
 from .randsub import SubspaceSample, formal_bound, restricted_norm_max, sample_subspace, trial_seed
 from .spaces import (
@@ -60,6 +59,11 @@ def member_dims(family: ExpanderFamily) -> list:
     return list(range(1, len(family.members) + 1))
 
 
+def vacuous_threshold(eps: float) -> bool:
+    """True when no restricted projection norm (at most 1) can reach eps."""
+    return eps > 1.0 + 1e-9
+
+
 def select_subspaces(
     family: ExpanderFamily, c0: float, max_rejects: int = 200, seed: int = 0
 ) -> tuple:
@@ -68,6 +72,8 @@ def select_subspaces(
     Member number n (dimension n) must satisfy, for every k = 2..n, that
     the maximal restricted norm over shares <= 1/k stays below
     c0 sqrt((1/k) log k). k = 1 is skipped: its threshold degenerates to 0.
+    So is every k with a vacuous threshold (see `vacuous_threshold`): the
+    restricted norm of a projection is at most 1 and cannot reach it.
     Greedy search scores each candidate; the smallest member is additionally
     spot-checked exactly when the subset count allows.
     """
@@ -87,6 +93,8 @@ def select_subspaces(
                 if int(delta_k * d) < 1:
                     continue
                 eps_k = formal_bound(delta_k, c0)
+                if vacuous_threshold(eps_k):
+                    continue
                 mode = "exact" if idx == 0 and math.comb(d, int(delta_k * d)) <= 20_000 else "greedy"
                 found = restricted_norm_max(sample, delta_k, mode=mode, c0=c0).value
                 if found >= eps_k:
@@ -122,6 +130,11 @@ class QuasiLocalAssembly:
             {"k": k, "delta": 1.0 / k, "eps": formal_bound(1.0 / k, self.c0)}
             for k in range(2, K + 1)
         ]
+
+    @property
+    def schedule_vacuous(self) -> list:
+        """One flag per schedule row: its threshold cannot be reached."""
+        return [vacuous_threshold(row["eps"]) for row in self.schedule]
 
 
 def assemble(

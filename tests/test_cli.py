@@ -180,3 +180,31 @@ class TestConfigAndOutput:
         assert code == 0
         report = json.loads(captured.out)
         assert report["command"] == "randsub.entropy"
+
+
+class TestImportFootprint:
+    def test_cli_import_loads_no_scipy_solvers(self):
+        # a norm backend that pulled these in would add ~0.1-0.2 s to every start
+        import os
+        import subprocess
+        import sys
+
+        import roelab
+
+        src = os.path.dirname(os.path.dirname(roelab.__file__))
+        code = (
+            "import sys, roelab.cli; "
+            "print([m for m in ('scipy.linalg', 'scipy.sparse.linalg', 'scipy.sparse.csgraph') "
+            "if m in sys.modules])"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+
+class TestQlBuildReport:
+    def test_schedule_vacuous_beside_schedule(self):
+        report, code = run(["ql", "build", "--members", "8,12,16"])
+        assert code == 0
+        results = report["results"]
+        assert results["schedule_vacuous"] == [True] * len(results["schedule"])

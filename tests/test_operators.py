@@ -11,6 +11,7 @@ from conftest import (
     random_connected_graph_space,
     random_operator,
 )
+from roelab import operators as ops
 from roelab.errors import EmptySubset, TooLargeForExact
 from roelab.operators import (
     BandDistanceBounds,
@@ -55,6 +56,96 @@ class TestOperatorNorm:
         rng = np.random.default_rng(2)
         q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
         assert operator_norm(q) == pytest.approx(1.0, abs=1e-10)
+
+
+def _svd_top(m):
+    dense = m.toarray() if hasattr(m, "toarray") else m
+    return np.linalg.svd(dense, compute_uv=False)[0]
+
+
+def _assert_norm(m):
+    """operator_norm against LAPACK to 1e-10 relative; err brackets the oracle."""
+    value, err = operator_norm(m, with_err=True)
+    oracle = _svd_top(m)
+    assert value == pytest.approx(oracle, rel=1e-10, abs=1e-300)
+    assert err >= 0.0
+    assert value + err >= oracle * (1 - 1e-14)
+    assert operator_norm(m) == value
+    return value, err
+
+
+def _band(rng, N, R, complex_=True):
+    idx = np.arange(N)
+    m = rng.standard_normal((N, N))
+    if complex_:
+        m = m + 1j * rng.standard_normal((N, N))
+    return np.where(np.abs(idx[:, None] - idx[None, :]) <= R, m, 0.0)
+
+
+class TestOperatorNormLanczos:
+    """Sizes above DENSE_NORM_MAX, where Golub-Kahan-Lanczos runs."""
+
+    @pytest.mark.parametrize("N", [60, 200, 600])
+    @pytest.mark.parametrize("R", [1, 3, None])
+    def test_band_and_dense(self, N, R):
+        rng = np.random.default_rng(N + (R or 0))
+        m = _band(rng, N, N if R is None else R)
+        _assert_norm(m)
+
+    def test_lanczos_path_is_taken(self, monkeypatch):
+        calls = []
+        original = ops._dense_norm
+        monkeypatch.setattr(ops, "_dense_norm", lambda m: calls.append(m.shape) or original(m))
+        _assert_norm(_band(np.random.default_rng(3), 200, 2))
+        assert calls == []
+
+    @pytest.mark.parametrize("shape", [(400, 150), (150, 400), (1000, 130)])
+    def test_tall_and_wide(self, shape):
+        rng = np.random.default_rng(shape[0])
+        _assert_norm(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        _assert_norm(rng.standard_normal(shape))
+
+    def test_sparse_csr(self):
+        import scipy.sparse as sparse
+
+        m = sparse.random(500, 300, density=0.02, random_state=4, format="csr")
+        _assert_norm(m)
+        _assert_norm(sparse.csr_matrix(_band(np.random.default_rng(5), 400, 2)))
+        small = sparse.random(20, 30, density=0.3, random_state=6, format="csr")
+        _assert_norm(small)
+
+    def test_zero_and_rank_one_above_threshold(self):
+        N = ops.DENSE_NORM_MAX + 50
+        assert operator_norm(np.zeros((N, N)), with_err=True) == (0.0, 0.0)
+        rng = np.random.default_rng(7)
+        u = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        v = rng.standard_normal(N + 30)
+        _assert_norm(np.outer(u, v))
+
+    def test_unitary_all_tied(self):
+        rng = np.random.default_rng(8)
+        q, _ = np.linalg.qr(rng.standard_normal((200, 200)) + 1j * rng.standard_normal((200, 200)))
+        value, _ = _assert_norm(q)
+        assert value == pytest.approx(1.0, rel=1e-12)
+
+    def test_near_tied_pair(self):
+        rng = np.random.default_rng(9)
+        q1, _ = np.linalg.qr(rng.standard_normal((200, 200)))
+        q2, _ = np.linalg.qr(rng.standard_normal((200, 200)))
+        s = np.linspace(0.1, 0.9, 200)
+        s[0], s[1] = 1.0, 1.0 - 1e-13
+        _assert_norm(q1 @ np.diag(s) @ q2.T)
+
+    def test_cap_falls_back_to_lapack(self, monkeypatch):
+        calls = []
+        original = ops._dense_norm
+        monkeypatch.setattr(ops, "_dense_norm", lambda m: calls.append(m.shape) or original(m))
+        monkeypatch.setattr(ops, "_GKL_MAXITER", 2)
+        m = _band(np.random.default_rng(10), 300, 3)
+        value, err = _assert_norm(m)
+        assert calls == [(300, 300)] * 2  # with_err and plain call
+        assert value == _svd_top(m)
+        assert err == pytest.approx(300 * np.finfo(float).eps * value)
 
 
 class TestSpaceOperator:

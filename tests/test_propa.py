@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_operator
+from conftest import random_connected_graph_space, random_operator
 from roelab.errors import (
     HypothesisViolated,
     IntervalTooShort,
@@ -11,7 +13,18 @@ from roelab.errors import (
     NotAContraction,
     SpaceTooSmall,
 )
-from roelab.operators import SpaceOperator, band_truncate, operator_norm, propagation
+from roelab import operators
+from roelab.operators import (
+    SpaceOperator,
+    band_truncate,
+    dist_to_band_bounds,
+    eps_propagation_radius,
+    operator_norm,
+    propagation,
+)
+from roelab.reps import gap_certificate, heisenberg_rep
+from roelab.spaces import far_points
+from roelab import propa
 from roelab.propa import (
     PropertyAKernel,
     commutator_bound_check,
@@ -23,6 +36,7 @@ from roelab.propa import (
     sz_approximate,
     torus_space,
     uniform_ball_kernel,
+    validate_kernel,
 )
 
 
@@ -78,6 +92,128 @@ class TestKernels:
         mu = np.eye(6)  # variation 2 between distinct points at distance <= R
         with pytest.raises(KernelInvalid):
             PropertyAKernel(space=sp, mu=mu, S=0, delta=0.5, R=1)
+
+
+def reference_validate_kernel(space, mu, S, delta, R) -> None:
+    """Per-row variation sums over every row: validate_kernel before the
+    closed form, kept as the oracle."""
+    mu = np.asarray(mu)
+    n = space.n
+    if mu.shape != (n, n):
+        raise KernelInvalid("kernel must be a square row-stochastic array over the space")
+    if np.any(mu < 0):
+        raise KernelInvalid("kernel rows must be nonnegative")
+    if np.abs(mu.sum(axis=1) - 1.0).max() > 1e-12:
+        raise KernelInvalid("kernel rows must sum to 1")
+    if np.any((mu > 0) & (space.dist > S)):
+        raise KernelInvalid(f"kernel support leaves the radius-{S} balls")
+    close_mask = (space.dist <= R) & ~np.eye(n, dtype=bool)
+    for x in range(n):
+        ys = np.flatnonzero(close_mask[x])
+        if ys.size == 0:
+            continue
+        variations = np.abs(mu[ys] - mu[x]).sum(axis=1)
+        worst = int(np.argmax(variations))
+        if variations[worst] >= delta:
+            raise KernelInvalid(
+                f"variation at pair ({x},{ys[worst]}) is not below delta={delta}"
+            )
+
+
+def _verdict(check, *args):
+    try:
+        check(*args)
+    except KernelInvalid as exc:
+        return str(exc)
+    return None
+
+
+def _max_variation(space, mu, R) -> float:
+    """Largest per-row variation sum over close pairs, summed as the oracle sums."""
+    close = (space.dist <= R) & ~np.eye(space.n, dtype=bool)
+    worst = -1.0
+    for x in range(space.n):
+        ys = np.flatnonzero(close[x])
+        if ys.size:
+            worst = max(worst, float(np.abs(mu[ys] - mu[x]).sum(axis=1).max()))
+    return worst
+
+
+@st.composite
+def kernel_cases(draw):
+    kind = draw(st.sampled_from(["interval", "torus", "graph"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "graph":
+        space = random_connected_graph_space(rng, draw(st.integers(2, 18)))
+    else:
+        N = draw(st.integers(2, 40))
+        space = interval_space(N) if kind == "interval" else torus_space(N)
+    S = draw(st.integers(0, int(space.diameter) + 1))
+    R = draw(st.sampled_from([1, 2, 3, 5, 0.5]))
+    within = space.dist <= S
+    shape = draw(st.sampled_from(["uniform", "heavy", "light", "perturbed"]))
+    if shape == "perturbed":  # not uniform on its support: the per-row path
+        w = within * rng.uniform(0.5, 1.5, size=within.shape)
+        mu = w / w.sum(axis=1, keepdims=True)
+    else:
+        mu = within / within.sum(axis=1, keepdims=True)
+        # row mass 1 +- 5e-13, inside the row tolerance, moves the sums off the closed form
+        mu = mu * {"uniform": 1.0, "heavy": 1.0 + 5e-13, "light": 1.0 - 5e-13}[shape]
+    worst = _max_variation(space, mu, R)
+    if worst < 0:
+        delta = draw(st.floats(0.01, 2.0))
+    else:
+        step = draw(st.sampled_from(["tie", "up", "down", "1e-10", "-1e-10", "1e-3", "0.3"]))
+        if step == "tie":
+            delta = worst
+        elif step == "up":
+            delta = float(np.nextafter(worst, np.inf))
+        elif step == "down":
+            delta = float(np.nextafter(worst, -np.inf))
+        else:
+            delta = worst + float(step)
+        delta = max(delta, 1e-6)
+    return space, mu, S, delta, R
+
+
+class TestValidateKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_cases())
+    def test_raises_exactly_when_the_per_row_sums_do(self, case):
+        assert _verdict(validate_kernel, *case) == _verdict(reference_validate_kernel, *case)
+
+    @pytest.mark.parametrize("N,R,delta", [(300, 1, 0.1), (300, 20, 0.1), (200, 3, 0.01)])
+    def test_cli_sized_kernels_agree(self, N, R, delta):
+        space = interval_space(N)
+        mu = uniform_ball_kernel(space, R, delta)
+        nu = uniform_ball_kernel(space, mu.S, delta)
+        for k in (mu, nu):
+            args = (space, k.mu, k.S, k.delta, k.R)
+            assert _verdict(validate_kernel, *args) is None
+            assert _verdict(reference_validate_kernel, *args) is None
+            tie = _max_variation(space, k.mu, k.R)
+            assert _verdict(validate_kernel, space, k.mu, k.S, tie, k.R) == _verdict(
+                reference_validate_kernel, space, k.mu, k.S, tie, k.R
+            ) is not None
+
+    def test_closed_form_leaves_no_rows_away_from_delta(self):
+        space = interval_space(100)
+        nu = uniform_ball_kernel(space, R=2, delta=0.5)
+        close = (space.dist <= 2) & ~np.eye(100, dtype=bool)
+        assert len(propa._rows_to_sum(nu.mu, close, 0.5)) == 0
+        # a tie at the worst pair sends exactly the rows that reach it
+        worst = _max_variation(space, nu.mu, 2)
+        rows = propa._rows_to_sum(nu.mu, close, worst)
+        assert 0 < len(rows) < 100
+
+    def test_non_uniform_rows_are_all_summed(self):
+        space = interval_space(30)
+        nu = uniform_ball_kernel(space, R=1, delta=0.5)
+        mu = nu.mu.copy()
+        mu[0, 0] += 0.1  # row 0 stays stochastic but is no longer uniform
+        mu[0, 1] -= 0.1
+        close = (space.dist <= 1) & ~np.eye(30, dtype=bool)
+        assert list(propa._rows_to_sum(mu, close, 0.5)) == list(range(30))
 
 
 class TestIsometryField:
@@ -236,3 +372,59 @@ class TestRademacher:
         sp, mu, field = setup
         with pytest.raises(ValueError):
             rademacher_diagnostics(field, mu, trials=10, seed=0)
+
+
+@pytest.fixture
+def wide_err(monkeypatch):
+    """operator_norm with its values unchanged and its err raised by 1."""
+    exact = operators._norm_with_err
+
+    def widened(mat):
+        value, err = exact(mat)
+        return value, err + 1.0
+
+    monkeypatch.setattr(operators, "_norm_with_err", widened)
+
+
+class TestErrorBars:
+    """Upper-bound verdicts use value + err; lower-bound ones the value alone."""
+
+    def test_sz_holds_needs_the_upper_estimate(self, wide_err):
+        u = banded_contraction(np.random.default_rng(4), interval_space(60), R=2)
+        _, error, report = sz_approximate(u, 1e-4, R=2)  # bound 1.8
+        assert error + 1.0 < report["bound"] and report["holds"]
+        _, error, report = sz_approximate(u, 1e-6, R=2)  # bound 0.57
+        assert error < report["bound"] < error + 1.0 and not report["holds"]
+
+    def test_contraction_test_uses_the_value(self, wide_err):
+        u = banded_contraction(np.random.default_rng(4), interval_space(60), R=2, scale=1.0)
+        sz_approximate(u, 1e-2, R=2)  # no NotAContraction from value + err
+
+    def test_commutator_holds_needs_the_upper_estimate(self, wide_err):
+        u = banded_contraction(np.random.default_rng(3), interval_space(50), R=3)
+        out = commutator_bound_check(u, np.linspace(0.0, 1.0, 50), R=3, delta=0.2, eps=1e-9)
+        assert out["commutator_norm"] <= out["bound"]
+        assert not out["holds"]
+
+    def test_truncation_tail_needs_the_upper_estimate(self, wide_err):
+        # tail 0, so only err keeps the cheap check from certifying eps = 0.1
+        u = banded_contraction(np.random.default_rng(5), interval_space(10), R=1)
+        assert propa._validate_eps_propagation(u, 0.1, 1) == "exact-scan"
+        assert propa._validate_eps_propagation(u, 1.5, 1) == "truncation-tail"
+
+    def test_band_distance_upper_and_heuristic_radius(self, wide_err, monkeypatch):
+        u = banded_contraction(np.random.default_rng(6), interval_space(30), R=3)
+        widened = dist_to_band_bounds(u, 1, budget=20)
+        heuristic = eps_propagation_radius(u, 0.45, mode="heuristic", budget=20)
+        monkeypatch.undo()
+        plain = dist_to_band_bounds(u, 1, budget=20)
+        assert widened.upper == pytest.approx(plain.upper + 1.0, abs=1e-12)
+        assert widened.lower == plain.lower
+        # every tail + 1 exceeds 0.45, so the upper radius is the diameter
+        assert heuristic.upper == 29.0
+        assert eps_propagation_radius(u, 0.45, mode="heuristic", budget=20).upper < 29.0
+
+    def test_gap_certificate(self, wide_err):
+        cert = gap_certificate(heisenberg_rep(5), far_points(5), R=2)
+        assert cert.checks["tensor_lower"]  # the value, a lower estimate
+        assert not cert.checks["translation_sups"]  # value + err

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from roelab import quasilocal
 from roelab.errors import DimensionMismatch, RejectionBudgetExhausted
 from roelab.operators import opnorm, propagation, rect_norm
 from roelab.quasilocal import (
@@ -14,7 +17,7 @@ from roelab.quasilocal import (
     schedule_radius,
     select_subspaces,
 )
-from roelab.randsub import sample_subspace
+from roelab.randsub import formal_bound, restricted_norm_max, sample_subspace, trial_seed
 from roelab.spaces import KAPPA_EXACT, KAPPA_SPECTRAL, piece_slices
 
 
@@ -75,6 +78,77 @@ class TestSelection:
         family = regular_family([8, 12, 16], degree=3, seed=2)
         with pytest.raises(RejectionBudgetExhausted):
             select_subspaces(family, c0=0.01, max_rejects=3, seed=0)
+
+
+def reference_select_subspaces(family, c0, max_rejects=200, seed=0):
+    """select_subspaces checking every threshold, vacuous ones included: the oracle."""
+    samples, reject_counts = [], []
+    for idx, (member, n) in enumerate(zip(family.members, member_dims(family))):
+        d = member.n
+        rejects = 0
+        while True:
+            rng = trial_seed(seed, idx * 100_000 + rejects)
+            sample = sample_subspace(d, n, int(rng.integers(0, 2 ** 63)))
+            ok = True
+            for k in range(2, n + 1):
+                delta_k = 1.0 / k
+                if int(delta_k * d) < 1:
+                    continue
+                eps_k = formal_bound(delta_k, c0)
+                mode = "exact" if idx == 0 and math.comb(d, int(delta_k * d)) <= 20_000 else "greedy"
+                if restricted_norm_max(sample, delta_k, mode=mode, c0=c0).value >= eps_k:
+                    ok = False
+                    break
+            if ok:
+                samples.append(sample)
+                reject_counts.append(rejects)
+                break
+            rejects += 1
+            if rejects > max_rejects:
+                raise RejectionBudgetExhausted(
+                    f"member {idx}: no admissible subspace in {max_rejects} draws; "
+                    "c0 is too small at this scale"
+                )
+    return samples, reject_counts
+
+
+class TestVacuousSchedule:
+    # c0 = 3: every threshold is vacuous; c0 = 1.69: k = 3 is vacuous, k = 2
+    # and k = 4 are not, and two members need a second draw
+    @pytest.mark.parametrize("sizes,c0", [([8, 12, 16], 3.0), ([8, 12, 16, 20], 1.69)])
+    def test_same_draws_and_rejections(self, sizes, c0):
+        family = regular_family(sizes, degree=3, seed=2)
+        subs, rejects = select_subspaces(family, c0=c0, seed=0)
+        ref_subs, ref_rejects = reference_select_subspaces(family, c0=c0, seed=0)
+        assert rejects == ref_rejects
+        assert [s.seed for s in subs] == [s.seed for s in ref_subs]
+        if c0 < 3:
+            assert sum(rejects) > 0
+
+    def test_same_exhaustion(self):
+        family = regular_family([8, 12, 16], degree=3, seed=2)
+        with pytest.raises(RejectionBudgetExhausted) as new:
+            select_subspaces(family, c0=0.01, max_rejects=3, seed=0)
+        with pytest.raises(RejectionBudgetExhausted) as ref:
+            reference_select_subspaces(family, c0=0.01, max_rejects=3, seed=0)
+        assert str(new.value) == str(ref.value)
+
+    def test_vacuous_thresholds_are_not_scanned(self, monkeypatch):
+        family = regular_family([8, 12, 16], degree=3, seed=2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a vacuous threshold was checked")
+
+        monkeypatch.setattr(quasilocal, "restricted_norm_max", refuse)
+        select_subspaces(family, c0=3.0, seed=0)
+
+    def test_flags_per_schedule_row(self):
+        family = regular_family([8, 12, 16, 20], degree=3, seed=2)
+        for c0, flags in [(3.0, [True, True, True]), (1.69, [False, True, False])]:
+            subs, _ = select_subspaces(family, c0=c0, seed=0)
+            asm = assemble(family, subs, c0=c0)
+            assert asm.schedule_vacuous == flags
+            assert [r["eps"] > 1 for r in asm.schedule] == flags
 
 
 class TestAssembly:
