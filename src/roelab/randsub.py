@@ -9,9 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficient, TooLargeForExact
+from .operators import sigma_max_stack
 
 DEFAULT_C0 = 100.0
 EXACT_SUBSET_CAP = 1_000_000
+SUBSET_CELLS = 1 << 18
 _SWAP_CAP = 500
 
 
@@ -74,23 +76,16 @@ class RestrictedNormReport:
     vacuous: bool
 
 
-def _batched_sigma_max(stack: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(stack, compute_uv=False)[..., 0]
-
-
-def _subset_value(basis: np.ndarray, E) -> float:
-    """||P_V restricted to l2(E)|| = sigma_max of the E-rows of an orthonormal basis."""
-    return float(np.linalg.svd(basis[np.asarray(E, dtype=int), :], compute_uv=False)[0])
-
-
 def _forward_select(basis: np.ndarray, k: int) -> list:
     """Deterministic forward selection: add the row maximizing the restricted norm."""
     d = basis.shape[0]
     E: list = []
     remaining = list(range(d))
     for _ in range(k):
-        trial_rows = np.stack([basis[E + [o], :] for o in remaining])
-        vals = _batched_sigma_max(trial_rows)
+        trials = np.empty((len(remaining), len(E) + 1), dtype=np.intp)
+        trials[:, :-1] = E
+        trials[:, -1] = remaining
+        vals = sigma_max_stack(basis[trials])
         j = int(np.argmax(vals))
         E.append(remaining.pop(j))
     return E
@@ -102,14 +97,15 @@ def _hill_climb(basis: np.ndarray, E0: list) -> tuple:
     k = len(E0)
     E = list(E0)
     out = [i for i in range(d) if i not in set(E)]
-    best_val = _subset_value(basis, E)
+    best_val = float(sigma_max_stack(basis[np.array(E)][None])[0])
     swaps = 0
     improved = True
     while improved and swaps < _SWAP_CAP:
         improved = False
         for a in range(k):
-            trial_rows = np.stack([basis[[*E[:a], o, *E[a + 1 :]], :] for o in out])
-            vals = _batched_sigma_max(trial_rows)
+            trials = np.tile(np.array(E, dtype=np.intp), (len(out), 1))
+            trials[:, a] = out
+            vals = sigma_max_stack(basis[trials])
             j = int(np.argmax(vals))
             if vals[j] > best_val + 1e-12:
                 out_elem = out[j]
@@ -128,9 +124,10 @@ def restricted_norm_max(
 ) -> RestrictedNormReport:
     """Maximum of ||P_V|l2(E)|| over coordinate subsets with |E| = floor(delta d).
 
-    exact enumerates every subset (batched SVDs); greedy seeds E with the
-    largest leverage scores and improves by single swaps, giving a lower
-    bound for the true maximum.
+    exact enumerates every subset in chunks of at most SUBSET_CELLS gathered
+    basis entries, one LAPACK pass per chunk; greedy seeds E with the largest
+    leverage scores and improves by single swaps, giving a lower bound for
+    the true maximum.
     """
     d, basis = sample.d, sample.basis
     k = int(math.floor(delta * d))
@@ -140,23 +137,20 @@ def restricted_norm_max(
     if mode == "exact":
         if math.comb(d, k) > EXACT_SUBSET_CAP:
             raise TooLargeForExact(f"C({d},{k}) subsets exceed the exact cap")
+        # each chunk is gathered by one fancy index; the first largest value
+        # wins, across chunks too
+        chunk = max(1, SUBSET_CELLS // (k * basis.shape[1]))
+        combos = itertools.combinations(range(d), k)
         best_val, best_E = -1.0, None
-        chunk = []
-        combos = []
-        for E in itertools.combinations(range(d), k):
-            combos.append(E)
-            chunk.append(basis[list(E), :])
-            if len(chunk) == 4096:
-                vals = _batched_sigma_max(np.stack(chunk))
-                i = int(np.argmax(vals))
-                if vals[i] > best_val:
-                    best_val, best_E = float(vals[i]), combos[i]
-                chunk, combos = [], []
-        if chunk:
-            vals = _batched_sigma_max(np.stack(chunk))
+        while True:
+            E = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, chunk)), dtype=np.intp)
+            if not E.size:
+                break
+            E = E.reshape(-1, k)
+            vals = sigma_max_stack(basis[E])
             i = int(np.argmax(vals))
             if vals[i] > best_val:
-                best_val, best_E = float(vals[i]), combos[i]
+                best_val, best_E = float(vals[i]), tuple(E[i].tolist())
     elif mode == "greedy":
         leverage = np.einsum("ij,ij->i", basis, basis)
         starts = [list(np.argsort(leverage)[::-1][:k]), _forward_select(basis, k)]

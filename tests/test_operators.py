@@ -15,6 +15,7 @@ from roelab import operators as ops
 from roelab.errors import EmptySubset, TooLargeForExact
 from roelab.operators import (
     BandDistanceBounds,
+    RectangleWitness,
     SpaceOperator,
     band_mask,
     band_truncate,
@@ -24,6 +25,7 @@ from roelab.operators import (
     opnorm,
     propagation,
     rect_norm,
+    sigma_max_stack,
 )
 from roelab.propa import interval_space
 from roelab.spaces import far_points
@@ -337,3 +339,252 @@ def test_truncation_partition_of_norm(n, seed):
         t = band_truncate(u, R)
         assert np.array_equal(np.where(band_mask(sp, R), u.mat, 0.0), t.mat)
         assert opnorm(t) <= opnorm(u) + opnorm(SpaceOperator(space=sp, mat=u.mat - t.mat)) + 1e-9
+
+
+# ---------------------------------------------------------------- batched exact scans
+
+
+def _lapack_norm(m) -> float:
+    return float(np.linalg.norm(m, 2))
+
+
+def _worst_B(space, A, R):
+    return np.flatnonzero(~(space.dist[A].min(axis=0) <= R))
+
+
+def reference_eps_propagation_exact(u, eps):
+    """The per-rectangle scan the batched one replaced: one LAPACK SVD per
+    rectangle, masks in increasing order, strict > first occurrence."""
+    space = u.space
+    n = space.n
+    radii = ops._candidate_radii(space)
+    best_R = 0.0
+    witness = None
+    for a_mask in range(1, 1 << n):
+        A = np.array([i for i in range(n) if a_mask >> i & 1], dtype=int)
+        lo, hi = 0, len(radii) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            B = _worst_B(space, A, radii[mid])
+            if B.size == 0 or _lapack_norm(u.mat[np.ix_(A, B)]) <= eps:
+                hi = mid
+            else:
+                lo = mid + 1
+        r_a = radii[lo]
+        if r_a > best_R:
+            best_R = r_a
+            if lo > 0:
+                witness = rect_norm(u, A, _worst_B(space, A, radii[lo - 1]))
+    return float(best_R), witness
+
+
+def reference_dist_to_band_exact(u, R):
+    """Lower bound and witness of the per-rectangle exact band-distance scan."""
+    space = u.space
+    n = space.n
+    best = 0.0
+    witness = None
+    for a_mask in range(1, 1 << n):
+        A = np.array([i for i in range(n) if a_mask >> i & 1], dtype=int)
+        B = _worst_B(space, A, R)
+        if B.size:
+            value = _lapack_norm(u.mat[np.ix_(A, B)])
+            if value > best:
+                best = value
+                witness = RectangleWitness(
+                    A=tuple(A.tolist()), B=tuple(B.tolist()),
+                    separation=space.set_distance(A, B), value=value,
+                )
+    return best, witness
+
+
+def _same_witness(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return (a.A, a.B, a.separation, a.value) == (b.A, b.B, b.separation, b.value)
+
+
+def _scan_operator(rng, space, kind):
+    n = space.n
+    if kind == "zero":
+        return SpaceOperator(space=space, mat=np.zeros((n, n)))
+    if kind == "constant":  # equal-shape rectangles tie exactly
+        return SpaceOperator(space=space, mat=np.full((n, n), complex(*rng.uniform(0.2, 1.0, 2))))
+    m = rng.standard_normal((n, n))
+    if kind.endswith("complex"):
+        m = m + 1j * rng.standard_normal((n, n))
+    if kind.startswith("banded"):
+        m = np.where(space.dist <= int(rng.integers(0, 3)), m, 0.0)
+    return SpaceOperator(space=space, mat=m)
+
+
+def _assert_scans_match_reference(u, eps_values):
+    """eps-propagation at each eps and, as a tie, at the norm of its witness
+    (that rectangle was probed, so eps then equals a probed norm exactly);
+    band distance at every candidate radius."""
+    eps_values = list(eps_values)
+    for j, eps in enumerate(eps_values):
+        res = eps_propagation_radius(u, eps, mode="exact")
+        best_R, witness = reference_eps_propagation_exact(u, eps)
+        assert res.lower == res.upper == best_R
+        assert _same_witness(res.witness, witness)
+        if j == 0 and witness is not None:
+            eps_values.append(witness.value)
+    tail_upper = None
+    for R in ops._candidate_radii(u.space):
+        b = dist_to_band_bounds(u, R)
+        lower, witness = reference_dist_to_band_exact(u, R)
+        tail, err = operator_norm(u.mat - band_truncate(u, R).mat, with_err=True)
+        assert b.lower == lower
+        assert b.upper == tail + err
+        assert _same_witness(b.witness, witness)
+        tail_upper = b.upper
+    return tail_upper
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2 ** 31),
+    st.sampled_from(["dense-real", "dense-complex", "banded-real", "banded-complex", "constant", "zero"]),
+)
+def test_exact_scans_bit_identical_to_per_rectangle_lapack(n, seed, kind):
+    """Radii, lower and upper bounds and witnesses (A, B, separation, value)
+    equal the per-rectangle scan's with ==, also when eps equals a probed
+    rectangle's norm exactly, when many rectangles tie (constant operators)
+    and for the zero operator (witness None)."""
+    rng = np.random.default_rng(seed)
+    space = random_connected_graph_space(rng, n)
+    u = _scan_operator(rng, space, kind)
+    eps_values = [float(rng.uniform(0.1, 2.0))]
+    # a tie: eps is the norm of the worst-case rectangle of some A at some radius
+    A = np.flatnonzero(rng.random(n) < 0.5)
+    if A.size:
+        radii = ops._candidate_radii(space)
+        B = _worst_B(space, A, radii[int(rng.integers(0, len(radii)))])
+        if B.size and _lapack_norm(u.mat[np.ix_(A, B)]) > 0:
+            eps_values.append(_lapack_norm(u.mat[np.ix_(A, B)]))
+    _assert_scans_match_reference(u, eps_values)
+    if kind == "zero":
+        assert eps_propagation_radius(u, eps_values[0]).witness is None
+        assert dist_to_band_bounds(u, 0).witness is None
+
+
+def test_exact_scans_across_mask_chunks(monkeypatch):
+    """A small MASK_CELLS splits the masks into many chunks; the first largest
+    witness still wins across chunk edges, as with one chunk."""
+    rng = np.random.default_rng(21)
+    space = random_connected_graph_space(rng, 9)
+    operators = [_scan_operator(rng, space, kind) for kind in ("dense-complex", "constant")]
+    single = [(eps_propagation_radius(u, 0.8), dist_to_band_bounds(u, 1)) for u in operators]
+    monkeypatch.setattr(ops, "MASK_CELLS", 64)  # 4 masks per chunk at n = 9
+    chunks = list(ops._mask_chunks(space.dist))
+    assert len(chunks) == 1 << 7
+    assert sum(len(A) for A, _ in chunks) == (1 << 9) - 1
+    for u, one_chunk in zip(operators, single):
+        assert (eps_propagation_radius(u, 0.8), dist_to_band_bounds(u, 1)) == one_chunk
+        _assert_scans_match_reference(u, [0.8])
+
+
+def test_mask_chunks_enumerate_masks_in_order():
+    rng = np.random.default_rng(22)
+    space = random_connected_graph_space(rng, 7)
+    A, near = next(ops._mask_chunks(space.dist))
+    for m in range(1, 1 << 7):
+        members = [i for i in range(7) if m >> i & 1]
+        assert np.flatnonzero(A[m - 1]).tolist() == members
+        assert np.array_equal(near[m - 1], space.dist[members].min(axis=0))
+    assert list(ops._mask_chunks(np.zeros((0, 0), dtype=np.int64))) == []
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_exact_scans_tie_break_on_constant_operator(n):
+    """Every rectangle of a given shape has the same norm, bit for bit, so
+    only the first-mask rule decides the witness."""
+    rng = np.random.default_rng(24 + n)
+    space = random_connected_graph_space(rng, n, extra_edges=1)
+    _assert_scans_match_reference(_scan_operator(rng, space, "constant"), [0.5])
+
+
+def test_exact_scans_on_float_metric():
+    space = far_points(6, separation=1.5)
+    u = _scan_operator(np.random.default_rng(23), space, "dense-complex")
+    _assert_scans_match_reference(u, [0.3, 1.1])
+
+
+class TestSigmaMaxStack:
+    def test_mixed_shapes_match_lapack_bit_for_bit(self):
+        rng = np.random.default_rng(30)
+        for p, q in [(1, 1), (1, 7), (7, 1), (3, 5), (6, 6), (12, 2)]:
+            stack = rng.standard_normal((9, p, q)) + 1j * rng.standard_normal((9, p, q))
+            values = sigma_max_stack(stack)
+            assert values.tolist() == [_lapack_norm(m) for m in stack]
+            assert [ops._sigma_max(m) for m in stack] == values.tolist()
+        real = rng.standard_normal((5, 4, 3))
+        assert sigma_max_stack(real).tolist() == [_lapack_norm(m) for m in real]
+
+    def test_rect_norms_group_shapes(self):
+        rng = np.random.default_rng(31)
+        mat = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
+        rows = rng.random((200, 10)) < 0.4
+        cols = rng.random((200, 10)) < 0.5
+        values = ops._rect_norms(mat, rows, cols)
+        for r, c, v in zip(rows, cols, values):
+            A, B = np.flatnonzero(r), np.flatnonzero(c)
+            assert v == (_lapack_norm(mat[np.ix_(A, B)]) if A.size and B.size else 0.0)
+
+    def test_zero_blocks_skip_lapack(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        zeros = np.zeros((4, 3, 5), dtype=np.complex128)
+        assert sigma_max_stack(zeros).tolist() == [0.0] * 4
+        assert ops._sigma_max(zeros[0]) == 0.0
+        assert sigma_max_stack(np.zeros((3, 0, 2))).tolist() == [0.0] * 3
+        assert calls == []
+        mixed = zeros.copy()
+        mixed[2, 1, 1] = 2.0
+        assert sigma_max_stack(mixed).tolist() == [0.0, 0.0, 2.0, 0.0]
+        assert calls == [(1, 3, 5)]
+
+    def test_non_finite_input_behaves_as_lapack(self):
+        nan = np.array([[np.nan, 1.0], [2.0, 3.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.norm(nan, 2)
+        with pytest.raises(np.linalg.LinAlgError):
+            ops._sigma_max(nan)
+        with pytest.raises(np.linalg.LinAlgError):
+            sigma_max_stack(np.stack([nan, np.eye(2)]))
+        inf = np.array([[np.inf, 1.0], [2.0, 3.0]])
+        assert math.isnan(np.linalg.norm(inf, 2))
+        assert math.isnan(ops._sigma_max(inf))
+        assert math.isnan(sigma_max_stack(inf[None])[0])
+
+    def test_nan_operator_raises_in_both_scans(self):
+        space = interval_space(5)
+        m = np.ones((5, 5))
+        m[4, 0] = np.nan
+        u = SpaceOperator(space=space, mat=m)
+        with pytest.raises(np.linalg.LinAlgError):
+            reference_eps_propagation_exact(u, 0.5)
+        with pytest.raises(np.linalg.LinAlgError):
+            eps_propagation_radius(u, 0.5)
+        with pytest.raises(np.linalg.LinAlgError):
+            reference_dist_to_band_exact(u, 1)
+        with pytest.raises(np.linalg.LinAlgError):
+            ops._rect_norms(u.mat, np.ones((1, 5), bool), np.ones((1, 5), bool))
+
+    def test_inf_rectangles_are_skipped_like_the_strict_scan(self):
+        space = interval_space(5)
+        m = np.ones((5, 5))
+        m[4, 0] = np.inf
+        u = SpaceOperator(space=space, mat=m)
+        b = dist_to_band_bounds(u, 1)
+        lower, witness = reference_dist_to_band_exact(u, 1)
+        assert b.lower == lower
+        assert _same_witness(b.witness, witness)

@@ -3,9 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from roelab import randsub
 from roelab.errors import TooLargeForExact
 from roelab.randsub import (
+    SubspaceSample,
     entropy_count_bound,
     formal_bound,
     levy_median_check,
@@ -14,6 +18,118 @@ from roelab.randsub import (
     sample_subspace,
     trial_seed,
 )
+
+
+def _svd_top(stack):
+    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+
+
+def reference_restricted_norm_max(sample, delta, mode):
+    """(value, E) of the per-subset loops the gathered stacks replaced: exact
+    in chunks of 4096 subsets stacked one by one, greedy from list-built stacks."""
+    d, basis = sample.d, sample.basis
+    k = int(math.floor(delta * d))
+    if mode == "exact":
+        best_val, best_E = -1.0, None
+        chunk, combos = [], []
+        for E in itertools.combinations(range(d), k):
+            combos.append(E)
+            chunk.append(basis[list(E), :])
+            if len(chunk) == 4096:
+                vals = _svd_top(np.stack(chunk))
+                i = int(np.argmax(vals))
+                if vals[i] > best_val:
+                    best_val, best_E = float(vals[i]), combos[i]
+                chunk, combos = [], []
+        if chunk:
+            vals = _svd_top(np.stack(chunk))
+            i = int(np.argmax(vals))
+            if vals[i] > best_val:
+                best_val, best_E = float(vals[i]), combos[i]
+        return best_val, tuple(int(i) for i in best_E)
+
+    def forward_select():
+        E, remaining = [], list(range(d))
+        for _ in range(k):
+            vals = _svd_top(np.stack([basis[E + [o], :] for o in remaining]))
+            E.append(remaining.pop(int(np.argmax(vals))))
+        return E
+
+    def hill_climb(E0):
+        E = list(E0)
+        out = [i for i in range(d) if i not in set(E)]
+        best_val = float(_svd_top(basis[np.asarray(E, dtype=int), :]))
+        swaps, improved = 0, True
+        while improved and swaps < randsub._SWAP_CAP:
+            improved = False
+            for a in range(k):
+                vals = _svd_top(np.stack([basis[[*E[:a], o, *E[a + 1:]], :] for o in out]))
+                j = int(np.argmax(vals))
+                if vals[j] > best_val + 1e-12:
+                    out[j], E[a] = E[a], out[j]
+                    best_val = float(vals[j])
+                    swaps += 1
+                    improved = True
+                    if swaps >= randsub._SWAP_CAP:
+                        break
+        return best_val, E
+
+    leverage = np.einsum("ij,ij->i", basis, basis)
+    best_val, best_E = -1.0, None
+    for E0 in (list(np.argsort(leverage)[::-1][:k]), forward_select()):
+        val, E = hill_climb(E0)
+        if val > best_val:
+            best_val, best_E = val, tuple(sorted(E))
+    return best_val, tuple(int(i) for i in best_E)
+
+
+def _assert_matches_reference(sample, delta, modes=("exact", "greedy")):
+    for mode in modes:
+        r = restricted_norm_max(sample, delta, mode=mode, c0=3.0)
+        assert (r.value, r.E_witness) == reference_restricted_norm_max(sample, delta, mode)
+
+
+def _tied_sample(half, n, seed):
+    """Rows i and i + half of the basis are equal, so subsets tie in pairs."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((half, n)))
+    basis = np.vstack([q, q]) / math.sqrt(2.0)
+    return SubspaceSample(d=2 * half, n=n, vectors=basis.T, basis=basis, P=basis @ basis.T, seed=seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=3, max_value=14), st.data())
+def test_restricted_norm_bit_identical_to_per_subset_loop(d, data):
+    n = data.draw(st.integers(min_value=1, max_value=d - 1))
+    k = data.draw(st.integers(min_value=1, max_value=d - 1))
+    seed = data.draw(st.integers(min_value=0, max_value=2 ** 31))
+    _assert_matches_reference(sample_subspace(d, n, seed), (k + 0.5) / d)
+
+
+class TestRestrictedNormGather:
+    def test_tied_rows_first_subset_wins(self):
+        s = _tied_sample(5, 2, seed=3)
+        delta = 0.3  # k = 3
+        r = restricted_norm_max(s, delta, mode="exact", c0=3.0)
+        combos = list(itertools.combinations(range(10), 3))
+        values = _svd_top(np.stack([s.basis[list(E)] for E in combos]))
+        assert (values == values.max()).sum() >= 2
+        assert r.E_witness == combos[int(np.argmax(values))]
+        _assert_matches_reference(s, delta)
+
+    def test_just_above_the_old_chunk_edge(self):
+        s = sample_subspace(16, 3, seed=7)
+        assert math.comb(16, 5) == 4368
+        _assert_matches_reference(s, 5.5 / 16, modes=("exact",))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_many_subset_chunks(self, monkeypatch, k):
+        # at k = 1 the tied subsets (i,) and (i + 6,) fall in different chunks
+        s = _tied_sample(6, 2, seed=8)
+        delta = (k + 0.5) / 12
+        one_chunk = restricted_norm_max(s, delta, mode="exact", c0=3.0)
+        monkeypatch.setattr(randsub, "SUBSET_CELLS", 4 * k + 1)  # two subsets a chunk
+        assert restricted_norm_max(s, delta, mode="exact", c0=3.0) == one_chunk
+        _assert_matches_reference(s, delta, modes=("exact",))
 
 
 class TestSampling:
