@@ -1,5 +1,8 @@
 """Experiment runner: seeded commands over all modules with JSON/CSV reports.
 
+Each command and its flags are defined once, in ``COMMANDS``; the parser and
+the dispatch are both built from that table.
+
 Exit codes: 0 for PASS verdicts, 2 for a numerical bound violation, 1 for
 usage errors.
 """
@@ -7,6 +10,7 @@ usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -29,12 +33,19 @@ def _parse_space(spec: str) -> spaces.FiniteMetricSpace:
         _, n, d, seed = spec.split(":")
         return spaces.random_regular(int(n), int(d), int(seed))
     if spec.startswith("far:"):
-        return spaces.far_points(int(spec.split(":")[1]))
+        return spaces.far_points(_size(spec))
     if spec.startswith("interval:"):
-        return propa.interval_space(int(spec.split(":")[1]))
+        return propa.interval_space(_size(spec))
     if spec.startswith("torus:"):
-        return propa.torus_space(int(spec.split(":")[1]))
+        return propa.torus_space(_size(spec))
     return spaces.load_space(spec)
+
+
+def _size(spec: str) -> int:
+    n = int(spec.split(":")[1])
+    if n < 1:
+        raise ValueError(f"space {spec!r} needs at least one point")
+    return n
 
 
 def _parse_group(spec: str) -> reps.UnitaryRep:
@@ -282,25 +293,6 @@ def _cmd_all_smoke(cfg):
 
 # ---------------------------------------------------------------- wiring
 
-_HANDLERS = {
-    "space.gen": _cmd_space_gen,
-    "space.kappa": _cmd_space_kappa,
-    "translations.decompose": _cmd_translations_decompose,
-    "oper.eps-prop": _cmd_oper_eps_prop,
-    "oper.band-dist": _cmd_oper_band_dist,
-    "reps.irr-check": _cmd_reps_irr_check,
-    "reps.gap-cert": _cmd_reps_gap_cert,
-    "randsub.mc": _cmd_randsub_mc,
-    "randsub.levy": _cmd_randsub_levy,
-    "randsub.entropy": _cmd_randsub_entropy,
-    "ql.build": _cmd_ql_build,
-    "ql.profile": _cmd_ql_profile,
-    "ql.witness": _cmd_ql_witness,
-    "propa.sz": _cmd_propa_sz,
-    "propa.rademacher": _cmd_propa_rademacher,
-    "all.smoke": _cmd_all_smoke,
-}
-
 
 def _int_list(text):
     return [int(t) for t in text.split(",") if t]
@@ -310,116 +302,90 @@ def _float_list(text):
     return [float(t) for t in text.split(",") if t]
 
 
+def _int(default):
+    return dict(type=int, default=default)
+
+
+def _float(default):
+    return dict(type=float, default=default)
+
+
+_REQUIRED_INT = dict(type=int, required=True)
+_REQUIRED_FLOAT = dict(type=float, required=True)
+_SEED = {"--seed": _int(0)}
+_SPACE = {"--space": dict(required=True)}
+_GROUP = {"--group": dict(required=True)}
+_QL = {
+    "--members": dict(type=_int_list, default=(16, 32, 64, 128)),
+    "--degree": _int(4),
+    "--c0": _float(3.0),
+    "--seed": _int(2),
+}
+_COMMON = {
+    "--config": dict(help="JSON config file; flags override its values"),
+    "--out": dict(help="write the report to this path"),
+    "--format": dict(choices=["json", "csv"], default="json"),
+}
+
+# "module.action" -> (handler, {flag: argparse keywords}): the one place a
+# command is defined. The parser is built once, so no default may be mutable.
+COMMANDS = {
+    "space.gen": (_cmd_space_gen, {
+        "--regular": dict(type=_int_list, required=True, metavar="N,D"), **_SEED,
+    }),
+    "space.kappa": (_cmd_space_kappa, {
+        **_SPACE, "-R": _float(1), "--mode": dict(choices=["exact", "spectral"], default="exact"),
+    }),
+    "translations.decompose": (_cmd_translations_decompose, {**_SPACE, "-R": _float(1)}),
+    "oper.eps-prop": (_cmd_oper_eps_prop, {
+        **_SPACE, "--op": {}, "--eps": _REQUIRED_FLOAT,
+        "--mode": dict(choices=["exact", "heuristic"], default="heuristic"),
+        "-R": _float(1), **_SEED, "--budget": _int(500),
+    }),
+    "oper.band-dist": (_cmd_oper_band_dist, {
+        **_SPACE, "--op": {}, "-R": _float(1), **_SEED, "--budget": _int(500),
+    }),
+    "reps.irr-check": (_cmd_reps_irr_check, {**_GROUP, "--trials": _int(100), **_SEED}),
+    "reps.gap-cert": (_cmd_reps_gap_cert, {**_GROUP, **_SPACE, "-R": _float(1)}),
+    "randsub.mc": (_cmd_randsub_mc, {
+        "--d": _REQUIRED_INT, "--n": _REQUIRED_INT, "--delta": _REQUIRED_FLOAT,
+        "--c0": _float(100.0), "--trials": _int(100), **_SEED,
+    }),
+    "randsub.levy": (_cmd_randsub_levy, {
+        "--d": _REQUIRED_INT, "--delta": _REQUIRED_FLOAT, "--trials": _int(1000), **_SEED,
+    }),
+    "randsub.entropy": (_cmd_randsub_entropy, {"--d": _REQUIRED_INT, "--delta": _REQUIRED_FLOAT}),
+    "ql.build": (_cmd_ql_build, _QL),
+    "ql.profile": (_cmd_ql_profile, {
+        **_QL, "--eps": dict(type=_float_list, default=(0.5, 0.3, 0.2)),
+        "--budget": _int(200), "--samples": _int(200),
+    }),
+    "ql.witness": (_cmd_ql_witness, {**_QL, "-R": _float(2), "--budget": _int(500)}),
+    "propa.sz": (_cmd_propa_sz, {
+        "--N": _int(300), "--eps": _float(1e-4), "-R": _float(2), **_SEED,
+    }),
+    "propa.rademacher": (_cmd_propa_rademacher, {
+        "--N": _int(100), "--delta": _float(0.5), "-R": _float(1), "--trials": _int(2000), **_SEED,
+    }),
+    "all.smoke": (_cmd_all_smoke, _SEED),
+}
+
+
+@functools.cache
 def build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; flags override its values")
-    common.add_argument("--out", help="write the report to this path")
-    common.add_argument("--format", choices=["json", "csv"], default="json")
-
-    p = _Parser(prog="roelab")
-    sub = p.add_subparsers(dest="module", required=True)
-
-    def add(group, name):
-        return group.add_parser(name, parents=[common])
-
-    sp = sub.add_parser("space")
-    sps = sp.add_subparsers(dest="action", required=True)
-    g = add(sps, "gen")
-    g.add_argument("--regular", type=_int_list, required=True, metavar="N,D")
-    g.add_argument("--seed", type=int, default=0)
-    k = add(sps, "kappa")
-    k.add_argument("--space", required=True)
-    k.add_argument("-R", type=float, default=1)
-    k.add_argument("--mode", choices=["exact", "spectral"], default="exact")
-
-    tr = sub.add_parser("translations")
-    trs = tr.add_subparsers(dest="action", required=True)
-    d = add(trs, "decompose")
-    d.add_argument("--space", required=True)
-    d.add_argument("-R", type=float, default=1)
-
-    op = sub.add_parser("oper")
-    ops = op.add_subparsers(dest="action", required=True)
-    e = add(ops, "eps-prop")
-    e.add_argument("--space", required=True)
-    e.add_argument("--op")
-    e.add_argument("--eps", type=float, required=True)
-    e.add_argument("--mode", choices=["exact", "heuristic"], default="heuristic")
-    e.add_argument("-R", type=float, default=1)
-    e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--budget", type=int, default=500)
-    b = add(ops, "band-dist")
-    b.add_argument("--space", required=True)
-    b.add_argument("--op")
-    b.add_argument("-R", type=float, default=1)
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--budget", type=int, default=500)
-
-    rp = sub.add_parser("reps")
-    rps = rp.add_subparsers(dest="action", required=True)
-    ic = add(rps, "irr-check")
-    ic.add_argument("--group", required=True)
-    ic.add_argument("--trials", type=int, default=100)
-    ic.add_argument("--seed", type=int, default=0)
-    gc = add(rps, "gap-cert")
-    gc.add_argument("--group", required=True)
-    gc.add_argument("--space", required=True)
-    gc.add_argument("-R", type=float, default=1)
-
-    rs = sub.add_parser("randsub")
-    rss = rs.add_subparsers(dest="action", required=True)
-    mc = add(rss, "mc")
-    mc.add_argument("--d", type=int, required=True)
-    mc.add_argument("--n", type=int, required=True)
-    mc.add_argument("--delta", type=float, required=True)
-    mc.add_argument("--c0", type=float, default=100.0)
-    mc.add_argument("--trials", type=int, default=100)
-    mc.add_argument("--seed", type=int, default=0)
-    lv = add(rss, "levy")
-    lv.add_argument("--d", type=int, required=True)
-    lv.add_argument("--delta", type=float, required=True)
-    lv.add_argument("--trials", type=int, default=1000)
-    lv.add_argument("--seed", type=int, default=0)
-    en = add(rss, "entropy")
-    en.add_argument("--d", type=int, required=True)
-    en.add_argument("--delta", type=float, required=True)
-
-    ql = sub.add_parser("ql")
-    qls = ql.add_subparsers(dest="action", required=True)
-    for name in ("build", "profile", "witness"):
-        q = add(qls, name)
-        q.add_argument("--members", type=_int_list, default=[16, 32, 64, 128])
-        q.add_argument("--degree", type=int, default=4)
-        q.add_argument("--c0", type=float, default=3.0)
-        q.add_argument("--seed", type=int, default=2)
-        if name == "profile":
-            q.add_argument("--eps", type=_float_list, default=[0.5, 0.3, 0.2])
-            q.add_argument("--budget", type=int, default=200)
-            q.add_argument("--samples", type=int, default=200)
-        if name == "witness":
-            q.add_argument("-R", type=float, default=2)
-            q.add_argument("--budget", type=int, default=500)
-
-    pa = sub.add_parser("propa")
-    pas = pa.add_subparsers(dest="action", required=True)
-    sz = add(pas, "sz")
-    sz.add_argument("--N", type=int, default=300)
-    sz.add_argument("--eps", type=float, default=1e-4)
-    sz.add_argument("-R", type=float, default=2)
-    sz.add_argument("--seed", type=int, default=0)
-    ra = add(pas, "rademacher")
-    ra.add_argument("--N", type=int, default=100)
-    ra.add_argument("--delta", type=float, default=0.5)
-    ra.add_argument("-R", type=float, default=1)
-    ra.add_argument("--trials", type=int, default=2000)
-    ra.add_argument("--seed", type=int, default=0)
-
-    al = sub.add_parser("all")
-    als = al.add_subparsers(dest="action", required=True)
-    sm = add(als, "smoke")
-    sm.add_argument("--seed", type=int, default=0)
-
-    return p
+    """The parser of every command in COMMANDS, built once per process."""
+    parser = _Parser(prog="roelab")
+    modules = parser.add_subparsers(dest="module", required=True)
+    actions = {}
+    for command, (_, flags) in COMMANDS.items():
+        module, action = command.split(".")
+        if module not in actions:
+            module_parser = modules.add_parser(module)
+            actions[module] = module_parser.add_subparsers(dest="action", required=True)
+        sub = actions[module].add_parser(action)
+        for flag, kwargs in {**_COMMON, **flags}.items():
+            sub.add_argument(flag, **kwargs)
+    return parser
 
 
 def _merge_config(argv: list) -> list:
@@ -453,7 +419,7 @@ def run(argv) -> tuple:
 
 def _execute(args: argparse.Namespace) -> tuple:
     command = f"{args.module}.{args.action}"
-    handler = _HANDLERS[command]
+    handler = COMMANDS[command][0]
     cfg = {
         k: v
         for k, v in vars(args).items()
@@ -488,18 +454,18 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
         report, code = _execute(args)
+        if args.format == "csv":
+            text = _to_csv(report["results"])
+        else:
+            text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (RoelabError, FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
+    except (RoelabError, OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.format == "csv":
-        text = _to_csv(report["results"])
-    else:
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
     print(text, end="")
     return code
 

@@ -176,6 +176,11 @@ class SpaceOperator:
 
     @staticmethod
     def from_json(obj: dict, space: FiniteMetricSpace) -> "SpaceOperator":
+        if not isinstance(obj, dict):
+            raise ValueError("operator json is not an object")
+        for key in ("n", "rows"):
+            if key not in obj:
+                raise ValueError(f"operator json has no {key!r} field")
         n = obj["n"]
         if n != space.n:
             raise ValueError("operator json size does not match the space")

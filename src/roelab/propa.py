@@ -59,9 +59,6 @@ class PropertyAKernel:
     def __post_init__(self):
         validate_kernel(self.space, self.mu, self.S, self.delta, self.R)
 
-    def variation(self, x: int, y: int) -> float:
-        return float(np.abs(self.mu[x] - self.mu[y]).sum())
-
 
 def validate_kernel(space, mu, S, delta, R) -> None:
     mu = np.asarray(mu)
@@ -283,33 +280,6 @@ def sz_approximate(
     return approx, error, report
 
 
-class RademacherField:
-    """Random sign combinations f_w = sum_z w_z f_z with truncation and smoothing."""
-
-    def __init__(self, field: IsometryField, mu: PropertyAKernel | None = None):
-        if mu is not None and mu.space.n != field.space.n:
-            raise KernelInvalid("smoothing kernel must live on the field's space")
-        self.field = field
-        self.mu = mu
-        self.C = field.delta ** -0.5
-
-    def sample(self, trials: int, seed: int) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        signs = rng.integers(0, 2, size=(trials, self.field.space.n)) * 2 - 1
-        return signs.astype(np.float64)
-
-    def f_samples(self, signs: np.ndarray) -> np.ndarray:
-        return signs @ self.field.F  # [trial, x]
-
-    def g_samples(self, f: np.ndarray) -> np.ndarray:
-        return np.clip(f, -self.C, self.C)
-
-    def h_samples(self, g: np.ndarray) -> np.ndarray:
-        if self.mu is None:
-            raise KernelInvalid("smoothing requires the first-stage kernel")
-        return g @ self.mu.mu.T  # h(x) = sum_z mu_x(z) g(z)
-
-
 def rademacher_diagnostics(
     field: IsometryField,
     mu: PropertyAKernel,
@@ -326,15 +296,17 @@ def rademacher_diagnostics(
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
-    rf = RademacherField(field, mu)
-    signs = rf.sample(trials, seed)
-    f = rf.f_samples(signs)
-    g = rf.g_samples(f)
-    h = rf.h_samples(g)
+    if mu.space.n != field.space.n:
+        raise KernelInvalid("smoothing kernel must live on the field's space")
     space = field.space
     n = space.n
-    C = rf.C
     delta = field.delta
+    C = delta ** -0.5
+    rng = np.random.default_rng(seed)
+    signs = (rng.integers(0, 2, size=(trials, n)) * 2 - 1).astype(np.float64)
+    f = signs @ field.F  # f_w = sum_z w_z f_z, one row per sign vector w
+    g = np.clip(f, -C, C)
+    h = g @ mu.mu.T  # h(x) = sum_z mu_x(z) g(z)
 
     sup_bound = math.sqrt(growth(space, field.T))
     sup_ok = bool(np.abs(f).max() <= sup_bound + 1e-9)

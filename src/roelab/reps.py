@@ -59,7 +59,11 @@ class TableGroup(FiniteGroup):
 
     def __init__(self, table: np.ndarray):
         table = np.asarray(table, dtype=np.int64)
+        if table.ndim != 2 or table.shape[0] != table.shape[1]:
+            raise ValueError("multiplication table must be square")
         self.order = table.shape[0]
+        if table.min() < 0 or table.max() >= self.order:
+            raise ValueError(f"multiplication table entries must lie in 0..{self.order - 1}")
         self.table = table
         ids = [e for e in range(self.order) if np.all(table[e] == np.arange(self.order))]
         if len(ids) != 1:
@@ -113,7 +117,6 @@ class UnitaryRep:
 
     group: FiniteGroup
     dim: int
-    structure: str = "generic"
 
     def matrix(self, i) -> np.ndarray:
         raise NotImplementedError
@@ -145,7 +148,7 @@ class UnitaryRep:
             P += np.kron(m, m.conj())
         return P / order
 
-    def certificate(self, seed: int = 0, full_projection: bool | None = None) -> dict:
+    def certificate(self, seed: int = 0) -> dict:
         """Irreducibility and unitarity certificate.
 
         Always: unitarity and homomorphism deviations on sampled elements, and
@@ -174,9 +177,7 @@ class UnitaryRep:
             "char_sum": cs,
             "irreducible": abs(cs - 1.0) <= 1e-8,
         }
-        if full_projection is None:
-            full_projection = self.dim * self.dim <= 256 and order <= 10_000
-        if full_projection:
+        if self.dim * self.dim <= 256 and order <= 10_000:
             P = self.invariant_projection()
             report["projection_trace"] = float(np.real(np.trace(P)))
             report["projection_idempotency_dev"] = float(np.abs(P @ P - P).max())
@@ -194,13 +195,12 @@ class UnitaryRep:
 class DenseRep(UnitaryRep):
     """Representation stored as a dense stack of matrices."""
 
-    def __init__(self, group: FiniteGroup, matrices: np.ndarray, structure: str = "generic"):
+    def __init__(self, group: FiniteGroup, matrices: np.ndarray):
         self.group = group
         self.mats = np.asarray(matrices, dtype=np.complex128)
         if self.mats.shape[0] != group.order:
             raise DimensionMismatch("one matrix per group element required")
         self.dim = self.mats.shape[1]
-        self.structure = structure
 
     def matrix(self, i):
         return self.mats[i]
@@ -228,8 +228,6 @@ class HeisenbergRep(UnitaryRep):
     vector at t + a, with omega = exp(2 pi i / p). Matrices are generated on
     demand; averages use the (a,b,c) structure instead of a per-element walk.
     """
-
-    structure = "monomial"
 
     def __init__(self, p: int):
         self.group = HeisenbergGroup(p)
@@ -363,7 +361,6 @@ def gap_certificate(
     R,
     placement=None,
     approximants=None,
-    corner_terms=None,
     tol: float = CERT_TOL,
 ) -> CertificateReport:
     """Numeric certificate for the band-approximation obstruction chain.
@@ -376,9 +373,8 @@ def gap_certificate(
       per-translation sup of pairwise averaged norms <= (1 + eps)/sqrt(n) + tol,
       eps >= gap_lower_bound(n, N_X(R)) - tol,
 
-    with eps = max_g || pi(g) + b_g - c_g || and corner terms b_g defaulting
-    to zero. A FAIL verdict is a numerical counterexample to the averaging
-    lemma and should be treated as a bug.
+    with eps = max_g || pi(g) - c_g ||. A FAIL verdict is a numerical
+    counterexample to the averaging lemma and should be treated as a bug.
     """
     n = rep.dim
     order = rep.group.order
@@ -393,18 +389,13 @@ def gap_certificate(
     offmask = D > R  # offmask[j, i]: entry (row j, col i) outside the band
 
     if approximants is None:
-        if corner_terms is not None:
-            raise DimensionMismatch("corner terms require explicit approximants")
         eps_achieved = rep.band_residual_max(offmask)
     else:
         if len(approximants) != order:
             raise DimensionMismatch("one approximant per group element required")
         eps_achieved = 0.0
         for g in range(order):
-            diff = rep.matrix(g) - approximants[g]
-            if corner_terms is not None:
-                diff = diff + corner_terms[g]
-            eps_achieved = max(eps_achieved, _sigma_max(diff))
+            eps_achieved = max(eps_achieved, _sigma_max(rep.matrix(g) - approximants[g]))
 
     # band pairs inside the placement block, organized by translation part
     decomposition = decompose_band(space, R)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from roelab.cli import main, run
+from roelab.cli import _parse_args, build_parser, main, run
 from roelab.report import report_diff, results_bytes
 
 
@@ -54,6 +54,12 @@ class TestMalformedInput:
         "not_an_object.json": [1, 2],
         "no_matrices.json": {"table": [[0]]},
         "no_table.json": {"matrices": [[[[1.0, 0.0]]]]},
+        "op_no_n.json": {"rows": [[0.0, 0.0]]},
+        "op_no_rows.json": {"n": 1},
+        "bad_table.json": {
+            "table": [[0, 1, 2], [1, 2, 0], [2, 0, 5]],
+            "matrices": [[[[1.0, 0.0]]]] * 3,
+        },
     }
     CASES = [
         ["space", "kappa", "--space", "{dir}/no_metric.json"],
@@ -64,6 +70,16 @@ class TestMalformedInput:
         ["reps", "irr-check", "--group", "file:{dir}/not_an_object.json"],
         ["space", "kappa", "--space", "regular:16:4:2", "--mode", "spectral", "-R", "0"],
         ["randsub", "levy", "--config"],
+        ["space", "kappa", "--space", "{dir}"],
+        ["randsub", "entropy", "--d", "50", "--delta", "0.2", "--out", "{dir}/missing/x.json"],
+        ["oper", "eps-prop", "--space", "interval:1", "--eps", "0.1", "--op", "{dir}/op_no_n.json"],
+        ["oper", "eps-prop", "--space", "interval:1", "--eps", "0.1", "--op", "{dir}/op_no_rows.json"],
+        ["oper", "eps-prop", "--space", "interval:2", "--eps", "0.1", "--op", "{dir}/not_an_object.json"],
+        ["reps", "irr-check", "--group", "file:{dir}/bad_table.json"],
+        ["oper", "eps-prop", "--eps", "0.1", "--space", "interval:0"],
+        ["oper", "eps-prop", "--eps", "0.1", "--space", "torus:0"],
+        ["oper", "eps-prop", "--eps", "0.1", "--space", "far:0"],
+        ["oper", "eps-prop", "--eps", "0.1", "--space", "interval:-1"],
     ]
 
     @pytest.mark.parametrize("argv", CASES, ids=lambda a: " ".join(a[-2:]))
@@ -73,6 +89,21 @@ class TestMalformedInput:
         assert main([a.format(dir=tmp_path) for a in argv]) == 1
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1, err
+
+
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_defaults_survive_mutation(self):
+        # every call parses with the same parser, so a list default would be shared
+        first = _parse_args(["ql", "profile"])
+        for value in (first.members, first.eps):
+            if isinstance(value, list):
+                value.append(0)
+        second = _parse_args(["ql", "profile"])
+        assert list(second.members) == [16, 32, 64, 128]
+        assert list(second.eps) == [0.5, 0.3, 0.2]
 
 
 class TestDeterminism:
