@@ -19,7 +19,7 @@ import numpy as np
 
 from . import propa, quasilocal, randsub, reps, spaces, translations
 from .operators import SpaceOperator, dist_to_band_bounds, eps_propagation_radius, operator_norm
-from .report import make_report
+from .report import dumps, make_report
 from .errors import RoelabError
 
 
@@ -302,8 +302,20 @@ def _float_list(text):
     return [float(t) for t in text.split(",") if t]
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _int(default):
     return dict(type=int, default=default)
+
+
+def _count(default):
+    """A sample count: an empty sample would back a verdict with nothing."""
+    return dict(type=_positive_int, default=default)
 
 
 def _float(default):
@@ -345,20 +357,20 @@ COMMANDS = {
     "oper.band-dist": (_cmd_oper_band_dist, {
         **_SPACE, "--op": {}, "-R": _float(1), **_SEED, "--budget": _int(500),
     }),
-    "reps.irr-check": (_cmd_reps_irr_check, {**_GROUP, "--trials": _int(100), **_SEED}),
+    "reps.irr-check": (_cmd_reps_irr_check, {**_GROUP, "--trials": _count(100), **_SEED}),
     "reps.gap-cert": (_cmd_reps_gap_cert, {**_GROUP, **_SPACE, "-R": _float(1)}),
     "randsub.mc": (_cmd_randsub_mc, {
         "--d": _REQUIRED_INT, "--n": _REQUIRED_INT, "--delta": _REQUIRED_FLOAT,
         "--c0": _float(100.0), "--trials": _int(100), **_SEED,
     }),
     "randsub.levy": (_cmd_randsub_levy, {
-        "--d": _REQUIRED_INT, "--delta": _REQUIRED_FLOAT, "--trials": _int(1000), **_SEED,
+        "--d": _REQUIRED_INT, "--delta": _REQUIRED_FLOAT, "--trials": _count(1000), **_SEED,
     }),
     "randsub.entropy": (_cmd_randsub_entropy, {"--d": _REQUIRED_INT, "--delta": _REQUIRED_FLOAT}),
     "ql.build": (_cmd_ql_build, _QL),
     "ql.profile": (_cmd_ql_profile, {
         **_QL, "--eps": dict(type=_float_list, default=(0.5, 0.3, 0.2)),
-        "--budget": _int(200), "--samples": _int(200),
+        "--budget": _int(200), "--samples": _count(200),
     }),
     "ql.witness": (_cmd_ql_witness, {**_QL, "-R": _float(2), "--budget": _int(500)}),
     "propa.sz": (_cmd_propa_sz, {
@@ -457,7 +469,7 @@ def main(argv=None) -> int:
         if args.format == "csv":
             text = _to_csv(report["results"])
         else:
-            text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+            text = dumps(report) + "\n"
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text)

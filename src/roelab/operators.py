@@ -229,7 +229,7 @@ def band_mask(space: FiniteMetricSpace, R) -> np.ndarray:
 
 
 def band_truncate(u: SpaceOperator, R) -> SpaceOperator:
-    if R < 0:
+    if not R >= 0:
         raise ValueError("radius must be nonnegative")
     kept = np.where(band_mask(u.space, R), u.mat, 0.0)
     return SpaceOperator(space=u.space, mat=kept)
@@ -339,7 +339,7 @@ def eps_propagation_radius(
     heuristic: a bracketing pair -- violating rectangles give the lower end,
     band-truncation tails (value + err of their norm) the upper end.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     space = u.space
     n = space.n
@@ -434,7 +434,7 @@ def dist_to_band_bounds(
     LAPACK SVD per rectangle, whose witness is the first mask with the
     largest norm. Otherwise a budgeted random search.
     """
-    if R < 0:
+    if not R >= 0:
         raise ValueError("radius must be nonnegative")
     space = u.space
     n = space.n

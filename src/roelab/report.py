@@ -5,13 +5,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 from .errors import SchemaMismatch
 
 TOOL_VERSION = "0.1.0"
 
 
-_PLAIN = (int, str, bool, type(None))
+_PLAIN = frozenset((int, str, bool, type(None)))
 
 
 def jsonable(obj):
@@ -21,6 +22,8 @@ def jsonable(obj):
     if t in _PLAIN:
         return obj
     if t is list:
+        if _PLAIN.issuperset(map(type, obj)):
+            return list(obj)
         return [v if type(v) in _PLAIN else jsonable(v) for v in obj]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {k: jsonable(v) for k, v in dataclasses.asdict(obj).items()}
@@ -39,6 +42,64 @@ def jsonable(obj):
     if hasattr(obj, "tolist"):
         return jsonable(obj.tolist())
     return repr(obj)
+
+
+class _Fallback(Exception):
+    """A value outside the trees `jsonable` returns; `dumps` hands it to json."""
+
+
+def dumps(obj) -> str:
+    """Exactly ``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
+
+    With an indent CPython runs its pure-Python encoder; this writer emits the
+    same text for the plain trees `jsonable` returns (exact dict with str keys,
+    list, str, int, bool, None and finite float), and joins a list whose
+    elements are all exact ints in one ``str.join``. Any other value sends the
+    whole object to ``json.dumps``, so the bytes cannot drift.
+    """
+    try:
+        return _write(obj, "\n")
+    except _Fallback:
+        return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def _write(obj, newline: str) -> str:
+    """`obj` as indented JSON; `newline` is a line break plus its level's indent."""
+    t = type(obj)
+    if t is str:
+        return encode_basestring_ascii(obj)
+    if t is list:
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        sep = "," + inner
+        # exact int only: a bool must print as true/false, not as 1/0
+        if set(map(type, obj)) == {int}:
+            body = sep.join(map(int.__repr__, obj))
+        else:
+            body = sep.join([_write(v, inner) for v in obj])
+        return f"[{inner}{body}{newline}]"
+    if t is dict:
+        if not obj:
+            return "{}"
+        if set(map(type, obj)) != {str}:
+            raise _Fallback  # json converts such keys after sorting them
+        inner = newline + "  "
+        body = ("," + inner).join([
+            f"{encode_basestring_ascii(k)}: {_write(v, inner)}" for k, v in sorted(obj.items())
+        ])
+        return f"{{{inner}{body}{newline}}}"
+    if t is int:
+        return int.__repr__(obj)
+    if t is float and math.isfinite(obj):
+        return float.__repr__(obj)
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if obj is None:
+        return "null"
+    raise _Fallback
 
 
 def results_bytes(results: dict) -> bytes:

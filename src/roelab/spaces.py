@@ -157,11 +157,13 @@ class ExpanderFamily:
 def from_graph(adjacency: np.ndarray, label: str = "") -> FiniteMetricSpace:
     """Shortest-path metric of a connected simple graph.
 
-    One level-synchronous BFS from all sources at once: row s of the boolean
-    frontier holds the points at distance `level` from s, and the next level
-    is the OR of the frontier over each point's neighbour list, minus the
-    points already reached. A shortest-path metric is a metric by
-    construction, so the result is not re-validated.
+    One level-synchronous BFS from all sources at once, bit-packed over the
+    sources: row v of the uint8 `frontier` is the bitset of sources whose BFS
+    reached v at the current level. The next level is one
+    `np.bitwise_or.reduceat` of the frontier rows over each point's neighbour
+    list, minus the sources that already reached that point, and
+    `np.unpackbits` writes it into `dist`. A shortest-path metric is a metric
+    by construction, so the result is not re-validated.
     """
     a = np.asarray(adjacency)
     n = a.shape[0]
@@ -177,18 +179,23 @@ def from_graph(adjacency: np.ndarray, label: str = "") -> FiniteMetricSpace:
     np.fill_diagonal(dist, 0)
     if cols.size:
         starts = np.concatenate(([0], np.cumsum(degree[:-1])))
-        # sources go in blocks so that the gathered frontier (block x |E|)
-        # stays near BFS_CELLS booleans on dense graphs
-        block = max(1, BFS_CELLS // cols.size)
+        # sources go in byte-aligned blocks so that the gathered frontier
+        # (|E| rows of one bit per source) stays near BFS_CELLS bits
+        block = 8 * max(1, BFS_CELLS // (8 * cols.size))
         for lo in range(0, n, block):
-            part = dist[lo:lo + block]  # a view: levels land in dist
-            frontier = part == 0
+            width = min(block, n - lo)
+            part = dist[lo:lo + width].T  # a view: part[v, s] is dist(lo + s, v)
+            s = np.arange(width)
+            frontier = np.zeros((n, (width + 7) // 8), dtype=np.uint8)
+            frontier[lo + s, s >> 3] = 1 << (s & 7)
+            reached = frontier.copy()
             level = 0
             while frontier.any():
                 level += 1
                 # every neighbour list is nonempty, as reduceat needs
-                frontier = np.logical_or.reduceat(frontier[:, cols], starts, axis=1) & (part < 0)
-                part[frontier] = level
+                frontier = np.bitwise_or.reduceat(frontier[cols], starts, axis=0) & ~reached
+                reached |= frontier
+                part[np.unpackbits(frontier, axis=1, count=width, bitorder="little").view(bool)] = level
     if np.any(dist < 0):
         raise DisconnectedGraph("graph is not connected")
     return FiniteMetricSpace._trusted(dist, label)
@@ -196,7 +203,7 @@ def from_graph(adjacency: np.ndarray, label: str = "") -> FiniteMetricSpace:
 
 def growth(space: FiniteMetricSpace, R) -> int:
     """Largest ball cardinality N_X(R) = max_x |{y : dist(x,y) <= R}|."""
-    if R < 0:
+    if not R >= 0:
         raise ValueError("radius must be nonnegative")
     return int((space.dist <= R).sum(axis=1).max())
 

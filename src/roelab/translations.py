@@ -45,34 +45,36 @@ def decompose_band(space: FiniteMetricSpace, R) -> TranslationDecomposition:
     """Partition {(x,y): dist(x,y) <= R} into <= 2 N_X(R) partial-translation graphs.
 
     Greedy first-fit in lexicographic pair order; a pair (x, y) joins the first
-    part whose domain misses x and whose range misses y. The pigeonhole count
+    part whose domain misses x and whose range misses y. Parts are Python-int
+    bitmasks: bit i of `ran_bits[y]` says part i's range holds y, bit i of
+    `used` that part i already holds a pair of the current row x (pairs come
+    row by row, so that is the same as its domain holding x), and the part
+    chosen is the lowest zero bit of their union. The pigeonhole count
     guarantees the cap, so exceeding it aborts loudly.
     """
-    if R < 0:
+    if not R >= 0:
         raise ValueError("radius must be nonnegative")
     cap = 2 * growth(space, R)
     xs, ys = np.nonzero(space.dist <= R)  # row-major, i.e. lexicographic by (x, y)
-    doms: list[set] = []
-    rans: list[set] = []
+    ran_bits = [0] * space.n
     parts: list[dict] = []
+    row, used = -1, 0
     for x, y in zip(xs.tolist(), ys.tolist()):
-        placed = False
-        for i in range(len(parts)):
-            if x not in doms[i] and y not in rans[i]:
-                parts[i][x] = y
-                doms[i].add(x)
-                rans[i].add(y)
-                placed = True
-                break
-        if not placed:
-            if len(parts) >= cap:
+        if x != row:
+            row, used = x, 0
+        busy = ran_bits[y] | used
+        bit = ~busy & (busy + 1)
+        i = bit.bit_length() - 1
+        if i == len(parts):
+            if i >= cap:
                 raise AssertionError(
-                    f"band pair ({x},{y}) needs part {len(parts) + 1} > cap {cap}; "
+                    f"band pair ({x},{y}) needs part {i + 1} > cap {cap}; "
                     "this contradicts the pigeonhole bound and is a bug"
                 )
-            parts.append({x: y})
-            doms.append({x})
-            rans.append({y})
+            parts.append({})
+        parts[i][x] = y
+        used |= bit
+        ran_bits[y] |= bit
     return TranslationDecomposition(
         space=space, R=R, parts=[PartialTranslation(pairs=p) for p in parts]
     )

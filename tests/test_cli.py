@@ -80,6 +80,12 @@ class TestMalformedInput:
         ["oper", "eps-prop", "--eps", "0.1", "--space", "torus:0"],
         ["oper", "eps-prop", "--eps", "0.1", "--space", "far:0"],
         ["oper", "eps-prop", "--eps", "0.1", "--space", "interval:-1"],
+        ["oper", "eps-prop", "--space", "interval:3", "--eps", "nan"],
+        ["oper", "band-dist", "--space", "interval:5", "-R", "nan"],
+        ["translations", "decompose", "-R", "nan", "--space", "interval:5"],
+        ["reps", "irr-check", "--group", "heis:3", "--trials", "0"],
+        ["randsub", "levy", "--trials", "0", "--d", "100", "--delta", "0.1"],
+        ["ql", "profile", "--samples", "0"],
     ]
 
     @pytest.mark.parametrize("argv", CASES, ids=lambda a: " ".join(a[-2:]))

@@ -327,6 +327,13 @@ class TestBandDistance:
         with pytest.raises(ValueError):
             dist_to_band_bounds(u, -1)
 
+    def test_nan_radius_and_threshold(self):
+        u = random_operator(np.random.default_rng(0), interval_space(4))
+        for call in (lambda: dist_to_band_bounds(u, math.nan), lambda: band_truncate(u, math.nan),
+                     lambda: eps_propagation_radius(u, math.nan)):
+            with pytest.raises(ValueError):
+                call()
+
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=3, max_value=9), st.integers(min_value=0, max_value=2 ** 31))

@@ -1,11 +1,17 @@
 import dataclasses
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from roelab.cli import run
 from roelab.errors import SchemaMismatch
-from roelab.report import jsonable, make_report, report_diff, results_bytes
+from roelab.report import dumps, jsonable, make_report, report_diff, results_bytes
 
 
 @dataclasses.dataclass
@@ -35,6 +41,63 @@ class TestJsonable:
     def test_nested(self):
         out = jsonable({"rows": [np.int64(2), {"z": np.array([1.0])}]})
         assert out == {"rows": [2, {"z": [1.0]}]}
+
+    def test_plain_list_is_copied(self):
+        plain = [1, "s", None, True]
+        out = jsonable(plain)
+        assert out == plain and out is not plain
+
+
+def reference_dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+_text = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\b\u2028\xe9\u20ac\U0001f600'),
+                          st.characters()), max_size=6)
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=-(2 ** 200), max_value=2 ** 200),
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([-0.0, 1e-300, 1e22, 5e-324]),
+    _text,
+)
+_leaves = st.one_of(
+    _scalars,
+    st.lists(st.integers(), max_size=6),
+    st.lists(st.booleans(), max_size=4),
+    st.lists(st.one_of(st.integers(), st.booleans()), max_size=6),
+)
+_trees = st.recursive(
+    _leaves,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_text, children, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestDumps:
+    @settings(max_examples=300, deadline=None)
+    @given(_trees)
+    def test_byte_identical_to_json(self, tree):
+        assert dumps(tree) == reference_dumps(tree)
+
+    @pytest.mark.parametrize("obj", [
+        [True, False], [1, True, 0], {"b": [], "a": {}}, [[]], "", -0.0,
+        # outside what jsonable returns: json.dumps writes these
+        math.nan, [math.inf, -math.inf], (1, 2), {3: "x", 1: [2.5]}, {None: 0}, np.float64(0.1),
+    ])
+    def test_edge_cases(self, obj):
+        assert dumps(obj) == reference_dumps(obj)
+
+    @staticmethod
+    def readme_examples():
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        return [line.split()[1:] for line in readme.read_text().splitlines()
+                if re.match(r"roelab \w", line)]
+
+    def test_readme_examples_and_a_graph_report(self):
+        examples = self.readme_examples() + [["space", "gen", "--regular", "64,4"]]
+        assert len(examples) > 5
+        for argv in examples:
+            report = run(argv)[0]
+            assert dumps(report) == reference_dumps(report), argv
 
 
 class TestResultsBytes:

@@ -141,6 +141,52 @@ class TestFromGraph:
         assert np.array_equal(from_graph(adj).dist, reference_bfs(adj))
 
 
+# sizes on either side of the byte boundaries of the packed source bitsets
+PACKED_SIZES = [7, 8, 9, 15, 16, 17, 63, 64, 65]
+
+
+def connected_adjacency(seed, n, p):
+    """Random graph plus the path 0-1-...-(n-1), so it is connected."""
+    adj = random_adjacency(seed, n, p)
+    i = np.arange(n - 1)
+    adj[i, i + 1] = adj[i + 1, i] = 1
+    return adj
+
+
+def two_components(seed, n, p):
+    """Disconnected graph of two connected halves, no isolated point."""
+    half = n // 2
+    adj = np.zeros((n, n), dtype=np.int64)
+    adj[:half, :half] = connected_adjacency(seed, half, p)
+    adj[half:, half:] = connected_adjacency(seed + 1, n - half, p)
+    return adj
+
+
+class TestPackedBfs:
+    @pytest.mark.parametrize("block_bytes", [None, 1, 2])
+    @pytest.mark.parametrize("n", PACKED_SIZES)
+    def test_matches_reference_in_source_blocks(self, n, block_bytes, monkeypatch):
+        import roelab.spaces
+
+        adj = connected_adjacency(n, n, 3 / n)
+        if block_bytes is not None:
+            # blocks of 8 or 16 sources; the last block is short unless it divides n
+            monkeypatch.setattr(roelab.spaces, "BFS_CELLS", 8 * block_bytes * int(adj.sum()))
+        assert np.array_equal(from_graph(adj).dist, reference_bfs(adj))
+
+    @pytest.mark.parametrize("block_bytes", [None, 1])
+    @pytest.mark.parametrize("n", PACKED_SIZES)
+    def test_disconnected_raises(self, n, block_bytes, monkeypatch):
+        import roelab.spaces
+
+        adj = two_components(n, n, 3 / n)
+        assert np.any(reference_bfs(adj) < 0)
+        if block_bytes is not None:
+            monkeypatch.setattr(roelab.spaces, "BFS_CELLS", 8 * block_bytes * int(adj.sum()))
+        with pytest.raises(DisconnectedGraph):
+            from_graph(adj)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=0, max_value=30),
@@ -209,6 +255,10 @@ class TestBallsAndGrowth:
     def test_growth_negative_radius(self):
         with pytest.raises(ValueError):
             growth(path_space(3), -1)
+
+    def test_growth_nan_radius(self):
+        with pytest.raises(ValueError):
+            growth(path_space(3), float("nan"))
 
 
 class TestSerialization:

@@ -1,11 +1,41 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_connected_graph_space, random_operator
 from roelab.operators import band_mask, band_truncate, opnorm
 from roelab.propa import interval_space
 from roelab.spaces import growth
 from roelab.translations import decompose_band, schur_restrict
+
+
+def reference_decompose_band(space, R):
+    """The greedy first-fit as a scan over per-part domain and range sets:
+    each pair (x, y), in lexicographic order, joins the first part whose
+    domain misses x and whose range misses y. Returns the parts' dicts."""
+    xs, ys = np.nonzero(space.dist <= R)
+    doms, rans, parts = [], [], []
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        for i in range(len(parts)):
+            if x not in doms[i] and y not in rans[i]:
+                parts[i][x] = y
+                doms[i].add(x)
+                rans[i].add(y)
+                break
+        else:
+            parts.append({x: y})
+            doms.append({x})
+            rans.append({y})
+    return parts
+
+
+def assert_same_as_reference(space, R):
+    parts = decompose_band(space, R).parts
+    # same partition, and the same order of entries within each part
+    assert [list(p.pairs.items()) for p in parts] == [
+        list(p.items()) for p in reference_decompose_band(space, R)]
+    return parts
 
 
 def cover_matrix(space, decomposition):
@@ -69,6 +99,24 @@ class TestDecomposeBand:
         obj = decompose_band(interval_space(4), 1).to_json()
         assert set(obj) == {"R", "parts"}
         assert all(set(p) == {"pairs"} for p in obj["parts"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=2 ** 31),
+    st.sampled_from([0, 0.5, 1, 2, 3]),
+)
+def test_first_fit_matches_set_scan(n, seed, R):
+    assert_same_as_reference(random_connected_graph_space(np.random.default_rng(seed), n), R)
+
+
+def test_first_fit_beyond_a_machine_word():
+    # a dense graph: the masks of ran_bits and of the current row pass 64 bits
+    rng = np.random.default_rng(5)
+    sp = random_connected_graph_space(rng, 90, extra_edges=2000)
+    parts = assert_same_as_reference(sp, 2)
+    assert len(parts) > 64
 
 
 class TestSchurRestrict:
