@@ -68,6 +68,8 @@ def _parse_group(spec: str) -> reps.UnitaryRep:
 
 
 def _band_contraction(space, R, seed):
+    if not R >= 0:
+        raise ValueError("radius must be nonnegative")
     rng = np.random.default_rng(seed)
     n = space.n
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

@@ -16,6 +16,10 @@ EXACT_BAND_DIST_MAX = 12
 # the exact subset scans enumerate output masks in chunks of at most
 # MASK_CELLS (mask, point) cells, so |X| = EXACT_EPSPROP_MAX stays bounded
 MASK_CELLS = 1 << 18
+# _rect_norms gathers at most STACK_ENTRIES matrix entries per LAPACK pass, and
+# the random rectangle searches close their seeds CLOSE_BLOCK draws at a time
+STACK_ENTRIES = 1 << 16
+CLOSE_BLOCK = 64
 
 # operator_norm: LAPACK when the smaller side is at most DENSE_NORM_MAX,
 # Golub-Kahan-Lanczos above it. Both cost about 2.5 ms (main-thread CPU, 2-vCPU
@@ -126,9 +130,9 @@ def _sigma_max(mat: np.ndarray) -> float:
     """LAPACK largest singular value of one matrix: the scalar entry of
     sigma_max_stack, and bit-identical to it.
 
-    The budgeted random rectangle searches call it once per rectangle. It
-    keeps its name because perfbench's tracer wraps it and the test oracles
-    import it.
+    The rectangle searches batch their norms through sigma_max_stack instead;
+    this stays for single matrices. It keeps its name because perfbench's
+    tracer wraps it and the test oracles import it.
     """
     m = np.atleast_2d(mat)
     return float(sigma_max_stack(m[None])[0])
@@ -264,7 +268,8 @@ def _rect_norms(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarr
     """sigma_max of each compression mat[rows[i]][:, cols[i]], given boolean
     membership rows of shape (k, n); 0.0 where a side is empty.
 
-    One sigma_max_stack call per (|A|, |B|) shape group; the indices of each
+    One sigma_max_stack call per (|A|, |B|) shape group, split so that no
+    gathered stack holds more than STACK_ENTRIES entries; the indices of each
     side are in increasing order, as np.flatnonzero gives them.
     """
     na = rows.sum(axis=1)
@@ -276,9 +281,12 @@ def _rect_norms(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarr
     for key, group in zip(keys, np.split(order, starts[1:])):
         if key < 0:
             continue
-        a_idx = np.nonzero(rows[group])[1].reshape(len(group), -1)
-        b_idx = np.nonzero(cols[group])[1].reshape(len(group), -1)
-        values[group] = sigma_max_stack(mat[a_idx[:, :, None], b_idx[:, None, :]])
+        a_idx = np.nonzero(rows[group])[1].reshape(len(group), -1)[:, :, None]
+        b_idx = np.nonzero(cols[group])[1].reshape(len(group), -1)[:, None, :]
+        step = max(1, STACK_ENTRIES // (a_idx.shape[1] * b_idx.shape[2]))
+        for s in range(0, len(group), step):
+            part = slice(s, s + step)
+            values[group[part]] = sigma_max_stack(mat[a_idx[part], b_idx[part]])
     return values
 
 
@@ -337,7 +345,12 @@ def eps_propagation_radius(
     group, bit-identical to one LAPACK SVD per rectangle; the witness is the
     first mask, in increasing mask order, with the largest radius.
     heuristic: a bracketing pair -- violating rectangles give the lower end,
-    band-truncation tails (value + err of their norm) the upper end.
+    band-truncation tails (value + err of their norm) the upper end. The
+    `budget` random rectangles (a random candidate radius and seed set each,
+    closed as in dist_to_band_bounds) are drawn and closed first; then the
+    distinct separations are visited in descending order, computing norms only
+    for the rectangles at the current one. The first separation with a norm
+    > eps is the lower end, witnessed by its earliest draw.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -370,48 +383,98 @@ def eps_propagation_radius(
         upper = float(radii[lo])
         lower = 0.0
         witness = None
-        rng = np.random.default_rng(seed)
-        for _ in range(budget):
-            r = radii[rng.integers(0, len(radii))]
-            pair = _closed_pair(u, r, rng)
-            if pair is None:
-                continue
-            A, B = pair
-            value = _sigma_max(u.mat[np.ix_(A, B)])
-            if value > eps:
-                sep = space.set_distance(A, B)
-                if sep > lower:
-                    lower = float(sep)
-                    witness = RectangleWitness(
-                        A=tuple(A.tolist()), B=tuple(B.tolist()), separation=sep, value=value
-                    )
+        picks, seeds = _draw_seeds(np.random.default_rng(seed), np.arange(n), n, budget, len(radii))
+        A, B, kept = _close_rectangles(space.dist, radii[picks], seeds)
+        draws = np.flatnonzero(kept)
+        if draws.size == 0:
+            return EpsPropagationResult(lower=lower, upper=upper, witness=witness, mode="heuristic")
+        first, inverse = _distinct_rectangles(A[draws], B[draws])
+        rects = draws[first]
+        seps = np.array([space.set_distance(np.flatnonzero(A[i]), np.flatnonzero(B[i])) for i in rects])
+        # the largest separation carried by a norm > eps, at its earliest draw
+        for sep in np.unique(seps[seps > 0])[::-1]:
+            level = np.flatnonzero(seps == sep)
+            values = np.full(len(rects), np.nan)
+            values[level] = _rect_norms(u.mat, A[rects[level]], B[rects[level]])
+            hits = np.flatnonzero(values[inverse] > eps)  # NaN never violates
+            if hits.size:
+                i = draws[hits[0]]
+                lower = float(sep)
+                witness = RectangleWitness(
+                    A=tuple(np.flatnonzero(A[i]).tolist()), B=tuple(np.flatnonzero(B[i]).tolist()),
+                    separation=sep, value=float(values[inverse[hits[0]]]),
+                )
+                break
         return EpsPropagationResult(lower=lower, upper=upper, witness=witness, mode="heuristic")
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _closed_pair(u: SpaceOperator, R, rng, pool=None):
-    """Grow a random seed set to a maximal separated rectangle at radius R."""
-    space = u.space
-    n = space.n
-    if pool is None:
-        pool = np.arange(n)
-    size = int(rng.integers(1, max(2, len(pool) // 2 + 1)))
-    A = rng.choice(pool, size=min(size, len(pool)), replace=False)
-    for _ in range(4):
-        B = _worst_B(space, A, R)
-        if B.size == 0:
-            return None
-        A_new = _worst_B(space, B, R)
-        if A_new.size == 0:
-            return None
-        if A_new.size == A.size and np.array_equal(np.sort(A_new), np.sort(A)):
-            A = A_new
-            break
-        A = A_new
-    B = _worst_B(space, A, R)
-    if B.size == 0:
-        return None
-    return np.sort(A), np.sort(B)
+def _draw_seeds(rng, pool, n: int, budget: int, n_radii: int = 0) -> tuple:
+    """(radius indices, boolean seed rows) of a budgeted random search.
+
+    Each draw takes, in this order, a radius index in [0, n_radii) when
+    n_radii > 0, a size in [1, max(1, len(pool) // 2)], and that many
+    distinct points of pool. No draw depends on a norm, so all of them come first.
+    """
+    count = max(budget, 0)
+    picks = np.zeros(count, dtype=int)
+    seeds = np.zeros((count, n), dtype=bool)
+    high = max(2, len(pool) // 2 + 1)
+    for i in range(count):
+        if n_radii:
+            picks[i] = rng.integers(0, n_radii)
+        size = int(rng.integers(1, high))
+        seeds[i, rng.choice(pool, size=min(size, len(pool)), replace=False)] = True
+    return picks, seeds
+
+
+def _close_rectangles(dist: np.ndarray, radii: np.ndarray, seeds: np.ndarray) -> tuple:
+    """Grow each seed row i to a maximal separated rectangle at radius radii[i].
+
+    Per row: up to 4 rounds of B = far(A), A = far(B), stopping early at a
+    fixed point of A, then B = far(A), where far(S) is the set of points
+    farther than the row's radius from all of S. A row whose B or A becomes
+    empty is dropped. Rows are closed per distinct radius R, CLOSE_BLOCK rows
+    at a time, and far of a block is one float64 GEMM with the 0/1 rows
+    dist[p] <= R of the points p its sets use: (S @ near)[x] counts the
+    points of S within R of x, exactly. Returns boolean rows A and B, and
+    which rows were kept.
+    """
+
+    def far(S, R):
+        used = np.flatnonzero(S.any(axis=0))
+        return (S[:, used].astype(np.float64) @ (dist[used] <= R).astype(np.float64)) == 0
+
+    A = seeds.copy()
+    B = np.zeros_like(A)
+    kept = np.ones(len(A), dtype=bool)
+    for R in np.unique(radii):
+        rows = np.flatnonzero(radii == R)
+        for start in range(0, len(rows), CLOSE_BLOCK):
+            block = rows[start : start + CLOSE_BLOCK]
+            a, ok = A[block], np.ones(len(block), dtype=bool)
+            live = np.arange(len(a))
+            for _ in range(4):
+                b = far(a[live], R)
+                grown = far(b, R)
+                nonempty = b.any(axis=1) & grown.any(axis=1)
+                fixed = (grown == a[live]).all(axis=1)
+                ok[live[~nonempty]] = False
+                a[live[nonempty]] = grown[nonempty]
+                live = live[nonempty & ~fixed]
+                if live.size == 0:
+                    break
+            b = far(a, R)
+            A[block], B[block], kept[block] = a, b, ok & b.any(axis=1)
+    return A, B, kept
+
+
+def _distinct_rectangles(A: np.ndarray, B: np.ndarray) -> tuple:
+    """(first, inverse): a row index of each distinct (A, B) pair of boolean
+    rows, keyed by their packed bits, and each row's distinct number."""
+    keys = np.packbits(np.concatenate([A, B], axis=1), axis=1)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -432,7 +495,11 @@ def dist_to_band_bounds(
     bound is the exact separated-rectangle supremum: a full subset scan, run
     as one LAPACK pass per (|A|, |B|) shape group and bit-identical to one
     LAPACK SVD per rectangle, whose witness is the first mask with the
-    largest norm. Otherwise a budgeted random search.
+    largest norm. Otherwise a budgeted random search: `budget` seed sets
+    (drawn from `pool` if given) are all drawn first, closed to maximal
+    separated rectangles in batches, and each distinct rectangle's norm is
+    computed once, one LAPACK pass per shape group; the witness is the first
+    draw with the largest norm, as in a per-draw loop with a strict > test.
     """
     if not R >= 0:
         raise ValueError("radius must be nonnegative")
@@ -450,12 +517,14 @@ def dist_to_band_bounds(
                 i = _first_max(values)
                 yield np.flatnonzero(A[i]), np.flatnonzero(B[i]), values[i]
             return
-        rng = np.random.default_rng(seed)
-        for _ in range(budget):
-            pair = _closed_pair(u, R, rng, pool=pool)
-            if pair is not None:
-                A, B = pair
-                yield A, B, _sigma_max(u.mat[np.ix_(A, B)])
+        _, seeds = _draw_seeds(np.random.default_rng(seed), np.arange(n) if pool is None else pool, n, budget)
+        A, B, kept = _close_rectangles(space.dist, np.full(len(seeds), R), seeds)
+        A, B = A[kept], B[kept]
+        if len(A):
+            first, inverse = _distinct_rectangles(A, B)
+            values = _rect_norms(u.mat, A[first], B[first])[inverse]
+            i = _first_max(values)
+            yield np.flatnonzero(A[i]), np.flatnonzero(B[i]), values[i]
 
     best = 0.0
     witness = None

@@ -103,6 +103,14 @@ def _rows_to_sum(mu, close_mask, delta):
     return np.flatnonzero(worst >= delta - VARIATION_SLACK)
 
 
+def _check_radius_delta(R, delta) -> None:
+    # written negated so that NaN fails too
+    if not R >= 0:
+        raise ValueError("radius must be nonnegative")
+    if not delta > 0:
+        raise ValueError("delta must be positive")
+
+
 def uniform_ball_kernel(space: FiniteMetricSpace, R, delta: float, S=None) -> PropertyAKernel:
     """mu_x uniform on Ball(x, S) with S = ceil(2R/delta), truncated to the space.
 
@@ -111,8 +119,7 @@ def uniform_ball_kernel(space: FiniteMetricSpace, R, delta: float, S=None) -> Pr
     truncated ball and are covered by validate_kernel, which checks every
     close pair.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    _check_radius_delta(R, delta)
     if S is None:
         S = int(math.ceil(2.0 * R / delta)) if R > 0 else 0
     within = space.dist <= S
@@ -122,6 +129,7 @@ def uniform_ball_kernel(space: FiniteMetricSpace, R, delta: float, S=None) -> Pr
 
 def interval_kernel(N: int, R, delta: float) -> PropertyAKernel:
     """Certified kernel on the length-N interval; rejects intervals shorter than the support."""
+    _check_radius_delta(R, delta)
     S = int(math.ceil(2.0 * R / delta)) if R > 0 else 0
     if N <= 2 * S:
         raise IntervalTooShort(f"need N > 2S = {2 * S}")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .errors import SchemaMismatch
@@ -13,6 +14,8 @@ TOOL_VERSION = "0.1.0"
 
 
 _PLAIN = frozenset((int, str, bool, type(None)))
+# dumps encodes lists of int rows about ROWS_CHUNK ints at a time
+ROWS_CHUNK = 1 << 10
 
 
 def jsonable(obj):
@@ -22,8 +25,11 @@ def jsonable(obj):
     if t in _PLAIN:
         return obj
     if t is list:
-        if _PLAIN.issuperset(map(type, obj)):
+        types = set(map(type, obj))
+        if _PLAIN.issuperset(types):
             return list(obj)
+        if types == {list} and _PLAIN.issuperset(map(type, chain.from_iterable(obj))):
+            return list(map(list, obj))  # rows of plain values, such as [x, y] pairs
         return [v if type(v) in _PLAIN else jsonable(v) for v in obj]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {k: jsonable(v) for k, v in dataclasses.asdict(obj).items()}
@@ -53,9 +59,11 @@ def dumps(obj) -> str:
 
     With an indent CPython runs its pure-Python encoder; this writer emits the
     same text for the plain trees `jsonable` returns (exact dict with str keys,
-    list, str, int, bool, None and finite float), and joins a list whose
-    elements are all exact ints in one ``str.join``. Any other value sends the
-    whole object to ``json.dumps``, so the bytes cannot drift.
+    list, str, int, bool, None and finite float), joins a list whose elements
+    are all exact ints in one ``str.join``, and a list of nonempty lists of
+    exact ints, such as [x, y] pairs, in one pass over its rows. Any other
+    value sends the whole object to ``json.dumps``, so the bytes cannot
+    drift.
     """
     try:
         return _write(obj, "\n")
@@ -73,9 +81,12 @@ def _write(obj, newline: str) -> str:
             return "[]"
         inner = newline + "  "
         sep = "," + inner
+        types = set(map(type, obj))
         # exact int only: a bool must print as true/false, not as 1/0
-        if set(map(type, obj)) == {int}:
+        if types == {int}:
             body = sep.join(map(int.__repr__, obj))
+        elif types == {list} and all(obj) and set(map(type, chain.from_iterable(obj))) == {int}:
+            body = sep.join(_int_rows(obj, inner))
         else:
             body = sep.join([_write(v, inner) for v in obj])
         return f"[{inner}{body}{newline}]"
@@ -100,6 +111,24 @@ def _write(obj, newline: str) -> str:
     if obj is None:
         return "null"
     raise _Fallback
+
+
+def _int_rows(rows: list, newline: str):
+    """Indented text of nonempty rows of exact ints, such as [x, y] pairs, at
+    the level of `newline`, in pieces to be joined by "," + newline.
+
+    Each piece covers about ROWS_CHUNK ints, written compactly by the C
+    encoder and indented by two replacements: in "1,2],[3" every comma
+    separates ints, then every "],[" (spread by the first replacement)
+    separates rows. The pieces keep the compact copies small.
+    """
+    row = newline + "  "
+    gap = f"{newline}],{newline}[{row}"
+    step = max(1, ROWS_CHUNK // max(map(len, rows)))
+    for s in range(0, len(rows), step):
+        text = json.dumps(rows[s : s + step], separators=(",", ":"))[2:-2]
+        text = text.replace(",", "," + row).replace(f"],{row}[", gap)
+        yield f"[{row}{text}{newline}]"
 
 
 def results_bytes(results: dict) -> bytes:

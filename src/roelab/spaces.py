@@ -270,6 +270,8 @@ def expansion_kappa(space: FiniteMetricSpace, R, mode: str = "exact"):
     """
     n = space.n
     if mode == "exact":
+        if not R >= 0:
+            raise ValueError("radius must be nonnegative")
         if n > EXACT_KAPPA_MAX:
             raise TooLargeForExact(f"exact expansion scan limited to |X| <= {EXACT_KAPPA_MAX}")
         rows = (space.dist <= R)

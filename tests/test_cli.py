@@ -86,6 +86,11 @@ class TestMalformedInput:
         ["reps", "irr-check", "--group", "heis:3", "--trials", "0"],
         ["randsub", "levy", "--trials", "0", "--d", "100", "--delta", "0.1"],
         ["ql", "profile", "--samples", "0"],
+        # NaN and negative radii, each row's last two words unique as its test id
+        ["space", "kappa", "--space", "interval:5", "-R", "nan", "--mode", "exact"],
+        ["oper", "eps-prop", "--space", "interval:5", "-R", "nan", "--eps", "0.1"],
+        ["oper", "eps-prop", "--space", "interval:5", "--eps", "0.1", "-R", "-1"],
+        ["propa", "rademacher", "-R", "nan", "--N", "20"],
     ]
 
     @pytest.mark.parametrize("argv", CASES, ids=lambda a: " ".join(a[-2:]))

@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    closed_pair,
     eps_propagation_oracle_pairs,
     eps_propagation_oracle_scan,
     random_connected_graph_space,
     random_operator,
+    reference_band_dist_random,
+    reference_eps_prop_heuristic,
 )
 from roelab import operators as ops
 from roelab.errors import EmptySubset, TooLargeForExact
@@ -28,7 +31,7 @@ from roelab.operators import (
     sigma_max_stack,
 )
 from roelab.propa import interval_space
-from roelab.spaces import far_points
+from roelab.spaces import FiniteMetricSpace, far_points
 
 
 class TestOperatorNorm:
@@ -595,3 +598,120 @@ class TestSigmaMaxStack:
         lower, witness = reference_dist_to_band_exact(u, 1)
         assert b.lower == lower
         assert _same_witness(b.witness, witness)
+
+
+# ---------------------------------------------------------------- batched random searches
+
+
+def _assert_random_searches_match_reference(u, R, eps, budget, seed, pool=None):
+    b = dist_to_band_bounds(u, R, budget=budget, seed=seed, pool=pool)
+    lower, witness = reference_band_dist_random(u, R, budget, seed, pool)
+    tail, err = operator_norm(u.mat - band_truncate(u, R).mat, with_err=True)
+    assert (b.lower, b.upper) == (lower, tail + err)
+    assert _same_witness(b.witness, witness)
+    res = eps_propagation_radius(u, eps, mode="heuristic", seed=seed, budget=budget)
+    lower, upper, witness = reference_eps_prop_heuristic(u, eps, seed, budget)
+    assert (res.lower, res.upper) == (lower, upper)
+    assert _same_witness(res.witness, witness)
+    return b, res
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=13, max_value=40),
+    st.integers(min_value=0, max_value=2 ** 31),
+    st.sampled_from(["dense-complex", "dense-real", "banded-complex", "constant", "zero"]),
+    st.integers(min_value=1, max_value=300),
+    st.booleans(),
+)
+def test_random_searches_equal_per_draw_loops(n, seed, kind, budget, with_pool):
+    """The batched band-distance and heuristic eps-propagation searches equal
+    the per-draw loops (one closure and one LAPACK SVD per draw) with ==, on
+    lower, upper and witness (A, B, separation, value), also when eps equals a
+    drawn rectangle's norm, when equal-shape rectangles tie (constant
+    operators) and for the zero operator (witness None)."""
+    rng = np.random.default_rng(seed)
+    space = random_connected_graph_space(rng, n)
+    u = _scan_operator(rng, space, kind)
+    radii = ops._candidate_radii(space)
+    R = radii[int(rng.integers(0, len(radii) - 1))]
+    pool = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)) if with_pool else None
+    b, res = _assert_random_searches_match_reference(u, R, float(rng.uniform(0.05, 1.5)), budget, seed, pool)
+    for witness in (b.witness, res.witness):  # ties: eps is a drawn rectangle's norm exactly
+        if witness is not None:
+            _assert_random_searches_match_reference(u, R, witness.value, budget, seed, pool)
+    if kind == "zero":
+        assert b.witness is None and res.witness is None and res.lower == 0.0
+
+
+def test_random_searches_with_tiny_blocks_and_stacks(monkeypatch):
+    """A closure block of 3 draws and stacks of at most 8 entries split every
+    batch; the results stay those of one block and one stack per shape."""
+    rng = np.random.default_rng(40)
+    space = random_connected_graph_space(rng, 24)
+    operators = [_scan_operator(rng, space, kind) for kind in ("dense-complex", "constant")]
+    pool = np.arange(5, 17)
+
+    def searches():
+        return [
+            (dist_to_band_bounds(u, 1, budget=120, seed=3, pool=pool),
+             eps_propagation_radius(u, 0.4, mode="heuristic", seed=3, budget=120))
+            for u in operators
+        ]
+
+    whole = searches()
+    monkeypatch.setattr(ops, "CLOSE_BLOCK", 3)
+    monkeypatch.setattr(ops, "STACK_ENTRIES", 8)
+    assert searches() == whole
+    for u in operators:
+        _assert_random_searches_match_reference(u, 1, 0.4, 120, 3, pool)
+
+
+def test_random_search_budget_zero_or_negative():
+    rng = np.random.default_rng(41)
+    u = _scan_operator(rng, random_connected_graph_space(rng, 14), "dense-complex")
+    for budget in (0, -3):
+        assert dist_to_band_bounds(u, 1, budget=budget).witness is None
+        res = eps_propagation_radius(u, 0.3, mode="heuristic", budget=budget)
+        assert (res.lower, res.witness) == (0.0, None)
+
+
+def _nearly_symmetric_space():
+    """A float metric is symmetric only up to METRIC_TOL: with dist(x, y) and
+    dist(y, x) on either side of a radius, the within-R relation is not
+    symmetric, and the closure can take more than one round."""
+    x = np.random.default_rng(44).integers(0, 12, 24).astype(float)
+    dist = np.abs(x[:, None] - x[None, :]) + np.triu(np.full((24, 24), 1e-12), 1)
+    return FiniteMetricSpace(dist=np.where(x[:, None] == x[None, :], 0.5, dist) * (1 - np.eye(24)))
+
+
+@pytest.mark.parametrize("space", [
+    random_connected_graph_space(np.random.default_rng(42), 30, extra_edges=3),
+    _nearly_symmetric_space(),
+], ids=["graph", "nearly-symmetric"])
+def test_close_rectangles_matches_per_seed_closure(space):
+    """Dropped rows and closed rectangles equal the per-draw closure's, with
+    the rows' radii mixed and more rows per radius than one block."""
+    n = space.n
+    radii = ops._candidate_radii(space)
+    picks, seeds = ops._draw_seeds(np.random.default_rng(7), np.arange(n), n, 600, len(radii))
+    A, B, kept = ops._close_rectangles(space.dist, radii[picks], seeds)
+    assert 0 < kept.sum() < len(kept)
+    draws = np.random.default_rng(7)
+    for a, b, k in zip(A, B, kept):
+        pair = closed_pair(space, radii[draws.integers(0, len(radii))], draws)
+        assert k == (pair is not None)
+        if k:
+            assert (np.flatnonzero(a).tolist(), np.flatnonzero(b).tolist()) == (
+                pair[0].tolist(), pair[1].tolist())
+
+
+def test_random_searches_on_float_metric():
+    """Points on a line: float distances, float separations, many radii."""
+    rng = np.random.default_rng(43)
+    x = np.sort(rng.uniform(0, 10, 20))
+    space = FiniteMetricSpace(dist=np.abs(x[:, None] - x[None, :]))
+    u = _scan_operator(rng, space, "dense-complex")
+    b, res = _assert_random_searches_match_reference(u, 1.7, 0.3, 200, 5)
+    assert b.witness is not None and res.witness is not None
+    assert isinstance(res.witness.separation, np.floating)

@@ -82,6 +82,14 @@ class TestKernels:
         nu = uniform_ball_kernel(sp, R=3, delta=2.5)
         assert nu.S == 3  # ceil(2R/delta)
 
+    def test_nan_or_negative_radius_and_delta_rejected(self):
+        sp = interval_space(10)
+        for R, delta in [(math.nan, 0.5), (-1, 0.5), (1, math.nan), (1, 0.0), (1, -0.5)]:
+            with pytest.raises(ValueError):
+                uniform_ball_kernel(sp, R=R, delta=delta)
+            with pytest.raises(ValueError):
+                interval_kernel(100, R=R, delta=delta)
+
     def test_interval_kernel_length_check(self):
         with pytest.raises(IntervalTooShort):
             interval_kernel(10, R=2, delta=0.5)

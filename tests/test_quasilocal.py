@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from roelab import quasilocal
+from conftest import reference_band_dist_random, reference_eps_prop_heuristic
+from roelab import operators, quasilocal
 from roelab.errors import DimensionMismatch, RejectionBudgetExhausted
-from roelab.operators import opnorm, propagation, rect_norm
+from roelab.operators import _sigma_max, opnorm, propagation, rect_norm
 from roelab.quasilocal import (
     assemble,
     mechanism_check,
@@ -240,3 +241,90 @@ class TestWitness:
         big = small_assembly.family.members[-1].diameter
         with pytest.raises(ValueError):
             non_band_witness(small_assembly, R=big)
+
+
+def reference_mechanism_check(assembly, samples, seed=0):
+    """The per-draw mechanism check the batched one replaced: three LAPACK
+    SVDs per drawn rectangle, failures recorded as they come."""
+    rng = np.random.default_rng(seed)
+    dims = member_dims(assembly.family)
+    checked = 0
+    submult_failures = []
+    schedule_failures = []
+    min_gap = math.inf
+    while checked < samples:
+        i = int(rng.integers(0, len(assembly.family.members)))
+        member = assembly.family.members[i]
+        sub = assembly.subspaces[i]
+        k = dims[i]
+        if k < 2:
+            k = 2
+        delta_k = 1.0 / k
+        d = member.n
+        small = max(1, int(rng.integers(1, max(2, int(delta_k * d) + 1))))
+        perm = rng.permutation(d)
+        A_loc = np.sort(perm[:small])
+        rest = perm[small:]
+        far = rest[member.dist[A_loc][:, rest].min(axis=0) > 0]
+        if far.size == 0:
+            continue
+        b_size = int(rng.integers(1, far.size + 1))
+        B_loc = np.sort(rng.choice(far, size=b_size, replace=False))
+        sl = assembly.slices[i]
+        A = A_loc + sl.start
+        B = B_loc + sl.start
+        u = assembly.u.mat
+        val = _sigma_max(u[np.ix_(A, B)])
+        left = _sigma_max(sub.P[A_loc, :])
+        right = _sigma_max(sub.P[:, B_loc])
+        cap = min(left, right)
+        if val > cap + 1e-9:
+            submult_failures.append((i, tuple(A_loc.tolist()), tuple(B_loc.tolist()), val, cap))
+        eps_k = formal_bound(delta_k, assembly.c0)
+        if not cap < eps_k:
+            schedule_failures.append((i, tuple(A_loc.tolist()), tuple(B_loc.tolist()), cap, eps_k))
+        min_gap = min(min_gap, cap - val)
+        checked += 1
+    return {
+        "samples": checked,
+        "submultiplicative_ok": not submult_failures,
+        "schedule_ok": not schedule_failures,
+        "submult_failures": submult_failures[:10],
+        "schedule_failures": schedule_failures[:10],
+        "min_slack": float(min_gap),
+    }
+
+
+@pytest.fixture(scope="module")
+def failing_assembly(small_assembly):
+    """3x the projections and a tiny c0: both inequalities fail on many draws."""
+    blocks = [3.0 * np.eye(n) for n in member_dims(small_assembly.family)]
+    return assemble(small_assembly.family, small_assembly.subspaces, blocks=blocks, c0=0.3)
+
+
+class TestBatchedSearchesEqualPerDrawLoops:
+    @pytest.mark.parametrize("samples,seed", [(1, 0), (37, 5), (300, 0), (300, 11)])
+    def test_mechanism_check(self, small_assembly, failing_assembly, samples, seed):
+        for assembly in (small_assembly, failing_assembly):
+            out = mechanism_check(assembly, samples, seed)
+            assert out == reference_mechanism_check(assembly, samples, seed)
+        out = mechanism_check(failing_assembly, samples, seed)
+        assert not out["submultiplicative_ok"] and not out["schedule_ok"]
+
+    def test_mechanism_check_with_tiny_stacks(self, failing_assembly, monkeypatch):
+        monkeypatch.setattr(operators, "STACK_ENTRIES", 8)
+        out = mechanism_check(failing_assembly, 120, 4)
+        assert out == reference_mechanism_check(failing_assembly, 120, 4)
+
+    @pytest.mark.parametrize("budget,seed", [(1, 0), (77, 2), (300, 0)])
+    def test_non_band_witness(self, small_assembly, budget, seed):
+        largest = small_assembly.slices[-1]
+        pool = np.arange(largest.start, largest.stop)
+        b = non_band_witness(small_assembly, R=1, budget=budget, seed=seed)
+        assert (b.lower, b.witness) == reference_band_dist_random(small_assembly.u, 1, budget, seed, pool)
+
+    def test_profile(self, small_assembly):
+        rows = quasilocality_profile(small_assembly, [0.5, 0.2, 0.05], seed=1, budget=200)
+        for row in rows:
+            lower, upper, witness = reference_eps_prop_heuristic(small_assembly.u, row["eps"], 1, 200)
+            assert (row["R_lower"], row["R_upper"], row["witness"]) == (lower, upper, witness)

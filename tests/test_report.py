@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roelab import report
 from roelab.cli import run
 from roelab.errors import SchemaMismatch
 from roelab.report import dumps, jsonable, make_report, report_diff, results_bytes
@@ -47,6 +48,14 @@ class TestJsonable:
         out = jsonable(plain)
         assert out == plain and out is not plain
 
+    def test_plain_rows_are_copied(self):
+        rows = [[1, 2], [3, True], [None, "s"], []]
+        out = jsonable(rows)
+        assert out == rows and out is not rows
+        assert all(a is not b for a, b in zip(out, rows))
+        assert [type(v) for v in out[1]] == [int, bool]
+        assert jsonable([[1, np.int64(2)], [3, 4]]) == [[1, 2], [3, 4]]
+
 
 def reference_dumps(obj):
     return json.dumps(obj, sort_keys=True, indent=2)
@@ -64,6 +73,9 @@ _leaves = st.one_of(
     st.lists(st.integers(), max_size=6),
     st.lists(st.booleans(), max_size=4),
     st.lists(st.one_of(st.integers(), st.booleans()), max_size=6),
+    # rows such as [x, y] pairs, some with a bool or an empty row
+    st.lists(st.lists(st.integers(), min_size=1, max_size=3), max_size=6),
+    st.lists(st.lists(st.one_of(st.integers(), st.booleans()), max_size=3), max_size=6),
 )
 _trees = st.recursive(
     _leaves,
@@ -80,11 +92,24 @@ class TestDumps:
 
     @pytest.mark.parametrize("obj", [
         [True, False], [1, True, 0], {"b": [], "a": {}}, [[]], "", -0.0,
+        [[1, 2], [3, 4]], [[0], [-(2 ** 70), 5, 6]], [[1, True], [0, 2]], [[1, 2], [False]],
+        [[1, 2], []], [[1, 2], [3.5]], {"pairs": [[4, 1], [2, 3]]},
         # outside what jsonable returns: json.dumps writes these
         math.nan, [math.inf, -math.inf], (1, 2), {3: "x", 1: [2.5]}, {None: 0}, np.float64(0.1),
     ])
     def test_edge_cases(self, obj):
         assert dumps(obj) == reference_dumps(obj)
+
+    def test_int_rows_across_chunks(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        cases = [
+            rng.integers(-50, 10 ** 6, (40, 2)).tolist(), rng.integers(0, 9, (7, 5)).tolist(),
+            [[1], [2, 3, 4], [5, 6]] * 5, {"a": [[1, 2]] * 9, "b": [[[3, 4], [5, 6]]]},
+        ]
+        for chunk in (1, 2, 3, 7, 1 << 10):
+            monkeypatch.setattr(report, "ROWS_CHUNK", chunk)
+            for obj in cases:
+                assert dumps(obj) == reference_dumps(obj)
 
     @staticmethod
     def readme_examples():

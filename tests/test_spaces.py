@@ -1,4 +1,5 @@
 import json
+import math
 from collections import deque
 
 import numpy as np
@@ -364,6 +365,12 @@ class TestExpansion:
                 nbrs = np.flatnonzero(sp.dist[list(A)].min(axis=0) <= 1)
                 best = min(best, nbrs.size / k)
         assert kappa == pytest.approx(best)
+
+    def test_exact_rejects_nan_or_negative_radius(self):
+        sp = far_points(5)
+        for R in (math.nan, -1):
+            with pytest.raises(ValueError):
+                expansion_kappa(sp, R, mode="exact")
 
     def test_exact_size_cap(self):
         sp = far_points(23)
