@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from . import propa, quasilocal, randsub, reps, spaces, translations
+from . import operators, propa, quasilocal, randsub, reps, spaces, translations
 from .operators import SpaceOperator, dist_to_band_bounds, eps_propagation_radius, operator_norm
 from .report import dumps, make_report
 from .errors import RoelabError
@@ -60,10 +60,7 @@ def _parse_group(spec: str) -> reps.UnitaryRep:
             if not isinstance(obj, dict) or key not in obj:
                 raise ValueError(f"group file needs a {key!r} field")
         group = reps.TableGroup(np.array(obj["table"]))
-        mats = np.array(
-            [[[complex(re, im) for re, im in row] for row in m] for m in obj["matrices"]]
-        )
-        return reps.DenseRep(group, mats)
+        return reps.DenseRep(group, operators.complex_from_pairs(obj["matrices"]))
     raise ValueError(f"unknown group spec {spec!r}")
 
 

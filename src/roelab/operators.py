@@ -64,7 +64,7 @@ def _norm_with_err(mat) -> tuple:
 
 
 def _dense_norm(m: np.ndarray) -> tuple:
-    value = float(np.linalg.svd(m, compute_uv=False)[0])
+    value = float(sigma_max_stack(m[None])[0])
     return value, max(m.shape) * np.finfo(float).eps * value
 
 
@@ -157,6 +157,20 @@ def sigma_max_stack(stack: np.ndarray) -> np.ndarray:
     return out
 
 
+def complex_from_pairs(obj) -> np.ndarray:
+    """Nested lists of finite [re, im] pairs as complex128, one axis fewer; each
+    entry is bit-identical to complex(re, im). Anything else is a ValueError."""
+    try:
+        arr = np.asarray(obj, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"expected numeric [re, im] pairs: {exc}") from None
+    if arr.ndim == 0 or arr.shape[-1] != 2:
+        raise ValueError(f"expected [re, im] pairs, got an array of shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("[re, im] pairs must be finite")
+    return np.ascontiguousarray(arr).view(np.complex128)[..., 0]
+
+
 @dataclass(frozen=True)
 class SpaceOperator:
     """Dense operator on l2(X); entry mat[y, x] is the (delta_x -> delta_y) coefficient."""
@@ -188,7 +202,9 @@ class SpaceOperator:
         n = obj["n"]
         if n != space.n:
             raise ValueError("operator json size does not match the space")
-        flat = np.array([complex(re, im) for re, im in obj["rows"]])
+        flat = complex_from_pairs(obj["rows"])
+        if flat.shape != (n * n,):
+            raise ValueError(f"operator json needs n * n = {n * n} [re, im] rows")
         return SpaceOperator(space=space, mat=flat.reshape(n, n))
 
 

@@ -14,8 +14,16 @@ from .operators import (
     dist_to_band_bounds,
     eps_propagation_radius,
 )
-from .randsub import SubspaceSample, formal_bound, restricted_norm_max, sample_subspace, trial_seed
+from .randsub import (
+    EXACT_AFFORDABLE,
+    SubspaceSample,
+    formal_bound,
+    restricted_norm_max,
+    sample_subspace,
+    trial_seed,
+)
 from .spaces import (
+    EXACT_KAPPA_MAX,
     KAPPA_EXACT,
     KAPPA_SPECTRAL,
     ExpanderFamily,
@@ -39,7 +47,7 @@ def regular_family(sizes, degree: int, seed: int, R0: float = 1.0) -> ExpanderFa
     for i, size in enumerate(sizes):
         member_seed = int(trial_seed(seed, i).integers(0, 2 ** 63))
         member = random_regular(size, degree, member_seed)
-        kappa, kind = expansion_kappa(member, R0, mode="exact" if size <= 22 else "spectral")
+        kappa, kind = expansion_kappa(member, R0, mode="exact" if size <= EXACT_KAPPA_MAX else "spectral")
         members.append(member)
         kappas.append(kappa)
         kinds.append(kind)
@@ -95,7 +103,7 @@ def select_subspaces(
                 eps_k = formal_bound(delta_k, c0)
                 if vacuous_threshold(eps_k):
                     continue
-                mode = "exact" if idx == 0 and math.comb(d, int(delta_k * d)) <= 20_000 else "greedy"
+                mode = "exact" if idx == 0 and math.comb(d, int(delta_k * d)) <= EXACT_AFFORDABLE else "greedy"
                 found = restricted_norm_max(sample, delta_k, mode=mode, c0=c0).value
                 if found >= eps_k:
                     ok = False

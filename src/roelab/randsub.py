@@ -13,6 +13,8 @@ from .operators import sigma_max_stack
 
 DEFAULT_C0 = 100.0
 EXACT_SUBSET_CAP = 1_000_000
+# callers run the exact restricted-norm scan up to this many subsets, greedy above
+EXACT_AFFORDABLE = 20_000
 SUBSET_CELLS = 1 << 18
 _SWAP_CAP = 500
 
@@ -198,7 +200,7 @@ def mc_lemma_random(
     if trials < 1:
         raise ValueError("need at least one trial")
     k = int(math.floor(delta * d))
-    mode = "exact" if math.comb(d, k) <= 20_000 else "greedy"
+    mode = "exact" if math.comb(d, k) <= EXACT_AFFORDABLE else "greedy"
     bound = formal_bound(delta, c0)
     values = []
     for t in range(trials):

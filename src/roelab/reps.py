@@ -10,7 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import AlphaOutOfBall, DimensionMismatch, NotPrime, TooLarge
-from .operators import SpaceOperator, _sigma_max, operator_norm, sigma_max_stack
+from .operators import operator_norm, sigma_max_stack
 from .spaces import FiniteMetricSpace, growth
 from .translations import decompose_band
 
@@ -58,23 +58,24 @@ class TableGroup(FiniteGroup):
     """Group given by an explicit multiplication table."""
 
     def __init__(self, table: np.ndarray):
-        table = np.asarray(table, dtype=np.int64)
+        table = np.asarray(table)
+        if table.dtype.kind not in "iu":
+            raise ValueError("multiplication table entries must be integers")
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise ValueError("multiplication table must be square")
         self.order = table.shape[0]
         if table.min() < 0 or table.max() >= self.order:
             raise ValueError(f"multiplication table entries must lie in 0..{self.order - 1}")
         self.table = table
-        ids = [e for e in range(self.order) if np.all(table[e] == np.arange(self.order))]
-        if len(ids) != 1:
+        ids = np.flatnonzero((table == np.arange(self.order)).all(axis=1))
+        if ids.size != 1:
             raise ValueError("multiplication table has no unique identity")
-        self.identity = ids[0]
-        self._inv = np.empty(self.order, dtype=np.int64)
-        for g in range(self.order):
-            hits = np.flatnonzero(table[g] == self.identity)
-            if hits.size != 1:
-                raise ValueError(f"element {g} has no unique inverse")
-            self._inv[g] = hits[0]
+        self.identity = int(ids[0])
+        hits = table == self.identity
+        bad = np.flatnonzero(hits.sum(axis=1) != 1)
+        if bad.size:
+            raise ValueError(f"element {bad[0]} has no unique inverse")
+        self._inv = hits.argmax(axis=1)
         self.validate()
 
     def mult(self, i, j):
@@ -88,10 +89,10 @@ class HeisenbergGroup(FiniteGroup):
     """Mod-p Heisenberg group of order p^3, elements encoded as a*p^2 + b*p + c."""
 
     def __init__(self, p: int):
+        # mult below is a group law by construction, so no validate() here
         self.p = p
         self.order = p ** 3
         self.identity = 0
-        self.validate()
 
     def decode(self, i):
         i = np.asarray(i)
@@ -113,40 +114,55 @@ class HeisenbergGroup(FiniteGroup):
 
 
 class UnitaryRep:
-    """Unitary representation with enough structure hooks for large monomial cases."""
+    """Unitary representation, given as a stack of matrices.
+
+    Each subclass provides one hook, matrices(idx) -> pi(g) for g in idx,
+    shape (len(idx), dim, dim). The other methods default to computations
+    over the full stack. HeisenbergRep overrides average_image, entry_vector,
+    band_residual_max and char_sum with its (a, b, c) structure, because the
+    stack of heis:67 (p^3 matrices of size p x p) does not fit in memory.
+    """
 
     group: FiniteGroup
     dim: int
 
-    def matrix(self, i) -> np.ndarray:
+    def matrices(self, idx) -> np.ndarray:
         raise NotImplementedError
+
+    def matrix(self, i) -> np.ndarray:
+        return self.matrices([i])[0]
 
     def average_image(self, alpha: np.ndarray) -> np.ndarray:
         """|G|^-1 sum_g alpha_g pi(g)."""
-        raise NotImplementedError
+        mats = self.matrices(np.arange(self.group.order))
+        return np.tensordot(np.asarray(alpha), mats, axes=1) / self.group.order
 
     def entry_vector(self, row: int, col: int) -> np.ndarray:
         """The matrix coefficient g -> pi(g)[row, col] as a vector over the group."""
-        raise NotImplementedError
+        return self.matrices(np.arange(self.group.order))[:, row, col]
 
     def band_residual_max(self, offmask: np.ndarray) -> float:
         """max_g || pi(g) restricted entrywise to offmask ||."""
-        raise NotImplementedError
+        # one LAPACK pass over the group; fmax skips NaN as max() did
+        mats = self.matrices(np.arange(self.group.order))
+        residuals = sigma_max_stack(np.where(offmask, mats, 0.0))
+        return float(np.fmax.reduce(residuals, initial=0.0))
 
     def char_sum(self) -> float:
         """|G|^-1 sum_g |tr pi(g)|^2; equals 1 exactly for irreducibles."""
-        raise NotImplementedError
+        traces = np.einsum("gii->g", self.matrices(np.arange(self.group.order)))
+        return float(np.mean(np.abs(traces) ** 2))
 
     def invariant_projection(self) -> np.ndarray:
         """P = |G|^-1 sum_g pi(g) (x) conj(pi(g)), materialized."""
         n, order = self.dim, self.group.order
         if n * n > 256 or order > 10_000:
             raise TooLarge("invariant projection too large to materialize")
-        P = np.zeros((n * n, n * n), dtype=np.complex128)
-        for g in range(order):
-            m = self.matrix(g)
-            P += np.kron(m, m.conj())
-        return P / order
+        m = self.matrices(np.arange(order)).reshape(order, n * n)
+        # entry [(i, j), (k, l)] is sum_g pi(g)[i, j] conj(pi(g)[k, l]); kron
+        # puts it at row i n + k, column j n + l
+        P = (m.T @ m.conj()).reshape(n, n, n, n).transpose(0, 2, 1, 3)
+        return P.reshape(n * n, n * n) / order
 
     def certificate(self, seed: int = 0) -> dict:
         """Irreducibility and unitarity certificate.
@@ -159,17 +175,12 @@ class UnitaryRep:
         rng = np.random.default_rng(seed)
         order = self.group.order
         k = min(order, 50)
-        sample = rng.choice(order, size=k, replace=False)
-        eye = np.eye(self.dim)
-        unit_dev = 0.0
-        for g in sample:
-            m = self.matrix(g)
-            unit_dev = max(unit_dev, float(np.abs(m.conj().T @ m - eye).max()))
-        hom_dev = 0.0
-        for g, h in zip(rng.choice(order, k), rng.choice(order, k)):
-            lhs = self.matrix(g) @ self.matrix(h)
-            rhs = self.matrix(int(self.group.mult(int(g), int(h))))
-            hom_dev = max(hom_dev, float(np.abs(lhs - rhs).max()))
+        sample = self.matrices(rng.choice(order, size=k, replace=False))
+        g, h = rng.choice(order, k), rng.choice(order, k)
+        gram = np.swapaxes(sample.conj(), 1, 2) @ sample
+        unit_dev = float(np.abs(gram - np.eye(self.dim)).max())
+        lhs = self.matrices(g) @ self.matrices(h)
+        hom_dev = float(np.abs(lhs - self.matrices(self.group.mult(g, h))).max())
         cs = self.char_sum()
         report = {
             "unitarity_dev": unit_dev,
@@ -177,8 +188,11 @@ class UnitaryRep:
             "char_sum": cs,
             "irreducible": abs(cs - 1.0) <= 1e-8,
         }
-        if self.dim * self.dim <= 256 and order <= 10_000:
+        try:
             P = self.invariant_projection()
+        except TooLarge:
+            pass
+        else:
             report["projection_trace"] = float(np.real(np.trace(P)))
             report["projection_idempotency_dev"] = float(np.abs(P @ P - P).max())
             report["projection_norm"] = operator_norm(P)
@@ -198,27 +212,13 @@ class DenseRep(UnitaryRep):
     def __init__(self, group: FiniteGroup, matrices: np.ndarray):
         self.group = group
         self.mats = np.asarray(matrices, dtype=np.complex128)
-        if self.mats.shape[0] != group.order:
-            raise DimensionMismatch("one matrix per group element required")
-        self.dim = self.mats.shape[1]
+        shape = self.mats.shape
+        if len(shape) != 3 or shape[0] != group.order or shape[1] != shape[2]:
+            raise DimensionMismatch(f"matrices must have shape ({group.order}, n, n), got {shape}")
+        self.dim = shape[1]
 
-    def matrix(self, i):
-        return self.mats[i]
-
-    def average_image(self, alpha):
-        return np.tensordot(np.asarray(alpha), self.mats, axes=1) / self.group.order
-
-    def entry_vector(self, row, col):
-        return self.mats[:, row, col].copy()
-
-    def band_residual_max(self, offmask):
-        # one LAPACK pass over the group; fmax skips NaN as max() did
-        residuals = sigma_max_stack(np.where(offmask, self.mats, 0.0))
-        return float(np.fmax.reduce(residuals, initial=0.0))
-
-    def char_sum(self):
-        traces = np.einsum("gii->g", self.mats)
-        return float(np.mean(np.abs(traces) ** 2))
+    def matrices(self, idx):
+        return self.mats[idx]
 
 
 class HeisenbergRep(UnitaryRep):
@@ -226,7 +226,7 @@ class HeisenbergRep(UnitaryRep):
 
     pi(a,b,c) maps the basis vector at t to omega^(c + b t) times the basis
     vector at t + a, with omega = exp(2 pi i / p). Matrices are generated on
-    demand; averages use the (a,b,c) structure instead of a per-element walk.
+    demand; averages use the (a,b,c) structure instead of the full stack.
     """
 
     def __init__(self, p: int):
@@ -237,13 +237,13 @@ class HeisenbergRep(UnitaryRep):
         self._w_pow = w ** np.arange(p)
         self._dft = w ** np.outer(np.arange(p), np.arange(p))  # [b, s] -> omega^(b s)
 
-    def matrix(self, i):
+    def matrices(self, idx):
         p = self.p
-        a, b, c = (int(v) for v in self.group.decode(int(i)))
-        m = np.zeros((p, p), dtype=np.complex128)
+        a, b, c = (v[:, None] for v in self.group.decode(np.asarray(idx)))
         s = np.arange(p)
-        m[(s + a) % p, s] = self._w_pow[(c + b * s) % p]
-        return m
+        out = np.zeros((a.shape[0], p, p), dtype=np.complex128)
+        out[np.arange(a.shape[0])[:, None], (s + a) % p, s] = self._w_pow[(c + b * s) % p]
+        return out
 
     def average_image(self, alpha):
         p = self.p
@@ -252,8 +252,7 @@ class HeisenbergRep(UnitaryRep):
         C = B @ self._dft  # [a, s] -> sum over b of B[a,b] omega^(b s)
         out = np.zeros((p, p), dtype=np.complex128)
         s = np.arange(p)
-        for a in range(p):
-            out[(s + a) % p, s] = C[a]
+        out[(s + s[:, None]) % p, s] = C  # entry (s + a, s) of shift a
         return out / self.group.order
 
     def entry_vector(self, row, col):
@@ -264,22 +263,16 @@ class HeisenbergRep(UnitaryRep):
         return out.reshape(-1)
 
     def band_residual_max(self, offmask):
-        # entries have modulus exactly 1, so the residual per element is 0 or 1
-        p = self.p
-        s = np.arange(p)
-        for a in range(p):
-            if np.any(offmask[(s + a) % p, s]):
-                return 1.0
-        return 0.0
+        # entry (r, s) lies on shift a = r - s, where every pi(a, b, c) has an
+        # entry of modulus 1; so the residual is 1 iff offmask has any entry
+        return float(offmask.any())
 
     def char_sum(self):
         # only shift-free elements (a = 0) have diagonal support
         p = self.p
         s = np.arange(p)
-        traces = np.empty((p, p), dtype=np.complex128)  # [b, c]
-        for b in range(p):
-            phases = self._w_pow[(b * s) % p].sum()
-            traces[b] = phases * self._w_pow
+        phases = self._w_pow[np.outer(s, s) % p].sum(axis=1)  # [b]
+        traces = np.outer(phases, self._w_pow)  # [b, c]
         return float((np.abs(traces) ** 2).sum() / self.group.order)
 
 
@@ -305,10 +298,7 @@ def symmetric_standard_rep(m: int) -> DenseRep:
     q, _ = np.linalg.qr(centered[:, : m - 1])
     mats = np.empty((len(perms), m - 1, m - 1), dtype=np.complex128)
     for i, s in enumerate(perms):
-        perm_mat = np.zeros((m, m))
-        for j in range(m):
-            perm_mat[s[j], j] = 1.0
-        mats[i] = q.T @ perm_mat @ q
+        mats[i] = q.T @ np.eye(m)[:, s] @ q  # the permutation matrix sends e_j to e_s[j]
     return DenseRep(group, mats)
 
 
@@ -391,28 +381,19 @@ def gap_certificate(
     if approximants is None:
         eps_achieved = rep.band_residual_max(offmask)
     else:
+        approximants = np.asarray(approximants)
         if len(approximants) != order:
             raise DimensionMismatch("one approximant per group element required")
-        eps_achieved = 0.0
-        for g in range(order):
-            eps_achieved = max(eps_achieved, _sigma_max(rep.matrix(g) - approximants[g]))
+        residuals = sigma_max_stack(rep.matrices(np.arange(order)) - approximants)
+        eps_achieved = float(np.fmax.reduce(residuals, initial=0.0))
 
     # band pairs inside the placement block, organized by translation part
     decomposition = decompose_band(space, R)
     pos = {int(p): i for i, p in enumerate(pts)}
-    per_part_pairs = []
-    for part in decomposition.parts:
-        pairs = []
-        for x, y in part.graph():
-            if x in pos and y in pos:
-                pairs.append((pos[x], pos[y]))  # (col i, row j) in block coordinates
-        per_part_pairs.append(pairs)
-
-    def pair_alpha(i, j):
-        # matrix coefficient of c_g at block entry (row j, col i)
-        if approximants is None:
-            return rep.entry_vector(j, i)
-        return np.array([approximants[g][j, i] for g in range(order)])
+    per_part_pairs = [  # (col i, row j) in block coordinates
+        [(pos[x], pos[y]) for x, y in part.graph() if x in pos and y in pos]
+        for part in decomposition.parts
+    ]
 
     sups = []
     sup_uppers = []  # value + err per part, for the upper-bound check
@@ -420,7 +401,8 @@ def gap_certificate(
     for pairs in per_part_pairs:
         best = best_upper = 0.0
         for i, j in pairs:
-            alpha = pair_alpha(i, j)
+            # matrix coefficient of c_g at block entry (row j, col i)
+            alpha = rep.entry_vector(j, i) if approximants is None else approximants[:, j, i]
             block = np.conj(rep.average_image(np.conj(alpha)))  # avg alpha_g conj(pi(g))
             blocks[(j, i)] = block
             value, err = operator_norm(block, with_err=True)
@@ -432,16 +414,11 @@ def gap_certificate(
 
     # assemble avg_g c_g (x) conj(pi(g)) over the placement block
     if blocks:
-        rows, cols, vals = [], [], []
+        j, i = np.array(list(blocks)).T[:, :, None, None]  # block rows and columns
         beta, alf = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        for (j, i), block in blocks.items():
-            rows.append((j * n + beta).reshape(-1))
-            cols.append((i * n + alf).reshape(-1))
-            vals.append(block.reshape(-1))
-        big = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n * n, n * n),
-        ).tocsr()
+        rows, cols = (j * n + beta).reshape(-1), (i * n + alf).reshape(-1)
+        vals = np.stack(list(blocks.values())).reshape(-1)
+        big = sp.coo_matrix((vals, (rows, cols)), shape=(n * n, n * n)).tocsr()
         tensor_value = operator_norm(big)
     else:
         tensor_value = 0.0

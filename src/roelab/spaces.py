@@ -274,10 +274,8 @@ def expansion_kappa(space: FiniteMetricSpace, R, mode: str = "exact"):
             raise ValueError("radius must be nonnegative")
         if n > EXACT_KAPPA_MAX:
             raise TooLargeForExact(f"exact expansion scan limited to |X| <= {EXACT_KAPPA_MAX}")
-        rows = (space.dist <= R)
-        rowmask = np.zeros(n, dtype=np.uint32)
-        for b in range(n):
-            rowmask[b] = np.uint32(int("".join("1" if v else "0" for v in rows[b][::-1]), 2))
+        # bit c of rowmask[b] is set iff dist(b, c) <= R
+        rowmask = (space.dist <= R) @ (np.uint32(1) << np.arange(n, dtype=np.uint32))
         total = 1 << n
         neigh = np.zeros(total, dtype=np.uint32)
         # removing the lowest set bit leaves a subset whose own lowest bit is

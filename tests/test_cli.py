@@ -60,6 +60,12 @@ class TestMalformedInput:
             "table": [[0, 1, 2], [1, 2, 0], [2, 0, 5]],
             "matrices": [[[[1.0, 0.0]]]] * 3,
         },
+        "op_bare_rows.json": {"n": 4, "rows": [0.0] * 16},
+        "op_text_entry.json": {"n": 4, "rows": [["a", 0]] + [[0, 0]] * 15},
+        "op_infinite.json": {"n": 4, "rows": [[float("inf"), 0]] + [[0, 0]] * 15},
+        "group_bare.json": {"table": [[0]], "matrices": [[[1.0]]]},
+        "group_1x2.json": {"table": [[0]], "matrices": [[[[1.0, 0.0], [0.0, 0.0]]]]},
+        "group_text_table.json": {"table": [[{"e": 0}]], "matrices": [[[[1.0, 0.0]]]]},
     }
     CASES = [
         ["space", "kappa", "--space", "{dir}/no_metric.json"],
@@ -91,6 +97,16 @@ class TestMalformedInput:
         ["oper", "eps-prop", "--space", "interval:5", "-R", "nan", "--eps", "0.1"],
         ["oper", "eps-prop", "--space", "interval:5", "--eps", "0.1", "-R", "-1"],
         ["propa", "rademacher", "-R", "nan", "--N", "20"],
+        # [re, im] files: bare numbers, text, infinity, 1 x 2 matrices, a non-integer table
+        ["oper", "eps-prop", "--mode", "exact", "--space", "interval:4", "--eps", "0.1",
+         "--op", "{dir}/op_bare_rows.json"],
+        ["oper", "eps-prop", "--mode", "exact", "--space", "interval:4", "--eps", "0.1",
+         "--op", "{dir}/op_text_entry.json"],
+        ["oper", "eps-prop", "--mode", "exact", "--space", "interval:4", "--eps", "0.1",
+         "--op", "{dir}/op_infinite.json"],
+        ["reps", "irr-check", "--group", "file:{dir}/group_bare.json"],
+        ["reps", "irr-check", "--group", "file:{dir}/group_1x2.json"],
+        ["reps", "irr-check", "--group", "file:{dir}/group_text_table.json"],
     ]
 
     @pytest.mark.parametrize("argv", CASES, ids=lambda a: " ".join(a[-2:]))

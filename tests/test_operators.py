@@ -22,6 +22,7 @@ from roelab.operators import (
     SpaceOperator,
     band_mask,
     band_truncate,
+    complex_from_pairs,
     dist_to_band_bounds,
     eps_propagation_radius,
     operator_norm,
@@ -61,6 +62,15 @@ class TestOperatorNorm:
         rng = np.random.default_rng(2)
         q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
         assert operator_norm(q) == pytest.approx(1.0, abs=1e-10)
+
+    def test_dense_value_bit_identical_to_svd(self):
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            p, q = rng.integers(1, ops.DENSE_NORM_MAX + 1, size=2)
+            m = rng.standard_normal((p, q)) * (rng.random((p, q)) < 0.3)
+            if rng.random() < 0.5:
+                m = m + 1j * rng.standard_normal((p, q))
+            assert operator_norm(m) == np.linalg.svd(m, compute_uv=False)[0]
 
 
 def _svd_top(m):
@@ -165,6 +175,22 @@ class TestSpaceOperator:
         u = random_operator(rng, sp)
         back = SpaceOperator.from_json(u.to_json(), sp)
         assert np.array_equal(back.mat, u.mat)
+
+    def test_pairs_bit_identical_to_complex(self):
+        pairs = [[0.1, -0.0], [-0.0, 3], [2 ** 60 + 1, 5e-324], [-1e308, 1 / 3]]
+        got = complex_from_pairs(pairs)
+        want = np.array([complex(re, im) for re, im in pairs])
+        assert got.dtype == np.complex128 and got.shape == (4,)
+        assert got.tobytes() == want.tobytes()
+        assert complex_from_pairs([pairs]).shape == (1, 4)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[0.0, 1.0, 2.0], [["a", 0]], [[1.0, float("nan")]], [[float("inf"), 0]], [[{}, 0]], 3.0, [[1, 0], [1]]],
+    )
+    def test_pairs_rejected(self, bad):
+        with pytest.raises(ValueError):
+            complex_from_pairs(bad)
 
     def test_json_size_check(self):
         sp = interval_space(5)

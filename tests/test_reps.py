@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roelab.errors import AlphaOutOfBall, DimensionMismatch, NotPrime, TooLarge
 from roelab.reps import (
@@ -21,6 +23,59 @@ from roelab.propa import interval_space
 
 def cyclic_table(n):
     return (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+
+
+def character_rep():
+    """The 1-dim rep k -> omega^k of Z/3."""
+    w = np.exp(2j * np.pi / 3)
+    return DenseRep(TableGroup(cyclic_table(3)), np.array([[[w ** k]] for k in range(3)]))
+
+
+# ---- per-element oracles: the loops the stack computations replaced
+
+
+def heisenberg_matrix_loop(rep, i):
+    p = rep.p
+    a, b, c = (int(v) for v in rep.group.decode(int(i)))
+    m = np.zeros((p, p), dtype=np.complex128)
+    s = np.arange(p)
+    m[(s + a) % p, s] = np.exp(2j * np.pi / p) ** ((c + b * s) % p)
+    return m
+
+
+def projection_kron_loop(rep):
+    n, order = rep.dim, rep.group.order
+    P = np.zeros((n * n, n * n), dtype=np.complex128)
+    for g in range(order):
+        m = rep.matrix(g)
+        P += np.kron(m, m.conj())
+    return P / order
+
+
+def band_residual_shift_loop(p, offmask):
+    s = np.arange(p)
+    for a in range(p):
+        if np.any(offmask[(s + a) % p, s]):
+            return 1.0
+    return 0.0
+
+
+def certificate_devs_loop(rep, seed):
+    rng = np.random.default_rng(seed)
+    order = rep.group.order
+    k = min(order, 50)
+    sample = rng.choice(order, size=k, replace=False)
+    eye = np.eye(rep.dim)
+    unit_dev = 0.0
+    for g in sample:
+        m = rep.matrix(g)
+        unit_dev = max(unit_dev, float(np.abs(m.conj().T @ m - eye).max()))
+    hom_dev = 0.0
+    for g, h in zip(rng.choice(order, k), rng.choice(order, k)):
+        lhs = rep.matrix(g) @ rep.matrix(h)
+        rhs = rep.matrix(int(rep.group.mult(int(g), int(h))))
+        hom_dev = max(hom_dev, float(np.abs(lhs - rhs).max()))
+    return unit_dev, hom_dev
 
 
 class TestGroups:
@@ -44,6 +99,22 @@ class TestGroups:
             for j in range(g.order):
                 for k in range(g.order):
                     assert g.mult(g.mult(i, j), k) == g.mult(i, g.mult(j, k))
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_heisenberg_group_validates(self, p):
+        # the constructor trusts the group law; the check lives here
+        HeisenbergGroup(p).validate()
+
+    def test_table_group_without_unique_inverse(self):
+        for row in ([1, 0, 0], [1, 2, 1]):  # identity twice, identity never
+            t = cyclic_table(3)
+            t[1] = row
+            with pytest.raises(ValueError, match="element 1 has no unique inverse"):
+                TableGroup(t)
+
+    def test_table_group_rejects_non_integer_table(self):
+        with pytest.raises(ValueError, match="integers"):
+            TableGroup(np.array([[0.0]]))
 
     def test_heisenberg_encode_decode(self):
         g = HeisenbergGroup(5)
@@ -110,6 +181,61 @@ class TestHeisenbergRep:
         for p in (1, 2, 4, 9):
             with pytest.raises(NotPrime):
                 heisenberg_rep(p)
+
+
+class TestMatrixStack:
+    """The stack computations against the per-element loops they replaced."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_heisenberg_stack_equals_per_element(self, p):
+        rep = heisenberg_rep(p)
+        stack = rep.matrices(np.arange(rep.group.order))
+        loop = np.array([heisenberg_matrix_loop(rep, g) for g in range(rep.group.order)])
+        assert np.array_equal(stack, loop)
+        assert np.array_equal(rep.matrix(7), loop[7])
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: heisenberg_rep(3), lambda: heisenberg_rep(5), lambda: heisenberg_rep(7),
+         lambda: symmetric_standard_rep(2), lambda: symmetric_standard_rep(3),
+         lambda: symmetric_standard_rep(4), lambda: symmetric_standard_rep(5), character_rep],
+    )
+    def test_invariant_projection_matches_kron_loop(self, make):
+        rep = make()
+        assert np.abs(rep.invariant_projection() - projection_kron_loop(rep)).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "make", [lambda: heisenberg_rep(5), lambda: heisenberg_rep(67), lambda: symmetric_standard_rep(4)]
+    )
+    def test_certificate_devs_equal_loops(self, make):
+        rep = make()
+        for seed in (0, 3):
+            cert = rep.certificate(seed=seed)
+            unit_dev, hom_dev = certificate_devs_loop(rep, seed)
+            assert cert["unitarity_dev"] == unit_dev
+            assert cert["homomorphism_dev"] == hom_dev
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.sampled_from([3, 5, 7]), data=st.data())
+    def test_heisenberg_band_residual_equals_shift_loop(self, p, data):
+        bits = data.draw(st.lists(st.booleans(), min_size=p * p, max_size=p * p))
+        offmask = np.array(bits).reshape(p, p)
+        assert heisenberg_rep(p).band_residual_max(offmask) == band_residual_shift_loop(p, offmask)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_heisenberg_overrides_match_stack_defaults(self, p):
+        # HeisenbergRep's structured methods against the UnitaryRep defaults
+        # over its own materialized stack
+        rep = heisenberg_rep(p)
+        dense = DenseRep(rep.group, rep.matrices(np.arange(rep.group.order)))
+        rng = np.random.default_rng(p)
+        alpha = rng.standard_normal(rep.group.order) + 1j * rng.standard_normal(rep.group.order)
+        assert np.abs(rep.average_image(alpha) - dense.average_image(alpha)).max() < 1e-12
+        for row, col in ((0, 0), (1, p - 1)):
+            assert np.abs(rep.entry_vector(row, col) - dense.entry_vector(row, col)).max() < 1e-12
+        assert rep.char_sum() == pytest.approx(dense.char_sum(), abs=1e-12)
+        offmask = rng.random((p, p)) < 0.2
+        assert rep.band_residual_max(offmask) == pytest.approx(dense.band_residual_max(offmask), abs=1e-12)
 
 
 class TestSymmetricRep:
@@ -235,14 +361,15 @@ class TestGapCertificate:
 class TestDenseRep:
     def test_from_table_rep(self):
         # regular representation of Z/3 restricted to a nontrivial character
-        g = TableGroup(cyclic_table(3))
-        w = np.exp(2j * np.pi / 3)
-        mats = np.array([[[w ** k]] for k in range(3)])
-        rep = DenseRep(g, mats)
-        cert = rep.certificate(seed=0)
-        assert cert["ok"]
+        assert character_rep().certificate(seed=0)["ok"]
 
     def test_one_matrix_per_element(self):
         g = TableGroup(cyclic_table(3))
         with pytest.raises(DimensionMismatch):
             DenseRep(g, np.zeros((2, 1, 1)))
+
+    def test_rejects_non_square_stack(self):
+        g = TableGroup(cyclic_table(3))
+        for shape in ((3, 1, 2), (3, 2), (3, 2, 2, 1)):
+            with pytest.raises(DimensionMismatch):
+                DenseRep(g, np.zeros(shape))
