@@ -35,9 +35,9 @@ def _parse_space(spec: str) -> spaces.FiniteMetricSpace:
     if spec.startswith("far:"):
         return spaces.far_points(_size(spec))
     if spec.startswith("interval:"):
-        return propa.interval_space(_size(spec))
+        return spaces.interval_space(_size(spec))
     if spec.startswith("torus:"):
-        return propa.torus_space(_size(spec))
+        return spaces.torus_space(_size(spec))
     return spaces.load_space(spec)
 
 
@@ -246,14 +246,14 @@ def _cmd_ql_witness(cfg):
 
 
 def _cmd_propa_sz(cfg):
-    space = propa.interval_space(cfg["N"])
+    space = spaces.interval_space(cfg["N"])
     u = _band_contraction(space, cfg["R"], cfg["seed"])
     _, error, report = propa.sz_approximate(u, cfg["eps"], cfg["R"], seed=cfg["seed"])
     return report, report["holds"]
 
 
 def _cmd_propa_rademacher(cfg):
-    space = propa.interval_space(cfg["N"])
+    space = spaces.interval_space(cfg["N"])
     mu = propa.uniform_ball_kernel(space, cfg["R"], cfg["delta"])
     nu = propa.uniform_ball_kernel(space, mu.S, cfg["delta"])
     field = propa.isometry_field(nu)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,7 +65,7 @@ def _norm_with_err(mat) -> tuple:
 
 
 def _dense_norm(m: np.ndarray) -> tuple:
-    value = float(sigma_max_stack(m[None])[0])
+    value = _sigma_max(m)
     return value, max(m.shape) * np.finfo(float).eps * value
 
 
@@ -130,9 +131,8 @@ def _sigma_max(mat: np.ndarray) -> float:
     """LAPACK largest singular value of one matrix: the scalar entry of
     sigma_max_stack, and bit-identical to it.
 
-    The rectangle searches batch their norms through sigma_max_stack instead;
-    this stays for single matrices. It keeps its name because perfbench's
-    tracer wraps it and the test oracles import it.
+    Dense operator_norm values come from here; the rectangle searches batch
+    their norms through sigma_max_stack instead.
     """
     m = np.atleast_2d(mat)
     return float(sigma_max_stack(m[None])[0])
@@ -306,11 +306,6 @@ def _rect_norms(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarr
     return values
 
 
-def _first_max(values: np.ndarray) -> int:
-    """Index of the first largest value, NaN ignored (as a strict > scan does)."""
-    return int(np.argmax(np.where(np.isnan(values), -np.inf, values)))
-
-
 def _candidate_radii(space: FiniteMetricSpace) -> np.ndarray:
     vals = np.unique(space.dist)
     if vals[0] != 0:
@@ -360,69 +355,67 @@ def eps_propagation_radius(
     radii in step, and each step runs one LAPACK pass per (|A|, |B|) shape
     group, bit-identical to one LAPACK SVD per rectangle; the witness is the
     first mask, in increasing mask order, with the largest radius.
-    heuristic: a bracketing pair -- violating rectangles give the lower end,
-    band-truncation tails (value + err of their norm) the upper end. The
-    `budget` random rectangles (a random candidate radius and seed set each,
-    closed as in dist_to_band_bounds) are drawn and closed first; then the
-    distinct separations are visited in descending order, computing norms only
-    for the rectangles at the current one. The first separation with a norm
-    > eps is the lower end, witnessed by its earliest draw.
+    heuristic: the bracket of eps_propagation_brackets(u, [eps], seed, budget).
     """
+    if mode == "heuristic":
+        return eps_propagation_brackets(u, [eps], seed=seed, budget=budget)[0]
+    if mode != "exact":
+        raise ValueError(f"unknown mode {mode!r}")
     if not eps > 0:
         raise ValueError("eps must be positive")
     space = u.space
-    n = space.n
+    if space.n > EXACT_EPSPROP_MAX:
+        raise TooLargeForExact(f"exact eps-propagation limited to |X| <= {EXACT_EPSPROP_MAX}")
     radii = _candidate_radii(space)
-    if mode == "exact":
-        if n > EXACT_EPSPROP_MAX:
-            raise TooLargeForExact(f"exact eps-propagation limited to |X| <= {EXACT_EPSPROP_MAX}")
-        best_R, best_A, best_lo = 0.0, None, 0
-        for A, near in _mask_chunks(space.dist):
-            lo = _clearing_radius(u.mat, A, near, radii, eps)
-            i = int(np.argmax(lo))  # radii increase, so this is the first largest radius
-            if radii[lo[i]] > best_R:
-                best_R, best_A, best_lo = radii[lo[i]], np.flatnonzero(A[i]), lo[i]
-        witness = None
-        if best_A is not None:
-            witness = rect_norm(u, best_A, _worst_B(space, best_A, radii[best_lo - 1]))
-        return EpsPropagationResult(lower=float(best_R), upper=float(best_R), witness=witness, mode="exact")
-    if mode == "heuristic":
-        # upper end: smallest radius whose truncation tail is below eps
+    best_R, best_A, best_lo = 0.0, None, 0
+    for A, near in _mask_chunks(space.dist):
+        lo = _clearing_radius(u.mat, A, near, radii, eps)
+        i = int(np.argmax(lo))  # radii increase, so this is the first largest radius
+        if radii[lo[i]] > best_R:
+            best_R, best_A, best_lo = radii[lo[i]], np.flatnonzero(A[i]), lo[i]
+    witness = None
+    if best_A is not None:
+        witness = rect_norm(u, best_A, _worst_B(space, best_A, radii[best_lo - 1]))
+    return EpsPropagationResult(lower=float(best_R), upper=float(best_R), witness=witness, mode="exact")
+
+
+def eps_propagation_brackets(u: SpaceOperator, eps_list, seed: int = 0, budget: int = 1000) -> list:
+    """Heuristic bracket [lower, upper] of the eps-propagation radius, per eps.
+
+    One random search serves every eps: `budget` rectangles (a random
+    candidate radius and seed set each) are drawn, closed and normed once by
+    _random_rectangles. The lower end is the largest separation among the
+    rectangles with norm > eps (NaN never violates), witnessed by the
+    earliest draw at that separation; 0.0 without one. The upper end is the
+    smallest candidate radius whose truncation tail bound (band_tail_bound)
+    is <= eps, found by bisection; each probed radius is normed once across
+    all eps.
+    """
+    eps_list = list(eps_list)
+    if not all(eps > 0 for eps in eps_list):
+        raise ValueError("eps must be positive")
+    space = u.space
+    radii = _candidate_radii(space)
+    picks, seeds = _draw_seeds(np.random.default_rng(seed), np.arange(space.n), space.n, budget, len(radii))
+    A, B, norms = _random_rectangles(u, radii[picks], seeds)
+    seps = np.array([space.set_distance(np.flatnonzero(a), np.flatnonzero(b)) for a, b in zip(A, B)])
+    tail = functools.cache(lambda i: band_tail_bound(u, radii[i]))
+    brackets = []
+    for eps in eps_list:
         lo, hi = 0, len(radii) - 1
         while lo < hi:
             mid = (lo + hi) // 2
-            tail, err = operator_norm(u.mat - band_truncate(u, radii[mid]).mat, with_err=True)
-            if tail + err <= eps:
+            if tail(mid) <= eps:
                 hi = mid
             else:
                 lo = mid + 1
-        upper = float(radii[lo])
-        lower = 0.0
-        witness = None
-        picks, seeds = _draw_seeds(np.random.default_rng(seed), np.arange(n), n, budget, len(radii))
-        A, B, kept = _close_rectangles(space.dist, radii[picks], seeds)
-        draws = np.flatnonzero(kept)
-        if draws.size == 0:
-            return EpsPropagationResult(lower=lower, upper=upper, witness=witness, mode="heuristic")
-        first, inverse = _distinct_rectangles(A[draws], B[draws])
-        rects = draws[first]
-        seps = np.array([space.set_distance(np.flatnonzero(A[i]), np.flatnonzero(B[i])) for i in rects])
-        # the largest separation carried by a norm > eps, at its earliest draw
-        for sep in np.unique(seps[seps > 0])[::-1]:
-            level = np.flatnonzero(seps == sep)
-            values = np.full(len(rects), np.nan)
-            values[level] = _rect_norms(u.mat, A[rects[level]], B[rects[level]])
-            hits = np.flatnonzero(values[inverse] > eps)  # NaN never violates
-            if hits.size:
-                i = draws[hits[0]]
-                lower = float(sep)
-                witness = RectangleWitness(
-                    A=tuple(np.flatnonzero(A[i]).tolist()), B=tuple(np.flatnonzero(B[i]).tolist()),
-                    separation=sep, value=float(values[inverse[hits[0]]]),
-                )
-                break
-        return EpsPropagationResult(lower=lower, upper=upper, witness=witness, mode="heuristic")
-    raise ValueError(f"unknown mode {mode!r}")
+        lower, witness = 0.0, None
+        hits = np.flatnonzero(norms > eps)
+        if hits.size:
+            i = hits[np.argmax(seps[hits])]  # the earliest draw at the largest separation
+            lower, witness = float(seps[i]), _witness(space, A[i], B[i], norms[i])
+        brackets.append(EpsPropagationResult(lower, float(radii[lo]), witness, "heuristic"))
+    return brackets
 
 
 def _draw_seeds(rng, pool, n: int, budget: int, n_radii: int = 0) -> tuple:
@@ -485,12 +478,30 @@ def _close_rectangles(dist: np.ndarray, radii: np.ndarray, seeds: np.ndarray) ->
     return A, B, kept
 
 
-def _distinct_rectangles(A: np.ndarray, B: np.ndarray) -> tuple:
-    """(first, inverse): a row index of each distinct (A, B) pair of boolean
-    rows, keyed by their packed bits, and each row's distinct number."""
+def _random_rectangles(u: SpaceOperator, radii: np.ndarray, seeds: np.ndarray) -> tuple:
+    """(A, B, norms) of a random rectangle search: seed row i closed at radius
+    radii[i] by _close_rectangles, the rows that closed to an empty side
+    dropped, the rest kept in draw order. Each distinct (A, B), keyed by its
+    packed bits, is normed once through _rect_norms; norms[i] is row i's."""
+    A, B, kept = _close_rectangles(u.space.dist, radii, seeds)
+    A, B = A[kept], B[kept]
     keys = np.packbits(np.concatenate([A, B], axis=1), axis=1)
     _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    return first, inverse.reshape(-1)
+    return A, B, _rect_norms(u.mat, A[first], B[first])[inverse.reshape(-1)]
+
+
+def _witness(space: FiniteMetricSpace, a_row, b_row, value) -> RectangleWitness:
+    """The witness of the rectangle with boolean membership rows a_row, b_row."""
+    A, B = np.flatnonzero(a_row), np.flatnonzero(b_row)
+    return RectangleWitness(
+        A=tuple(A.tolist()), B=tuple(B.tolist()), separation=space.set_distance(A, B), value=float(value)
+    )
+
+
+def band_tail_bound(u: SpaceOperator, R) -> float:
+    """Upper estimate value + err of ||u - band_truncate(u, R)||, the truncation tail."""
+    tail, err = operator_norm(u.mat - band_truncate(u, R).mat, with_err=True)
+    return tail + err
 
 
 @dataclass(frozen=True)
@@ -506,48 +517,33 @@ def dist_to_band_bounds(
     """Two-sided bounds on the distance from u to the R-band operators.
 
     Any rectangle with separation > R survives subtraction of an R-band
-    operator, so its norm is a lower bound; the norm of the truncation tail,
-    value + err, is the upper bound. For |X| <= EXACT_BAND_DIST_MAX the lower
-    bound is the exact separated-rectangle supremum: a full subset scan, run
-    as one LAPACK pass per (|A|, |B|) shape group and bit-identical to one
-    LAPACK SVD per rectangle, whose witness is the first mask with the
-    largest norm. Otherwise a budgeted random search: `budget` seed sets
-    (drawn from `pool` if given) are all drawn first, closed to maximal
-    separated rectangles in batches, and each distinct rectangle's norm is
-    computed once, one LAPACK pass per shape group; the witness is the first
-    draw with the largest norm, as in a per-draw loop with a strict > test.
+    operator, so its norm is a lower bound; band_tail_bound(u, R) is the
+    upper bound. The lower bound is the largest norm over a set of separated
+    rectangles, witnessed by the first rectangle that reaches it (a strict >
+    scan; NaN never wins). For |X| <= EXACT_BAND_DIST_MAX and no `pool` the
+    set is every output mask A, in increasing mask order, with B the
+    complement of its R-neighborhood: the exact separated-rectangle supremum,
+    normed one LAPACK pass per (|A|, |B|) shape group, bit-identical to one
+    LAPACK SVD per rectangle. Otherwise it is the `budget` rectangles of
+    _random_rectangles at radius R, seeded from `pool` if given, in draw
+    order, each distinct one normed once.
     """
     if not R >= 0:
         raise ValueError("radius must be nonnegative")
     space = u.space
-    n = space.n
-    tail, err = operator_norm(u.mat - band_truncate(u, R).mat, with_err=True)
-    upper = tail + err
-
-    def candidates():
-        """(A, B, norm) rectangles; the exact scan yields each chunk's first largest."""
-        if n <= EXACT_BAND_DIST_MAX and pool is None:
-            for A, near in _mask_chunks(space.dist):
-                B = ~(near <= R)
-                values = _rect_norms(u.mat, A, B)
-                i = _first_max(values)
-                yield np.flatnonzero(A[i]), np.flatnonzero(B[i]), values[i]
-            return
-        _, seeds = _draw_seeds(np.random.default_rng(seed), np.arange(n) if pool is None else pool, n, budget)
-        A, B, kept = _close_rectangles(space.dist, np.full(len(seeds), R), seeds)
-        A, B = A[kept], B[kept]
-        if len(A):
-            first, inverse = _distinct_rectangles(A, B)
-            values = _rect_norms(u.mat, A[first], B[first])[inverse]
-            i = _first_max(values)
-            yield np.flatnonzero(A[i]), np.flatnonzero(B[i]), values[i]
-
-    best = 0.0
-    witness = None
-    for A, B, value in candidates():
-        if value > best:
-            best = float(value)
-            witness = RectangleWitness(
-                A=tuple(A.tolist()), B=tuple(B.tolist()), separation=space.set_distance(A, B), value=best
-            )
+    upper = band_tail_bound(u, R)
+    if space.n <= EXACT_BAND_DIST_MAX and pool is None:
+        masks = ((A, ~(near <= R)) for A, near in _mask_chunks(space.dist))
+        batches = ((A, B, _rect_norms(u.mat, A, B)) for A, B in masks)
+    else:
+        pool = np.arange(space.n) if pool is None else pool
+        _, seeds = _draw_seeds(np.random.default_rng(seed), pool, space.n, budget)
+        batches = [_random_rectangles(u, np.full(len(seeds), R), seeds)]
+    best, witness = 0.0, None
+    for A, B, values in batches:
+        if len(values):
+            i = np.argmax(np.where(np.isnan(values), -np.inf, values))  # first largest, NaN never wins
+            if values[i] > best:
+                best = float(values[i])
+                witness = _witness(space, A[i], B[i], best)
     return BandDistanceBounds(lower=best, upper=upper, witness=witness)

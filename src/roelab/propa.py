@@ -18,31 +18,16 @@ from .errors import (
 )
 from .operators import (
     SpaceOperator,
-    band_truncate,
+    band_tail_bound,
     eps_propagation_radius,
     operator_norm,
 )
-from .spaces import FiniteMetricSpace, growth
+from .spaces import FiniteMetricSpace, growth, interval_space
 
 ROW_TOL = 1e-12
 # above the rounding of a per-row variation sum and the ROW_TOL slack of a
 # row's mass, so the closed form never hides a pair the sums would reject
 VARIATION_SLACK = 1e-9
-
-
-def interval_space(N: int, label: str = "") -> FiniteMetricSpace:
-    """The path metric on {0, ..., N-1}; a metric by construction, not re-validated."""
-    idx = np.arange(N)
-    dist = np.abs(idx[:, None] - idx[None, :]).astype(np.int64)
-    return FiniteMetricSpace._trusted(dist, label or f"interval{N}")
-
-
-def torus_space(N: int, label: str = "") -> FiniteMetricSpace:
-    """The cyclic metric on Z/N; a metric by construction, not re-validated."""
-    idx = np.arange(N)
-    diff = np.abs(idx[:, None] - idx[None, :])
-    dist = np.minimum(diff, N - diff).astype(np.int64)
-    return FiniteMetricSpace._trusted(dist, label or f"torus{N}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +96,7 @@ def _check_radius_delta(R, delta) -> None:
         raise ValueError("delta must be positive")
 
 
-def uniform_ball_kernel(space: FiniteMetricSpace, R, delta: float, S=None) -> PropertyAKernel:
+def uniform_ball_kernel(space: FiniteMetricSpace, R, delta: float) -> PropertyAKernel:
     """mu_x uniform on Ball(x, S) with S = ceil(2R/delta), truncated to the space.
 
     For pairs at distance <= R the overlap of the two balls keeps the total
@@ -120,8 +105,7 @@ def uniform_ball_kernel(space: FiniteMetricSpace, R, delta: float, S=None) -> Pr
     close pair.
     """
     _check_radius_delta(R, delta)
-    if S is None:
-        S = int(math.ceil(2.0 * R / delta)) if R > 0 else 0
+    S = int(math.ceil(2.0 * R / delta)) if R > 0 else 0
     within = space.dist <= S
     mu = within / within.sum(axis=1, keepdims=True)
     return PropertyAKernel(space=space, mu=mu, S=S, delta=delta, R=R)
@@ -133,7 +117,7 @@ def interval_kernel(N: int, R, delta: float) -> PropertyAKernel:
     S = int(math.ceil(2.0 * R / delta)) if R > 0 else 0
     if N <= 2 * S:
         raise IntervalTooShort(f"need N > 2S = {2 * S}")
-    return uniform_ball_kernel(interval_space(N), R, delta, S=S)
+    return uniform_ball_kernel(interval_space(N), R, delta)
 
 
 @dataclass(frozen=True)
@@ -196,8 +180,7 @@ def phi_nu(u: SpaceOperator, field: IsometryField) -> SpaceOperator:
 
 def _validate_eps_propagation(u: SpaceOperator, eps: float, R, seed: int = 0) -> str:
     """Check that u has eps-propagation at most R; returns the method used."""
-    tail, err = operator_norm(u.mat - band_truncate(u, R).mat, with_err=True)
-    if tail + err <= eps:
+    if band_tail_bound(u, R) <= eps:
         return "truncation-tail"
     if u.space.n <= 12:
         res = eps_propagation_radius(u, eps, mode="exact")

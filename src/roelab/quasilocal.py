@@ -12,7 +12,7 @@ from .operators import (
     SpaceOperator,
     _rect_norms,
     dist_to_band_bounds,
-    eps_propagation_radius,
+    eps_propagation_brackets,
 )
 from .randsub import (
     EXACT_AFFORDABLE,
@@ -21,6 +21,7 @@ from .randsub import (
     restricted_norm_max,
     sample_subspace,
     trial_seed,
+    vacuous_threshold,
 )
 from .spaces import (
     EXACT_KAPPA_MAX,
@@ -65,11 +66,6 @@ def schedule_radius(kappa: float, R0: float, delta: float) -> int:
 def member_dims(family: ExpanderFamily) -> list:
     """Subspace dimension per member: 1, 2, 3, ... in family order."""
     return list(range(1, len(family.members) + 1))
-
-
-def vacuous_threshold(eps: float) -> bool:
-    """True when no restricted projection norm (at most 1) can reach eps."""
-    return eps > 1.0 + 1e-9
 
 
 def select_subspaces(
@@ -187,22 +183,16 @@ def projection_invariants(assembly: QuasiLocalAssembly) -> dict:
 def quasilocality_profile(
     assembly: QuasiLocalAssembly, eps_list, seed: int = 0, budget: int = 300
 ) -> list:
-    """Bracket the eps-propagation radius of the assembled operator per epsilon."""
+    """Bracket the eps-propagation radius of the assembled operator per epsilon,
+    all from one search (eps_propagation_brackets)."""
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly descending")
-    rows = []
-    for eps in eps_list:
-        res = eps_propagation_radius(assembly.u, eps, mode="heuristic", seed=seed, budget=budget)
-        rows.append(
-            {
-                "eps": float(eps),
-                "R_lower": float(res.lower),
-                "R_upper": float(res.upper),
-                "witness": res.witness,
-            }
-        )
-    return rows
+    brackets = eps_propagation_brackets(assembly.u, eps_list, seed=seed, budget=budget)
+    return [
+        {"eps": float(eps), "R_lower": float(res.lower), "R_upper": float(res.upper), "witness": res.witness}
+        for eps, res in zip(eps_list, brackets)
+    ]
 
 
 def mechanism_check(assembly: QuasiLocalAssembly, samples: int, seed: int = 0) -> dict:

@@ -23,7 +23,15 @@ def formal_bound(delta: float, c0: float = DEFAULT_C0) -> float:
     """c0 * sqrt(delta log(1/delta)); the certified threshold for restricted norms."""
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
+    if not c0 > 0:
+        raise ValueError("c0 must be positive")
     return c0 * math.sqrt(delta * math.log(1.0 / delta))
+
+
+def vacuous_threshold(eps: float) -> bool:
+    """True when no restricted projection norm (at most 1) can reach eps. At
+    eps = 1 a norm of 1 still fails `< eps`, so that threshold is not vacuous."""
+    return eps > 1.0 + 1e-9
 
 
 def trial_seed(seed: int, index: int) -> np.random.Generator:
@@ -171,7 +179,7 @@ def restricted_norm_max(
         E_witness=tuple(int(i) for i in best_E),
         bound=bound,
         formal_bound_holds=bool(best_val < bound),
-        vacuous=bool(bound >= 1.0),
+        vacuous=vacuous_threshold(bound),
     )
 
 
@@ -217,7 +225,7 @@ def mc_lemma_random(
         trials=trials,
         seed=seed,
         bound=bound,
-        vacuous=bool(bound >= 1.0),
+        vacuous=vacuous_threshold(bound),
         empirical_probability=prob,
         values=tuple(float(v) for v in values),
     )

@@ -287,18 +287,20 @@ def symmetric_standard_rep(m: int) -> DenseRep:
     """The (m-1)-dimensional irreducible of S_m on the mean-zero subspace of l2[m]."""
     if not 2 <= m <= 7:
         raise TooLarge("symmetric group path materializes m! elements; need 2 <= m <= 7")
-    perms = list(itertools.permutations(range(m)))
-    index = {s: i for i, s in enumerate(perms)}
-    table = np.empty((len(perms), len(perms)), dtype=np.int64)
-    for i, s in enumerate(perms):
-        for j, t in enumerate(perms):
-            table[i, j] = index[tuple(s[t[k]] for k in range(m))]
-    group = TableGroup(table)
+    # row i of the table is s o t for every t, s = perms[i]; read as base-m
+    # numbers the lexicographic permutations increase, so one searchsorted
+    # indexes a whole row
+    perms = np.array(list(itertools.permutations(range(m))))
+    place = m ** np.arange(m - 1, -1, -1)
+    codes = perms @ place
+    table = np.empty((len(perms), len(perms)), dtype=np.int16)
     centered = np.eye(m) - np.full((m, m), 1.0 / m)
     q, _ = np.linalg.qr(centered[:, : m - 1])
     mats = np.empty((len(perms), m - 1, m - 1), dtype=np.complex128)
     for i, s in enumerate(perms):
+        table[i] = np.searchsorted(codes, s[perms] @ place)
         mats[i] = q.T @ np.eye(m)[:, s] @ q  # the permutation matrix sends e_j to e_s[j]
+    group = TableGroup(table)
     return DenseRep(group, mats)
 
 

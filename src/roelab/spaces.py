@@ -8,7 +8,7 @@ Distance matrices from outside the library, through
 ``FiniteMetricSpace(dist=...)``, ``from_json`` and ``load_space``, are
 checked by ``_validate_metric`` (O(n^3)). The in-library constructors
 ``from_graph`` (and so ``random_regular``), ``far_points``,
-``coarse_union`` and ``propa.interval_space``/``torus_space`` build
+``interval_space``, ``torus_space`` and ``coarse_union`` build
 metrics by construction and skip that check through
 ``FiniteMetricSpace._trusted``.
 """
@@ -350,6 +350,21 @@ def far_points(n: int, separation=10, label: str = "") -> FiniteMetricSpace:
     if n > 1 and not dist[0, 1] > 0:
         raise InvalidMetric("far points need a positive integer separation")
     return FiniteMetricSpace._trusted(dist, label or f"far{n}")
+
+
+def interval_space(N: int, label: str = "") -> FiniteMetricSpace:
+    """The path metric on {0, ..., N-1}; a metric by construction, not re-validated."""
+    idx = np.arange(N)
+    dist = np.abs(idx[:, None] - idx[None, :]).astype(np.int64)
+    return FiniteMetricSpace._trusted(dist, label or f"interval{N}")
+
+
+def torus_space(N: int, label: str = "") -> FiniteMetricSpace:
+    """The cyclic metric on Z/N; a metric by construction, not re-validated."""
+    idx = np.arange(N)
+    diff = np.abs(idx[:, None] - idx[None, :])
+    dist = np.minimum(diff, N - diff).astype(np.int64)
+    return FiniteMetricSpace._trusted(dist, label or f"torus{N}")
 
 
 def save_space(space: FiniteMetricSpace, path) -> None:

@@ -18,12 +18,10 @@ from conftest import (
 from roelab.cli import run
 from roelab.operators import band_mask, band_truncate, eps_propagation_radius, propagation
 from roelab.propa import (
-    interval_space,
     isometry_field,
     commutator_bound_check,
     rademacher_diagnostics,
     sz_approximate,
-    torus_space,
     uniform_ball_kernel,
 )
 from roelab.quasilocal import (
@@ -50,7 +48,7 @@ from roelab.reps import (
     heisenberg_rep,
     symmetric_standard_rep,
 )
-from roelab.spaces import far_points, growth
+from roelab.spaces import far_points, growth, interval_space, torus_space
 from roelab.translations import decompose_band, schur_restrict
 from roelab.operators import SpaceOperator, operator_norm
 

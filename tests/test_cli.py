@@ -107,6 +107,12 @@ class TestMalformedInput:
         ["reps", "irr-check", "--group", "file:{dir}/group_bare.json"],
         ["reps", "irr-check", "--group", "file:{dir}/group_1x2.json"],
         ["reps", "irr-check", "--group", "file:{dir}/group_text_table.json"],
+        # c0 must be positive; a NaN eps anywhere in a profile's list is rejected
+        ["randsub", "mc", "--c0", "nan", "--n", "3", "--delta", "0.2", "--d", "20"],
+        ["randsub", "mc", "--d", "20", "--n", "3", "--delta", "0.2", "--c0", "-5"],
+        ["ql", "build", "--c0", "nan", "--members", "16,32"],
+        ["ql", "profile", "--eps", "nan", "--members", "8,12,16"],
+        ["ql", "profile", "--members", "8,12,16", "--eps", "0.5,-0.1"],
     ]
 
     @pytest.mark.parametrize("argv", CASES, ids=lambda a: " ".join(a[-2:]))
@@ -185,7 +191,7 @@ class TestCommands:
 
     def test_operator_file_input(self, tmp_path):
         from roelab.operators import SpaceOperator
-        from roelab.propa import interval_space
+        from roelab.spaces import interval_space
         from roelab.spaces import save_space
 
         sp = interval_space(12)
@@ -220,6 +226,21 @@ class TestConfigAndOutput:
         cfg.write_text(json.dumps({"d": 80, "delta": 0.1, "trials": 150, "seed": 3}))
         report, _ = run(["randsub", "levy", "--config", str(cfg), "--d", "90"])
         assert report["config"]["d"] == 90
+
+    def test_config_list_value(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"members": [8, 12, 16], "seed": 1}))
+        report, code = run(["ql", "build", "--config", str(cfg)])
+        assert code == 0
+        assert report["config"]["members"] == [8, 12, 16]
+        assert report["results"]["members"] == [8, 12, 16]
+
+    def test_csv_of_lists(self, capsys):
+        code = main(["ql", "build", "--members", "8,12,16", "--format", "csv"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[0] == "key,value"
+        assert {"members[0],8", "members[2],16", "rejections[1],0", "schedule[0].k,2"} <= set(lines)
 
     def test_out_and_csv(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
@@ -258,6 +279,20 @@ class TestImportFootprint:
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+
+class TestCommandPaths:
+    def test_irr_check_symmetric_group(self):
+        report, code = run(["reps", "irr-check", "--group", "sym:4", "--trials", "10"])
+        assert code == 0
+        res = report["results"]
+        assert (res["dim"], res["order"], res["verdict"]) == (3, 24, "PASS")
+
+    def test_profile_eps_list(self):
+        report, code = run(["ql", "profile", "--members", "8,12,16", "--eps", "0.5,0.3", "--samples", "20"])
+        assert code == 0
+        assert report["config"]["eps"] == [0.5, 0.3]
+        assert [row["eps"] for row in report["results"]["profile"]] == [0.5, 0.3]
 
 
 class TestQlBuildReport:

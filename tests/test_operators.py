@@ -24,6 +24,7 @@ from roelab.operators import (
     band_truncate,
     complex_from_pairs,
     dist_to_band_bounds,
+    eps_propagation_brackets,
     eps_propagation_radius,
     operator_norm,
     opnorm,
@@ -31,7 +32,7 @@ from roelab.operators import (
     rect_norm,
     sigma_max_stack,
 )
-from roelab.propa import interval_space
+from roelab.spaces import interval_space
 from roelab.spaces import FiniteMetricSpace, far_points
 
 
@@ -668,6 +669,41 @@ def test_random_searches_equal_per_draw_loops(n, seed, kind, budget, with_pool):
             _assert_random_searches_match_reference(u, R, witness.value, budget, seed, pool)
     if kind == "zero":
         assert b.witness is None and res.witness is None and res.lower == 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=13, max_value=36),
+    st.integers(min_value=0, max_value=2 ** 31),
+    st.sampled_from(["dense-complex", "banded-complex", "constant", "zero"]),
+    st.integers(min_value=1, max_value=200),
+    st.lists(st.floats(min_value=0.02, max_value=1.5), min_size=1, max_size=4, unique=True),
+)
+def test_brackets_equal_per_eps_per_draw_loops(n, seed, kind, budget, eps_values):
+    """One search for a descending eps list gives, at every eps, the bracket
+    and witness of the per-draw heuristic at that eps alone; so does a list
+    that holds a witness's norm exactly (a tie: norm > eps is false there)."""
+    rng = np.random.default_rng(seed)
+    u = _scan_operator(rng, random_connected_graph_space(rng, n), kind)
+    eps_list = sorted(eps_values, reverse=True)
+    witnesses = [r.witness for r in eps_propagation_brackets(u, eps_list, seed=seed, budget=budget)]
+    ties = sorted({w.value for w in witnesses if w is not None}, reverse=True)
+    for eps_list in (eps_list, ties):
+        results = eps_propagation_brackets(u, eps_list, seed=seed, budget=budget)
+        assert len(results) == len(eps_list)
+        for eps, res in zip(eps_list, results):
+            lower, upper, witness = reference_eps_prop_heuristic(u, eps, seed, budget)
+            assert (res.lower, res.upper, res.mode) == (lower, upper, "heuristic")
+            assert _same_witness(res.witness, witness)
+            assert res == eps_propagation_radius(u, eps, mode="heuristic", seed=seed, budget=budget)
+
+
+def test_brackets_reject_each_non_positive_eps():
+    u = random_operator(np.random.default_rng(45), interval_space(15))
+    for eps_list in ([math.nan], [0.5, -0.1], [0.5, 0.0], [0.5, math.nan, 0.2]):
+        with pytest.raises(ValueError):
+            eps_propagation_brackets(u, eps_list)
+    assert eps_propagation_brackets(u, []) == []
 
 
 def test_random_searches_with_tiny_blocks_and_stacks(monkeypatch):

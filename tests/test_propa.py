@@ -23,18 +23,16 @@ from roelab.operators import (
     propagation,
 )
 from roelab.reps import gap_certificate, heisenberg_rep
-from roelab.spaces import far_points
+from roelab.spaces import far_points, interval_space, torus_space
 from roelab import propa
 from roelab.propa import (
     PropertyAKernel,
     commutator_bound_check,
     interval_kernel,
-    interval_space,
     isometry_field,
     phi_nu,
     rademacher_diagnostics,
     sz_approximate,
-    torus_space,
     uniform_ball_kernel,
     validate_kernel,
 )

@@ -201,6 +201,24 @@ class TestProfile:
         with pytest.raises(ValueError):
             quasilocality_profile(small_assembly, [0.1, 0.5])
 
+    def test_one_search_and_one_tail_norm_per_radius(self, small_assembly, monkeypatch):
+        closes, truncations = [], []
+        close, truncate = operators._close_rectangles, operators.band_truncate
+
+        def counted_close(*args):
+            closes.append(1)
+            return close(*args)
+
+        def counted_truncate(u, R):
+            truncations.append(R)
+            return truncate(u, R)
+
+        monkeypatch.setattr(operators, "_close_rectangles", counted_close)
+        monkeypatch.setattr(operators, "band_truncate", counted_truncate)
+        rows = quasilocality_profile(small_assembly, [0.5, 0.2, 0.05], seed=1, budget=100)
+        assert len(rows) == 3 and len(closes) == 1
+        assert truncations and len(truncations) == len(set(truncations))
+
     def test_tail_vanishes_at_large_radius(self, small_assembly):
         # the whole operator is a band operator at the ambient diameter
         rows = quasilocality_profile(small_assembly, [1e-9], budget=50)

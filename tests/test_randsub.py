@@ -17,6 +17,7 @@ from roelab.randsub import (
     restricted_norm_max,
     sample_subspace,
     trial_seed,
+    vacuous_threshold,
 )
 
 
@@ -208,6 +209,16 @@ class TestFormalBound:
             formal_bound(0.0)
         with pytest.raises(ValueError):
             formal_bound(1.0)
+        for c0 in (0.0, -5.0, math.nan):
+            with pytest.raises(ValueError):
+                formal_bound(0.25, c0)
+
+    def test_vacuous_only_above_one(self):
+        # a restricted norm of exactly 1 fails `< 1`, so a bound of 1 can still fail
+        assert not vacuous_threshold(1.0)
+        assert not vacuous_threshold(0.5)
+        assert vacuous_threshold(1.0 + 1e-8)
+        assert not vacuous_threshold(math.nan)
 
 
 class TestMonteCarlo:

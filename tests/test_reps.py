@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from roelab.reps import (
     theorem_a_radius,
 )
 from roelab.spaces import far_points
-from roelab.propa import interval_space
+from roelab.spaces import interval_space
 
 
 def cyclic_table(n):
@@ -248,6 +249,19 @@ class TestSymmetricRep:
         rep = symmetric_standard_rep(4)
         assert rep.dim == 3
         assert rep.group.order == 24
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_table_equals_composition_loop(self, m):
+        """The searchsorted table equals the double loop over permutation pairs."""
+        perms = list(itertools.permutations(range(m)))
+        index = {s: i for i, s in enumerate(perms)}
+        table = np.empty((len(perms), len(perms)), dtype=np.int64)
+        for i, s in enumerate(perms):
+            for j, t in enumerate(perms):
+                table[i, j] = index[tuple(s[t[k]] for k in range(m))]
+        got = symmetric_standard_rep(m).group.table
+        assert got.dtype == np.int16
+        assert np.array_equal(got, table)
 
     def test_size_limits(self):
         with pytest.raises(TooLarge):

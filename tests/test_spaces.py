@@ -16,7 +16,7 @@ from roelab.errors import (
     NonSymmetricInput,
     TooLargeForExact,
 )
-from roelab.propa import interval_space, torus_space
+from roelab.spaces import interval_space, torus_space
 from roelab.spaces import (
     KAPPA_EXACT,
     KAPPA_SPECTRAL,

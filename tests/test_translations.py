@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_connected_graph_space, random_operator
 from roelab.operators import band_mask, band_truncate, opnorm
-from roelab.propa import interval_space
+from roelab.spaces import interval_space
 from roelab.spaces import growth
 from roelab.translations import decompose_band, schur_restrict
 
