@@ -313,7 +313,7 @@ def _int(default):
 
 
 def _count(default):
-    """A sample count: an empty sample would back a verdict with nothing."""
+    """A count of samples, rectangles or points: none would back a verdict with nothing."""
     return dict(type=_positive_int, default=default)
 
 
@@ -351,16 +351,16 @@ COMMANDS = {
     "oper.eps-prop": (_cmd_oper_eps_prop, {
         **_SPACE, "--op": {}, "--eps": _REQUIRED_FLOAT,
         "--mode": dict(choices=["exact", "heuristic"], default="heuristic"),
-        "-R": _float(1), **_SEED, "--budget": _int(500),
+        "-R": _float(1), **_SEED, "--budget": _count(500),
     }),
     "oper.band-dist": (_cmd_oper_band_dist, {
-        **_SPACE, "--op": {}, "-R": _float(1), **_SEED, "--budget": _int(500),
+        **_SPACE, "--op": {}, "-R": _float(1), **_SEED, "--budget": _count(500),
     }),
     "reps.irr-check": (_cmd_reps_irr_check, {**_GROUP, "--trials": _count(100), **_SEED}),
     "reps.gap-cert": (_cmd_reps_gap_cert, {**_GROUP, **_SPACE, "-R": _float(1)}),
     "randsub.mc": (_cmd_randsub_mc, {
         "--d": _REQUIRED_INT, "--n": _REQUIRED_INT, "--delta": _REQUIRED_FLOAT,
-        "--c0": _float(100.0), "--trials": _int(100), **_SEED,
+        "--c0": _float(100.0), "--trials": _count(100), **_SEED,
     }),
     "randsub.levy": (_cmd_randsub_levy, {
         "--d": _REQUIRED_INT, "--delta": _REQUIRED_FLOAT, "--trials": _count(1000), **_SEED,
@@ -369,14 +369,14 @@ COMMANDS = {
     "ql.build": (_cmd_ql_build, _QL),
     "ql.profile": (_cmd_ql_profile, {
         **_QL, "--eps": dict(type=_float_list, default=(0.5, 0.3, 0.2)),
-        "--budget": _int(200), "--samples": _count(200),
+        "--budget": _count(200), "--samples": _count(200),
     }),
-    "ql.witness": (_cmd_ql_witness, {**_QL, "-R": _float(2), "--budget": _int(500)}),
+    "ql.witness": (_cmd_ql_witness, {**_QL, "-R": _float(2), "--budget": _count(500)}),
     "propa.sz": (_cmd_propa_sz, {
-        "--N": _int(300), "--eps": _float(1e-4), "-R": _float(2), **_SEED,
+        "--N": _count(300), "--eps": _float(1e-4), "-R": _float(2), **_SEED,
     }),
     "propa.rademacher": (_cmd_propa_rademacher, {
-        "--N": _int(100), "--delta": _float(0.5), "-R": _float(1), "--trials": _int(2000), **_SEED,
+        "--N": _count(100), "--delta": _float(0.5), "-R": _float(1), "--trials": _count(2000), **_SEED,
     }),
     "all.smoke": (_cmd_all_smoke, _SEED),
 }

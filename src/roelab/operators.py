@@ -321,27 +321,46 @@ class EpsPropagationResult:
     mode: str
 
 
-def _worst_B(space: FiniteMetricSpace, A: np.ndarray, R) -> np.ndarray:
-    """Complement of the R-neighborhood of A: the largest admissible B."""
-    inside = space.dist[A].min(axis=0) <= R
-    return np.flatnonzero(~inside)
-
-
-def _clearing_radius(mat, A, near, radii, eps) -> np.ndarray:
-    """Per output mask, the index of the smallest candidate radius at which
-    its worst-case rectangle has norm <= eps; all masks bisect in step."""
-    lo = np.zeros(len(A), dtype=int)
-    hi = np.full(len(A), len(radii) - 1)
-    open_ = np.flatnonzero(lo < hi)
-    while open_.size:
-        mid = (lo[open_] + hi[open_]) // 2
-        B = ~(near[open_] <= radii[mid][:, None])
-        # an empty B gives 0.0 <= eps; NaN counts as a violation, as before
-        clear = _rect_norms(mat, A[open_], B) <= eps
-        hi[open_] = np.where(clear, mid, hi[open_])
-        lo[open_] = np.where(clear, lo[open_], mid + 1)
-        open_ = open_[lo[open_] < hi[open_]]
+def _smallest_radius(n: int, clear) -> int:
+    """Index of the smallest of n candidate radii at which clear(i) holds, by
+    bisection; clear is taken to be monotone and to hold at n - 1."""
+    lo, hi = 0, n - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if clear(mid):
+            hi = mid
+        else:
+            lo = mid + 1
     return lo
+
+
+def _exact_rectangles(u: SpaceOperator, R):
+    """(A, B, norms) per _mask_chunks chunk: every nonempty output mask A, in
+    increasing mask order, with B the complement of its R-neighborhood, the
+    largest B separated from A by more than R (rectangle norms are monotone
+    in B, so this B is the worst case). norms come from _rect_norms, one
+    LAPACK pass per (|A|, |B|) shape group, bit-identical to one LAPACK SVD
+    per rectangle; 0.0 where B is empty."""
+    for A, near in _mask_chunks(u.space.dist):
+        B = ~(near <= R)
+        yield A, B, _rect_norms(u.mat, A, B)
+
+
+def eps_propagation_violation(u: SpaceOperator, eps: float, R) -> RectangleWitness | None:
+    """Witness of the first output mask, in increasing mask order, whose
+    worst-case rectangle at radius R (_exact_rectangles) has norm not <= eps
+    (NaN counts as a violation); None if u has eps-propagation <= R. The scan
+    stops at the first chunk holding a violation."""
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+    if u.space.n > EXACT_EPSPROP_MAX:
+        raise TooLargeForExact(f"exact eps-propagation limited to |X| <= {EXACT_EPSPROP_MAX}")
+    for A, B, norms in _exact_rectangles(u, R):
+        bad = np.flatnonzero(~(norms <= eps))
+        if bad.size:
+            i = bad[0]
+            return _witness(u.space, A[i], B[i], norms[i])
+    return None
 
 
 def eps_propagation_radius(
@@ -349,12 +368,11 @@ def eps_propagation_radius(
 ) -> EpsPropagationResult:
     """Radius R such that every compression with separation > R has norm <= eps.
 
-    exact: full subset scan over output sets A, with B fixed to the complement
-    of the R-neighborhood of A (rectangle norms are monotone in B, so this B
-    is the worst case). The scan is batched: all masks bisect the candidate
-    radii in step, and each step runs one LAPACK pass per (|A|, |B|) shape
-    group, bit-identical to one LAPACK SVD per rectangle; the witness is the
-    first mask, in increasing mask order, with the largest radius.
+    exact: the smallest candidate radius at which eps_propagation_violation
+    finds no violation, by bisection over the candidate radii (each probed
+    radius scanned once). The witness is the violation at the next smaller
+    candidate radius, which the bisection always probed: the first mask, in
+    increasing mask order, whose worst-case rectangle there has norm > eps.
     heuristic: the bracket of eps_propagation_brackets(u, [eps], seed, budget).
     """
     if mode == "heuristic":
@@ -363,20 +381,11 @@ def eps_propagation_radius(
         raise ValueError(f"unknown mode {mode!r}")
     if not eps > 0:
         raise ValueError("eps must be positive")
-    space = u.space
-    if space.n > EXACT_EPSPROP_MAX:
-        raise TooLargeForExact(f"exact eps-propagation limited to |X| <= {EXACT_EPSPROP_MAX}")
-    radii = _candidate_radii(space)
-    best_R, best_A, best_lo = 0.0, None, 0
-    for A, near in _mask_chunks(space.dist):
-        lo = _clearing_radius(u.mat, A, near, radii, eps)
-        i = int(np.argmax(lo))  # radii increase, so this is the first largest radius
-        if radii[lo[i]] > best_R:
-            best_R, best_A, best_lo = radii[lo[i]], np.flatnonzero(A[i]), lo[i]
-    witness = None
-    if best_A is not None:
-        witness = rect_norm(u, best_A, _worst_B(space, best_A, radii[best_lo - 1]))
-    return EpsPropagationResult(lower=float(best_R), upper=float(best_R), witness=witness, mode="exact")
+    radii = _candidate_radii(u.space)
+    probe = functools.cache(lambda i: eps_propagation_violation(u, eps, radii[i]))
+    lo = _smallest_radius(len(radii), lambda i: probe(i) is None)
+    witness = probe(lo - 1) if lo else None
+    return EpsPropagationResult(lower=float(radii[lo]), upper=float(radii[lo]), witness=witness, mode="exact")
 
 
 def eps_propagation_brackets(u: SpaceOperator, eps_list, seed: int = 0, budget: int = 1000) -> list:
@@ -402,13 +411,7 @@ def eps_propagation_brackets(u: SpaceOperator, eps_list, seed: int = 0, budget: 
     tail = functools.cache(lambda i: band_tail_bound(u, radii[i]))
     brackets = []
     for eps in eps_list:
-        lo, hi = 0, len(radii) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if tail(mid) <= eps:
-                hi = mid
-            else:
-                lo = mid + 1
+        lo = _smallest_radius(len(radii), lambda i: tail(i) <= eps)
         lower, witness = 0.0, None
         hits = np.flatnonzero(norms > eps)
         if hits.size:
@@ -521,10 +524,8 @@ def dist_to_band_bounds(
     upper bound. The lower bound is the largest norm over a set of separated
     rectangles, witnessed by the first rectangle that reaches it (a strict >
     scan; NaN never wins). For |X| <= EXACT_BAND_DIST_MAX and no `pool` the
-    set is every output mask A, in increasing mask order, with B the
-    complement of its R-neighborhood: the exact separated-rectangle supremum,
-    normed one LAPACK pass per (|A|, |B|) shape group, bit-identical to one
-    LAPACK SVD per rectangle. Otherwise it is the `budget` rectangles of
+    set is _exact_rectangles(u, R), the scan eps_propagation_violation reads,
+    so the lower bound is the exact separated-rectangle supremum. Otherwise it is the `budget` rectangles of
     _random_rectangles at radius R, seeded from `pool` if given, in draw
     order, each distinct one normed once.
     """
@@ -533,8 +534,7 @@ def dist_to_band_bounds(
     space = u.space
     upper = band_tail_bound(u, R)
     if space.n <= EXACT_BAND_DIST_MAX and pool is None:
-        masks = ((A, ~(near <= R)) for A, near in _mask_chunks(space.dist))
-        batches = ((A, B, _rect_norms(u.mat, A, B)) for A, B in masks)
+        batches = _exact_rectangles(u, R)
     else:
         pool = np.arange(space.n) if pool is None else pool
         _, seeds = _draw_seeds(np.random.default_rng(seed), pool, space.n, budget)

@@ -17,9 +17,11 @@ from .errors import (
     SpaceTooSmall,
 )
 from .operators import (
+    EXACT_BAND_DIST_MAX,
     SpaceOperator,
     band_tail_bound,
     eps_propagation_radius,
+    eps_propagation_violation,
     operator_norm,
 )
 from .spaces import FiniteMetricSpace, growth, interval_space
@@ -182,13 +184,10 @@ def _validate_eps_propagation(u: SpaceOperator, eps: float, R, seed: int = 0) ->
     """Check that u has eps-propagation at most R; returns the method used."""
     if band_tail_bound(u, R) <= eps:
         return "truncation-tail"
-    if u.space.n <= 12:
-        res = eps_propagation_radius(u, eps, mode="exact")
-        if res.upper > R:
-            raise HypothesisViolated(
-                f"eps-propagation radius {res.upper} exceeds R={R} "
-                f"(witness rectangle {res.witness})"
-            )
+    if u.space.n <= EXACT_BAND_DIST_MAX:
+        witness = eps_propagation_violation(u, eps, R)
+        if witness is not None:
+            raise HypothesisViolated(f"rectangle of separation > R={R} has norm above eps (witness {witness})")
         return "exact-scan"
     res = eps_propagation_radius(u, eps, mode="heuristic", seed=seed, budget=300)
     if res.lower > R:

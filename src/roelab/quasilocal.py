@@ -216,12 +216,9 @@ def mechanism_check(assembly: QuasiLocalAssembly, samples: int, seed: int = 0) -
         small = max(1, int(rng.integers(1, max(2, int(delta_k * d) + 1))))
         perm = rng.permutation(d)
         A_loc = np.sort(perm[:small])
-        rest = perm[small:]
-        far = rest[member.dist[A_loc][:, rest].min(axis=0) > 0]
-        if far.size == 0:
-            continue
-        b_size = int(rng.integers(1, far.size + 1))
-        B_loc = np.sort(rng.choice(far, size=b_size, replace=False))
+        rest = perm[small:]  # distinct points, so all at positive distance from A_loc
+        b_size = int(rng.integers(1, rest.size + 1))
+        B_loc = np.sort(rng.choice(rest, size=b_size, replace=False))
         draws.append((i, delta_k, A_loc, B_loc))
     member_of = np.array([i for i, *_ in draws], dtype=int)
     norms = np.zeros((3, len(draws)))  # ||1_A u 1_B||, ||1_A P||, ||P 1_B||

@@ -17,6 +17,7 @@ EXACT_SUBSET_CAP = 1_000_000
 EXACT_AFFORDABLE = 20_000
 SUBSET_CELLS = 1 << 18
 _SWAP_CAP = 500
+SUBSPACE_TRIES = 20
 
 
 def formal_bound(delta: float, c0: float = DEFAULT_C0) -> float:
@@ -49,12 +50,12 @@ class SubspaceSample:
     seed: int
 
 
-def sample_subspace(d: int, n: int, seed: int, max_tries: int = 20) -> SubspaceSample:
+def sample_subspace(d: int, n: int, seed: int) -> SubspaceSample:
     """Span of n independent uniform points on the unit sphere of R^d."""
     if not 1 <= n < d:
         raise ValueError("need 1 <= n < d")
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(SUBSPACE_TRIES):
         g = rng.standard_normal((n, d))
         norms = np.linalg.norm(g, axis=1)
         if np.any(norms == 0):
@@ -71,7 +72,7 @@ def sample_subspace(d: int, n: int, seed: int, max_tries: int = 20) -> SubspaceS
         ):
             continue
         return SubspaceSample(d=d, n=n, vectors=x, basis=q, P=P, seed=seed)
-    raise RankDeficient(f"no full-rank {n}-frame in R^{d} after {max_tries} tries")
+    raise RankDeficient(f"no full-rank {n}-frame in R^{d} after {SUBSPACE_TRIES} tries")
 
 
 @dataclass(frozen=True)

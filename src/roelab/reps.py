@@ -414,16 +414,14 @@ def gap_certificate(
         sup_uppers.append(best_upper)
     pair_count = len(blocks)
 
-    # assemble avg_g c_g (x) conj(pi(g)) over the placement block
-    if blocks:
-        j, i = np.array(list(blocks)).T[:, :, None, None]  # block rows and columns
-        beta, alf = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        rows, cols = (j * n + beta).reshape(-1), (i * n + alf).reshape(-1)
-        vals = np.stack(list(blocks.values())).reshape(-1)
-        big = sp.coo_matrix((vals, (rows, cols)), shape=(n * n, n * n)).tocsr()
-        tensor_value = operator_norm(big)
-    else:
-        tensor_value = 0.0
+    # assemble avg_g c_g (x) conj(pi(g)) over the placement block; blocks is
+    # never empty, since each placement point's pair (x, x) is a band pair
+    j, i = np.array(list(blocks)).T[:, :, None, None]  # block rows and columns
+    beta, alf = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    rows, cols = (j * n + beta).reshape(-1), (i * n + alf).reshape(-1)
+    vals = np.stack(list(blocks.values())).reshape(-1)
+    big = sp.coo_matrix((vals, (rows, cols)), shape=(n * n, n * n)).tocsr()
+    tensor_value = operator_norm(big)
 
     N = growth(space, R)
     gap = gap_lower_bound(n, N)

@@ -32,10 +32,10 @@ from .errors import (
 METRIC_TOL = 1e-9
 EXACT_KAPPA_MAX = 22
 BFS_CELLS = 1 << 24
+REGULAR_TRIES = 500
 
 KAPPA_EXACT = "exact-brute-force"
 KAPPA_SPECTRAL = "spectral-lower-bound"
-KAPPA_DECLARED = "declared"
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ class ExpanderFamily:
         sizes = [m.n for m in self.members]
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise InvalidMetric("member sizes must strictly increase")
-        if self.kappa_kind != KAPPA_DECLARED and not self.kappa > 1:
+        if not self.kappa > 1:
             raise InvalidMetric("certified expansion constant must exceed 1")
 
 
@@ -317,12 +317,12 @@ def separation_bound(space_n: FiniteMetricSpace, A, B, kappa: float, R0):
     return lhs, rhs, bool(lhs <= rhs + 1e-12)
 
 
-def random_regular(n: int, d: int, seed: int, label: str = "", max_tries: int = 500) -> FiniteMetricSpace:
+def random_regular(n: int, d: int, seed: int) -> FiniteMetricSpace:
     """Connected random d-regular graph via the pairing model with rejection."""
     if n * d % 2 != 0 or d >= n or d < 1:
         raise ValueError("need n*d even and 1 <= d < n")
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(REGULAR_TRIES):
         stubs = np.repeat(np.arange(n), d)
         rng.shuffle(stubs)
         u, v = stubs[0::2], stubs[1::2]
@@ -336,11 +336,11 @@ def random_regular(n: int, d: int, seed: int, label: str = "", max_tries: int = 
         for a, b in edges:
             adjacency[a, b] = adjacency[b, a] = 1
         try:
-            space = from_graph(adjacency, label=label or f"rr{n}d{d}s{seed}")
+            space = from_graph(adjacency, label=f"rr{n}d{d}s{seed}")
         except DisconnectedGraph:
             continue
         return space
-    raise GenerationFailed(f"no connected simple {d}-regular graph on {n} vertices after {max_tries} tries")
+    raise GenerationFailed(f"no connected simple {d}-regular graph on {n} vertices after {REGULAR_TRIES} tries")
 
 
 def far_points(n: int, separation=10, label: str = "") -> FiniteMetricSpace:

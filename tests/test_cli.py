@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from roelab.cli import _parse_args, build_parser, main, run
+from roelab.cli import COMMANDS, _parse_args, _positive_int, build_parser, main, run
 from roelab.report import report_diff, results_bytes
 
 
@@ -113,6 +113,16 @@ class TestMalformedInput:
         ["ql", "build", "--c0", "nan", "--members", "16,32"],
         ["ql", "profile", "--eps", "nan", "--members", "8,12,16"],
         ["ql", "profile", "--members", "8,12,16", "--eps", "0.5,-0.1"],
+        # every budget, trial, sample and point count is positive
+        ["oper", "eps-prop", "--space", "interval:40", "--eps", "0.1", "--budget", "0"],
+        ["oper", "eps-prop", "--budget", "-3", "--eps", "0.1", "--space", "interval:40"],
+        ["oper", "band-dist", "--budget", "0", "--space", "interval:30"],
+        ["ql", "profile", "--members", "8,12,16", "--budget", "-1"],
+        ["ql", "witness", "--members", "8,12,16", "--budget", "-2"],
+        ["propa", "sz", "--N", "0"],
+        ["propa", "sz", "--eps", "0.01", "--N", "-3"],
+        ["propa", "rademacher", "--N", "0", "--delta", "0.5"],
+        ["randsub", "mc", "--d", "20", "--n", "3", "--delta", "0.2", "--trials", "-1"],
     ]
 
     @pytest.mark.parametrize("argv", CASES, ids=lambda a: " ".join(a[-2:]))
@@ -127,6 +137,17 @@ class TestMalformedInput:
 class TestParser:
     def test_built_once(self):
         assert build_parser() is build_parser()
+
+    def test_count_flags_are_positive(self):
+        counts = [
+            (command, flag, flags[flag])
+            for command, (_, flags) in COMMANDS.items()
+            for flag in ("--budget", "--trials", "--samples", "--N")
+            if flag in flags
+        ]
+        assert len(counts) >= 11
+        for command, flag, kwargs in counts:
+            assert kwargs["type"] is _positive_int, (command, flag)
 
     def test_defaults_survive_mutation(self):
         # every call parses with the same parser, so a list default would be shared

@@ -26,6 +26,7 @@ from roelab.operators import (
     dist_to_band_bounds,
     eps_propagation_brackets,
     eps_propagation_radius,
+    eps_propagation_violation,
     operator_norm,
     opnorm,
     propagation,
@@ -547,6 +548,91 @@ def test_exact_scans_on_float_metric():
     space = far_points(6, separation=1.5)
     u = _scan_operator(np.random.default_rng(23), space, "dense-complex")
     _assert_scans_match_reference(u, [0.3, 1.1])
+
+
+def reference_eps_propagation_violation(u, eps, R):
+    """The per-mask loop: one LAPACK SVD per worst-case rectangle at radius R,
+    masks in increasing order; the first norm not <= eps is the witness."""
+    space = u.space
+    for a_mask in range(1, 1 << space.n):
+        A = np.array([i for i in range(space.n) if a_mask >> i & 1], dtype=int)
+        B = _worst_B(space, A, R)
+        value = _lapack_norm(u.mat[np.ix_(A, B)]) if B.size else 0.0
+        if not value <= eps:
+            return RectangleWitness(
+                A=tuple(A.tolist()), B=tuple(B.tolist()), separation=space.set_distance(A, B), value=value
+            )
+    return None
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=0, max_value=2 ** 31),
+    st.sampled_from(["dense-real", "dense-complex", "banded-real", "banded-complex", "constant", "zero"]),
+)
+def test_violation_is_none_exactly_at_and_above_the_exact_radius(n, seed, kind):
+    """At every candidate radius R, and halfway between two, the scan finds no
+    violation iff the exact radius of the per-mask oracle is <= R; its witness
+    is the per-mask loop's first violating mask. Also at eps equal to a
+    witness's norm, where that rectangle ties with eps."""
+    rng = np.random.default_rng(seed)
+    space = random_connected_graph_space(rng, n)
+    u = _scan_operator(rng, space, kind)
+    radii = ops._candidate_radii(space)
+    probes = np.concatenate([radii, (radii[:-1] + radii[1:]) / 2])
+    eps_values = [float(rng.uniform(0.1, 2.0))]
+    for eps in eps_values:
+        best_R, _ = reference_eps_propagation_exact(u, eps)
+        for R in probes:
+            witness = eps_propagation_violation(u, eps, R)
+            assert (witness is None) == (best_R <= R)
+            assert _same_witness(witness, reference_eps_propagation_violation(u, eps, R))
+            if witness is not None:
+                assert witness.separation > R and not witness.value <= eps
+                if len(eps_values) == 1:
+                    eps_values.append(witness.value)
+
+
+def test_violation_scan_stops_at_the_first_violating_chunk(monkeypatch):
+    rng = np.random.default_rng(25)
+    space = random_connected_graph_space(rng, 10)
+    u = _scan_operator(rng, space, "dense-complex")
+    calls = []
+    rect_norms = ops._rect_norms
+    monkeypatch.setattr(ops, "_rect_norms", lambda *a: calls.append(1) or rect_norms(*a))
+    monkeypatch.setattr(ops, "MASK_CELLS", 64)  # 4 masks per chunk at n = 10
+    assert eps_propagation_violation(u, 1e-3, 0).A == (0,)
+    assert len(calls) == 1
+    calls.clear()
+    assert eps_propagation_violation(u, 1e-3, space.diameter) is None
+    assert len(calls) == 1 << 8
+
+
+def test_violation_guards():
+    u = _scan_operator(np.random.default_rng(26), interval_space(4), "dense-real")
+    for eps in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            eps_propagation_violation(u, eps, 1)
+    big = SpaceOperator(space=interval_space(ops.EXACT_EPSPROP_MAX + 1), mat=np.eye(ops.EXACT_EPSPROP_MAX + 1))
+    with pytest.raises(TooLargeForExact):
+        eps_propagation_violation(big, 0.5, 1)
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.6])
+def test_exact_radius_at_n14_across_mask_chunks(monkeypatch, eps):
+    """At n = 14, 2^14 - 1 masks in 256 chunks of 64; on an operator whose
+    entries decay with distance the radius lies strictly inside (0, diameter),
+    and it and its witness equal the per-rectangle scan's."""
+    rng = np.random.default_rng(27)
+    space = random_connected_graph_space(rng, 14)
+    m = rng.standard_normal((14, 14)) + 1j * rng.standard_normal((14, 14))
+    u = SpaceOperator(space=space, mat=m * 0.4 ** space.dist)
+    monkeypatch.setattr(ops, "MASK_CELLS", 1 << 10)
+    res = eps_propagation_radius(u, eps)
+    best_R, witness = reference_eps_propagation_exact(u, eps)
+    assert 0 < res.lower == res.upper == best_R < space.diameter
+    assert _same_witness(res.witness, witness)
 
 
 class TestSigmaMaxStack:

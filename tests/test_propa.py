@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -304,6 +305,15 @@ class TestCommutatorBound:
         u = banded_contraction(np.random.default_rng(1), sp, R=6)
         with pytest.raises(HypothesisViolated):
             commutator_bound_check(u, np.linspace(0, 1, 10), R=1, delta=0.9, eps=1e-6)
+
+
+    def test_exact_scan_raises_with_its_witness(self):
+        # |X| = 10 takes the exact scan at R; the tail bound exceeds eps
+        u = banded_contraction(np.random.default_rng(1), interval_space(10), R=6)
+        witness = operators.eps_propagation_violation(u, 1e-6, 1)
+        assert witness.separation > 1 and witness.value > 1e-6
+        with pytest.raises(HypothesisViolated, match=re.escape(str(witness))):
+            propa._validate_eps_propagation(u, 1e-6, 1)
 
 
 class TestSz:
