@@ -57,10 +57,6 @@ class IntervalTooShort(RoelabError):
     pass
 
 
-class SpaceTooSmall(RoelabError):
-    pass
-
-
 class NotAContraction(RoelabError):
     pass
 

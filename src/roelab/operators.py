@@ -427,12 +427,14 @@ def _draw_seeds(rng, pool, n: int, budget: int, n_radii: int = 0) -> tuple:
     Each draw takes, in this order, a radius index in [0, n_radii) when
     n_radii > 0, a size in [1, max(1, len(pool) // 2)], and that many
     distinct points of pool. No draw depends on a norm, so all of them come first.
+    A budget below 1 would draw nothing and bound nothing, so it is rejected.
     """
-    count = max(budget, 0)
-    picks = np.zeros(count, dtype=int)
-    seeds = np.zeros((count, n), dtype=bool)
+    if not budget >= 1:
+        raise ValueError("budget must be at least 1")
+    picks = np.zeros(budget, dtype=int)
+    seeds = np.zeros((budget, n), dtype=bool)
     high = max(2, len(pool) // 2 + 1)
-    for i in range(count):
+    for i in range(budget):
         if n_radii:
             picks[i] = rng.integers(0, n_radii)
         size = int(rng.integers(1, high))

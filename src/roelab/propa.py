@@ -14,7 +14,6 @@ from .errors import (
     IntervalTooShort,
     KernelInvalid,
     NotAContraction,
-    SpaceTooSmall,
 )
 from .operators import (
     EXACT_BAND_DIST_MAX,
@@ -226,17 +225,16 @@ def commutator_bound_check(u: SpaceOperator, h, R, delta: float, eps: float) -> 
     }
 
 
-def sz_approximate(
-    u: SpaceOperator, eps: float, R, strict_support: bool = False, seed: int = 0
-) -> tuple:
+def sz_approximate(u: SpaceOperator, eps: float, R, seed: int = 0) -> tuple:
     """Approximate a contraction of eps-propagation <= R by a band operator.
 
     Two kernel stages with delta = sqrt(eps): mu for (delta, R), nu for
     (delta, S). The output is the Gram-kernel Schur multiple of u, has
     propagation <= 2T, and its distance to u must stay below 18 eps^(1/4).
     At desk scale the ball radii S and T routinely exceed the diameter; the
-    truncated balls remain valid kernels, and strict_support=True turns that
-    situation into an error instead.
+    truncated balls remain valid kernels, but when 2T >= diameter every
+    operator has propagation <= 2T and the bound says nothing about band
+    approximation. The report flags that case as support_covers_space.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -248,10 +246,6 @@ def sz_approximate(
     space = u.space
     mu = uniform_ball_kernel(space, R, delta)
     nu = uniform_ball_kernel(space, mu.S, delta)
-    if strict_support and 2 * nu.S >= space.diameter:
-        raise SpaceTooSmall(
-            f"support radius T = {nu.S} reaches the diameter {space.diameter}"
-        )
     field = isometry_field(nu)
     approx = phi_nu(u, field)
     error, error_err = operator_norm(u.mat - approx.mat, with_err=True)
@@ -266,6 +260,7 @@ def sz_approximate(
         "bound": bound,
         "holds": bool(error + error_err < bound),
         "slack": bound - error,
+        "support_covers_space": bool(2 * nu.S >= space.diameter),
     }
     return approx, error, report
 

@@ -15,7 +15,6 @@ from .operators import (
     eps_propagation_brackets,
 )
 from .randsub import (
-    EXACT_AFFORDABLE,
     SubspaceSample,
     formal_bound,
     restricted_norm_max,
@@ -78,8 +77,7 @@ def select_subspaces(
     c0 sqrt((1/k) log k). k = 1 is skipped: its threshold degenerates to 0.
     So is every k with a vacuous threshold (see `vacuous_threshold`): the
     restricted norm of a projection is at most 1 and cannot reach it.
-    Greedy search scores each candidate; the smallest member is additionally
-    spot-checked exactly when the subset count allows.
+    Greedy search scores each candidate.
     """
     samples = []
     reject_counts = []
@@ -99,8 +97,7 @@ def select_subspaces(
                 eps_k = formal_bound(delta_k, c0)
                 if vacuous_threshold(eps_k):
                     continue
-                mode = "exact" if idx == 0 and math.comb(d, int(delta_k * d)) <= EXACT_AFFORDABLE else "greedy"
-                found = restricted_norm_max(sample, delta_k, mode=mode, c0=c0).value
+                found = restricted_norm_max(sample, delta_k, mode="greedy", c0=c0).value
                 if found >= eps_k:
                     ok = False
                     break

@@ -118,9 +118,10 @@ class UnitaryRep:
 
     Each subclass provides one hook, matrices(idx) -> pi(g) for g in idx,
     shape (len(idx), dim, dim). The other methods default to computations
-    over the full stack. HeisenbergRep overrides average_image, entry_vector,
-    band_residual_max and char_sum with its (a, b, c) structure, because the
-    stack of heis:67 (p^3 matrices of size p x p) does not fit in memory.
+    over the full stack. HeisenbergRep overrides average_image,
+    coefficient_average, band_residual_max and char_sum with its (a, b, c)
+    structure, because the stack of heis:67 (p^3 matrices of size p x p)
+    does not fit in memory.
     """
 
     group: FiniteGroup
@@ -137,9 +138,10 @@ class UnitaryRep:
         mats = self.matrices(np.arange(self.group.order))
         return np.tensordot(np.asarray(alpha), mats, axes=1) / self.group.order
 
-    def entry_vector(self, row: int, col: int) -> np.ndarray:
-        """The matrix coefficient g -> pi(g)[row, col] as a vector over the group."""
-        return self.matrices(np.arange(self.group.order))[:, row, col]
+    def coefficient_average(self, row: int, col: int) -> np.ndarray:
+        """|G|^-1 sum_g pi(g)[row, col] conj(pi(g)): block (row, col) of invariant_projection."""
+        mats = self.matrices(np.arange(self.group.order))
+        return np.tensordot(mats[:, row, col], mats.conj(), axes=1) / self.group.order
 
     def band_residual_max(self, offmask: np.ndarray) -> float:
         """max_g || pi(g) restricted entrywise to offmask ||."""
@@ -255,12 +257,17 @@ class HeisenbergRep(UnitaryRep):
         out[(s + s[:, None]) % p, s] = C  # entry (s + a, s) of shift a
         return out / self.group.order
 
-    def entry_vector(self, row, col):
+    def coefficient_average(self, row, col):
+        # pi(a, b, c)[row, col] = omega^(c + b col) on the shift a = row - col
+        # and 0 elsewhere, so only that slice's p^2 elements contribute; its
+        # conj(pi) has entry omega^-(c + b s) at (s + a, s)
         p = self.p
-        out = np.zeros((p, p, p), dtype=np.complex128)
-        a0 = (row - col) % p
-        out[a0] = np.outer(self._dft[:, col], self._w_pow)  # omega^(b col) omega^c
-        return out.reshape(-1)
+        coef = np.outer(self._dft[:, col], self._w_pow)  # [b, c]
+        vals = (coef @ self._w_pow.conj()) @ self._dft.conj()  # [s]
+        out = np.zeros((p, p), dtype=np.complex128)
+        s = np.arange(p)
+        out[(s + row - col) % p, s] = vals
+        return out / self.group.order
 
     def band_residual_max(self, offmask):
         # entry (r, s) lies on shift a = r - s, where every pi(a, b, c) has an
@@ -322,16 +329,6 @@ def gap_lower_bound(n: float, N: float) -> float:
     return max(0.0, (rn - 2.0 * N) / (rn + 2.0 * N))
 
 
-def theorem_a_radius(n: int, space: FiniteMetricSpace):
-    """Largest integer radius R with N_X(R) < sqrt(n)/8, minus 1; -1 if none."""
-    threshold = math.sqrt(n) / 8.0
-    best = None
-    for R in range(int(math.ceil(space.diameter)) + 1):
-        if growth(space, R) < threshold:
-            best = R
-    return -1 if best is None else best - 1
-
-
 @dataclass(frozen=True)
 class CertificateReport:
     n: int
@@ -347,75 +344,48 @@ class CertificateReport:
     half_form_lower: float
 
 
-def gap_certificate(
-    rep: UnitaryRep,
-    space: FiniteMetricSpace,
-    R,
-    placement=None,
-    approximants=None,
-    tol: float = CERT_TOL,
-) -> CertificateReport:
+def gap_certificate(rep: UnitaryRep, space: FiniteMetricSpace, R) -> CertificateReport:
     """Numeric certificate for the band-approximation obstruction chain.
 
-    Places the representation as a coordinate block in l2(X), approximates
-    each pi(g) by a band operator c_g (default: its R-band truncation), and
-    verifies the inequality chain:
+    Places the representation as the coordinate block on points 0..n-1 of X,
+    approximates each pi(g) by its R-band truncation c_g there, and verifies
+    the inequality chain:
 
-      L = || avg_g c_g (x) conj(pi(g)) || >= 1 - eps - tol,
-      per-translation sup of pairwise averaged norms <= (1 + eps)/sqrt(n) + tol,
-      eps >= gap_lower_bound(n, N_X(R)) - tol,
+      L = || avg_g c_g (x) conj(pi(g)) || >= 1 - eps - CERT_TOL,
+      per-translation sup of pairwise averaged norms <= (1 + eps)/sqrt(n) + CERT_TOL,
+      eps >= gap_lower_bound(n, N_X(R)) - CERT_TOL,
 
-    with eps = max_g || pi(g) - c_g ||. A FAIL verdict is a numerical
-    counterexample to the averaging lemma and should be treated as a bug.
+    with eps = max_g || pi(g) - c_g || = rep.band_residual_max. Block (j, i)
+    of the averaged tensor is rep.coefficient_average(j, i) for each band
+    pair (col i, row j) of the block, and zero off the band. A FAIL verdict
+    is a numerical counterexample to the averaging lemma and should be
+    treated as a bug.
     """
     n = rep.dim
-    order = rep.group.order
-    if placement is None:
-        placement = np.arange(n)
-    pts = np.asarray(placement, dtype=int)
-    if pts.size != n or len(set(pts.tolist())) != n:
-        raise DimensionMismatch("placement must list one distinct point per dimension")
-    if pts.max() >= space.n:
-        raise DimensionMismatch("placement points outside the space")
-    D = space.dist[np.ix_(pts, pts)]
-    offmask = D > R  # offmask[j, i]: entry (row j, col i) outside the band
+    if space.n < n:
+        raise DimensionMismatch(f"the space has {space.n} points, fewer than the dimension {n}")
+    offmask = space.dist[:n, :n] > R  # offmask[j, i]: entry (row j, col i) outside the band
+    eps_achieved = rep.band_residual_max(offmask)
 
-    if approximants is None:
-        eps_achieved = rep.band_residual_max(offmask)
-    else:
-        approximants = np.asarray(approximants)
-        if len(approximants) != order:
-            raise DimensionMismatch("one approximant per group element required")
-        residuals = sigma_max_stack(rep.matrices(np.arange(order)) - approximants)
-        eps_achieved = float(np.fmax.reduce(residuals, initial=0.0))
-
-    # band pairs inside the placement block, organized by translation part
+    # band pairs inside the block, organized by translation part
     decomposition = decompose_band(space, R)
-    pos = {int(p): i for i, p in enumerate(pts)}
-    per_part_pairs = [  # (col i, row j) in block coordinates
-        [(pos[x], pos[y]) for x, y in part.graph() if x in pos and y in pos]
-        for part in decomposition.parts
-    ]
-
     sups = []
     sup_uppers = []  # value + err per part, for the upper-bound check
     blocks = {}
-    for pairs in per_part_pairs:
+    for part in decomposition.parts:
         best = best_upper = 0.0
-        for i, j in pairs:
-            # matrix coefficient of c_g at block entry (row j, col i)
-            alpha = rep.entry_vector(j, i) if approximants is None else approximants[:, j, i]
-            block = np.conj(rep.average_image(np.conj(alpha)))  # avg alpha_g conj(pi(g))
-            blocks[(j, i)] = block
-            value, err = operator_norm(block, with_err=True)
-            best = max(best, value)
-            best_upper = max(best_upper, value + err)
+        for i, j in part.graph():  # (col i, row j)
+            if i < n and j < n:
+                block = blocks[(j, i)] = rep.coefficient_average(j, i)
+                value, err = operator_norm(block, with_err=True)
+                best = max(best, value)
+                best_upper = max(best_upper, value + err)
         sups.append(best)
         sup_uppers.append(best_upper)
     pair_count = len(blocks)
 
-    # assemble avg_g c_g (x) conj(pi(g)) over the placement block; blocks is
-    # never empty, since each placement point's pair (x, x) is a band pair
+    # assemble avg_g c_g (x) conj(pi(g)) over the block; blocks is never
+    # empty, since each block point's pair (x, x) is a band pair
     j, i = np.array(list(blocks)).T[:, :, None, None]  # block rows and columns
     beta, alf = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     rows, cols = (j * n + beta).reshape(-1), (i * n + alf).reshape(-1)
@@ -425,16 +395,16 @@ def gap_certificate(
 
     N = growth(space, R)
     gap = gap_lower_bound(n, N)
-    sup_bound = (1.0 + eps_achieved) / math.sqrt(n) + tol
+    sup_bound = (1.0 + eps_achieved) / math.sqrt(n) + CERT_TOL
     checks = {
-        "tensor_lower": bool(tensor_value >= 1.0 - eps_achieved - tol),
+        "tensor_lower": bool(tensor_value >= 1.0 - eps_achieved - CERT_TOL),
         "translation_sups": bool(all(s <= sup_bound for s in sup_uppers)),
-        "gap": bool(eps_achieved >= gap - tol),
+        "gap": bool(eps_achieved >= gap - CERT_TOL),
     }
     verdict = "PASS" if all(checks.values()) else "FAIL"
     return CertificateReport(
         n=n,
-        group_order=order,
+        group_order=rep.group.order,
         growth_N=N,
         eps_achieved=float(eps_achieved),
         gap_bound=float(gap),

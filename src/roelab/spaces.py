@@ -254,10 +254,6 @@ def piece_slices(members) -> list:
     return [slice(int(a), int(b)) for a, b in zip(offsets, offsets[1:])]
 
 
-def _popcount(x: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(x)
-
-
 def expansion_kappa(space: FiniteMetricSpace, R, mode: str = "exact"):
     """Expansion constant at radius R.
 
@@ -284,8 +280,8 @@ def expansion_kappa(space: FiniteMetricSpace, R, mode: str = "exact"):
             base = (np.arange(1 << (n - b - 1), dtype=np.uint32) << (b + 1))
             neigh[base | np.uint32(1 << b)] = neigh[base] | rowmask[b]
         subsets = np.arange(total, dtype=np.uint32)
-        size_a = _popcount(subsets).astype(np.int64)
-        size_n = _popcount(neigh).astype(np.int64)
+        size_a = np.bitwise_count(subsets).astype(np.int64)
+        size_n = np.bitwise_count(neigh).astype(np.int64)
         valid = (size_a > 0) & (2 * size_a <= n)
         ratios = size_n[valid] / size_a[valid]
         return float(ratios.min()), KAPPA_EXACT

@@ -816,12 +816,16 @@ def test_random_searches_with_tiny_blocks_and_stacks(monkeypatch):
 
 
 def test_random_search_budget_zero_or_negative():
+    # a search that draws nothing would report lower bound 0.0 and no witness
     rng = np.random.default_rng(41)
-    u = _scan_operator(rng, random_connected_graph_space(rng, 14), "dense-complex")
-    for budget in (0, -3):
-        assert dist_to_band_bounds(u, 1, budget=budget).witness is None
-        res = eps_propagation_radius(u, 0.3, mode="heuristic", budget=budget)
-        assert (res.lower, res.witness) == (0.0, None)
+    graph_op = _scan_operator(rng, random_connected_graph_space(rng, 14), "dense-complex")
+    interval_op = random_operator(rng, interval_space(20))
+    for u in (graph_op, interval_op):
+        for budget in (0, -3):
+            for call in (lambda: dist_to_band_bounds(u, 1, budget=budget),
+                         lambda: eps_propagation_radius(u, 0.1, mode="heuristic", budget=budget)):
+                with pytest.raises(ValueError, match="budget"):
+                    call()
 
 
 def _nearly_symmetric_space():

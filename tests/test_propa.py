@@ -12,7 +12,6 @@ from roelab.errors import (
     IntervalTooShort,
     KernelInvalid,
     NotAContraction,
-    SpaceTooSmall,
 )
 from roelab import operators
 from roelab.operators import (
@@ -341,11 +340,17 @@ class TestSz:
         with pytest.raises(NotAContraction):
             sz_approximate(u, 0.01, R=1)
 
-    def test_strict_support_raises_at_desk_scale(self):
-        sp = interval_space(50)
-        u = banded_contraction(np.random.default_rng(6), sp, R=1)
-        with pytest.raises(SpaceTooSmall):
-            sz_approximate(u, 1e-4, R=1, strict_support=True)
+    def test_support_covers_space_flag(self):
+        # one point: T = 40000 covers the space, so the PASS is vacuous
+        u = banded_contraction(np.random.default_rng(6), interval_space(1), R=1)
+        _, _, report = sz_approximate(u, 1e-4, R=1)
+        assert report["T"] == 40000
+        assert report["support_covers_space"] is True
+        # eps = 1/4: S = 4, T = 16, and N = 40 > 2T leaves diameter 39 > 32
+        u = banded_contraction(np.random.default_rng(6), interval_space(40), R=1)
+        _, _, report = sz_approximate(u, 0.25, R=1)
+        assert (report["S"], report["T"]) == (4, 16)
+        assert report["support_covers_space"] is False
 
     def test_eps_validation(self):
         sp = interval_space(10)

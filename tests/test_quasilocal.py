@@ -224,6 +224,10 @@ class TestProfile:
         rows = quasilocality_profile(small_assembly, [1e-9], budget=50)
         assert rows[0]["R_upper"] <= small_assembly.ambient.diameter
 
+    def test_rejects_empty_budget(self, small_assembly):
+        with pytest.raises(ValueError, match="budget"):
+            quasilocality_profile(small_assembly, [0.5], budget=0)
+
 
 class TestMechanism:
     def test_sampled_inequalities(self, small_assembly):

@@ -16,10 +16,8 @@ from roelab.reps import (
     gap_lower_bound,
     heisenberg_rep,
     symmetric_standard_rep,
-    theorem_a_radius,
 )
-from roelab.spaces import far_points
-from roelab.spaces import interval_space
+from roelab.spaces import far_points, interval_space, random_regular
 
 
 def cyclic_table(n):
@@ -163,13 +161,6 @@ class TestHeisenbergRep:
         dense = sum(alpha[g] * rep.matrix(g) for g in range(order)) / order
         assert np.abs(rep.average_image(alpha) - dense).max() < 1e-10
 
-    def test_entry_vector_matches_gathered_entries(self):
-        rep = heisenberg_rep(3)
-        order = rep.group.order
-        for row, col in ((0, 0), (1, 2), (2, 0)):
-            gathered = np.array([rep.matrix(g)[row, col] for g in range(order)])
-            assert np.abs(rep.entry_vector(row, col) - gathered).max() < 1e-12
-
     def test_band_residual_is_zero_or_one(self):
         rep = heisenberg_rep(3)
         none = np.zeros((3, 3), dtype=bool)
@@ -223,7 +214,20 @@ class TestMatrixStack:
         offmask = np.array(bits).reshape(p, p)
         assert heisenberg_rep(p).band_residual_max(offmask) == band_residual_shift_loop(p, offmask)
 
-    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: heisenberg_rep(3), lambda: heisenberg_rep(5), lambda: heisenberg_rep(7),
+         lambda: symmetric_standard_rep(3), lambda: symmetric_standard_rep(4), lambda: symmetric_standard_rep(5)],
+    )
+    def test_coefficient_average_is_projection_block(self, make):
+        rep = make()
+        n = rep.dim
+        P = rep.invariant_projection()
+        for row, col in itertools.product(range(n), repeat=2):
+            block = P[row * n : (row + 1) * n, col * n : (col + 1) * n]
+            assert np.abs(rep.coefficient_average(row, col) - block).max() <= 1e-12
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
     def test_heisenberg_overrides_match_stack_defaults(self, p):
         # HeisenbergRep's structured methods against the UnitaryRep defaults
         # over its own materialized stack
@@ -232,8 +236,8 @@ class TestMatrixStack:
         rng = np.random.default_rng(p)
         alpha = rng.standard_normal(rep.group.order) + 1j * rng.standard_normal(rep.group.order)
         assert np.abs(rep.average_image(alpha) - dense.average_image(alpha)).max() < 1e-12
-        for row, col in ((0, 0), (1, p - 1)):
-            assert np.abs(rep.entry_vector(row, col) - dense.entry_vector(row, col)).max() < 1e-12
+        for row, col in itertools.product(range(p), repeat=2):
+            assert np.abs(rep.coefficient_average(row, col) - dense.coefficient_average(row, col)).max() < 1e-12
         assert rep.char_sum() == pytest.approx(dense.char_sum(), abs=1e-12)
         offmask = rng.random((p, p)) < 0.2
         assert rep.band_residual_max(offmask) == pytest.approx(dense.band_residual_max(offmask), abs=1e-12)
@@ -317,13 +321,6 @@ class TestGapBound:
         with pytest.raises(ValueError):
             gap_lower_bound(0, 1)
 
-    def test_theorem_a_radius(self):
-        # far points: N_X(R) = 1 < sqrt(n)/8 for every R < separation
-        sp = far_points(5, separation=10)
-        assert theorem_a_radius(100, sp) == 8
-        # too few dimensions: threshold below 1 never admits any radius
-        assert theorem_a_radius(9, sp) == -1
-
 
 class TestGapCertificate:
     def test_heisenberg5_far5(self):
@@ -335,15 +332,39 @@ class TestGapCertificate:
         assert cert.growth_N == 1
         assert cert.pair_count == 5
 
-    def test_explicit_approximants_match_default(self):
-        rep = heisenberg_rep(3)
-        sp = far_points(3)
-        mats = [rep.matrix(g) for g in range(rep.group.order)]
-        approx = [np.where(sp.dist <= 2, m, 0.0) for m in mats]
-        a = gap_certificate(rep, sp, R=2)
-        b = gap_certificate(rep, sp, R=2, approximants=approx)
-        assert a.eps_achieved == pytest.approx(b.eps_achieved, abs=1e-9)
-        assert a.verdict == b.verdict == "PASS"
+    @pytest.mark.parametrize(
+        "make,space,R",
+        [(lambda: heisenberg_rep(3), far_points(3), 2), (lambda: heisenberg_rep(5), interval_space(7), 1),
+         (lambda: symmetric_standard_rep(4), interval_space(5), 1)],
+    )
+    def test_matches_truncation_kron_oracle(self, make, space, R):
+        # eps and the tensor norm from the truncations c_g materialized and
+        # summed as kron products, one group element at a time
+        rep = make()
+        n, order = rep.dim, rep.group.order
+        band = space.dist[:n, :n] <= R
+        eps = 0.0
+        tensor = np.zeros((n * n, n * n), dtype=np.complex128)
+        for g in range(order):
+            m = rep.matrix(g)
+            c = np.where(band, m, 0.0)
+            eps = max(eps, float(np.linalg.norm(m - c, 2)))
+            tensor += np.kron(c, m.conj()) / order
+        cert = gap_certificate(rep, space, R)
+        assert cert.eps_achieved == pytest.approx(eps, abs=1e-12)
+        assert cert.tensor_value == pytest.approx(float(np.linalg.norm(tensor, 2)), abs=1e-9)
+        assert cert.pair_count == int(band.sum())
+
+    @pytest.mark.parametrize("space", [far_points(5), interval_space(9), random_regular(12, 3, 1)])
+    def test_dense_stack_agrees_with_heisenberg(self, space):
+        # the stack defaults and HeisenbergRep's structured overrides give one certificate
+        rep = heisenberg_rep(5)
+        dense = DenseRep(rep.group, rep.matrices(np.arange(rep.group.order)))
+        a, b = gap_certificate(rep, space, 1), gap_certificate(dense, space, 1)
+        assert a.eps_achieved == pytest.approx(b.eps_achieved, abs=1e-12)
+        assert a.tensor_value == pytest.approx(b.tensor_value, abs=1e-12)
+        assert np.allclose(a.per_translation_sup, b.per_translation_sup, rtol=0, atol=1e-12)
+        assert (a.pair_count, a.checks, a.verdict) == (b.pair_count, b.checks, b.verdict)
 
     def test_tensor_value_on_interval_placement(self):
         # a placement where the band keeps everything: eps = 0, tensor value = 1
@@ -365,9 +386,8 @@ class TestGapCertificate:
         assert cert.half_form_lower == pytest.approx(max(0.0, cert.gap_bound - 0.1))
 
     def test_placement_validation(self):
+        # the block sits on points 0..n-1, so the space needs n points
         rep = heisenberg_rep(3)
-        with pytest.raises(DimensionMismatch):
-            gap_certificate(rep, far_points(5), R=1, placement=[0, 0, 1])
         with pytest.raises(DimensionMismatch):
             gap_certificate(rep, far_points(2), R=1)
 
