@@ -66,6 +66,14 @@ class TestMalformedInput:
         "group_bare.json": {"table": [[0]], "matrices": [[[1.0]]]},
         "group_1x2.json": {"table": [[0]], "matrices": [[[[1.0, 0.0], [0.0, 0.0]]]]},
         "group_text_table.json": {"table": [[{"e": 0}]], "matrices": [[[[1.0, 0.0]]]]},
+        # Z/2 acting as diag(1, +-1): unitary but reducible
+        "group_z2_diag.json": {
+            "table": [[0, 1], [1, 0]],
+            "matrices": [
+                [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+                [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]],
+            ],
+        },
     }
     CASES = [
         ["space", "kappa", "--space", "{dir}/no_metric.json"],
@@ -107,6 +115,8 @@ class TestMalformedInput:
         ["reps", "irr-check", "--group", "file:{dir}/group_bare.json"],
         ["reps", "irr-check", "--group", "file:{dir}/group_1x2.json"],
         ["reps", "irr-check", "--group", "file:{dir}/group_text_table.json"],
+        # the gap certificate's closed forms need a unitary irreducible
+        ["reps", "gap-cert", "--space", "far:2", "--group", "file:{dir}/group_z2_diag.json"],
         # c0 must be positive; a NaN eps anywhere in a profile's list is rejected
         ["randsub", "mc", "--c0", "nan", "--n", "3", "--delta", "0.2", "--d", "20"],
         ["randsub", "mc", "--d", "20", "--n", "3", "--delta", "0.2", "--c0", "-5"],
@@ -284,7 +294,7 @@ class TestConfigAndOutput:
 
 class TestImportFootprint:
     def test_cli_import_loads_no_scipy_solvers(self):
-        # a norm backend that pulled these in would add ~0.1-0.2 s to every start
+        # scipy is a test-only dependency; scipy.sparse alone adds ~0.25 s to every start
         import os
         import subprocess
         import sys
@@ -292,11 +302,7 @@ class TestImportFootprint:
         import roelab
 
         src = os.path.dirname(os.path.dirname(roelab.__file__))
-        code = (
-            "import sys, roelab.cli; "
-            "print([m for m in ('scipy.linalg', 'scipy.sparse.linalg', 'scipy.sparse.csgraph') "
-            "if m in sys.modules])"
-        )
+        code = "import sys, roelab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roelab.errors import AlphaOutOfBall, DimensionMismatch, NotPrime, TooLarge
+from roelab.errors import AlphaOutOfBall, DimensionMismatch, HypothesisViolated, NotPrime, TooLarge
 from roelab.reps import (
     DenseRep,
     HeisenbergGroup,
@@ -18,6 +18,7 @@ from roelab.reps import (
     symmetric_standard_rep,
 )
 from roelab.spaces import far_points, interval_space, random_regular
+from roelab.translations import decompose_band
 
 
 def cyclic_table(n):
@@ -219,13 +220,17 @@ class TestMatrixStack:
         [lambda: heisenberg_rep(3), lambda: heisenberg_rep(5), lambda: heisenberg_rep(7),
          lambda: symmetric_standard_rep(3), lambda: symmetric_standard_rep(4), lambda: symmetric_standard_rep(5)],
     )
-    def test_coefficient_average_is_projection_block(self, make):
+    def test_schur_orthogonality(self, make):
+        # the closed form behind gap_certificate: for a unitary irreducible,
+        # block (row, col) of the invariant projection is E_row,col / n
         rep = make()
         n = rep.dim
         P = rep.invariant_projection()
         for row, col in itertools.product(range(n), repeat=2):
+            unit = np.zeros((n, n))
+            unit[row, col] = 1.0 / n
             block = P[row * n : (row + 1) * n, col * n : (col + 1) * n]
-            assert np.abs(rep.coefficient_average(row, col) - block).max() <= 1e-12
+            assert np.abs(block - unit).max() <= 1e-12
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_heisenberg_overrides_match_stack_defaults(self, p):
@@ -236,8 +241,6 @@ class TestMatrixStack:
         rng = np.random.default_rng(p)
         alpha = rng.standard_normal(rep.group.order) + 1j * rng.standard_normal(rep.group.order)
         assert np.abs(rep.average_image(alpha) - dense.average_image(alpha)).max() < 1e-12
-        for row, col in itertools.product(range(p), repeat=2):
-            assert np.abs(rep.coefficient_average(row, col) - dense.coefficient_average(row, col)).max() < 1e-12
         assert rep.char_sum() == pytest.approx(dense.char_sum(), abs=1e-12)
         offmask = rng.random((p, p)) < 0.2
         assert rep.band_residual_max(offmask) == pytest.approx(dense.band_residual_max(offmask), abs=1e-12)
@@ -335,11 +338,13 @@ class TestGapCertificate:
     @pytest.mark.parametrize(
         "make,space,R",
         [(lambda: heisenberg_rep(3), far_points(3), 2), (lambda: heisenberg_rep(5), interval_space(7), 1),
-         (lambda: symmetric_standard_rep(4), interval_space(5), 1)],
+         (lambda: symmetric_standard_rep(4), interval_space(5), 1),
+         (lambda: symmetric_standard_rep(5), random_regular(12, 3, 1), 1),
+         (lambda: heisenberg_rep(7), interval_space(9), 2)],
     )
     def test_matches_truncation_kron_oracle(self, make, space, R):
-        # eps and the tensor norm from the truncations c_g materialized and
-        # summed as kron products, one group element at a time
+        # eps, the tensor norm and the per-part sups from the truncations c_g
+        # materialized and summed as kron products, one group element at a time
         rep = make()
         n, order = rep.dim, rep.group.order
         band = space.dist[:n, :n] <= R
@@ -354,6 +359,12 @@ class TestGapCertificate:
         assert cert.eps_achieved == pytest.approx(eps, abs=1e-12)
         assert cert.tensor_value == pytest.approx(float(np.linalg.norm(tensor, 2)), abs=1e-9)
         assert cert.pair_count == int(band.sum())
+        sups = []
+        for part in decompose_band(space, R).parts:
+            inside = [(y, x) for x, y in part.graph() if x < n and y < n]  # (row, col)
+            blocks = [tensor[j * n : (j + 1) * n, i * n : (i + 1) * n] for j, i in inside]
+            sups.append(max((float(np.linalg.norm(b, 2)) for b in blocks), default=0.0))
+        assert np.allclose(cert.per_translation_sup, sups, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("space", [far_points(5), interval_space(9), random_regular(12, 3, 1)])
     def test_dense_stack_agrees_with_heisenberg(self, space):
@@ -384,6 +395,33 @@ class TestGapCertificate:
     def test_half_form_lower(self):
         cert = gap_certificate(heisenberg_rep(5), far_points(5), R=2)
         assert cert.half_form_lower == pytest.approx(max(0.0, cert.gap_bound - 0.1))
+
+    @pytest.mark.parametrize(
+        "make,space,R,vacuous",
+        [(lambda: heisenberg_rep(5), far_points(5), 2, (True, True, True)),
+         (lambda: symmetric_standard_rep(4), interval_space(5), 1, (False, True, True)),
+         (lambda: heisenberg_rep(3), interval_space(3), 2, (False, True, True))],
+    )
+    def test_vacuity_flags(self, make, space, R, vacuous):
+        cert = gap_certificate(make(), space, R)
+        assert cert.verdict == "PASS"
+        assert tuple(cert.vacuous[k] for k in ("tensor_lower", "translation_sups", "gap")) == vacuous
+
+    def test_refuses_reducible_rep(self):
+        # Z/2 acting as diag(1, +-1) on C^2: unitary but reducible
+        rep = DenseRep(TableGroup(cyclic_table(2)), np.array([np.eye(2), np.diag([1.0, -1.0])]))
+        assert not rep.certificate()["irreducible"]
+        with pytest.raises(HypothesisViolated, match="char_sum 2, irreducible False"):
+            gap_certificate(rep, far_points(2), R=1)
+
+    def test_refuses_non_homomorphism(self):
+        # Z/2 sent to i and 1: unitary with char_sum 1, but every product is
+        # off by |i - 1| = sqrt(2), whichever pairs certificate() samples
+        rep = DenseRep(TableGroup(cyclic_table(2)), np.array([[[1j]], [[1.0]]]))
+        cert = rep.certificate()
+        assert cert["irreducible"] and not cert["ok"]
+        with pytest.raises(HypothesisViolated, match="homomorphism_dev 1.41"):
+            gap_certificate(rep, far_points(1), R=1)
 
     def test_placement_validation(self):
         # the block sits on points 0..n-1, so the space needs n points
