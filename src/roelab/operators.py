@@ -207,6 +207,21 @@ class SpaceOperator:
             raise ValueError(f"operator json needs n * n = {n * n} [re, im] rows")
         return SpaceOperator(space=space, mat=flat.reshape(n, n))
 
+    # The two norm hooks of the searches. A subclass that knows more about its
+    # operator than the dense matrix (quasilocal.AssemblyOperator) overrides
+    # them; every other operator takes these dense defaults.
+
+    def rect_norms(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """sigma_max of each compression 1_A u 1_B, given boolean membership
+        rows of shape (k, n) for A and B; 0.0 where a side is empty
+        (_rect_norms on the dense matrix)."""
+        return _rect_norms(self.mat, rows, cols)
+
+    def tail_bound(self, R) -> float:
+        """Upper estimate value + err of ||u - band_truncate(u, R)||, the truncation tail."""
+        tail, err = operator_norm(self.mat - band_truncate(self, R).mat, with_err=True)
+        return tail + err
+
 
 @dataclass(frozen=True)
 class RectangleWitness:
@@ -338,12 +353,12 @@ def _exact_rectangles(u: SpaceOperator, R):
     """(A, B, norms) per _mask_chunks chunk: every nonempty output mask A, in
     increasing mask order, with B the complement of its R-neighborhood, the
     largest B separated from A by more than R (rectangle norms are monotone
-    in B, so this B is the worst case). norms come from _rect_norms, one
-    LAPACK pass per (|A|, |B|) shape group, bit-identical to one LAPACK SVD
-    per rectangle; 0.0 where B is empty."""
+    in B, so this B is the worst case). norms come from u.rect_norms; on a
+    dense operator that is one LAPACK pass per (|A|, |B|) shape group,
+    bit-identical to one LAPACK SVD per rectangle; 0.0 where B is empty."""
     for A, near in _mask_chunks(u.space.dist):
         B = ~(near <= R)
-        yield A, B, _rect_norms(u.mat, A, B)
+        yield A, B, u.rect_norms(A, B)
 
 
 def eps_propagation_violation(u: SpaceOperator, eps: float, R) -> RectangleWitness | None:
@@ -396,7 +411,7 @@ def eps_propagation_brackets(u: SpaceOperator, eps_list, seed: int = 0, budget: 
     _random_rectangles. The lower end is the largest separation among the
     rectangles with norm > eps (NaN never violates), witnessed by the
     earliest draw at that separation; 0.0 without one. The upper end is the
-    smallest candidate radius whose truncation tail bound (band_tail_bound)
+    smallest candidate radius whose truncation tail bound (u.tail_bound)
     is <= eps, found by bisection; each probed radius is normed once across
     all eps.
     """
@@ -408,7 +423,7 @@ def eps_propagation_brackets(u: SpaceOperator, eps_list, seed: int = 0, budget: 
     picks, seeds = _draw_seeds(np.random.default_rng(seed), np.arange(space.n), space.n, budget, len(radii))
     A, B, norms = _random_rectangles(u, radii[picks], seeds)
     seps = np.array([space.set_distance(np.flatnonzero(a), np.flatnonzero(b)) for a, b in zip(A, B)])
-    tail = functools.cache(lambda i: band_tail_bound(u, radii[i]))
+    tail = functools.cache(lambda i: u.tail_bound(radii[i]))
     brackets = []
     for eps in eps_list:
         lo = _smallest_radius(len(radii), lambda i: tail(i) <= eps)
@@ -487,12 +502,12 @@ def _random_rectangles(u: SpaceOperator, radii: np.ndarray, seeds: np.ndarray) -
     """(A, B, norms) of a random rectangle search: seed row i closed at radius
     radii[i] by _close_rectangles, the rows that closed to an empty side
     dropped, the rest kept in draw order. Each distinct (A, B), keyed by its
-    packed bits, is normed once through _rect_norms; norms[i] is row i's."""
+    packed bits, is normed once through u.rect_norms; norms[i] is row i's."""
     A, B, kept = _close_rectangles(u.space.dist, radii, seeds)
     A, B = A[kept], B[kept]
     keys = np.packbits(np.concatenate([A, B], axis=1), axis=1)
     _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    return A, B, _rect_norms(u.mat, A[first], B[first])[inverse.reshape(-1)]
+    return A, B, u.rect_norms(A[first], B[first])[inverse.reshape(-1)]
 
 
 def _witness(space: FiniteMetricSpace, a_row, b_row, value) -> RectangleWitness:
@@ -501,12 +516,6 @@ def _witness(space: FiniteMetricSpace, a_row, b_row, value) -> RectangleWitness:
     return RectangleWitness(
         A=tuple(A.tolist()), B=tuple(B.tolist()), separation=space.set_distance(A, B), value=float(value)
     )
-
-
-def band_tail_bound(u: SpaceOperator, R) -> float:
-    """Upper estimate value + err of ||u - band_truncate(u, R)||, the truncation tail."""
-    tail, err = operator_norm(u.mat - band_truncate(u, R).mat, with_err=True)
-    return tail + err
 
 
 @dataclass(frozen=True)
@@ -522,8 +531,8 @@ def dist_to_band_bounds(
     """Two-sided bounds on the distance from u to the R-band operators.
 
     Any rectangle with separation > R survives subtraction of an R-band
-    operator, so its norm is a lower bound; band_tail_bound(u, R) is the
-    upper bound. The lower bound is the largest norm over a set of separated
+    operator, so its norm is a lower bound; u.tail_bound(R) is the upper
+    bound. The lower bound is the largest norm over a set of separated
     rectangles, witnessed by the first rectangle that reaches it (a strict >
     scan; NaN never wins). For |X| <= EXACT_BAND_DIST_MAX and no `pool` the
     set is _exact_rectangles(u, R), the scan eps_propagation_violation reads,
@@ -534,7 +543,7 @@ def dist_to_band_bounds(
     if not R >= 0:
         raise ValueError("radius must be nonnegative")
     space = u.space
-    upper = band_tail_bound(u, R)
+    upper = u.tail_bound(R)
     if space.n <= EXACT_BAND_DIST_MAX and pool is None:
         batches = _exact_rectangles(u, R)
     else:

@@ -18,7 +18,6 @@ from .errors import (
 from .operators import (
     EXACT_BAND_DIST_MAX,
     SpaceOperator,
-    band_tail_bound,
     eps_propagation_radius,
     eps_propagation_violation,
     operator_norm,
@@ -181,7 +180,7 @@ def phi_nu(u: SpaceOperator, field: IsometryField) -> SpaceOperator:
 
 def _validate_eps_propagation(u: SpaceOperator, eps: float, R, seed: int = 0) -> str:
     """Check that u has eps-propagation at most R; returns the method used."""
-    if band_tail_bound(u, R) <= eps:
+    if u.tail_bound(R) <= eps:
         return "truncation-tail"
     if u.space.n <= EXACT_BAND_DIST_MAX:
         witness = eps_propagation_violation(u, eps, R)

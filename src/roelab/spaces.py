@@ -298,21 +298,6 @@ def expansion_kappa(space: FiniteMetricSpace, R, mode: str = "exact"):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def separation_bound(space_n: FiniteMetricSpace, A, B, kappa: float, R0):
-    """Check min{|A|,|B|}/|X| <= kappa^(-dist(A,B)/(2 R0))."""
-    A = np.asarray(A, dtype=int)
-    B = np.asarray(B, dtype=int)
-    if A.size == 0 or B.size == 0:
-        raise EmptySubset("separation bound needs nonempty subsets")
-    if not kappa > 1:
-        raise ValueError("separation bound requires kappa > 1")
-    n = space_n.n
-    lhs = min(A.size / n, B.size / n)
-    d_ab = space_n.set_distance(A, B)
-    rhs = kappa ** (-float(d_ab) / (2.0 * R0))
-    return lhs, rhs, bool(lhs <= rhs + 1e-12)
-
-
 def random_regular(n: int, d: int, seed: int) -> FiniteMetricSpace:
     """Connected random d-regular graph via the pairing model with rejection."""
     if n * d % 2 != 0 or d >= n or d < 1:

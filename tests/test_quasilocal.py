@@ -6,8 +6,9 @@ import pytest
 from conftest import reference_band_dist_random, reference_eps_prop_heuristic
 from roelab import operators, quasilocal
 from roelab.errors import DimensionMismatch, RejectionBudgetExhausted
-from roelab.operators import _sigma_max, opnorm, propagation, rect_norm
+from roelab.operators import _sigma_max, band_truncate, operator_norm, opnorm, propagation, rect_norm
 from roelab.quasilocal import (
+    AssemblyOperator,
     assemble,
     mechanism_check,
     member_dims,
@@ -15,7 +16,6 @@ from roelab.quasilocal import (
     projection_invariants,
     quasilocality_profile,
     regular_family,
-    schedule_radius,
     select_subspaces,
 )
 from roelab.randsub import formal_bound, restricted_norm_max, sample_subspace, trial_seed
@@ -49,18 +49,6 @@ class TestFamily:
     def test_member_dims(self):
         family = regular_family([8, 12, 16], degree=3, seed=0)
         assert member_dims(family) == [1, 2, 3]
-
-
-class TestScheduleRadius:
-    def test_closed_form(self):
-        import math
-
-        assert schedule_radius(2.0, 1.0, 0.5) == math.ceil(2 * math.log(2) / math.log(2))
-        assert schedule_radius(1.5, 1.0, 0.25) == math.ceil(2 * math.log(4) / math.log(1.5))
-
-    def test_requires_expansion(self):
-        with pytest.raises(ValueError):
-            schedule_radius(1.0, 1.0, 0.5)
 
 
 class TestSelection:
@@ -202,22 +190,22 @@ class TestProfile:
             quasilocality_profile(small_assembly, [0.1, 0.5])
 
     def test_one_search_and_one_tail_norm_per_radius(self, small_assembly, monkeypatch):
-        closes, truncations = [], []
-        close, truncate = operators._close_rectangles, operators.band_truncate
+        closes, tails = [], []
+        close, tail_bound = operators._close_rectangles, AssemblyOperator.tail_bound
 
         def counted_close(*args):
             closes.append(1)
             return close(*args)
 
-        def counted_truncate(u, R):
-            truncations.append(R)
-            return truncate(u, R)
+        def counted_tail(u, R):
+            tails.append(R)
+            return tail_bound(u, R)
 
         monkeypatch.setattr(operators, "_close_rectangles", counted_close)
-        monkeypatch.setattr(operators, "band_truncate", counted_truncate)
+        monkeypatch.setattr(AssemblyOperator, "tail_bound", counted_tail)
         rows = quasilocality_profile(small_assembly, [0.5, 0.2, 0.05], seed=1, budget=100)
         assert len(rows) == 3 and len(closes) == 1
-        assert truncations and len(truncations) == len(set(truncations))
+        assert tails and len(tails) == len(set(tails))
 
     def test_tail_vanishes_at_large_radius(self, small_assembly):
         # the whole operator is a band operator at the ambient diameter
@@ -324,29 +312,110 @@ def failing_assembly(small_assembly):
     return assemble(small_assembly.family, small_assembly.subspaces, blocks=blocks, c0=0.3)
 
 
+def assert_same_witness(witness, ref):
+    """Same rectangle and separation; the norm within 1e-12 (the factored
+    norms and the dense LAPACK oracle round differently)."""
+    assert (witness is None) == (ref is None)
+    if witness is not None:
+        assert (witness.A, witness.B, witness.separation) == (ref.A, ref.B, ref.separation)
+        assert witness.value == pytest.approx(ref.value, abs=1e-12)
+
+
+def assert_same_mechanism(out, ref):
+    """Same draws, flags and failure rectangles; every norm within 1e-12."""
+    for key in ("samples", "submultiplicative_ok", "schedule_ok"):
+        assert out[key] == ref[key]
+    for key in ("submult_failures", "schedule_failures"):
+        assert [f[:3] for f in out[key]] == [f[:3] for f in ref[key]]
+        assert np.allclose([f[3:] for f in out[key]], [f[3:] for f in ref[key]], rtol=0, atol=1e-12)
+    assert out["min_slack"] == pytest.approx(ref["min_slack"], abs=1e-12)
+
+
 class TestBatchedSearchesEqualPerDrawLoops:
+    """The searches on the assembly's factored norms against per-draw dense
+    LAPACK oracles: the same rectangles and verdicts, norms within 1e-12."""
+
     @pytest.mark.parametrize("samples,seed", [(1, 0), (37, 5), (300, 0), (300, 11)])
     def test_mechanism_check(self, small_assembly, failing_assembly, samples, seed):
         for assembly in (small_assembly, failing_assembly):
             out = mechanism_check(assembly, samples, seed)
-            assert out == reference_mechanism_check(assembly, samples, seed)
+            assert_same_mechanism(out, reference_mechanism_check(assembly, samples, seed))
         out = mechanism_check(failing_assembly, samples, seed)
         assert not out["submultiplicative_ok"] and not out["schedule_ok"]
 
-    def test_mechanism_check_with_tiny_stacks(self, failing_assembly, monkeypatch):
-        monkeypatch.setattr(operators, "STACK_ENTRIES", 8)
-        out = mechanism_check(failing_assembly, 120, 4)
-        assert out == reference_mechanism_check(failing_assembly, 120, 4)
+    def test_mechanism_check_takes_no_svd(self, failing_assembly, monkeypatch):
+        ref = reference_mechanism_check(failing_assembly, 120, 4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("mechanism_check took an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        assert_same_mechanism(mechanism_check(failing_assembly, 120, 4), ref)
 
     @pytest.mark.parametrize("budget,seed", [(1, 0), (77, 2), (300, 0)])
     def test_non_band_witness(self, small_assembly, budget, seed):
         largest = small_assembly.slices[-1]
         pool = np.arange(largest.start, largest.stop)
         b = non_band_witness(small_assembly, R=1, budget=budget, seed=seed)
-        assert (b.lower, b.witness) == reference_band_dist_random(small_assembly.u, 1, budget, seed, pool)
+        lower, witness = reference_band_dist_random(small_assembly.u, 1, budget, seed, pool)
+        assert b.lower == pytest.approx(lower, abs=1e-12)
+        assert_same_witness(b.witness, witness)
 
     def test_profile(self, small_assembly):
         rows = quasilocality_profile(small_assembly, [0.5, 0.2, 0.05], seed=1, budget=200)
         for row in rows:
             lower, upper, witness = reference_eps_prop_heuristic(small_assembly.u, row["eps"], 1, 200)
-            assert (row["R_lower"], row["R_upper"], row["witness"]) == (lower, upper, witness)
+            assert (row["R_lower"], row["R_upper"]) == (lower, upper)
+            assert_same_witness(row["witness"], witness)
+
+    def test_searches_take_no_norm_of_the_ambient(self, small_assembly, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a norm of the dense ambient was taken")
+
+        monkeypatch.setattr(operators, "_rect_norms", refuse)
+        monkeypatch.setattr(operators, "band_truncate", refuse)
+        non_band_witness(small_assembly, R=1, budget=100, seed=0)
+        quasilocality_profile(small_assembly, [0.5, 0.2], seed=0, budget=100)
+
+
+@pytest.fixture(params=["small", "failing"])
+def any_assembly(request, small_assembly, failing_assembly):
+    return small_assembly if request.param == "small" else failing_assembly
+
+
+class TestFactoredHooksEqualDenseDefaults:
+    """AssemblyOperator's factored rect_norms and tail_bound against the dense
+    SpaceOperator computations on its own matrix."""
+
+    def test_rect_norms(self, any_assembly):
+        u, slices = any_assembly.u, any_assembly.slices
+        rng = np.random.default_rng(40)
+        rows = rng.random((399, u.space.n)) < 0.3
+        cols = rng.random((399, u.space.n)) < 0.3
+        # a third of the pairs inside one member, a third across two members
+        for k in range(0, 399, 3):
+            i, j = rng.choice(len(slices), 2, replace=False)
+            inside, other = np.zeros((2, u.space.n), dtype=bool)
+            inside[slices[i]] = other[slices[j]] = True
+            rows[k] &= inside
+            cols[k] &= inside
+            rows[k + 1] &= inside
+            cols[k + 1] &= other
+        values = u.rect_norms(rows, cols)
+        dense = operators._rect_norms(u.mat, rows, cols)
+        across = ~np.any([rows[:, sl].any(axis=1) & cols[:, sl].any(axis=1) for sl in slices], axis=0)
+        assert across.sum() > 100 and (~across).sum() > 100
+        assert np.all(values[across] == 0.0) and np.all(dense[across] == 0.0)
+        assert np.abs(values - dense).max() <= 1e-12
+
+    def test_tail_bound(self, any_assembly):
+        u = any_assembly.u
+        for R in operators._candidate_radii(u.space):
+            dense = operator_norm(u.mat - band_truncate(u, R).mat)
+            tail = u.tail_bound(R)
+            assert dense <= tail <= dense + 1e-12
+
+    def test_tail_bound_rejects_negative_radius(self, small_assembly):
+        for R in (-1, math.nan):
+            with pytest.raises(ValueError):
+                small_assembly.u.tail_bound(R)

@@ -32,7 +32,6 @@ from roelab.spaces import (
     piece_slices,
     random_regular,
     save_space,
-    separation_bound,
 )
 
 
@@ -409,32 +408,6 @@ class TestExpansion:
             sp = random_connected_graph_space(rng, int(rng.integers(4, 13)))
             kappa, _ = expansion_kappa(sp, 1, mode="exact")
             assert kappa >= 1.0
-
-
-class TestSeparationBound:
-    def test_holds_on_regular_graph(self):
-        sp = random_regular(16, 4, seed=0)
-        kappa, _ = expansion_kappa(sp, 1, mode="exact")
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            pts = rng.permutation(16)
-            A = pts[:4]
-            far = np.flatnonzero(sp.dist[A].min(axis=0) > 1)
-            if far.size == 0:
-                continue
-            B = far
-            lhs, rhs, ok = separation_bound(sp, A, B, kappa, R0=1)
-            assert ok, (lhs, rhs)
-
-    def test_requires_expansion(self):
-        sp = path_space(4)
-        with pytest.raises(ValueError):
-            separation_bound(sp, [0], [3], kappa=1.0, R0=1)
-
-    def test_empty_subset(self):
-        sp = path_space(4)
-        with pytest.raises(EmptySubset):
-            separation_bound(sp, [], [3], kappa=2.0, R0=1)
 
 
 class TestGenerators:
