@@ -407,6 +407,8 @@ def _merge_config(argv: list) -> list:
     path = argv[argv.index("--config") + 1]
     with open(path) as fh:
         file_cfg = json.load(fh)
+    if not isinstance(file_cfg, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
     passed = {a.lstrip("-").replace("-", "_") for a in argv if a.startswith("-")}
     extra = []
     for key, value in file_cfg.items():

@@ -9,13 +9,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySubset, TooLargeForExact
-from .spaces import FiniteMetricSpace
+from .spaces import FiniteMetricSpace, neighbourhood_table
 
 ZERO_TOL = 1e-9
 EXACT_EPSPROP_MAX = 20
 EXACT_BAND_DIST_MAX = 12
 # the exact subset scans enumerate output masks in chunks of at most
 # MASK_CELLS (mask, point) cells, so |X| = EXACT_EPSPROP_MAX stays bounded
+# (the 2^|X| uint32 neighbourhood table itself takes 4 MiB there)
 MASK_CELLS = 1 << 18
 # _rect_norms gathers at most STACK_ENTRIES matrix entries per LAPACK pass, and
 # the random rectangle searches close their seeds CLOSE_BLOCK draws at a time
@@ -61,11 +62,7 @@ def _norm_with_err(mat) -> tuple:
         found = _gkl_top(m)
         if found is not None:
             return found
-    return _dense_norm(m.toarray() if sparse else m)
-
-
-def _dense_norm(m: np.ndarray) -> tuple:
-    value = _sigma_max(m)
+    value = _sigma_max(m.toarray() if sparse else m)
     return value, max(m.shape) * np.finfo(float).eps * value
 
 
@@ -207,9 +204,10 @@ class SpaceOperator:
             raise ValueError(f"operator json needs n * n = {n * n} [re, im] rows")
         return SpaceOperator(space=space, mat=flat.reshape(n, n))
 
-    # The two norm hooks of the searches. A subclass that knows more about its
-    # operator than the dense matrix (quasilocal.AssemblyOperator) overrides
-    # them; every other operator takes these dense defaults.
+    # The two norm hooks of the searches, which read nothing of an operator
+    # but `space`, `rect_norms` and `tail_bound`. Here they work on the dense
+    # matrix; quasilocal.AssemblyOperator, which holds no dense matrix,
+    # supplies the same three from its member factors.
 
     def rect_norms(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """sigma_max of each compression 1_A u 1_B, given boolean membership
@@ -231,10 +229,6 @@ class RectangleWitness:
     B: tuple
     separation: float
     value: float
-
-
-def opnorm(u: SpaceOperator) -> float:
-    return operator_norm(u.mat)
 
 
 def propagation(u: SpaceOperator, tol: float = ZERO_TOL):
@@ -268,31 +262,6 @@ def band_truncate(u: SpaceOperator, R) -> SpaceOperator:
         raise ValueError("radius must be nonnegative")
     kept = np.where(band_mask(u.space, R), u.mat, 0.0)
     return SpaceOperator(space=u.space, mat=kept)
-
-
-def _mask_chunks(dist: np.ndarray):
-    """(A, near) for every nonempty output mask over the n points, in
-    increasing mask order, in chunks of at most MASK_CELLS cells.
-
-    A[i] is the boolean membership row of mask i and near[i, x] the distance
-    from that set to x, min over a in A of dist[a, x]. The low k bits come
-    from one table built by near[m] = min(near[m without its top bit],
-    dist[top bit]); each chunk fixes the high bits and takes one more minimum.
-    """
-    n = dist.shape[0]
-    k = min(n, max(0, (MASK_CELLS // max(n, 1)).bit_length() - 1))
-    empty = np.inf if dist.dtype.kind == "f" else np.iinfo(dist.dtype).max
-    low = np.full((1 << k, n), empty, dtype=dist.dtype)
-    for j in range(k):
-        np.minimum(low[: 1 << j], dist[j], out=low[1 << j : 2 << j])
-    low_bits = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(bool)
-    for high in range(1 << (n - k)):
-        high_bits = (high >> np.arange(n - k) & 1).astype(bool)
-        near = np.minimum(low, dist[k:][high_bits].min(axis=0, initial=empty))
-        A = np.concatenate([low_bits, np.broadcast_to(high_bits, (1 << k, n - k))], axis=1)
-        first = 1 if high == 0 else 0  # mask 0 is the empty set
-        if len(A) > first:
-            yield A[first:], near[first:]
 
 
 def _rect_norms(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -350,14 +319,21 @@ def _smallest_radius(n: int, clear) -> int:
 
 
 def _exact_rectangles(u: SpaceOperator, R):
-    """(A, B, norms) per _mask_chunks chunk: every nonempty output mask A, in
-    increasing mask order, with B the complement of its R-neighborhood, the
+    """(A, B, norms) per chunk of at most MASK_CELLS (mask, point) cells:
+    every nonempty output mask A, in increasing mask order, with B the
+    complement of its R-neighbourhood (spaces.neighbourhood_table), the
     largest B separated from A by more than R (rectangle norms are monotone
     in B, so this B is the worst case). norms come from u.rect_norms; on a
     dense operator that is one LAPACK pass per (|A|, |B|) shape group,
     bit-identical to one LAPACK SVD per rectangle; 0.0 where B is empty."""
-    for A, near in _mask_chunks(u.space.dist):
-        B = ~(near <= R)
+    n = u.space.n
+    table = neighbourhood_table(u.space.dist, R)
+    bits = np.uint32(1) << np.arange(n, dtype=np.uint32)
+    step = max(1, MASK_CELLS // max(n, 1))
+    for start in range(1, 1 << n, step):
+        masks = np.arange(start, min(start + step, 1 << n), dtype=np.uint32)
+        A = (masks[:, None] & bits) != 0
+        B = (table[masks][:, None] & bits) == 0
         yield A, B, u.rect_norms(A, B)
 
 
@@ -464,28 +440,28 @@ def _close_rectangles(dist: np.ndarray, radii: np.ndarray, seeds: np.ndarray) ->
     fixed point of A, then B = far(A), where far(S) is the set of points
     farther than the row's radius from all of S. A row whose B or A becomes
     empty is dropped. Rows are closed per distinct radius R, CLOSE_BLOCK rows
-    at a time, and far of a block is one float64 GEMM with the 0/1 rows
-    dist[p] <= R of the points p its sets use: (S @ near)[x] counts the
-    points of S within R of x, exactly. Returns boolean rows A and B, and
-    which rows were kept.
+    at a time, and far of a block is one float32 GEMM with the 0/1 matrix
+    near = (dist <= R), built once per radius: (S @ near)[x] counts the
+    points of S within R of x, exactly (a count is at most |X| < 2^24).
+    Returns boolean rows A and B, and which rows were kept.
     """
 
-    def far(S, R):
-        used = np.flatnonzero(S.any(axis=0))
-        return (S[:, used].astype(np.float64) @ (dist[used] <= R).astype(np.float64)) == 0
+    def far(S, near):
+        return (S.astype(np.float32) @ near) == 0
 
     A = seeds.copy()
     B = np.zeros_like(A)
     kept = np.ones(len(A), dtype=bool)
     for R in np.unique(radii):
         rows = np.flatnonzero(radii == R)
+        near = (dist <= R).astype(np.float32)
         for start in range(0, len(rows), CLOSE_BLOCK):
             block = rows[start : start + CLOSE_BLOCK]
             a, ok = A[block], np.ones(len(block), dtype=bool)
             live = np.arange(len(a))
             for _ in range(4):
-                b = far(a[live], R)
-                grown = far(b, R)
+                b = far(a[live], near)
+                grown = far(b, near)
                 nonempty = b.any(axis=1) & grown.any(axis=1)
                 fixed = (grown == a[live]).all(axis=1)
                 ok[live[~nonempty]] = False
@@ -493,7 +469,7 @@ def _close_rectangles(dist: np.ndarray, radii: np.ndarray, seeds: np.ndarray) ->
                 live = live[nonempty & ~fixed]
                 if live.size == 0:
                     break
-            b = far(a, R)
+            b = far(a, near)
             A[block], B[block], kept[block] = a, b, ok & b.any(axis=1)
     return A, B, kept
 

@@ -9,7 +9,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, RejectionBudgetExhausted
 from .operators import (
-    SpaceOperator,
     dist_to_band_bounds,
     eps_propagation_brackets,
     operator_norm,
@@ -33,6 +32,9 @@ from .spaces import (
     piece_slices,
     random_regular,
 )
+
+# select_subspaces gives up on a member after this many rejected draws
+MAX_REJECTS = 200
 
 
 def regular_family(sizes, degree: int, seed: int, R0: float = 1.0) -> ExpanderFamily:
@@ -60,9 +62,7 @@ def member_dims(family: ExpanderFamily) -> list:
     return list(range(1, len(family.members) + 1))
 
 
-def select_subspaces(
-    family: ExpanderFamily, c0: float, max_rejects: int = 200, seed: int = 0
-) -> tuple:
+def select_subspaces(family: ExpanderFamily, c0: float, seed: int = 0) -> tuple:
     """Rejection-sample one random subspace per member against the nested share schedule.
 
     Member number n (dimension n) must satisfy, for every k = 2..n, that
@@ -99,9 +99,9 @@ def select_subspaces(
                 reject_counts.append(rejects)
                 break
             rejects += 1
-            if rejects > max_rejects:
+            if rejects > MAX_REJECTS:
                 raise RejectionBudgetExhausted(
-                    f"member {idx}: no admissible subspace in {max_rejects} draws; "
+                    f"member {idx}: no admissible subspace in {MAX_REJECTS} draws; "
                     "c0 is too small at this scale"
                 )
     return samples, reject_counts
@@ -144,16 +144,17 @@ def _factored_rect_norms(left: np.ndarray, right: np.ndarray, rows: np.ndarray, 
     return _top_norms(np.swapaxes(T.conj(), 1, 2) @ _grams(left, rows) @ T)
 
 
-@dataclass(frozen=True, kw_only=True)
-class AssemblyOperator(SpaceOperator):
-    """The assembled block-diagonal u = diag(L_i R_i^*) on the coarse union,
-    with its member factors: member i sits on the ambient index range
-    slices[i], L_i = V_i C_i and R_i = V_i, where V_i is the (d_i, r_i)
-    orthonormal subspace basis and C_i the compressed block (I without one).
-    The two norm hooks of the searches are computed from the factors, never
-    from the dense `mat`, which is kept for projection_invariants.
+@dataclass(frozen=True)
+class AssemblyOperator:
+    """The assembled block-diagonal u = diag(L_i R_i^*) on the coarse union
+    `space`, held as its member factors only: member i sits on the ambient
+    index range slices[i], L_i = V_i C_i and R_i = V_i, where V_i is the
+    (d_i, r_i) orthonormal subspace basis and C_i the compressed block (I
+    without one). The searches read only `space` and the two norm hooks,
+    which are computed from the factors; no dense ambient matrix is built.
     """
 
+    space: FiniteMetricSpace
     slices: tuple
     left: tuple
     right: tuple
@@ -192,11 +193,9 @@ class AssemblyOperator(SpaceOperator):
 @dataclass
 class QuasiLocalAssembly:
     family: ExpanderFamily
-    ambient: FiniteMetricSpace
     subspaces: list
     c0: float
     u: AssemblyOperator
-    slices: list
 
     @property
     def schedule(self) -> list:
@@ -219,43 +218,42 @@ def assemble(
     """Block-diagonal operator diag of the subspace projections on the coarse union.
 
     With `blocks` given (one n x n contraction per member, in the subspace
-    basis), assembles diag of the compressed operators instead. u is an
-    AssemblyOperator: it keeps each member's factors, from which the searches
-    take their norms.
+    basis), assembles diag of the compressed operators V x V^* instead. u is
+    an AssemblyOperator: each member's factors, from which the searches take
+    their norms.
     """
     if len(subspaces) != len(family.members):
         raise DimensionMismatch("one subspace per family member required")
     for member, sub in zip(family.members, subspaces):
         if sub.d != member.n:
             raise DimensionMismatch("subspace ambient dimension must match the member size")
-    ambient = coarse_union(family.members)
-    slices = piece_slices(family.members)
-    mat = np.zeros((ambient.n, ambient.n), dtype=np.complex128)
-    left = []
-    for i, (sub, sl) in enumerate(zip(subspaces, slices)):
-        if blocks is None:
-            mat[sl, sl] = sub.P
-            left.append(sub.basis)
-        else:
+    right = tuple(sub.basis for sub in subspaces)
+    left = right
+    if blocks is not None:
+        left = []
+        for i, sub in enumerate(subspaces):
             b = np.asarray(blocks[i], dtype=np.complex128)
             if b.shape != (sub.n, sub.n):
                 raise DimensionMismatch(f"block {i} must be {sub.n} x {sub.n}")
             left.append(sub.basis @ b)
-            mat[sl, sl] = left[-1] @ sub.basis.conj().T
     u = AssemblyOperator(
-        space=ambient, mat=mat, slices=tuple(slices), left=tuple(left), right=tuple(sub.basis for sub in subspaces)
+        space=coarse_union(family.members), slices=tuple(piece_slices(family.members)), left=tuple(left), right=right
     )
-    return QuasiLocalAssembly(
-        family=family, ambient=ambient, subspaces=subspaces, c0=c0, u=u, slices=slices
-    )
+    return QuasiLocalAssembly(family=family, subspaces=subspaces, c0=c0, u=u)
 
 
 def projection_invariants(assembly: QuasiLocalAssembly) -> dict:
-    m = assembly.u.mat
+    """Entrywise deviations of u from a projection, and its trace, per member.
+
+    u = diag(P_i) with P_i = L_i R_i^* is block diagonal, so the cross blocks
+    of u^2 - u and u - u^* are exactly 0: each deviation is the max over the
+    members of that of P_i, and the trace is the sum of theirs.
+    """
+    blocks = [L @ Rf.conj().T for L, Rf in zip(assembly.u.left, assembly.u.right)]
     return {
-        "idempotency_dev": float(np.abs(m @ m - m).max()),
-        "self_adjoint_dev": float(np.abs(m - m.conj().T).max()),
-        "trace": float(np.real(np.trace(m))),
+        "idempotency_dev": max(float(np.abs(p @ p - p).max()) for p in blocks),
+        "self_adjoint_dev": max(float(np.abs(p - p.conj().T).max()) for p in blocks),
+        "trace": float(sum(np.real(np.trace(p)) for p in blocks)),
     }
 
 
@@ -350,7 +348,7 @@ def non_band_witness(assembly: QuasiLocalAssembly, R, budget: int = 1000, seed: 
     witness something, but it moves the seeded witnesses, so it waits for the
     next change to the benchmark's reference results.
     """
-    largest = assembly.slices[-1]
+    largest = assembly.u.slices[-1]
     if not R < assembly.family.members[-1].diameter:
         raise ValueError("R must stay below the largest member diameter")
     pool = np.arange(largest.start, largest.stop)

@@ -46,7 +46,6 @@ class SubspaceSample:
     n: int
     vectors: np.ndarray  # (n, d) unit rows, the sampled sphere points
     basis: np.ndarray  # (d, n) orthonormal columns spanning the subspace
-    P: np.ndarray  # (d, d) orthogonal projection
     seed: int
 
 
@@ -64,14 +63,7 @@ def sample_subspace(d: int, n: int, seed: int) -> SubspaceSample:
         q, r = np.linalg.qr(x.T)
         if np.min(np.abs(np.diag(r))) < 1e-10:
             continue
-        P = q @ q.T
-        if (
-            np.abs(P @ P - P).max() > 1e-9
-            or np.abs(P - P.T).max() > 1e-9
-            or abs(np.trace(P) - n) > 1e-9
-        ):
-            continue
-        return SubspaceSample(d=d, n=n, vectors=x, basis=q, P=P, seed=seed)
+        return SubspaceSample(d=d, n=n, vectors=x, basis=q, seed=seed)
     raise RankDeficient(f"no full-rank {n}-frame in R^{d} after {SUBSPACE_TRIES} tries")
 
 

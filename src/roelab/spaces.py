@@ -208,30 +208,24 @@ def growth(space: FiniteMetricSpace, R) -> int:
     return int((space.dist <= R).sum(axis=1).max())
 
 
-def coarse_union(members, gap_rule=None, label: str = "") -> FiniteMetricSpace:
+def coarse_union(members, label: str = "") -> FiniteMetricSpace:
     """Disjoint union with inter-piece distances forced above a gap schedule.
 
     Cross distances depend only on the larger piece index j and equal
-    g(j) = max over requested gaps up to j and all diameters up to j,
-    which keeps the triangle inequality and makes the gaps nondecreasing.
-    The default requested gap between pieces i < j is max(diam_j, 2^j).
-    With positive gaps the union of metric spaces is a metric by
-    construction, so it is not re-validated.
+    g(j) = max(g(j - 1), 2^j, all diameters up to j), the requested gap
+    max(diam_j, 2^j) made nondecreasing, which keeps the triangle inequality.
+    Every gap is at least 2, so the union of metric spaces is a metric by
+    construction, and it is not re-validated.
     """
     if not members:
         raise ValueError("coarse_union needs at least one member")
     if len(members) == 1:
         return FiniteMetricSpace._trusted(members[0].dist.copy(), label or members[0].label)
     diams = [m.diameter for m in members]
-    if gap_rule is None:
-        gap_rule = lambda i, j: max(diams[j], 2 ** j)
     m = len(members)
     g = np.zeros(m)
     for j in range(1, m):
-        requested = max(gap_rule(i, j) for i in range(j))
-        g[j] = max(g[j - 1], requested, max(diams[: j + 1]))
-    if not np.all(g[1:] > 0):
-        raise InvalidMetric("coarse union gaps must be positive")
+        g[j] = max(g[j - 1], 2 ** j, max(diams[: j + 1]))
     integer = all(mm.is_integer for mm in members)
     if integer:
         g = np.ceil(g).astype(np.int64)
@@ -254,6 +248,23 @@ def piece_slices(members) -> list:
     return [slice(int(a), int(b)) for a, b in zip(offsets, offsets[1:])]
 
 
+def neighbourhood_table(dist: np.ndarray, R) -> np.ndarray:
+    """uint32 table over the 2^n subsets of the n <= 32 points: bit c of entry m
+    is set iff c lies within R of subset m (entry 0, the empty set, is 0).
+
+    Removing the lowest set bit b of m leaves a subset whose own lowest bit is
+    strictly higher, so the table fills in descending bit order:
+    table[m] = table[m without b] | (the bits within R of b).
+    """
+    n = dist.shape[0]
+    rowmask = (dist <= R) @ (np.uint32(1) << np.arange(n, dtype=np.uint32))
+    table = np.zeros(1 << n, dtype=np.uint32)
+    for b in reversed(range(n)):
+        base = np.arange(1 << (n - b - 1), dtype=np.uint32) << (b + 1)
+        table[base | np.uint32(1 << b)] = table[base] | rowmask[b]
+    return table
+
+
 def expansion_kappa(space: FiniteMetricSpace, R, mode: str = "exact"):
     """Expansion constant at radius R.
 
@@ -270,16 +281,10 @@ def expansion_kappa(space: FiniteMetricSpace, R, mode: str = "exact"):
             raise ValueError("radius must be nonnegative")
         if n > EXACT_KAPPA_MAX:
             raise TooLargeForExact(f"exact expansion scan limited to |X| <= {EXACT_KAPPA_MAX}")
-        # bit c of rowmask[b] is set iff dist(b, c) <= R
-        rowmask = (space.dist <= R) @ (np.uint32(1) << np.arange(n, dtype=np.uint32))
-        total = 1 << n
-        neigh = np.zeros(total, dtype=np.uint32)
-        # removing the lowest set bit leaves a subset whose own lowest bit is
-        # strictly higher, so fill in descending bit order
-        for b in reversed(range(n)):
-            base = (np.arange(1 << (n - b - 1), dtype=np.uint32) << (b + 1))
-            neigh[base | np.uint32(1 << b)] = neigh[base] | rowmask[b]
-        subsets = np.arange(total, dtype=np.uint32)
+        if n < 2:
+            raise ValueError(f"exact expansion needs at least 2 points, got {n}")
+        neigh = neighbourhood_table(space.dist, R)
+        subsets = np.arange(1 << n, dtype=np.uint32)
         size_a = np.bitwise_count(subsets).astype(np.int64)
         size_n = np.bitwise_count(neigh).astype(np.int64)
         valid = (size_a > 0) & (2 * size_a <= n)

@@ -39,6 +39,15 @@ def random_operator(rng, space, R=None):
     return SpaceOperator(space=space, mat=m)
 
 
+def dense_operator(u):
+    """The dense SpaceOperator of an assembly operator, diag(L_i R_i^*) on its
+    ambient space: the oracle of its factored norms."""
+    mat = np.zeros((u.space.n, u.space.n), dtype=np.complex128)
+    for sl, L, Rf in zip(u.slices, u.left, u.right):
+        mat[sl, sl] = L @ Rf.conj().T
+    return SpaceOperator(space=u.space, mat=mat)
+
+
 def floyd_warshall(adjacency):
     """Independent all-pairs shortest paths oracle."""
     n = adjacency.shape[0]

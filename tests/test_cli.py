@@ -133,6 +133,9 @@ class TestMalformedInput:
         ["propa", "sz", "--eps", "0.01", "--N", "-3"],
         ["propa", "rademacher", "--N", "0", "--delta", "0.5"],
         ["randsub", "mc", "--d", "20", "--n", "3", "--delta", "0.2", "--trials", "-1"],
+        # a --config file holds a JSON object; an exact expansion scan needs 2 points
+        ["propa", "sz", "--config", "{dir}/not_an_object.json"],
+        ["space", "kappa", "--mode", "exact", "--space", "far:1"],
     ]
 
     @pytest.mark.parametrize("argv", CASES, ids=lambda a: " ".join(a[-2:]))

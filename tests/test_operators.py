@@ -28,7 +28,6 @@ from roelab.operators import (
     eps_propagation_radius,
     eps_propagation_violation,
     operator_norm,
-    opnorm,
     propagation,
     rect_norm,
     sigma_max_stack,
@@ -111,8 +110,8 @@ class TestOperatorNormLanczos:
 
     def test_lanczos_path_is_taken(self, monkeypatch):
         calls = []
-        original = ops._dense_norm
-        monkeypatch.setattr(ops, "_dense_norm", lambda m: calls.append(m.shape) or original(m))
+        original = ops._sigma_max
+        monkeypatch.setattr(ops, "_sigma_max", lambda m: calls.append(m.shape) or original(m))
         _assert_norm(_band(np.random.default_rng(3), 200, 2))
         assert calls == []
 
@@ -155,8 +154,8 @@ class TestOperatorNormLanczos:
 
     def test_cap_falls_back_to_lapack(self, monkeypatch):
         calls = []
-        original = ops._dense_norm
-        monkeypatch.setattr(ops, "_dense_norm", lambda m: calls.append(m.shape) or original(m))
+        original = ops._sigma_max
+        monkeypatch.setattr(ops, "_sigma_max", lambda m: calls.append(m.shape) or original(m))
         monkeypatch.setattr(ops, "_GKL_MAXITER", 2)
         m = _band(np.random.default_rng(10), 300, 3)
         value, err = _assert_norm(m)
@@ -376,7 +375,7 @@ def test_truncation_partition_of_norm(n, seed):
     for R in range(int(sp.diameter) + 1):
         t = band_truncate(u, R)
         assert np.array_equal(np.where(band_mask(sp, R), u.mat, 0.0), t.mat)
-        assert opnorm(t) <= opnorm(u) + opnorm(SpaceOperator(space=sp, mat=u.mat - t.mat)) + 1e-9
+        assert operator_norm(t.mat) <= operator_norm(u.mat) + operator_norm(u.mat - t.mat) + 1e-9
 
 
 # ---------------------------------------------------------------- batched exact scans
@@ -515,24 +514,33 @@ def test_exact_scans_across_mask_chunks(monkeypatch):
     space = random_connected_graph_space(rng, 9)
     operators = [_scan_operator(rng, space, kind) for kind in ("dense-complex", "constant")]
     single = [(eps_propagation_radius(u, 0.8), dist_to_band_bounds(u, 1)) for u in operators]
-    monkeypatch.setattr(ops, "MASK_CELLS", 64)  # 4 masks per chunk at n = 9
-    chunks = list(ops._mask_chunks(space.dist))
-    assert len(chunks) == 1 << 7
-    assert sum(len(A) for A, _ in chunks) == (1 << 9) - 1
+    monkeypatch.setattr(ops, "MASK_CELLS", 64)  # 7 masks per chunk at n = 9
+    chunks = list(ops._exact_rectangles(operators[0], 1))
+    assert len(chunks) == 73  # ceil(511 / 7)
+    assert sum(len(A) for A, _, _ in chunks) == (1 << 9) - 1
     for u, one_chunk in zip(operators, single):
         assert (eps_propagation_radius(u, 0.8), dist_to_band_bounds(u, 1)) == one_chunk
         _assert_scans_match_reference(u, [0.8])
 
 
-def test_mask_chunks_enumerate_masks_in_order():
+def test_exact_rectangles_enumerate_masks_in_order(monkeypatch):
+    """Every nonempty mask once, in increasing order across chunk edges, with
+    B the points farther than R from all of A."""
     rng = np.random.default_rng(22)
     space = random_connected_graph_space(rng, 7)
-    A, near = next(ops._mask_chunks(space.dist))
-    for m in range(1, 1 << 7):
-        members = [i for i in range(7) if m >> i & 1]
-        assert np.flatnonzero(A[m - 1]).tolist() == members
-        assert np.array_equal(near[m - 1], space.dist[members].min(axis=0))
-    assert list(ops._mask_chunks(np.zeros((0, 0), dtype=np.int64))) == []
+    u = _scan_operator(rng, space, "dense-real")
+    monkeypatch.setattr(ops, "MASK_CELLS", 7 * 10)  # 10 masks per chunk
+    for R in ops._candidate_radii(space):
+        chunks = list(ops._exact_rectangles(u, R))
+        assert [len(A) for A, _, _ in chunks] == [10] * 12 + [7]
+        A = np.concatenate([A for A, _, _ in chunks])
+        B = np.concatenate([B for _, B, _ in chunks])
+        for m in range(1, 1 << 7):
+            members = [i for i in range(7) if m >> i & 1]
+            assert np.flatnonzero(A[m - 1]).tolist() == members
+            assert np.array_equal(B[m - 1], space.dist[members].min(axis=0) > R)
+    empty = SpaceOperator(space=FiniteMetricSpace(np.zeros((0, 0), dtype=np.int64)), mat=np.zeros((0, 0)))
+    assert list(ops._exact_rectangles(empty, 1)) == []
 
 
 @pytest.mark.parametrize("n", [10, 12])
@@ -601,12 +609,12 @@ def test_violation_scan_stops_at_the_first_violating_chunk(monkeypatch):
     calls = []
     rect_norms = ops._rect_norms
     monkeypatch.setattr(ops, "_rect_norms", lambda *a: calls.append(1) or rect_norms(*a))
-    monkeypatch.setattr(ops, "MASK_CELLS", 64)  # 4 masks per chunk at n = 10
+    monkeypatch.setattr(ops, "MASK_CELLS", 64)  # 6 masks per chunk at n = 10
     assert eps_propagation_violation(u, 1e-3, 0).A == (0,)
     assert len(calls) == 1
     calls.clear()
     assert eps_propagation_violation(u, 1e-3, space.diameter) is None
-    assert len(calls) == 1 << 8
+    assert len(calls) == 171  # ceil(1023 / 6)
 
 
 def test_violation_guards():
@@ -621,7 +629,7 @@ def test_violation_guards():
 
 @pytest.mark.parametrize("eps", [0.05, 0.6])
 def test_exact_radius_at_n14_across_mask_chunks(monkeypatch, eps):
-    """At n = 14, 2^14 - 1 masks in 256 chunks of 64; on an operator whose
+    """At n = 14, 2^14 - 1 masks in 225 chunks of at most 73; on an operator whose
     entries decay with distance the radius lies strictly inside (0, diameter),
     and it and its witness equal the per-rectangle scan's."""
     rng = np.random.default_rng(27)

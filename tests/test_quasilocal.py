@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import reference_band_dist_random, reference_eps_prop_heuristic
+from conftest import dense_operator, reference_band_dist_random, reference_eps_prop_heuristic
 from roelab import operators, quasilocal
 from roelab.errors import DimensionMismatch, RejectionBudgetExhausted
-from roelab.operators import _sigma_max, band_truncate, operator_norm, opnorm, propagation, rect_norm
+from roelab.operators import _sigma_max, band_truncate, operator_norm, rect_norm
 from roelab.quasilocal import (
     AssemblyOperator,
     assemble,
@@ -63,10 +63,11 @@ class TestSelection:
                 found = restricted_norm_max(sub, delta, mode="greedy", c0=3.0).value
                 assert found < formal_bound(delta, 3.0)
 
-    def test_budget_exhaustion_with_tiny_c0(self):
+    def test_budget_exhaustion_with_tiny_c0(self, monkeypatch):
         family = regular_family([8, 12, 16], degree=3, seed=2)
+        monkeypatch.setattr(quasilocal, "MAX_REJECTS", 3)
         with pytest.raises(RejectionBudgetExhausted):
-            select_subspaces(family, c0=0.01, max_rejects=3, seed=0)
+            select_subspaces(family, c0=0.01, seed=0)
 
 
 def reference_select_subspaces(family, c0, max_rejects=200, seed=0):
@@ -114,10 +115,11 @@ class TestVacuousSchedule:
         if c0 < 3:
             assert sum(rejects) > 0
 
-    def test_same_exhaustion(self):
+    def test_same_exhaustion(self, monkeypatch):
         family = regular_family([8, 12, 16], degree=3, seed=2)
+        monkeypatch.setattr(quasilocal, "MAX_REJECTS", 3)
         with pytest.raises(RejectionBudgetExhausted) as new:
-            select_subspaces(family, c0=0.01, max_rejects=3, seed=0)
+            select_subspaces(family, c0=0.01, seed=0)
         with pytest.raises(RejectionBudgetExhausted) as ref:
             reference_select_subspaces(family, c0=0.01, max_rejects=3, seed=0)
         assert str(new.value) == str(ref.value)
@@ -148,21 +150,29 @@ class TestAssembly:
         assert inv["trace"] == pytest.approx(1 + 2 + 3, abs=1e-8)
 
     def test_block_diagonal_structure(self, small_assembly):
+        u = small_assembly.u
         slices = piece_slices(small_assembly.family.members)
-        mat = small_assembly.u.mat
-        for i, si in enumerate(slices):
-            for j, sj in enumerate(slices):
-                if i != j:
-                    assert np.abs(mat[si, sj]).max() == 0.0
+        assert list(u.slices) == slices
+        assert u.space.n == slices[-1].stop
+        for sub, L, Rf in zip(small_assembly.subspaces, u.left, u.right):
+            assert L is sub.basis and Rf is sub.basis
+        mat = dense_operator(u).mat
         for sub, sl in zip(small_assembly.subspaces, slices):
-            assert np.abs(mat[sl, sl] - sub.P).max() < 1e-12
+            assert np.abs(mat[sl, sl] - sub.basis @ sub.basis.T).max() < 1e-12
+
+    def test_holds_no_dense_matrix(self, small_assembly):
+        u = small_assembly.u
+        assert not isinstance(u, operators.SpaceOperator)
+        assert not hasattr(u, "mat") and not hasattr(small_assembly.subspaces[0], "P")
 
     def test_compressed_blocks(self):
         family = regular_family([8, 12], degree=3, seed=3)
         subs, _ = select_subspaces(family, c0=3.0, seed=3)
         blocks = [np.eye(1) * 0.5, np.diag([0.25, -0.5])]
         asm = assemble(family, subs, blocks=blocks, c0=3.0)
-        assert opnorm(asm.u) == pytest.approx(0.5, abs=1e-9)
+        assert operator_norm(dense_operator(asm.u).mat) == pytest.approx(0.5, abs=1e-9)
+        with pytest.raises(DimensionMismatch):
+            assemble(family, subs, blocks=[np.eye(1), np.eye(3)], c0=3.0)
 
     def test_member_count_mismatch(self):
         family = regular_family([8, 12], degree=3, seed=0)
@@ -210,7 +220,7 @@ class TestProfile:
     def test_tail_vanishes_at_large_radius(self, small_assembly):
         # the whole operator is a band operator at the ambient diameter
         rows = quasilocality_profile(small_assembly, [1e-9], budget=50)
-        assert rows[0]["R_upper"] <= small_assembly.ambient.diameter
+        assert rows[0]["R_upper"] <= small_assembly.u.space.diameter
 
     def test_rejects_empty_budget(self, small_assembly):
         with pytest.raises(ValueError, match="budget"):
@@ -237,7 +247,7 @@ class TestWitness:
 
     def test_witness_rectangle_verifies(self, small_assembly):
         b = non_band_witness(small_assembly, R=1, budget=300, seed=0)
-        w = rect_norm(small_assembly.u, np.array(b.witness.A), np.array(b.witness.B))
+        w = rect_norm(dense_operator(small_assembly.u), np.array(b.witness.A), np.array(b.witness.B))
         assert w.value == pytest.approx(b.lower, abs=1e-9)
         assert w.separation > 1
 
@@ -262,6 +272,7 @@ def reference_mechanism_check(assembly, samples, seed=0):
     submult_failures = []
     schedule_failures = []
     min_gap = math.inf
+    u = dense_operator(assembly.u).mat
     while checked < samples:
         i = int(rng.integers(0, len(assembly.family.members)))
         member = assembly.family.members[i]
@@ -280,13 +291,13 @@ def reference_mechanism_check(assembly, samples, seed=0):
             continue
         b_size = int(rng.integers(1, far.size + 1))
         B_loc = np.sort(rng.choice(far, size=b_size, replace=False))
-        sl = assembly.slices[i]
+        sl = assembly.u.slices[i]
         A = A_loc + sl.start
         B = B_loc + sl.start
-        u = assembly.u.mat
+        P = sub.basis @ sub.basis.T
         val = _sigma_max(u[np.ix_(A, B)])
-        left = _sigma_max(sub.P[A_loc, :])
-        right = _sigma_max(sub.P[:, B_loc])
+        left = _sigma_max(P[A_loc, :])
+        right = _sigma_max(P[:, B_loc])
         cap = min(left, right)
         if val > cap + 1e-9:
             submult_failures.append((i, tuple(A_loc.tolist()), tuple(B_loc.tolist()), val, cap))
@@ -354,17 +365,17 @@ class TestBatchedSearchesEqualPerDrawLoops:
 
     @pytest.mark.parametrize("budget,seed", [(1, 0), (77, 2), (300, 0)])
     def test_non_band_witness(self, small_assembly, budget, seed):
-        largest = small_assembly.slices[-1]
+        largest = small_assembly.u.slices[-1]
         pool = np.arange(largest.start, largest.stop)
         b = non_band_witness(small_assembly, R=1, budget=budget, seed=seed)
-        lower, witness = reference_band_dist_random(small_assembly.u, 1, budget, seed, pool)
+        lower, witness = reference_band_dist_random(dense_operator(small_assembly.u), 1, budget, seed, pool)
         assert b.lower == pytest.approx(lower, abs=1e-12)
         assert_same_witness(b.witness, witness)
 
     def test_profile(self, small_assembly):
         rows = quasilocality_profile(small_assembly, [0.5, 0.2, 0.05], seed=1, budget=200)
         for row in rows:
-            lower, upper, witness = reference_eps_prop_heuristic(small_assembly.u, row["eps"], 1, 200)
+            lower, upper, witness = reference_eps_prop_heuristic(dense_operator(small_assembly.u), row["eps"], 1, 200)
             assert (row["R_lower"], row["R_upper"]) == (lower, upper)
             assert_same_witness(row["witness"], witness)
 
@@ -385,10 +396,10 @@ def any_assembly(request, small_assembly, failing_assembly):
 
 class TestFactoredHooksEqualDenseDefaults:
     """AssemblyOperator's factored rect_norms and tail_bound against the dense
-    SpaceOperator computations on its own matrix."""
+    SpaceOperator computations on the matrix its factors make."""
 
     def test_rect_norms(self, any_assembly):
-        u, slices = any_assembly.u, any_assembly.slices
+        u, slices = any_assembly.u, any_assembly.u.slices
         rng = np.random.default_rng(40)
         rows = rng.random((399, u.space.n)) < 0.3
         cols = rng.random((399, u.space.n)) < 0.3
@@ -402,16 +413,16 @@ class TestFactoredHooksEqualDenseDefaults:
             rows[k + 1] &= inside
             cols[k + 1] &= other
         values = u.rect_norms(rows, cols)
-        dense = operators._rect_norms(u.mat, rows, cols)
+        dense = operators._rect_norms(dense_operator(u).mat, rows, cols)
         across = ~np.any([rows[:, sl].any(axis=1) & cols[:, sl].any(axis=1) for sl in slices], axis=0)
         assert across.sum() > 100 and (~across).sum() > 100
         assert np.all(values[across] == 0.0) and np.all(dense[across] == 0.0)
         assert np.abs(values - dense).max() <= 1e-12
 
     def test_tail_bound(self, any_assembly):
-        u = any_assembly.u
+        u, full = any_assembly.u, dense_operator(any_assembly.u)
         for R in operators._candidate_radii(u.space):
-            dense = operator_norm(u.mat - band_truncate(u, R).mat)
+            dense = operator_norm(full.mat - band_truncate(full, R).mat)
             tail = u.tail_bound(R)
             assert dense <= tail <= dense + 1e-12
 
@@ -419,3 +430,18 @@ class TestFactoredHooksEqualDenseDefaults:
         for R in (-1, math.nan):
             with pytest.raises(ValueError):
                 small_assembly.u.tail_bound(R)
+
+
+def test_projection_invariants_equal_dense_formulas(any_assembly):
+    """The per-member invariants against the dense formulas on the ambient
+    matrix the factors make, within 1e-12."""
+    m = dense_operator(any_assembly.u).mat
+    dense = {
+        "idempotency_dev": np.abs(m @ m - m).max(),
+        "self_adjoint_dev": np.abs(m - m.conj().T).max(),
+        "trace": np.real(np.trace(m)),
+    }
+    inv = projection_invariants(any_assembly)
+    assert inv.keys() == dense.keys()
+    for key, value in dense.items():
+        assert inv[key] == pytest.approx(value, abs=1e-12), key

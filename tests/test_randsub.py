@@ -94,7 +94,7 @@ def _tied_sample(half, n, seed):
     """Rows i and i + half of the basis are equal, so subsets tie in pairs."""
     q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((half, n)))
     basis = np.vstack([q, q]) / math.sqrt(2.0)
-    return SubspaceSample(d=2 * half, n=n, vectors=basis.T, basis=basis, P=basis @ basis.T, seed=seed)
+    return SubspaceSample(d=2 * half, n=n, vectors=basis.T, basis=basis, seed=seed)
 
 
 @settings(max_examples=30, deadline=None)
@@ -137,20 +137,21 @@ class TestSampling:
     def test_projection_invariants(self):
         for seed in range(5):
             s = sample_subspace(d=25, n=6, seed=seed)
-            assert np.abs(s.P @ s.P - s.P).max() < 1e-9
-            assert np.abs(s.P - s.P.T).max() < 1e-9
-            assert np.trace(s.P) == pytest.approx(6, abs=1e-8)
+            P = s.basis @ s.basis.T
+            assert np.abs(P @ P - P).max() < 1e-9
+            assert np.abs(P - P.T).max() < 1e-9
+            assert np.trace(P) == pytest.approx(6, abs=1e-8)
             assert np.abs(s.basis.T @ s.basis - np.eye(6)).max() < 1e-9
 
     def test_vectors_on_sphere_and_in_span(self):
         s = sample_subspace(d=15, n=4, seed=2)
         assert np.abs(np.linalg.norm(s.vectors, axis=1) - 1.0).max() < 1e-12
-        assert np.abs(s.P @ s.vectors.T - s.vectors.T).max() < 1e-9
+        assert np.abs(s.basis @ (s.basis.T @ s.vectors.T) - s.vectors.T).max() < 1e-9
 
     def test_deterministic(self):
         a = sample_subspace(d=10, n=3, seed=9)
         b = sample_subspace(d=10, n=3, seed=9)
-        assert np.array_equal(a.P, b.P)
+        assert np.array_equal(a.basis, b.basis) and np.array_equal(a.vectors, b.vectors)
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):

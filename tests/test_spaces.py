@@ -29,6 +29,7 @@ from roelab.spaces import (
     from_graph,
     growth,
     load_space,
+    neighbourhood_table,
     piece_slices,
     random_regular,
     save_space,
@@ -220,14 +221,6 @@ class TestTrustedConstructors:
                       coarse_union(regular[:1]), coarse_union([far_points(1), far_points(2)])]:
             _validate_metric(space.dist)
 
-    def test_custom_gap_rule_union_is_metric(self):
-        members = [path_space(4), path_space(2), path_space(5)]
-        _validate_metric(coarse_union(members, gap_rule=lambda i, j: 1).dist)
-
-    def test_non_positive_gap_rejected(self):
-        with pytest.raises(InvalidMetric):
-            coarse_union([far_points(1), far_points(1)], gap_rule=lambda i, j: 0)
-
     def test_non_positive_separation_rejected(self):
         with pytest.raises(InvalidMetric):
             far_points(3, separation=0)
@@ -330,10 +323,21 @@ class TestCoarseUnion:
         u = coarse_union([sp])
         assert np.array_equal(u.dist, sp.dist)
 
-    def test_custom_gap_rule(self):
-        members = [path_space(2), path_space(2)]
-        u = coarse_union(members, gap_rule=lambda i, j: 50)
-        assert u.dist[0, 2] == 50
+    def test_fixed_gap_schedule(self):
+        # g(j) = max(g(j - 1), 2^j, all diameters up to j); at least 2 even
+        # between single points
+        cases = [
+            ([path_space(n) for n in (2, 2, 3, 2)], [2, 4, 8]),
+            ([path_space(n) for n in (2, 7, 2)], [6, 6]),
+            ([far_points(1), far_points(1)], [2]),
+        ]
+        for members, gaps in cases:
+            u = coarse_union(members)
+            slices = piece_slices(members)
+            for j, g in enumerate(gaps, start=1):
+                for i in range(j):
+                    assert np.all(u.dist[slices[i], slices[j]] == g)
+                    assert np.all(u.dist[slices[j], slices[i]] == g)
 
 
 class TestExpansion:
@@ -364,6 +368,22 @@ class TestExpansion:
                 nbrs = np.flatnonzero(sp.dist[list(A)].min(axis=0) <= 1)
                 best = min(best, nbrs.size / k)
         assert kappa == pytest.approx(best)
+
+    def test_neighbourhood_table_matches_direct_enumeration(self):
+        rng = np.random.default_rng(4)
+        sp = random_connected_graph_space(rng, 8)
+        for R in range(int(sp.diameter) + 1):
+            table = neighbourhood_table(sp.dist, R)
+            assert table.dtype == np.uint32 and table.shape == (1 << 8,) and table[0] == 0
+            for m in range(1, 1 << 8):
+                near = np.flatnonzero(sp.dist[[i for i in range(8) if m >> i & 1]].min(axis=0) <= R)
+                assert table[m] == sum(1 << int(c) for c in near)
+
+    def test_exact_needs_two_points(self):
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="at least 2 points"):
+                expansion_kappa(far_points(n), 1, mode="exact")
+        assert expansion_kappa(far_points(2), 1, mode="exact") == (1.0, KAPPA_EXACT)
 
     def test_exact_rejects_nan_or_negative_radius(self):
         sp = far_points(5)

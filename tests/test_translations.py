@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_connected_graph_space, random_operator
-from roelab.operators import band_mask, band_truncate, opnorm
+from roelab.operators import band_mask, band_truncate, operator_norm
 from roelab.spaces import interval_space
 from roelab.spaces import growth
 from roelab.translations import decompose_band, schur_restrict
@@ -141,7 +141,7 @@ class TestSchurRestrict:
         for part in dec.parts:
             restricted = schur_restrict(u, part)
             entries = [abs(u.mat[y, x]) for x, y in part.graph()]
-            assert opnorm(restricted) == pytest.approx(max(entries), abs=1e-9)
+            assert operator_norm(restricted.mat) == pytest.approx(max(entries), abs=1e-9)
 
     def test_dom_ran_accessors(self):
         sp = interval_space(4)
