@@ -254,9 +254,7 @@ def _cmd_propa_sz(cfg):
 
 def _cmd_propa_rademacher(cfg):
     space = spaces.interval_space(cfg["N"])
-    mu = propa.uniform_ball_kernel(space, cfg["R"], cfg["delta"])
-    nu = propa.uniform_ball_kernel(space, mu.S, cfg["delta"])
-    field = propa.isometry_field(nu)
+    mu, field = propa.kernel_chain(space, cfg["R"], cfg["delta"])
     u = _band_contraction(space, cfg["R"], cfg["seed"])
     report = propa.rademacher_diagnostics(field, mu, cfg["trials"], cfg["seed"], u=u)
     ok = all(v for k, v in report.items() if k.endswith("_ok"))

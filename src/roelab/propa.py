@@ -33,7 +33,8 @@ VARIATION_SLACK = 1e-9
 @dataclass(frozen=True)
 class PropertyAKernel:
     """Row-stochastic kernel mu with supp mu_x in Ball(x, S) and
-    ||mu_x - mu_y||_1 < delta whenever dist(x, y) <= R."""
+    ||mu_x - mu_y||_1 < delta whenever dist(x, y) <= R: the one place where
+    propa proves kernel facts, which the field and phi_nu then trust."""
 
     space: FiniteMetricSpace
     mu: np.ndarray  # mu[x, z]
@@ -50,6 +51,9 @@ def validate_kernel(space, mu, S, delta, R) -> None:
     n = space.n
     if mu.shape != (n, n):
         raise KernelInvalid("kernel must be a square row-stochastic array over the space")
+    # every comparison with NaN is False, so the checks below would pass it
+    if not np.isfinite(mu).all():
+        raise KernelInvalid("kernel entries must be finite")
     if np.any(mu < 0):
         raise KernelInvalid("kernel rows must be nonnegative")
     if np.abs(mu.sum(axis=1) - 1.0).max() > ROW_TOL:
@@ -88,24 +92,25 @@ def _rows_to_sum(mu, close_mask, delta):
     return np.flatnonzero(worst >= delta - VARIATION_SLACK)
 
 
-def _check_radius_delta(R, delta) -> None:
+def _support_radius(R, delta) -> int:
+    """S = ceil(2R/delta), the ball radius of the uniform kernel for (delta, R)."""
     # written negated so that NaN fails too
     if not R >= 0:
         raise ValueError("radius must be nonnegative")
     if not delta > 0:
         raise ValueError("delta must be positive")
+    return int(math.ceil(2.0 * R / delta)) if R > 0 else 0
 
 
 def uniform_ball_kernel(space: FiniteMetricSpace, R, delta: float) -> PropertyAKernel:
-    """mu_x uniform on Ball(x, S) with S = ceil(2R/delta), truncated to the space.
+    """mu_x uniform on Ball(x, S), S = _support_radius(R, delta), truncated to the space.
 
     For pairs at distance <= R the overlap of the two balls keeps the total
     variation below 2 dist / (2S+1) <= delta; boundary rows renormalize the
     truncated ball and are covered by validate_kernel, which checks every
     close pair.
     """
-    _check_radius_delta(R, delta)
-    S = int(math.ceil(2.0 * R / delta)) if R > 0 else 0
+    S = _support_radius(R, delta)
     within = space.dist <= S
     mu = within / within.sum(axis=1, keepdims=True)
     return PropertyAKernel(space=space, mu=mu, S=S, delta=delta, R=R)
@@ -113,8 +118,7 @@ def uniform_ball_kernel(space: FiniteMetricSpace, R, delta: float) -> PropertyAK
 
 def interval_kernel(N: int, R, delta: float) -> PropertyAKernel:
     """Certified kernel on the length-N interval; rejects intervals shorter than the support."""
-    _check_radius_delta(R, delta)
-    S = int(math.ceil(2.0 * R / delta)) if R > 0 else 0
+    S = _support_radius(R, delta)
     if N <= 2 * S:
         raise IntervalTooShort(f"need N > 2S = {2 * S}")
     return uniform_ball_kernel(interval_space(N), R, delta)
@@ -122,20 +126,15 @@ def interval_kernel(N: int, R, delta: float) -> PropertyAKernel:
 
 @dataclass(frozen=True)
 class IsometryField:
-    """Square roots f_z = nu_.(z)^(1/2) of a kernel, viewed as multiplication operators."""
+    """Square roots f_z = nu_.(z)^(1/2) of a kernel, viewed as multiplication
+    operators; built only by isometry_field."""
 
     kernel: PropertyAKernel
     F: np.ndarray  # F[z, x] = nu_x(z)^(1/2)
-    T: float
 
-    def __post_init__(self):
-        n = self.kernel.space.n
-        if self.F.shape != (n, n):
-            raise KernelInvalid("field shape must match the space")
-        if np.abs((self.F ** 2).sum(axis=0) - 1.0).max() > ROW_TOL:
-            raise KernelInvalid("field columns must have unit l2 norm")
-        if np.any((self.F > 0) & (self.kernel.space.dist > self.T)):
-            raise KernelInvalid("field support leaves the radius-T balls")
+    @property
+    def T(self) -> float:
+        return self.kernel.S
 
     @property
     def space(self) -> FiniteMetricSpace:
@@ -151,31 +150,33 @@ class IsometryField:
 
 
 def isometry_field(nu: PropertyAKernel) -> IsometryField:
-    """Build the square-root field of nu and validate its quadratic variation."""
-    F = np.sqrt(nu.mu.T)
-    field = IsometryField(kernel=nu, F=F, T=nu.S)
-    space = nu.space
-    # unit columns give ||F_x - F_y||^2 = 2 - 2 <F_x, F_y>
-    qv = 2.0 - 2.0 * (F.T @ F)
-    close = (space.dist <= nu.R) & ~np.eye(space.n, dtype=bool)
-    bad = np.argwhere(close & (qv >= nu.delta))
-    if bad.size:
-        x, y = bad[0]
-        raise KernelInvalid(f"quadratic variation at pair ({x},{y}) reaches delta")
-    return field
+    """The field F[z, x] = nu_x(z)^(1/2); nothing is re-checked, since the
+    validated kernel nu proves each property:
+    - unit columns: sum_z F[z, x]^2 = sum_z nu_x(z) = 1;
+    - support within T = S: F[z, x] > 0 only where nu_x(z) > 0;
+    - for dist(x, y) <= R, ||F_x - F_y||^2 <= ||nu_x - nu_y||_1 < delta,
+      since (sqrt a - sqrt b)^2 <= |a - b| for a, b >= 0, term by term.
+    """
+    return IsometryField(kernel=nu, F=np.sqrt(nu.mu.T))
+
+
+def kernel_chain(space: FiniteMetricSpace, R, delta: float) -> tuple:
+    """The two kernel stages on a space: mu for (delta, R), and the field of
+    nu for (delta, S), S the support radius of mu. Returns (mu, field)."""
+    mu = uniform_ball_kernel(space, R, delta)
+    return mu, isometry_field(uniform_ball_kernel(space, mu.S, delta))
 
 
 def phi_nu(u: SpaceOperator, field: IsometryField) -> SpaceOperator:
     """Schur multiplication by the field's Gram kernel: sum_z f_z u f_z.
 
-    Unital, hermiticity- and positivity-preserving; the output propagation is
-    at most 2T by support arithmetic, enforced exactly.
+    Unital, hermiticity- and positivity-preserving. The output propagation is
+    at most 2T unmasked: beyond 2T each term f_z(x) f_z(y) of k(x, y) has an
+    exact zero factor and the other is finite, so k(x, y) is exactly 0.
     """
     if u.space.n != field.space.n:
         raise KernelInvalid("operator and field live on different spaces")
-    k = field.gram()
-    k = np.where(field.space.dist <= 2 * field.T, k, 0.0)
-    return SpaceOperator(space=u.space, mat=u.mat * k)
+    return SpaceOperator(space=u.space, mat=u.mat * field.gram())
 
 
 def _validate_eps_propagation(u: SpaceOperator, eps: float, R, seed: int = 0) -> str:
@@ -243,9 +244,7 @@ def sz_approximate(u: SpaceOperator, eps: float, R, seed: int = 0) -> tuple:
     _validate_eps_propagation(u, eps, R, seed=seed)
     delta = math.sqrt(eps)
     space = u.space
-    mu = uniform_ball_kernel(space, R, delta)
-    nu = uniform_ball_kernel(space, mu.S, delta)
-    field = isometry_field(nu)
+    mu, field = kernel_chain(space, R, delta)
     approx = phi_nu(u, field)
     error, error_err = operator_norm(u.mat - approx.mat, with_err=True)
     bound = 18.0 * eps ** 0.25
@@ -254,14 +253,19 @@ def sz_approximate(u: SpaceOperator, eps: float, R, seed: int = 0) -> tuple:
         "R": R,
         "delta": delta,
         "S": mu.S,
-        "T": nu.S,
+        "T": field.T,
         "error": error,
         "bound": bound,
         "holds": bool(error + error_err < bound),
         "slack": bound - error,
-        "support_covers_space": bool(2 * nu.S >= space.diameter),
+        "support_covers_space": bool(2 * field.T >= space.diameter),
     }
     return approx, error, report
+
+
+def _mean_se(x: np.ndarray) -> tuple:
+    """Column means of the samples x (one row per trial) and their standard errors."""
+    return x.mean(axis=0), x.std(axis=0, ddof=1) / math.sqrt(x.shape[0])
 
 
 def rademacher_diagnostics(
@@ -295,23 +299,19 @@ def rademacher_diagnostics(
     sup_bound = math.sqrt(growth(space, field.T))
     sup_ok = bool(np.abs(f).max() <= sup_bound + 1e-9)
 
-    second = (f ** 2).mean(axis=0)
-    second_se = (f ** 2).std(axis=0, ddof=1) / math.sqrt(trials)
+    second, second_se = _mean_se(f ** 2)
     second_ok = bool(np.all(np.abs(second - 1.0) <= 3 * second_se))
 
     fourth_closed = 3.0 - 2.0 * (field.F ** 4).sum(axis=0)
-    fourth_emp = (f ** 4).mean(axis=0)
-    fourth_se = (f ** 4).std(axis=0, ddof=1) / math.sqrt(trials)
+    fourth_emp, fourth_se = _mean_se(f ** 4)
     fourth_ok = bool(np.all(fourth_closed <= 3.0 + 1e-12))
     fourth_mc_ok = bool(np.all(np.abs(fourth_emp - fourth_closed) <= 4 * fourth_se))
 
-    trunc_emp = ((f - g) ** 2).mean(axis=0)
-    trunc_se = ((f - g) ** 2).std(axis=0, ddof=1) / math.sqrt(trials)
+    trunc_emp, trunc_se = _mean_se((f - g) ** 2)
     trunc_bound = 3.0 / C ** 2
     trunc_ok = bool(np.all(trunc_emp <= trunc_bound + 3 * trunc_se + 1e-12))
 
-    smooth_emp = ((g - h) ** 2).mean(axis=0)
-    smooth_se = ((g - h) ** 2).std(axis=0, ddof=1) / math.sqrt(trials)
+    smooth_emp, smooth_se = _mean_se((g - h) ** 2)
     smooth_ok = bool(np.all(smooth_emp <= delta + 3 * smooth_se + 1e-12))
 
     h_sup_ok = bool(np.abs(h).max() <= C + 1e-12)

@@ -93,11 +93,8 @@ class FiniteMetricSpace:
         return self.dist[np.ix_(A, B)].min()
 
     def to_json(self) -> dict:
-        if self.is_integer:
-            kind, data = "graph", self.dist.tolist()
-        else:
-            kind, data = "explicit", self.dist.tolist()
-        return {"label": self.label, "n": self.n, "metric": {"kind": kind, "data": data}}
+        kind = "graph" if self.is_integer else "explicit"
+        return {"label": self.label, "n": self.n, "metric": {"kind": kind, "data": self.dist.tolist()}}
 
     @staticmethod
     def from_json(obj: dict) -> "FiniteMetricSpace":
@@ -219,8 +216,6 @@ def coarse_union(members, label: str = "") -> FiniteMetricSpace:
     """
     if not members:
         raise ValueError("coarse_union needs at least one member")
-    if len(members) == 1:
-        return FiniteMetricSpace._trusted(members[0].dist.copy(), label or members[0].label)
     diams = [m.diameter for m in members]
     m = len(members)
     g = np.zeros(m)
@@ -229,14 +224,12 @@ def coarse_union(members, label: str = "") -> FiniteMetricSpace:
     integer = all(mm.is_integer for mm in members)
     if integer:
         g = np.ceil(g).astype(np.int64)
-    offsets = np.cumsum([0] + [mm.n for mm in members])
-    n = offsets[-1]
+    slices = piece_slices(members)
+    n = slices[-1].stop
     dist = np.zeros((n, n), dtype=np.int64 if integer else np.float64)
-    for j, mj in enumerate(members):
-        sl_j = slice(offsets[j], offsets[j + 1])
+    for j, (mj, sl_j) in enumerate(zip(members, slices)):
         dist[sl_j, sl_j] = mj.dist
-        for i in range(j):
-            sl_i = slice(offsets[i], offsets[i + 1])
+        for sl_i in slices[:j]:
             dist[sl_i, sl_j] = g[j]
             dist[sl_j, sl_i] = g[j]
     return FiniteMetricSpace._trusted(dist, label or "+".join(mm.label for mm in members))

@@ -99,6 +99,15 @@ class TestKernels:
         with pytest.raises(KernelInvalid):
             PropertyAKernel(space=sp, mu=mu, S=0, delta=0.5, R=1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        # a NaN fails no comparison, so only the finiteness check can catch it
+        nu = uniform_ball_kernel(interval_space(10), 1, 0.9)
+        mu = nu.mu.copy()
+        mu[3, 3] = bad
+        with pytest.raises(KernelInvalid, match="finite"):
+            PropertyAKernel(space=nu.space, mu=mu, S=nu.S, delta=nu.delta, R=nu.R)
+
 
 def reference_validate_kernel(space, mu, S, delta, R) -> None:
     """Per-row variation sums over every row: validate_kernel before the
@@ -222,7 +231,40 @@ class TestValidateKernel:
         assert list(propa._rows_to_sum(mu, close, 0.5)) == list(range(30))
 
 
+def random_valid_kernel(seed) -> PropertyAKernel:
+    """A validated kernel that is not uniform on its supports, so that
+    validate_kernel sums every row."""
+    rng = np.random.default_rng(seed)
+    kind = ("interval", "torus", "graph")[seed % 3]
+    if kind == "graph":
+        space = random_connected_graph_space(rng, int(rng.integers(4, 18)))
+    else:
+        N = int(rng.integers(4, 40))
+        space = interval_space(N) if kind == "interval" else torus_space(N)
+    S = int(rng.integers(1, int(space.diameter) + 1))
+    R = (0.5, 1, 2, 3)[int(rng.integers(4))]
+    w = (space.dist <= S) * rng.uniform(0.5, 1.5, size=space.dist.shape)
+    mu = w / w.sum(axis=1, keepdims=True)
+    delta = max(_max_variation(space, mu, R), 0.0) + 1e-3
+    close = (space.dist <= R) & ~np.eye(space.n, dtype=bool)
+    assert list(propa._rows_to_sum(mu, close, delta)) == list(range(space.n))
+    return PropertyAKernel(space=space, mu=mu, S=S, delta=delta, R=R)
+
+
 class TestIsometryField:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_properties_follow_from_the_kernel(self, seed):
+        # isometry_field checks nothing; these are the facts its docstring proves
+        nu = random_valid_kernel(seed)
+        field = isometry_field(nu)
+        space, F = nu.space, field.F
+        assert field.T == nu.S
+        assert np.abs((F ** 2).sum(axis=0) - 1.0).max() <= 1e-12
+        assert not np.any((F > 0) & (space.dist > field.T))
+        for x, y in np.argwhere((space.dist <= nu.R) & ~np.eye(space.n, dtype=bool)):
+            qv = ((F[:, x] - F[:, y]) ** 2).sum()
+            assert qv <= np.abs(nu.mu[x] - nu.mu[y]).sum() + 1e-12
+
     def test_columns_unit_norm(self):
         sp = interval_space(30)
         field = isometry_field(uniform_ball_kernel(sp, R=2, delta=0.5))
