@@ -65,12 +65,10 @@ def _parse_group(spec: str) -> reps.UnitaryRep:
 
 
 def _band_contraction(space, R, seed):
-    if not R >= 0:
-        raise ValueError("radius must be nonnegative")
     rng = np.random.default_rng(seed)
     n = space.n
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    m = np.where(space.dist <= R, m, 0.0)
+    m = np.where(space.near(R), m, 0.0)
     norm = operator_norm(m)
     return SpaceOperator(space=space, mat=m / norm if norm > 0 else m)
 
@@ -81,7 +79,7 @@ def _band_contraction(space, R, seed):
 def _cmd_space_gen(cfg):
     n, d = cfg["regular"]
     space = spaces.random_regular(n, d, cfg["seed"])
-    degrees = (space.dist == 1).sum(axis=1)
+    degrees = space.near(1).sum(axis=1) - 1  # the points within 1, less the point itself
     return {
         "space": space.to_json(),
         "degrees_all_equal": bool(np.all(degrees == d)),

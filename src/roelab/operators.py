@@ -197,6 +197,8 @@ class SpaceOperator:
             if key not in obj:
                 raise ValueError(f"operator json has no {key!r} field")
         n = obj["n"]
+        if type(n) is not int:  # excludes bool and 2.0, which reshape rejects
+            raise ValueError(f"operator json 'n' must be an integer, got {n!r}")
         if n != space.n:
             raise ValueError("operator json size does not match the space")
         flat = complex_from_pairs(obj["rows"])
@@ -252,15 +254,8 @@ def rect_norm(u: SpaceOperator, A, B) -> RectangleWitness:
     return RectangleWitness(A=tuple(A.tolist()), B=tuple(B.tolist()), separation=sep, value=value)
 
 
-def band_mask(space: FiniteMetricSpace, R) -> np.ndarray:
-    """Boolean mask of entry positions (y, x) with dist(x, y) <= R."""
-    return space.dist <= R
-
-
 def band_truncate(u: SpaceOperator, R) -> SpaceOperator:
-    if not R >= 0:
-        raise ValueError("radius must be nonnegative")
-    kept = np.where(band_mask(u.space, R), u.mat, 0.0)
+    kept = np.where(u.space.near(R), u.mat, 0.0)
     return SpaceOperator(space=u.space, mat=kept)
 
 
@@ -288,13 +283,6 @@ def _rect_norms(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarr
             part = slice(s, s + step)
             values[group[part]] = sigma_max_stack(mat[a_idx[part], b_idx[part]])
     return values
-
-
-def _candidate_radii(space: FiniteMetricSpace) -> np.ndarray:
-    vals = np.unique(space.dist)
-    if vals[0] != 0:
-        vals = np.concatenate([[0], vals])
-    return vals
 
 
 @dataclass(frozen=True)
@@ -327,7 +315,7 @@ def _exact_rectangles(u: SpaceOperator, R):
     dense operator that is one LAPACK pass per (|A|, |B|) shape group,
     bit-identical to one LAPACK SVD per rectangle; 0.0 where B is empty."""
     n = u.space.n
-    table = neighbourhood_table(u.space.dist, R)
+    table = neighbourhood_table(u.space.near(R))
     bits = np.uint32(1) << np.arange(n, dtype=np.uint32)
     step = max(1, MASK_CELLS // max(n, 1))
     for start in range(1, 1 << n, step):
@@ -360,7 +348,7 @@ def eps_propagation_radius(
     """Radius R such that every compression with separation > R has norm <= eps.
 
     exact: the smallest candidate radius at which eps_propagation_violation
-    finds no violation, by bisection over the candidate radii (each probed
+    finds no violation, by bisection over u.space.radii() (each probed
     radius scanned once). The witness is the violation at the next smaller
     candidate radius, which the bisection always probed: the first mask, in
     increasing mask order, whose worst-case rectangle there has norm > eps.
@@ -372,7 +360,7 @@ def eps_propagation_radius(
         raise ValueError(f"unknown mode {mode!r}")
     if not eps > 0:
         raise ValueError("eps must be positive")
-    radii = _candidate_radii(u.space)
+    radii = u.space.radii()
     probe = functools.cache(lambda i: eps_propagation_violation(u, eps, radii[i]))
     lo = _smallest_radius(len(radii), lambda i: probe(i) is None)
     witness = probe(lo - 1) if lo else None
@@ -395,10 +383,14 @@ def eps_propagation_brackets(u: SpaceOperator, eps_list, seed: int = 0, budget: 
     if not all(eps > 0 for eps in eps_list):
         raise ValueError("eps must be positive")
     space = u.space
-    radii = _candidate_radii(space)
+    radii = space.radii()
     picks, seeds = _draw_seeds(np.random.default_rng(seed), np.arange(space.n), space.n, budget, len(radii))
     A, B, norms = _random_rectangles(u, radii[picks], seeds)
-    seps = np.array([space.set_distance(np.flatnonzero(a), np.flatnonzero(b)) for a, b in zip(A, B)])
+    # hits below reads only rows whose norm exceeds some eps, so only those
+    # get a separation; the zeros left in the others are never read
+    seps = np.zeros(len(norms))
+    for i in np.flatnonzero(norms > min(eps_list, default=math.inf)):
+        seps[i] = space.set_distance(np.flatnonzero(A[i]), np.flatnonzero(B[i]))
     tail = functools.cache(lambda i: u.tail_bound(radii[i]))
     brackets = []
     for eps in eps_list:
@@ -433,7 +425,7 @@ def _draw_seeds(rng, pool, n: int, budget: int, n_radii: int = 0) -> tuple:
     return picks, seeds
 
 
-def _close_rectangles(dist: np.ndarray, radii: np.ndarray, seeds: np.ndarray) -> tuple:
+def _close_rectangles(space: FiniteMetricSpace, radii: np.ndarray, seeds: np.ndarray) -> tuple:
     """Grow each seed row i to a maximal separated rectangle at radius radii[i].
 
     Per row: up to 4 rounds of B = far(A), A = far(B), stopping early at a
@@ -441,7 +433,7 @@ def _close_rectangles(dist: np.ndarray, radii: np.ndarray, seeds: np.ndarray) ->
     farther than the row's radius from all of S. A row whose B or A becomes
     empty is dropped. Rows are closed per distinct radius R, CLOSE_BLOCK rows
     at a time, and far of a block is one float32 GEMM with the 0/1 matrix
-    near = (dist <= R), built once per radius: (S @ near)[x] counts the
+    near = space.near(R), built once per radius: (S @ near)[x] counts the
     points of S within R of x, exactly (a count is at most |X| < 2^24).
     Returns boolean rows A and B, and which rows were kept.
     """
@@ -454,7 +446,7 @@ def _close_rectangles(dist: np.ndarray, radii: np.ndarray, seeds: np.ndarray) ->
     kept = np.ones(len(A), dtype=bool)
     for R in np.unique(radii):
         rows = np.flatnonzero(radii == R)
-        near = (dist <= R).astype(np.float32)
+        near = space.near(R).astype(np.float32)
         for start in range(0, len(rows), CLOSE_BLOCK):
             block = rows[start : start + CLOSE_BLOCK]
             a, ok = A[block], np.ones(len(block), dtype=bool)
@@ -479,7 +471,7 @@ def _random_rectangles(u: SpaceOperator, radii: np.ndarray, seeds: np.ndarray) -
     radii[i] by _close_rectangles, the rows that closed to an empty side
     dropped, the rest kept in draw order. Each distinct (A, B), keyed by its
     packed bits, is normed once through u.rect_norms; norms[i] is row i's."""
-    A, B, kept = _close_rectangles(u.space.dist, radii, seeds)
+    A, B, kept = _close_rectangles(u.space, radii, seeds)
     A, B = A[kept], B[kept]
     keys = np.packbits(np.concatenate([A, B], axis=1), axis=1)
     _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
@@ -516,10 +508,8 @@ def dist_to_band_bounds(
     _random_rectangles at radius R, seeded from `pool` if given, in draw
     order, each distinct one normed once.
     """
-    if not R >= 0:
-        raise ValueError("radius must be nonnegative")
     space = u.space
-    upper = u.tail_bound(R)
+    upper = u.tail_bound(R)  # also rejects a negative or NaN R
     if space.n <= EXACT_BAND_DIST_MAX and pool is None:
         batches = _exact_rectangles(u, R)
     else:

@@ -58,9 +58,9 @@ def validate_kernel(space, mu, S, delta, R) -> None:
         raise KernelInvalid("kernel rows must be nonnegative")
     if np.abs(mu.sum(axis=1) - 1.0).max() > ROW_TOL:
         raise KernelInvalid("kernel rows must sum to 1")
-    if np.any((mu > 0) & (space.dist > S)):
+    if np.any((mu > 0) & ~space.near(S)):
         raise KernelInvalid(f"kernel support leaves the radius-{S} balls")
-    close_mask = (space.dist <= R) & ~np.eye(n, dtype=bool)
+    close_mask = space.near(R) & ~np.eye(n, dtype=bool)
     for x in _rows_to_sum(mu, close_mask, delta):
         ys = np.flatnonzero(close_mask[x])
         if ys.size == 0:
@@ -111,7 +111,7 @@ def uniform_ball_kernel(space: FiniteMetricSpace, R, delta: float) -> PropertyAK
     close pair.
     """
     S = _support_radius(R, delta)
-    within = space.dist <= S
+    within = space.near(S)
     mu = within / within.sum(axis=1, keepdims=True)
     return PropertyAKernel(space=space, mu=mu, S=S, delta=delta, R=R)
 
@@ -204,7 +204,7 @@ def commutator_bound_check(u: SpaceOperator, h, R, delta: float, eps: float) -> 
         raise ValueError("h must be a real diagonal over the space")
     if np.any(h < -1e-12) or np.any(h > 1 + 1e-12):
         raise HypothesisViolated("h must take values in [0, 1]")
-    close = np.argwhere((space.dist <= R) & ~np.eye(space.n, dtype=bool))
+    close = np.argwhere(space.near(R) & ~np.eye(space.n, dtype=bool))
     for x, y in close:
         if abs(h[x] - h[y]) > delta + 1e-12:
             raise HypothesisViolated(
@@ -315,7 +315,7 @@ def rademacher_diagnostics(
     smooth_ok = bool(np.all(smooth_emp <= delta + 3 * smooth_se + 1e-12))
 
     h_sup_ok = bool(np.abs(h).max() <= C + 1e-12)
-    close = np.argwhere((space.dist <= mu.R) & ~np.eye(n, dtype=bool))
+    close = np.argwhere(space.near(mu.R) & ~np.eye(n, dtype=bool))
     lip = 0.0
     if close.size:
         lip = float(np.abs(h[:, close[:, 0]] - h[:, close[:, 1]]).max())

@@ -181,11 +181,9 @@ class AssemblyOperator:
         and member i's block is (L_i R_i^*) o (dist_i > R), so the tail is
         the max over members of value + err of operator_norm of that
         d_i x d_i block (LAPACK up to DENSE_NORM_MAX points)."""
-        if not R >= 0:
-            raise ValueError("radius must be nonnegative")
-        dist = self.space.dist
+        near = self.space.near(R)
         return max(
-            sum(operator_norm(np.where(dist[sl, sl] > R, L @ Rf.conj().T, 0.0), with_err=True))
+            sum(operator_norm(np.where(near[sl, sl], 0.0, L @ Rf.conj().T), with_err=True))
             for sl, L, Rf in zip(self.slices, self.left, self.right)
         )
 

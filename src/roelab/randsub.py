@@ -242,6 +242,8 @@ class LevyReport:
 
 def levy_median_check(d: int, delta: float, trials: int, seed: int) -> LevyReport:
     """Concentration of ||1_E x|| for uniform sphere points and a fixed coordinate set E."""
+    if not 0 < delta < 1:
+        raise ValueError("delta must lie in (0, 1)")
     k = int(math.floor(delta * d))
     if k < 1:
         raise ValueError("floor(delta d) must be at least 1")

@@ -368,7 +368,7 @@ def gap_certificate(rep: UnitaryRep, space: FiniteMetricSpace, R) -> Certificate
             f"char_sum {cert['char_sum']:.6g}, irreducible {cert['irreducible']}, "
             f"unitarity_dev {cert['unitarity_dev']:.3g}, homomorphism_dev {cert['homomorphism_dev']:.3g}"
         )
-    band = space.dist[:n, :n] <= R  # band[j, i]: entry (row j, col i) inside the band
+    band = space.near(R)[:n, :n]  # band[j, i]: entry (row j, col i) inside the band
     eps_achieved = rep.band_residual_max(~band)
     tensor_value = operator_norm(band.astype(float)) / n
     sups = [

@@ -4,6 +4,13 @@ All spaces are finite with points 0..n-1 and a dense distance matrix.
 Graph metrics are integer valued (shortest-path distances); explicit
 metrics are float64 and validated to 1e-9.
 
+Consumers outside this module read a space's distances only through
+``near(R)`` (the R-relation dist <= R, and the one place that rejects
+negative and NaN radii), ``radii()`` (the distinct distances),
+``set_distance`` and ``diameter``. The one exception is
+``operators.propagation``, which reads distance values rather than
+comparing them with a radius.
+
 Distance matrices from outside the library, through
 ``FiniteMetricSpace(dist=...)``, ``from_json`` and ``load_space``, are
 checked by ``_validate_metric`` (O(n^3)). The in-library constructors
@@ -73,16 +80,16 @@ class FiniteMetricSpace:
     def diameter(self):
         return self.dist.max() if self.n > 0 else 0
 
-    def ball(self, x: int, R) -> np.ndarray:
-        """Point ids within distance R of x."""
-        return np.flatnonzero(self.dist[x] <= R)
+    def near(self, R) -> np.ndarray:
+        """The R-relation: boolean n x n, entry [x, y] true iff dist(x, y) <= R."""
+        # written negated so that NaN fails too
+        if not R >= 0:
+            raise ValueError("radius must be nonnegative")
+        return self.dist <= R
 
-    def neighborhood(self, A, R) -> np.ndarray:
-        """Point ids within distance R of the set A."""
-        A = np.asarray(A, dtype=int)
-        if A.size == 0:
-            return A
-        return np.flatnonzero(self.dist[A].min(axis=0) <= R)
+    def radii(self) -> np.ndarray:
+        """The distinct distances in increasing order; 0 (the diagonal) first."""
+        return np.unique(self.dist)
 
     def set_distance(self, A, B):
         """min over a in A, b in B of dist(a, b)."""
@@ -105,16 +112,25 @@ class FiniteMetricSpace:
             if key not in metric:
                 raise InvalidMetric(f"space JSON 'metric' needs a '{key}' field")
         kind = metric["kind"]
-        data = np.array(metric["data"])
+        if kind not in ("graph", "explicit"):
+            raise InvalidMetric(f"unknown metric kind {kind!r}; expected 'graph' or 'explicit'")
+        try:
+            data = np.array(metric["data"], dtype=np.float64)  # null becomes NaN
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidMetric(f"metric data must be a numeric matrix: {exc}") from None
         if kind == "graph":
+            if not (np.isfinite(data) & (data == np.round(data))).all():
+                raise InvalidMetric("graph metric entries must be finite integers")
             data = data.astype(np.int64)
-        else:
-            data = data.astype(np.float64)
         return FiniteMetricSpace(dist=data, label=obj.get("label", ""))
 
 
 def _validate_metric(d: np.ndarray) -> None:
     n = d.shape[0]
+    # first, since every comparison with NaN is False and the checks below
+    # would misreport it
+    if d.dtype.kind not in "iuf" or not np.isfinite(d).all():
+        raise InvalidMetric("distance matrix entries must be finite numbers")
     if n == 0:
         return
     integer = np.issubdtype(d.dtype, np.integer)
@@ -200,9 +216,7 @@ def from_graph(adjacency: np.ndarray, label: str = "") -> FiniteMetricSpace:
 
 def growth(space: FiniteMetricSpace, R) -> int:
     """Largest ball cardinality N_X(R) = max_x |{y : dist(x,y) <= R}|."""
-    if not R >= 0:
-        raise ValueError("radius must be nonnegative")
-    return int((space.dist <= R).sum(axis=1).max())
+    return int(space.near(R).sum(axis=1).max())
 
 
 def coarse_union(members, label: str = "") -> FiniteMetricSpace:
@@ -241,16 +255,17 @@ def piece_slices(members) -> list:
     return [slice(int(a), int(b)) for a, b in zip(offsets, offsets[1:])]
 
 
-def neighbourhood_table(dist: np.ndarray, R) -> np.ndarray:
-    """uint32 table over the 2^n subsets of the n <= 32 points: bit c of entry m
-    is set iff c lies within R of subset m (entry 0, the empty set, is 0).
+def neighbourhood_table(near: np.ndarray) -> np.ndarray:
+    """uint32 table over the 2^n subsets of the n <= 32 points, given the
+    R-relation `near` (FiniteMetricSpace.near): bit c of entry m is set iff c
+    lies within R of subset m (entry 0, the empty set, is 0).
 
     Removing the lowest set bit b of m leaves a subset whose own lowest bit is
     strictly higher, so the table fills in descending bit order:
     table[m] = table[m without b] | (the bits within R of b).
     """
-    n = dist.shape[0]
-    rowmask = (dist <= R) @ (np.uint32(1) << np.arange(n, dtype=np.uint32))
+    n = near.shape[0]
+    rowmask = near @ (np.uint32(1) << np.arange(n, dtype=np.uint32))
     table = np.zeros(1 << n, dtype=np.uint32)
     for b in reversed(range(n)):
         base = np.arange(1 << (n - b - 1), dtype=np.uint32) << (b + 1)
@@ -270,13 +285,11 @@ def expansion_kappa(space: FiniteMetricSpace, R, mode: str = "exact"):
     """
     n = space.n
     if mode == "exact":
-        if not R >= 0:
-            raise ValueError("radius must be nonnegative")
         if n > EXACT_KAPPA_MAX:
             raise TooLargeForExact(f"exact expansion scan limited to |X| <= {EXACT_KAPPA_MAX}")
         if n < 2:
             raise ValueError(f"exact expansion needs at least 2 points, got {n}")
-        neigh = neighbourhood_table(space.dist, R)
+        neigh = neighbourhood_table(space.near(R))
         subsets = np.arange(1 << n, dtype=np.uint32)
         size_a = np.bitwise_count(subsets).astype(np.int64)
         size_n = np.bitwise_count(neigh).astype(np.int64)

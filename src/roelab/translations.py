@@ -52,10 +52,8 @@ def decompose_band(space: FiniteMetricSpace, R) -> TranslationDecomposition:
     chosen is the lowest zero bit of their union. The pigeonhole count
     guarantees the cap, so exceeding it aborts loudly.
     """
-    if not R >= 0:
-        raise ValueError("radius must be nonnegative")
-    cap = 2 * growth(space, R)
-    xs, ys = np.nonzero(space.dist <= R)  # row-major, i.e. lexicographic by (x, y)
+    cap = 2 * growth(space, R)  # also rejects a negative or NaN R
+    xs, ys = np.nonzero(space.near(R))  # row-major, i.e. lexicographic by (x, y)
     ran_bits = [0] * space.n
     parts: list[dict] = []
     row, used = -1, 0

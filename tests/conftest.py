@@ -6,7 +6,6 @@ import pytest
 from roelab.operators import (
     RectangleWitness,
     SpaceOperator,
-    _candidate_radii,
     _sigma_max,
     band_truncate,
     operator_norm,
@@ -150,7 +149,7 @@ def reference_band_dist_random(u, R, budget, seed, pool=None):
 def reference_eps_prop_heuristic(u, eps, seed, budget):
     """(lower, upper, witness) of the per-draw heuristic eps-propagation search."""
     space = u.space
-    radii = _candidate_radii(space)
+    radii = space.radii()
     lo, hi = 0, len(radii) - 1
     while lo < hi:
         mid = (lo + hi) // 2

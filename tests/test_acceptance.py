@@ -16,7 +16,7 @@ from conftest import (
     random_operator,
 )
 from roelab.cli import run
-from roelab.operators import band_mask, band_truncate, eps_propagation_radius, propagation
+from roelab.operators import band_truncate, eps_propagation_radius, propagation
 from roelab.propa import (
     isometry_field,
     commutator_bound_check,
@@ -84,7 +84,7 @@ def test_criterion_01_band_decomposition_partitions():
         for part in dec.parts:
             for x, y in part.graph():
                 count[y, x] += 1
-        if not np.array_equal(count == 1, band_mask(space, R)) or np.any(count > 1):
+        if not np.array_equal(count == 1, space.near(R)) or np.any(count > 1):
             ok = False
             break
         if len(dec.parts) > 2 * growth(space, R):

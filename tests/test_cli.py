@@ -63,6 +63,12 @@ class TestMalformedInput:
         "op_bare_rows.json": {"n": 4, "rows": [0.0] * 16},
         "op_text_entry.json": {"n": 4, "rows": [["a", 0]] + [[0, 0]] * 15},
         "op_infinite.json": {"n": 4, "rows": [[float("inf"), 0]] + [[0, 0]] * 15},
+        "op_float_n.json": {"n": 2.0, "rows": [[0.0, 0.0]] * 4},
+        "op_bool_n.json": {"n": True, "rows": [[0.0, 0.0]]},
+        "metric_fractional.json": {"metric": {"kind": "graph", "data": [[0, 1.5], [1.5, 0]]}},
+        "metric_infinite.json": {"metric": {"kind": "explicit", "data": [[0, float("inf")], [float("inf"), 0]]}},
+        "metric_null.json": {"metric": {"kind": "graph", "data": [[0, None], [None, 0]]}},
+        "metric_weighted.json": {"metric": {"kind": "weighted", "data": [[0, 1.5], [1.5, 0]]}},
         "group_bare.json": {"table": [[0]], "matrices": [[[1.0]]]},
         "group_1x2.json": {"table": [[0]], "matrices": [[[[1.0, 0.0], [0.0, 0.0]]]]},
         "group_text_table.json": {"table": [[{"e": 0}]], "matrices": [[[[1.0, 0.0]]]]},
@@ -136,6 +142,16 @@ class TestMalformedInput:
         # a --config file holds a JSON object; an exact expansion scan needs 2 points
         ["propa", "sz", "--config", "{dir}/not_an_object.json"],
         ["space", "kappa", "--mode", "exact", "--space", "far:1"],
+        # space files: non-integral graph data, infinity, null, an unknown kind
+        ["space", "kappa", "-R", "1", "--space", "{dir}/metric_fractional.json"],
+        ["space", "kappa", "-R", "1", "--space", "{dir}/metric_infinite.json"],
+        ["space", "kappa", "-R", "1", "--space", "{dir}/metric_null.json"],
+        ["space", "kappa", "-R", "1", "--space", "{dir}/metric_weighted.json"],
+        # operator files whose size is not an exact int
+        ["oper", "band-dist", "--space", "interval:2", "--op", "{dir}/op_float_n.json"],
+        ["oper", "band-dist", "--space", "interval:1", "--op", "{dir}/op_bool_n.json"],
+        # the Levy check's delta lies in (0, 1), as in the other randsub bounds
+        ["randsub", "levy", "--d", "5", "--delta", "2"],
     ]
 
     @pytest.mark.parametrize("argv", CASES, ids=lambda a: " ".join(a[-2:]))

@@ -20,7 +20,6 @@ from roelab.operators import (
     BandDistanceBounds,
     RectangleWitness,
     SpaceOperator,
-    band_mask,
     band_truncate,
     complex_from_pairs,
     dist_to_band_bounds,
@@ -250,7 +249,7 @@ class TestRectangles:
 
     def test_band_mask_symmetry(self):
         sp = interval_space(7)
-        m = band_mask(sp, 2)
+        m = sp.near(2)
         assert np.array_equal(m, m.T)
         assert m[0, 2] and not m[0, 3]
 
@@ -363,6 +362,11 @@ class TestBandDistance:
                      lambda: eps_propagation_radius(u, math.nan)):
             with pytest.raises(ValueError):
                 call()
+        # the exact scan took a NaN or negative R as "nothing within R" and
+        # returned a witness of separation 0
+        for R in (math.nan, -1):
+            with pytest.raises(ValueError, match="radius must be nonnegative"):
+                eps_propagation_violation(u, 0.5, R)
 
 
 @settings(max_examples=20, deadline=None)
@@ -374,7 +378,7 @@ def test_truncation_partition_of_norm(n, seed):
     u = random_operator(rng, sp)
     for R in range(int(sp.diameter) + 1):
         t = band_truncate(u, R)
-        assert np.array_equal(np.where(band_mask(sp, R), u.mat, 0.0), t.mat)
+        assert np.array_equal(np.where(sp.near(R), u.mat, 0.0), t.mat)
         assert operator_norm(t.mat) <= operator_norm(u.mat) + operator_norm(u.mat - t.mat) + 1e-9
 
 
@@ -394,7 +398,7 @@ def reference_eps_propagation_exact(u, eps):
     rectangle, masks in increasing order, strict > first occurrence."""
     space = u.space
     n = space.n
-    radii = ops._candidate_radii(space)
+    radii = space.radii()
     best_R = 0.0
     witness = None
     for a_mask in range(1, 1 << n):
@@ -468,7 +472,7 @@ def _assert_scans_match_reference(u, eps_values):
         if j == 0 and witness is not None:
             eps_values.append(witness.value)
     tail_upper = None
-    for R in ops._candidate_radii(u.space):
+    for R in u.space.radii():
         b = dist_to_band_bounds(u, R)
         lower, witness = reference_dist_to_band_exact(u, R)
         tail, err = operator_norm(u.mat - band_truncate(u, R).mat, with_err=True)
@@ -497,7 +501,7 @@ def test_exact_scans_bit_identical_to_per_rectangle_lapack(n, seed, kind):
     # a tie: eps is the norm of the worst-case rectangle of some A at some radius
     A = np.flatnonzero(rng.random(n) < 0.5)
     if A.size:
-        radii = ops._candidate_radii(space)
+        radii = space.radii()
         B = _worst_B(space, A, radii[int(rng.integers(0, len(radii)))])
         if B.size and _lapack_norm(u.mat[np.ix_(A, B)]) > 0:
             eps_values.append(_lapack_norm(u.mat[np.ix_(A, B)]))
@@ -530,7 +534,7 @@ def test_exact_rectangles_enumerate_masks_in_order(monkeypatch):
     space = random_connected_graph_space(rng, 7)
     u = _scan_operator(rng, space, "dense-real")
     monkeypatch.setattr(ops, "MASK_CELLS", 7 * 10)  # 10 masks per chunk
-    for R in ops._candidate_radii(space):
+    for R in space.radii():
         chunks = list(ops._exact_rectangles(u, R))
         assert [len(A) for A, _, _ in chunks] == [10] * 12 + [7]
         A = np.concatenate([A for A, _, _ in chunks])
@@ -587,7 +591,7 @@ def test_violation_is_none_exactly_at_and_above_the_exact_radius(n, seed, kind):
     rng = np.random.default_rng(seed)
     space = random_connected_graph_space(rng, n)
     u = _scan_operator(rng, space, kind)
-    radii = ops._candidate_radii(space)
+    radii = space.radii()
     probes = np.concatenate([radii, (radii[:-1] + radii[1:]) / 2])
     eps_values = [float(rng.uniform(0.1, 2.0))]
     for eps in eps_values:
@@ -754,7 +758,7 @@ def test_random_searches_equal_per_draw_loops(n, seed, kind, budget, with_pool):
     rng = np.random.default_rng(seed)
     space = random_connected_graph_space(rng, n)
     u = _scan_operator(rng, space, kind)
-    radii = ops._candidate_radii(space)
+    radii = space.radii()
     R = radii[int(rng.integers(0, len(radii) - 1))]
     pool = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)) if with_pool else None
     b, res = _assert_random_searches_match_reference(u, R, float(rng.uniform(0.05, 1.5)), budget, seed, pool)
@@ -853,9 +857,9 @@ def test_close_rectangles_matches_per_seed_closure(space):
     """Dropped rows and closed rectangles equal the per-draw closure's, with
     the rows' radii mixed and more rows per radius than one block."""
     n = space.n
-    radii = ops._candidate_radii(space)
+    radii = space.radii()
     picks, seeds = ops._draw_seeds(np.random.default_rng(7), np.arange(n), n, 600, len(radii))
-    A, B, kept = ops._close_rectangles(space.dist, radii[picks], seeds)
+    A, B, kept = ops._close_rectangles(space, radii[picks], seeds)
     assert 0 < kept.sum() < len(kept)
     draws = np.random.default_rng(7)
     for a, b, k in zip(A, B, kept):

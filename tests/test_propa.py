@@ -87,6 +87,14 @@ class TestKernels:
                 uniform_ball_kernel(sp, R=R, delta=delta)
             with pytest.raises(ValueError):
                 interval_kernel(100, R=R, delta=delta)
+        # a kernel proved for some R does not pass for a NaN or negative one,
+        # which used to read as "no close pairs"
+        nu = uniform_ball_kernel(sp, R=1, delta=0.5)
+        for R in (math.nan, -1):
+            with pytest.raises(ValueError, match="radius must be nonnegative"):
+                PropertyAKernel(space=sp, mu=nu.mu, S=nu.S, delta=nu.delta, R=R)
+            with pytest.raises(ValueError, match="radius must be nonnegative"):
+                validate_kernel(sp, nu.mu, R, nu.delta, 1)
 
     def test_interval_kernel_length_check(self):
         with pytest.raises(IntervalTooShort):

@@ -421,7 +421,7 @@ class TestFactoredHooksEqualDenseDefaults:
 
     def test_tail_bound(self, any_assembly):
         u, full = any_assembly.u, dense_operator(any_assembly.u)
-        for R in operators._candidate_radii(u.space):
+        for R in u.space.radii():
             dense = operator_norm(full.mat - band_truncate(full, R).mat)
             tail = u.tail_bound(R)
             assert dense <= tail <= dense + 1e-12

@@ -257,6 +257,12 @@ class TestLevy:
         with pytest.raises(ValueError):
             levy_median_check(d=10, delta=0.05, trials=100, seed=0)
 
+    @pytest.mark.parametrize("delta", [1.0, 2.0, math.nan])
+    def test_delta_outside_unit_interval(self, delta):
+        # delta = 2 used to give k = 2d coordinates of a d-vector
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            levy_median_check(d=5, delta=delta, trials=10, seed=0)
+
 
 class TestEntropy:
     def test_holds_on_grid(self):

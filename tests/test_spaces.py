@@ -229,15 +229,10 @@ class TestTrustedConstructors:
 class TestBallsAndGrowth:
     def test_ball_and_growth_on_path(self):
         sp = path_space(7)
-        assert set(sp.ball(3, 1)) == {2, 3, 4}
+        assert set(np.flatnonzero(sp.near(1)[3])) == {2, 3, 4}
         assert growth(sp, 1) == 3
         assert growth(sp, 2) == 5
         assert growth(sp, 0) == 1
-
-    def test_neighborhood(self):
-        sp = path_space(6)
-        assert set(sp.neighborhood([0, 5], 1)) == {0, 1, 4, 5}
-        assert sp.neighborhood(np.array([], dtype=int), 3).size == 0
 
     def test_set_distance(self):
         sp = path_space(6)
@@ -252,6 +247,20 @@ class TestBallsAndGrowth:
     def test_growth_nan_radius(self):
         with pytest.raises(ValueError):
             growth(path_space(3), float("nan"))
+
+    def test_near_and_radii(self):
+        rng = np.random.default_rng(8)
+        explicit = np.array([[0.0, 1.5, 2.0], [1.5, 0.0, 0.75], [2.0, 0.75, 0.0]])
+        for sp in (random_connected_graph_space(rng, 9), path_space(6), FiniteMetricSpace(dist=explicit)):
+            for R in (0, 0.75, 1, 1.5, 2, 3.5):
+                near = sp.near(R)
+                assert near.dtype == bool and np.array_equal(near, sp.dist <= R)
+            radii = sp.radii()
+            assert radii[0] == 0 and np.all(np.diff(radii) > 0)
+            assert set(radii.tolist()) == set(sp.dist.ravel().tolist())
+        for R in (math.nan, -1, -0.5):
+            with pytest.raises(ValueError, match="radius must be nonnegative"):
+                path_space(4).near(R)
 
 
 class TestSerialization:
@@ -281,6 +290,21 @@ class TestSerialization:
     def test_missing_fields_name_the_field(self, obj, field):
         with pytest.raises(InvalidMetric, match=field):
             FiniteMetricSpace.from_json(obj)
+
+    @pytest.mark.parametrize(
+        "kind, data, match",
+        [("graph", [[0, 1.5], [1.5, 0]], "integers"),  # used to be cast to 1 silently
+         ("graph", [[0, None], [None, 0]], "integers"),
+         ("explicit", [[0, math.inf], [math.inf, 0]], "finite"),
+         ("explicit", [[0, None], [None, 0]], "finite"),  # a NaN, not "not symmetric"
+         ("explicit", [[0, math.nan], [math.nan, 0]], "finite"),
+         ("explicit", [[0, "a"], ["a", 0]], "numeric"),
+         ("explicit", [[0, 1], [1]], "numeric"),
+         ("weighted", [[0, 1], [1, 0]], "unknown metric kind")],
+    )
+    def test_bad_metric_data_rejected(self, kind, data, match):
+        with pytest.raises(InvalidMetric, match=match):
+            FiniteMetricSpace.from_json({"metric": {"kind": kind, "data": data}})
 
     def test_json_schema(self):
         obj = path_space(3).to_json()
@@ -373,7 +397,7 @@ class TestExpansion:
         rng = np.random.default_rng(4)
         sp = random_connected_graph_space(rng, 8)
         for R in range(int(sp.diameter) + 1):
-            table = neighbourhood_table(sp.dist, R)
+            table = neighbourhood_table(sp.near(R))
             assert table.dtype == np.uint32 and table.shape == (1 << 8,) and table[0] == 0
             for m in range(1, 1 << 8):
                 near = np.flatnonzero(sp.dist[[i for i in range(8) if m >> i & 1]].min(axis=0) <= R)
@@ -388,8 +412,10 @@ class TestExpansion:
     def test_exact_rejects_nan_or_negative_radius(self):
         sp = far_points(5)
         for R in (math.nan, -1):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="radius must be nonnegative"):
                 expansion_kappa(sp, R, mode="exact")
+            with pytest.raises(ValueError, match="radius must be nonnegative"):
+                neighbourhood_table(sp.near(R))
 
     def test_exact_size_cap(self):
         sp = far_points(23)

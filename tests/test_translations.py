@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_connected_graph_space, random_operator
-from roelab.operators import band_mask, band_truncate, operator_norm
+from roelab.operators import band_truncate, operator_norm
 from roelab.spaces import interval_space
 from roelab.spaces import growth
 from roelab.translations import decompose_band, schur_restrict
@@ -54,7 +54,7 @@ class TestDecomposeBand:
         sp = interval_space(4)
         dec = decompose_band(sp, 1)
         count = cover_matrix(sp, dec)
-        assert np.array_equal(count == 1, band_mask(sp, 1))
+        assert np.array_equal(count == 1, sp.near(1))
         assert len(dec.parts) <= 6
 
     def test_exact_partition_random_graphs(self):
@@ -65,7 +65,7 @@ class TestDecomposeBand:
             R = int(rng.integers(0, 4))
             dec = decompose_band(sp, R)
             count = cover_matrix(sp, dec)
-            assert np.array_equal(count == 1, band_mask(sp, R))
+            assert np.array_equal(count == 1, sp.near(R))
             assert np.all(count <= 1)
             assert len(dec.parts) <= 2 * growth(sp, R)
 
