@@ -25,8 +25,13 @@ CLOSE_BLOCK = 64
 
 # operator_norm: LAPACK when the smaller side is at most DENSE_NORM_MAX,
 # Golub-Kahan-Lanczos above it. Both cost about 2.5 ms (main-thread CPU, 2-vCPU
-# x86 VM, OpenBLAS) on complex 128 x 128 band and dense matrices.
+# x86 VM, OpenBLAS) on complex 128 x 128 band and dense matrices. The Lanczos
+# products gather over the nonzero entries, at O(nnz) each, when at most
+# GATHER_MAX_FILL of the entries are nonzero, and use BLAS otherwise; each step
+# runs one Gram-Schmidt pass, and a second only when the first cancels more
+# than 1/sqrt(2) of the norm; Ritz checks come every max(1, k // 4) steps.
 DENSE_NORM_MAX = 128
+GATHER_MAX_FILL = 0.25
 _GKL_TOL = 1e-12
 _GKL_MAXITER = 500
 
@@ -36,9 +41,16 @@ def operator_norm(mat, *, with_err: bool = False):
 
     If the smaller side is at most DENSE_NORM_MAX, LAPACK's SVD gives the
     value, and err is its backward-error bound max(p, q) * eps_mach * value.
-    Otherwise Golub-Kahan-Lanczos bidiagonalisation with full
-    reorthogonalisation runs from a fixed seeded start vector, using only
-    products with mat and its adjoint (the Gram matrix is never formed). It
+    Otherwise Golub-Kahan-Lanczos bidiagonalisation runs from a fixed seeded
+    start vector, using only products with mat and its adjoint (the Gram
+    matrix is never formed). One scan finds the nonzero entries: none gives
+    (0.0, 0.0) at once; at most GATHER_MAX_FILL of them makes each product a
+    gather, a multiply and a segmented sum over those entries (a scipy sparse
+    matrix always enters through its COO entries); a denser matrix is
+    multiplied by BLAS. Each new basis vector is reorthogonalised by one
+    classical Gram-Schmidt pass, and by a second only when the first removed
+    more than 1/sqrt(2) of its norm ("twice is enough"). At steps spaced by a
+    quarter of the step count, and whenever the basis stalls, the iteration
     stops once the top Ritz residual beta_k |e_k^T x| (x the top left
     singular vector of the k x k bidiagonal B_k) is at most 1e-12 times the
     Ritz value theta = sigma_max(B_k). Then theta is a lower estimate of the
@@ -54,7 +66,7 @@ def operator_norm(mat, *, with_err: bool = False):
 
 
 def _norm_with_err(mat) -> tuple:
-    sparse = hasattr(mat, "tocsr")
+    sparse = hasattr(mat, "tocoo")
     m = mat if sparse else np.atleast_2d(np.asarray(mat))
     if 0 in m.shape:
         return 0.0, 0.0
@@ -66,19 +78,65 @@ def _norm_with_err(mat) -> tuple:
     return value, max(m.shape) * np.finfo(float).eps * value
 
 
-def _orthogonalise(w: np.ndarray, Q: np.ndarray) -> None:
+def _products(m):
+    """(x -> m x, y -> m* y), or None when m has no nonzero entry."""
+    if hasattr(m, "tocoo"):
+        coo = m.tocoo()
+        live = coo.data != 0
+        rows, cols, vals = coo.row[live], coo.col[live], coo.data[live]
+        # row-major like the dense scan, so that a sparse matrix and its dense
+        # twin sum each product in the same order
+        order = np.argsort(rows, kind="stable")
+        rows, cols, vals = rows[order], cols[order], vals[order]
+    else:
+        nonzero = m != 0
+        if np.count_nonzero(nonzero) > GATHER_MAX_FILL * m.size:
+            return (lambda x: m @ x), (lambda y: (y.conj() @ m).conj())
+        rows, cols = np.divmod(np.flatnonzero(nonzero), m.shape[1])
+        vals = m[rows, cols]
+    if vals.size == 0:
+        return None
+    by_col = np.argsort(cols, kind="stable")
+    forward = _gathered(rows, cols, vals, m.shape[0])
+    adjoint = _gathered(cols[by_col], rows[by_col], vals[by_col].conj(), m.shape[1])
+    return forward, adjoint
+
+
+def _gathered(out, inp, vals, size):
+    """x -> y with y[out[j]] = sum of vals[j] x[inp[j]], for entries sorted by out."""
+    starts = np.flatnonzero(np.diff(out, prepend=-1))
+    targets = out[starts]
+
+    def product(x):
+        y = np.zeros(size, np.result_type(vals, x))
+        y[targets] = np.add.reduceat(vals * x[inp], starts)
+        return y
+
+    return product
+
+
+def _orthogonalise(w: np.ndarray, Q: np.ndarray) -> float:
     """Remove from w, in place, its components along the orthonormal rows of Q
-    (classical Gram-Schmidt, twice)."""
-    for _ in range(2):
+    by classical Gram-Schmidt, repeated once if the pass cancelled more than
+    1/sqrt(2) of w's norm; returns the norm of the result."""
+    before = np.linalg.norm(w)
+    w -= (Q @ w.conj()).conj() @ Q
+    after = np.linalg.norm(w)
+    if 2.0 * after * after < before * before:
         w -= (Q @ w.conj()).conj() @ Q
+        after = np.linalg.norm(w)
+    return after
 
 
 def _gkl_top(m):
     """(theta, residual) of Golub-Kahan-Lanczos once converged; None at the cap."""
-    mh = m.conj().T
-    if m.shape[0] < m.shape[1]:  # start on the smaller side, which fills first
-        m, mh = mh, m
+    products = _products(m)
+    if products is None:
+        return 0.0, 0.0
+    apply, adjoint = products
     p, q = m.shape
+    if p < q:  # start on the smaller side, which fills first
+        apply, adjoint, p, q = adjoint, apply, q, p
     dtype = np.result_type(m.dtype, np.float64)
     rng = np.random.default_rng(0x5EED)
     v = rng.standard_normal(q)
@@ -100,22 +158,20 @@ def _gkl_top(m):
             V = np.concatenate([V, np.empty_like(V)])
             alpha = np.concatenate([alpha, np.empty_like(alpha)])
             beta = np.concatenate([beta, np.empty_like(beta)])
-        w = m @ V[k]
+        w = apply(V[k])
         if k:
             w -= beta[k - 1] * U[k - 1]
-            _orthogonalise(w, U[:k])
-        alpha[k] = np.linalg.norm(w)
+        alpha[k] = _orthogonalise(w, U[:k])
         # alpha = 0: V[:k+1] maps into span(U[:k]), an invariant pair; the zero
         # row makes r and so beta vanish, which ends the iteration below
         U[k] = w / alpha[k] if alpha[k] > 0 else 0.0
-        r = mh @ U[k] - alpha[k] * V[k]
-        _orthogonalise(r, V[: k + 1])
-        beta[k] = np.linalg.norm(r)
+        r = adjoint(U[k]) - alpha[k] * V[k]
+        beta[k] = _orthogonalise(r, V[: k + 1])
         if beta[k] > 0:
             V[k + 1] = r / beta[k]
         # checks at geometrically spaced steps, and whenever the basis stalls
         if k + 1 >= next_check or beta[k] <= _GKL_TOL * alpha[: k + 1].max():
-            next_check = k + 1 + max(1, (k + 1) // 8)
+            next_check = k + 1 + max(1, (k + 1) // 4)
             B = np.diag(alpha[: k + 1]) + np.diag(beta[:k], 1)
             X, s, _ = np.linalg.svd(B)
             residual = float(beta[k] * abs(X[-1, 0]))

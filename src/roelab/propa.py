@@ -99,7 +99,10 @@ def _support_radius(R, delta) -> int:
         raise ValueError("radius must be nonnegative")
     if not delta > 0:
         raise ValueError("delta must be positive")
-    return int(math.ceil(2.0 * R / delta)) if R > 0 else 0
+    ratio = 2.0 * R / delta
+    if ratio == math.inf:  # an infinite R, or a delta too small for a float S
+        raise ValueError(f"support radius 2R/delta = 2 * {R} / {delta} is not finite")
+    return int(math.ceil(ratio))
 
 
 def uniform_ball_kernel(space: FiniteMetricSpace, R, delta: float) -> PropertyAKernel:

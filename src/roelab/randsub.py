@@ -279,7 +279,7 @@ def levy_median_check(d: int, delta: float, trials: int, seed: int) -> LevyRepor
 def entropy_count_bound(d: int, delta: float):
     """log C(d, delta d) against the binary entropy bound H(delta) d (natural logs)."""
     k = delta * d
-    if not 0 < delta < 1 or abs(k - round(k)) > 1e-9:
+    if not 0 < delta < 1 or abs(k - round(k)) > 1e-9 or round(k) < 1:
         raise ValueError("delta d must be a positive integer with 0 < delta < 1")
     k = int(round(k))
     log_binomial = math.lgamma(d + 1) - math.lgamma(k + 1) - math.lgamma(d - k + 1)

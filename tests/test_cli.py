@@ -111,6 +111,9 @@ class TestMalformedInput:
         ["oper", "eps-prop", "--space", "interval:5", "-R", "nan", "--eps", "0.1"],
         ["oper", "eps-prop", "--space", "interval:5", "--eps", "0.1", "-R", "-1"],
         ["propa", "rademacher", "-R", "nan", "--N", "20"],
+        # infinite radii, whose support radius 2R/delta has no integer ceiling
+        ["propa", "sz", "--N", "20", "-R", "inf"],
+        ["propa", "rademacher", "--N", "20", "-R", "infinity"],
         # [re, im] files: bare numbers, text, infinity, 1 x 2 matrices, a non-integer table
         ["oper", "eps-prop", "--mode", "exact", "--space", "interval:4", "--eps", "0.1",
          "--op", "{dir}/op_bare_rows.json"],
@@ -152,6 +155,8 @@ class TestMalformedInput:
         ["oper", "band-dist", "--space", "interval:1", "--op", "{dir}/op_bool_n.json"],
         # the Levy check's delta lies in (0, 1), as in the other randsub bounds
         ["randsub", "levy", "--d", "5", "--delta", "2"],
+        # the entropy bound counts delta d >= 1 coordinates
+        ["randsub", "entropy", "--delta", "0.5", "--d", "0"],
     ]
 
     @pytest.mark.parametrize("argv", CASES, ids=lambda a: " ".join(a[-2:]))

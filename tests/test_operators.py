@@ -151,6 +151,21 @@ class TestOperatorNormLanczos:
         s[0], s[1] = 1.0, 1.0 - 1e-13
         _assert_norm(q1 @ np.diag(s) @ q2.T)
 
+    def test_orthogonalise_repeats_only_on_cancellation(self):
+        rng = np.random.default_rng(11)
+        Q = np.linalg.qr(rng.standard_normal((300, 20)) + 1j * rng.standard_normal((300, 20)))[0].T
+        fresh = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+        one_pass = fresh - (Q @ fresh.conj()).conj() @ Q
+        w = fresh.copy()
+        assert ops._orthogonalise(w, Q) == np.linalg.norm(w)
+        assert np.array_equal(w, one_pass)  # a pass that keeps most of the norm is not repeated
+        # a vector almost inside span(Q): one pass leaves components of about
+        # 1e8 * eps_mach along Q, relative to what remains; the second removes them
+        w = 1e8 * (rng.standard_normal(20) @ Q) + one_pass / np.linalg.norm(one_pass)
+        norm = ops._orthogonalise(w, Q)
+        assert norm == pytest.approx(1.0, rel=1e-6)
+        assert np.abs(Q.conj() @ w).max() <= 1e-14 * norm
+
     def test_cap_falls_back_to_lapack(self, monkeypatch):
         calls = []
         original = ops._sigma_max
@@ -161,6 +176,85 @@ class TestOperatorNormLanczos:
         assert calls == [(300, 300)] * 2  # with_err and plain call
         assert value == _svd_top(m)
         assert err == pytest.approx(300 * np.finfo(float).eps * value)
+
+
+class TestGatheredProducts:
+    """Above DENSE_NORM_MAX, a matrix with at most GATHER_MAX_FILL of its entries
+    nonzero is multiplied by gathering over those entries."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Output sizes of the gathered products built, forward then adjoint."""
+        sizes = []
+        original = ops._gathered
+        monkeypatch.setattr(ops, "_gathered", lambda *a: sizes.append(a[-1]) or original(*a))
+        return sizes
+
+    @staticmethod
+    def _sparse(rng, shape, fill=0.05, complex_=True):
+        m = rng.standard_normal(shape) * (rng.random(shape) < fill)
+        if complex_:
+            m = m + 1j * np.where(m != 0, rng.standard_normal(shape), 0.0)
+        return m
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("R", [1, 2, 5])
+    def test_banded(self, built, complex_, R):
+        _assert_norm(_band(np.random.default_rng(20 + R), 300, R, complex_))
+        assert built == [300, 300] * 2  # with_err and plain call
+
+    @pytest.mark.parametrize("shape", [(400, 150), (150, 400)])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_tall_and_wide(self, built, shape, complex_):
+        _assert_norm(self._sparse(np.random.default_rng(shape[0]), shape, complex_=complex_))
+        assert built[:2] == list(shape)
+
+    def test_empty_rows_and_columns(self, built):
+        m = _band(np.random.default_rng(21), 300, 3)
+        m[::3] = 0.0
+        m[:, 40:90] = 0.0
+        m[-1] = 0.0
+        _assert_norm(m)
+        assert built
+
+    @pytest.mark.parametrize("shape", [(200, 300), (300, 200)])
+    def test_single_entry(self, built, shape):
+        m = np.zeros(shape, complex)
+        m[150, 170] = -2.5 + 1.0j
+        value, _ = _assert_norm(m)
+        assert value == pytest.approx(abs(m[150, 170]), rel=1e-14)
+        assert built
+
+    def test_all_zero_takes_no_step(self, built):
+        import scipy.sparse as sparse
+
+        N = ops.DENSE_NORM_MAX + 1
+        assert operator_norm(np.zeros((N, 2 * N)), with_err=True) == (0.0, 0.0)
+        assert operator_norm(sparse.csr_matrix((2 * N, N)), with_err=True) == (0.0, 0.0)
+        # explicit zeros in a sparse matrix are not entries
+        explicit = sparse.csr_matrix((np.zeros(3), ([0, 5, 9], [1, 1, 4])), shape=(N, N))
+        assert explicit.nnz == 3
+        assert operator_norm(explicit, with_err=True) == (0.0, 0.0)
+        assert built == []
+
+    def test_denser_matrix_keeps_blas(self, built):
+        _assert_norm(self._sparse(np.random.default_rng(22), (300, 300), fill=0.5))
+        assert built == []
+
+    def test_sparse_and_dense_twin_identical(self, built):
+        import scipy.sparse as sparse
+
+        rng = np.random.default_rng(23)
+        twins = [
+            _band(rng, 300, 2),
+            _band(rng, 250, 4, complex_=False),
+            self._sparse(rng, (400, 150)),
+            self._sparse(rng, (150, 400), complex_=False),
+        ]
+        for dense in twins:
+            for fmt in (sparse.csr_matrix, sparse.csc_matrix):
+                assert operator_norm(fmt(dense), with_err=True) == operator_norm(dense, with_err=True)
+        assert built
 
 
 class TestSpaceOperator:

@@ -87,6 +87,11 @@ class TestKernels:
                 uniform_ball_kernel(sp, R=R, delta=delta)
             with pytest.raises(ValueError):
                 interval_kernel(100, R=R, delta=delta)
+        # an infinite R, or a delta so small that 2R/delta overflows, has no
+        # integer support radius
+        for R, delta in [(math.inf, 0.5), (1, 1e-320)]:
+            with pytest.raises(ValueError, match="not finite"):
+                uniform_ball_kernel(sp, R=R, delta=delta)
         # a kernel proved for some R does not pass for a NaN or negative one,
         # which used to read as "no close pairs"
         nu = uniform_ball_kernel(sp, R=1, delta=0.5)

@@ -280,6 +280,12 @@ class TestEntropy:
         with pytest.raises(ValueError):
             entropy_count_bound(10, 0.15)
 
+    @pytest.mark.parametrize("d", [0, -4])
+    def test_rejects_empty_count(self, d):
+        # log C(0, 0) = 0 <= H_bound = 0 would be a PASS about no coordinates
+        with pytest.raises(ValueError, match="positive integer"):
+            entropy_count_bound(d, 0.5)
+
 
 def test_trial_seed_streams_are_distinct():
     a = trial_seed(3, 0).integers(0, 2 ** 63)
