@@ -53,10 +53,6 @@ class RejectionBudgetExhausted(RoelabError):
     pass
 
 
-class IntervalTooShort(RoelabError):
-    pass
-
-
 class NotAContraction(RoelabError):
     pass
 

@@ -274,8 +274,9 @@ class SpaceOperator:
         return _rect_norms(self.mat, rows, cols)
 
     def tail_bound(self, R) -> float:
-        """Upper estimate value + err of ||u - band_truncate(u, R)||, the truncation tail."""
-        tail, err = operator_norm(self.mat - band_truncate(self, R).mat, with_err=True)
+        """Upper estimate value + err of ||u - band_truncate(u, R)||, the truncation
+        tail, normed on one copy of u with its R-band zeroed."""
+        tail, err = operator_norm(np.where(self.space.near(R), 0.0, self.mat), with_err=True)
         return tail + err
 
 
@@ -482,13 +483,20 @@ def _draw_seeds(rng, pool, n: int, budget: int, n_radii: int = 0) -> tuple:
 
 
 def _close_rectangles(space: FiniteMetricSpace, radii: np.ndarray, seeds: np.ndarray) -> tuple:
-    """Grow each seed row i to a maximal separated rectangle at radius radii[i].
+    """Grow each seed row S to a maximal separated rectangle at its radius radii[i]:
+    B = far(S), then A = far(B), where far(S) is the set of points farther
+    than the row's radius from all of S. A row is kept iff B is nonempty.
 
-    Per row: up to 4 rounds of B = far(A), A = far(B), stopping early at a
-    fixed point of A, then B = far(A), where far(S) is the set of points
-    farther than the row's radius from all of S. A row whose B or A becomes
-    empty is dropped. Rows are closed per distinct radius R, CLOSE_BLOCK rows
-    at a time, and far of a block is one float32 GEMM with the 0/1 matrix
+    One round is the whole closure. far is antitone (S within T gives far(T)
+    within far(S)), and since the R-relation of a space is symmetric, every
+    S lies within far(far(S)). Applying far to the latter gives
+    far(far(far(S))) within far(S), and the former with far(S) in place of S
+    gives the reverse: far o far o far = far, a Galois connection. So A
+    contains the seed, far(A) = B, and further rounds would return the same
+    A and B.
+
+    Rows are closed per distinct radius R, CLOSE_BLOCK rows at a time, and
+    far of a block is one float32 GEMM with the 0/1 matrix
     near = space.near(R), built once per radius: (S @ near)[x] counts the
     points of S within R of x, exactly (a count is at most |X| < 2^24).
     Returns boolean rows A and B, and which rows were kept.
@@ -497,34 +505,21 @@ def _close_rectangles(space: FiniteMetricSpace, radii: np.ndarray, seeds: np.nda
     def far(S, near):
         return (S.astype(np.float32) @ near) == 0
 
-    A = seeds.copy()
-    B = np.zeros_like(A)
-    kept = np.ones(len(A), dtype=bool)
+    A = np.zeros_like(seeds)
+    B = np.zeros_like(seeds)
     for R in np.unique(radii):
         rows = np.flatnonzero(radii == R)
         near = space.near(R).astype(np.float32)
         for start in range(0, len(rows), CLOSE_BLOCK):
             block = rows[start : start + CLOSE_BLOCK]
-            a, ok = A[block], np.ones(len(block), dtype=bool)
-            live = np.arange(len(a))
-            for _ in range(4):
-                b = far(a[live], near)
-                grown = far(b, near)
-                nonempty = b.any(axis=1) & grown.any(axis=1)
-                fixed = (grown == a[live]).all(axis=1)
-                ok[live[~nonempty]] = False
-                a[live[nonempty]] = grown[nonempty]
-                live = live[nonempty & ~fixed]
-                if live.size == 0:
-                    break
-            b = far(a, near)
-            A[block], B[block], kept[block] = a, b, ok & b.any(axis=1)
-    return A, B, kept
+            B[block] = far(seeds[block], near)
+            A[block] = far(B[block], near)
+    return A, B, B.any(axis=1)
 
 
 def _random_rectangles(u: SpaceOperator, radii: np.ndarray, seeds: np.ndarray) -> tuple:
     """(A, B, norms) of a random rectangle search: seed row i closed at radius
-    radii[i] by _close_rectangles, the rows that closed to an empty side
+    radii[i] by _close_rectangles, the rows that closed to an empty B
     dropped, the rest kept in draw order. Each distinct (A, B), keyed by its
     packed bits, is normed once through u.rect_norms; norms[i] is row i's."""
     A, B, kept = _close_rectangles(u.space, radii, seeds)

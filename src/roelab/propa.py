@@ -11,7 +11,6 @@ import numpy as np
 
 from .errors import (
     HypothesisViolated,
-    IntervalTooShort,
     KernelInvalid,
     NotAContraction,
 )
@@ -22,6 +21,7 @@ from .operators import (
     eps_propagation_violation,
     operator_norm,
 )
+# interval_space is unused here, but perfbench/tracer.py wraps propa.interval_space
 from .spaces import FiniteMetricSpace, growth, interval_space
 
 ROW_TOL = 1e-12
@@ -117,14 +117,6 @@ def uniform_ball_kernel(space: FiniteMetricSpace, R, delta: float) -> PropertyAK
     within = space.near(S)
     mu = within / within.sum(axis=1, keepdims=True)
     return PropertyAKernel(space=space, mu=mu, S=S, delta=delta, R=R)
-
-
-def interval_kernel(N: int, R, delta: float) -> PropertyAKernel:
-    """Certified kernel on the length-N interval; rejects intervals shorter than the support."""
-    S = _support_radius(R, delta)
-    if N <= 2 * S:
-        raise IntervalTooShort(f"need N > 2S = {2 * S}")
-    return uniform_ball_kernel(interval_space(N), R, delta)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,11 @@
 
 All spaces are finite with points 0..n-1 and a dense distance matrix.
 Graph metrics are integer valued (shortest-path distances); explicit
-metrics are float64 and validated to 1e-9.
+metrics are float64, validated to METRIC_TOL = 1e-9 and stored as the
+nearest exactly symmetric matrix with a zero diagonal, (d + d^T) / 2 with
+its diagonal set to 0. So every stored metric is exactly symmetric, every
+R-relation near(R) with R >= 0 is symmetric and reflexive, and no consumer
+needs to know the tolerance.
 
 Consumers outside this module read a space's distances only through
 ``near(R)`` (the R-relation dist <= R, and the one place that rejects
@@ -56,8 +60,14 @@ class FiniteMetricSpace:
         d = np.asarray(self.dist)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise InvalidMetric("distance matrix must be square")
-        object.__setattr__(self, "dist", d)
         _validate_metric(d)
+        if not np.issubdtype(d.dtype, np.integer):
+            # (d + d^T) / 2 in a new array, so the caller's is untouched, halved
+            # first so that it cannot overflow; an exactly symmetric input with
+            # a zero diagonal is kept bit for bit
+            d = d / 2 + d.T / 2
+            np.fill_diagonal(d, 0)
+        object.__setattr__(self, "dist", d)
 
     @classmethod
     def _trusted(cls, dist: np.ndarray, label: str = "") -> "FiniteMetricSpace":
@@ -320,13 +330,10 @@ def random_regular(n: int, d: int, seed: int) -> FiniteMetricSpace:
         u, v = stubs[0::2], stubs[1::2]
         if np.any(u == v):
             continue
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        edges = set(zip(lo.tolist(), hi.tolist()))
-        if len(edges) < u.size:
-            continue
         adjacency = np.zeros((n, n), dtype=np.int64)
-        for a, b in edges:
-            adjacency[a, b] = adjacency[b, a] = 1
+        adjacency[u, v] = adjacency[v, u] = 1
+        if adjacency.sum() < 2 * u.size:  # a repeated edge
+            continue
         try:
             space = from_graph(adjacency, label=f"rr{n}d{d}s{seed}")
         except DisconnectedGraph:

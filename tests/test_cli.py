@@ -167,6 +167,31 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1, err
 
+    @staticmethod
+    def _line_with_diagonal(path, diagonal):
+        """8 points on a line, with every diagonal entry within METRIC_TOL of 0."""
+        x = np.arange(8.0)
+        d = np.abs(x[:, None] - x[None, :])
+        np.fill_diagonal(d, diagonal)
+        path.write_text(json.dumps({"metric": {"kind": "explicit", "data": d.tolist()}}))
+        return str(path)
+
+    def test_negative_float_diagonal_is_radius_zero(self, tmp_path, capsys):
+        # a -1e-10 diagonal used to be the smallest candidate radius, which
+        # near() rejected as negative
+        space = self._line_with_diagonal(tmp_path / "line.json", -1e-10)
+        assert main(["oper", "eps-prop", "--space", space, "--mode", "exact", "--eps", "0.1", "-R", "1"]) == 0
+
+    def test_positive_float_diagonal_keeps_rectangles_separated(self, tmp_path):
+        # with a +1e-10 diagonal, R = 0 used to leave every point far from
+        # itself, and A = B = all points passed as a separated rectangle
+        space = self._line_with_diagonal(tmp_path / "line.json", 1e-10)
+        report, code = run(["oper", "band-dist", "--space", space, "-R", "0", "--seed", "1"])
+        witness = report["results"]["witness"]
+        assert code == 0
+        assert not set(witness["A"]) & set(witness["B"])
+        assert witness["separation"] >= 1
+
 
 class TestParser:
     def test_built_once(self):

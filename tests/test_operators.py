@@ -935,12 +935,17 @@ def test_random_search_budget_zero_or_negative():
 
 
 def _nearly_symmetric_space():
-    """A float metric is symmetric only up to METRIC_TOL: with dist(x, y) and
-    dist(y, x) on either side of a radius, the within-R relation is not
-    symmetric, and the closure can take more than one round."""
+    """A float metric symmetric only up to METRIC_TOL, with dist(x, y) and
+    dist(y, x) on either side of a radius: the space stores it exactly
+    symmetric, so its within-R relation is symmetric too."""
     x = np.random.default_rng(44).integers(0, 12, 24).astype(float)
     dist = np.abs(x[:, None] - x[None, :]) + np.triu(np.full((24, 24), 1e-12), 1)
     return FiniteMetricSpace(dist=np.where(x[:, None] == x[None, :], 0.5, dist) * (1 - np.eye(24)))
+
+
+def _far(space, R, S):
+    """The points farther than R from every point of the boolean row S."""
+    return ~space.near(R)[S].any(axis=0)
 
 
 @pytest.mark.parametrize("space", [
@@ -949,19 +954,61 @@ def _nearly_symmetric_space():
 ], ids=["graph", "nearly-symmetric"])
 def test_close_rectangles_matches_per_seed_closure(space):
     """Dropped rows and closed rectangles equal the per-draw closure's, with
-    the rows' radii mixed and more rows per radius than one block."""
+    the rows' radii mixed and more rows per radius than one block; each kept
+    A contains its seed and is closed: far(A) = B and far(B) = A."""
     n = space.n
     radii = space.radii()
     picks, seeds = ops._draw_seeds(np.random.default_rng(7), np.arange(n), n, 600, len(radii))
     A, B, kept = ops._close_rectangles(space, radii[picks], seeds)
     assert 0 < kept.sum() < len(kept)
     draws = np.random.default_rng(7)
-    for a, b, k in zip(A, B, kept):
+    for r, s, a, b, k in zip(radii[picks], seeds, A, B, kept):
         pair = closed_pair(space, radii[draws.integers(0, len(radii))], draws)
-        assert k == (pair is not None)
+        assert k == (pair is not None) == _far(space, r, s).any()
         if k:
             assert (np.flatnonzero(a).tolist(), np.flatnonzero(b).tolist()) == (
                 pair[0].tolist(), pair[1].tolist())
+            assert np.all(a[s])
+            assert np.array_equal(_far(space, r, a), b) and np.array_equal(_far(space, r, b), a)
+
+
+@st.composite
+def _space_radius_subset(draw):
+    """A graph metric, or a float metric of points in the plane stored from
+    an input within METRIC_TOL of symmetric with a nonzero diagonal; one of
+    its radii; a nonempty subset."""
+    n = draw(st.integers(min_value=2, max_value=14))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 31)))
+    if draw(st.booleans()):
+        space = random_connected_graph_space(rng, n)
+    else:
+        pts = rng.uniform(0, 4, (n, 2))
+        d = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=2))
+        d = d + np.triu(rng.uniform(0, 1e-12, (n, n)), 1)
+        np.fill_diagonal(d, rng.uniform(-1e-10, 1e-10, n))
+        space = FiniteMetricSpace(dist=d)
+    radii = space.radii()
+    R = radii[draw(st.integers(min_value=0, max_value=len(radii) - 1))]
+    S = np.zeros(n, dtype=bool)
+    S[draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1))] = True
+    return space, R, S
+
+
+@settings(max_examples=60, deadline=None)
+@given(_space_radius_subset())
+def test_far_is_a_galois_connection(case):
+    """S lies within far(far(S)) and far(far(far(S))) = far(S), so one round
+    of _close_rectangles closes a seed, and closing its A again changes
+    nothing."""
+    space, R, S = case
+    once = _far(space, R, S)
+    twice = _far(space, R, once)
+    assert np.all(twice[S])
+    assert np.array_equal(_far(space, R, twice), once)
+    A, B, kept = ops._close_rectangles(space, np.array([R, R]), np.array([S, twice]))
+    assert np.array_equal(B[0], once) and np.array_equal(A[0], twice)
+    assert kept[0] == once.any()
+    assert np.array_equal(A[1], A[0]) and np.array_equal(B[1], B[0])
 
 
 def test_random_searches_on_float_metric():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import random_connected_graph_space, random_operator
 from roelab.errors import (
     HypothesisViolated,
-    IntervalTooShort,
     KernelInvalid,
     NotAContraction,
 )
@@ -28,7 +27,6 @@ from roelab import propa
 from roelab.propa import (
     PropertyAKernel,
     commutator_bound_check,
-    interval_kernel,
     isometry_field,
     phi_nu,
     rademacher_diagnostics,
@@ -86,7 +84,7 @@ class TestKernels:
             with pytest.raises(ValueError):
                 uniform_ball_kernel(sp, R=R, delta=delta)
             with pytest.raises(ValueError):
-                interval_kernel(100, R=R, delta=delta)
+                uniform_ball_kernel(interval_space(100), R=R, delta=delta)
         # an infinite R, or a delta so small that 2R/delta overflows, has no
         # integer support radius
         for R, delta in [(math.inf, 0.5), (1, 1e-320)]:
@@ -100,11 +98,6 @@ class TestKernels:
                 PropertyAKernel(space=sp, mu=nu.mu, S=nu.S, delta=nu.delta, R=R)
             with pytest.raises(ValueError, match="radius must be nonnegative"):
                 validate_kernel(sp, nu.mu, R, nu.delta, 1)
-
-    def test_interval_kernel_length_check(self):
-        with pytest.raises(IntervalTooShort):
-            interval_kernel(10, R=2, delta=0.5)
-        interval_kernel(100, R=2, delta=0.5)
 
     def test_invalid_kernel_rejected(self):
         sp = interval_space(6)

@@ -96,6 +96,30 @@ class TestValidation:
         assert sp.n == 3
         assert not sp.is_integer
 
+    @pytest.mark.parametrize("diagonal", [1e-10, -1e-10])
+    def test_float_metric_stored_exact(self, diagonal):
+        """A float metric within tolerance is stored exactly symmetric with a
+        zero diagonal, in a new array, and so its smallest radius is 0."""
+        x = np.arange(6.0)
+        d = np.abs(x[:, None] - x[None, :]) + np.triu(np.full((6, 6), 1e-12), 1)
+        np.fill_diagonal(d, diagonal)
+        given_copy = d.copy()
+        sp = FiniteMetricSpace(dist=d)
+        assert np.array_equal(sp.dist, sp.dist.T)
+        assert np.all(np.diag(sp.dist) == 0)
+        assert np.array_equal(d, given_copy)
+        assert sp.radii()[0] == 0
+        assert np.all(sp.near(0) == np.eye(6, dtype=bool))
+
+    def test_exact_metrics_kept_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(0, 1, (9, 2))
+        d = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=2))
+        d = np.minimum(d, d.T)
+        assert FiniteMetricSpace(dist=d).dist.tobytes() == d.tobytes()
+        graph = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        assert FiniteMetricSpace(dist=graph).dist is graph
+
 
 class TestFromGraph:
     def test_matches_floyd_warshall(self):
@@ -467,6 +491,30 @@ class TestGenerators:
         a = random_regular(12, 3, seed=7)
         b = random_regular(12, 3, seed=7)
         assert np.array_equal(a.dist, b.dist)
+
+    @pytest.mark.parametrize("n,d,seed", [(12, 3, 7), (10, 4, 0), (16, 3, 2), (30, 3, 1), (60, 4, 2)])
+    def test_random_regular_matches_edge_set_construction(self, n, d, seed):
+        """The same rng calls as the pairing model over a set of edge tuples,
+        which rejects a repeated edge by the set's size, give the same graph."""
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            stubs = np.repeat(np.arange(n), d)
+            rng.shuffle(stubs)
+            u, v = stubs[0::2], stubs[1::2]
+            if np.any(u == v):
+                continue
+            edges = set(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
+            if len(edges) < u.size:
+                continue
+            adjacency = np.zeros((n, n), dtype=np.int64)
+            for a, b in edges:
+                adjacency[a, b] = adjacency[b, a] = 1
+            try:
+                expected = from_graph(adjacency)
+            except DisconnectedGraph:
+                continue
+            break
+        assert np.array_equal(random_regular(n, d, seed).dist, expected.dist)
 
     def test_random_regular_rejects_odd_product(self):
         with pytest.raises(ValueError):
