@@ -30,7 +30,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_space(spec: str) -> spaces.FiniteMetricSpace:
     if spec.startswith("regular:"):
-        _, n, d, seed = spec.split(":")
+        parts = spec.split(":")
+        if len(parts) != 4:
+            raise ValueError(f"space {spec!r} must read regular:N:D:SEED")
+        _, n, d, seed = parts
         return spaces.random_regular(int(n), int(d), int(seed))
     if spec.startswith("far:"):
         return spaces.far_points(_size(spec))
@@ -73,10 +76,22 @@ def _band_contraction(space, R, seed):
     return SpaceOperator(space=space, mat=m / norm if norm > 0 else m)
 
 
+def _operator(cfg, R):
+    """The operator of an oper command: the --op file on --space if given,
+    else a seeded contraction with band radius R."""
+    space = _parse_space(cfg["space"])
+    if cfg.get("op"):
+        with open(cfg["op"]) as fh:
+            return SpaceOperator.from_json(json.load(fh), space)
+    return _band_contraction(space, R, cfg["seed"])
+
+
 # ---------------------------------------------------------------- handlers
 
 
 def _cmd_space_gen(cfg):
+    if len(cfg["regular"]) != 2:
+        raise ValueError("--regular takes N,D")
     n, d = cfg["regular"]
     space = spaces.random_regular(n, d, cfg["seed"])
     degrees = space.near(1).sum(axis=1) - 1  # the points within 1, less the point itself
@@ -107,18 +122,14 @@ def _cmd_translations_decompose(cfg):
 
 
 def _cmd_oper_eps_prop(cfg):
-    space = _parse_space(cfg["space"])
-    if cfg.get("op"):
-        with open(cfg["op"]) as fh:
-            u = SpaceOperator.from_json(json.load(fh), space)
+    u = _operator(cfg, cfg["R"])
+    if cfg["mode"] == "exact":
+        res = eps_propagation_radius(u, cfg["eps"])
     else:
-        u = _band_contraction(space, cfg["R"], cfg["seed"])
-    res = eps_propagation_radius(
-        u, cfg["eps"], mode=cfg["mode"], seed=cfg["seed"], budget=cfg["budget"]
-    )
+        res = operators.eps_propagation_brackets(u, [cfg["eps"]], seed=cfg["seed"], budget=cfg["budget"])[0]
     return {
         "eps": cfg["eps"],
-        "mode": res.mode,
+        "mode": cfg["mode"],
         "R_lower": res.lower,
         "R_upper": res.upper,
         "witness": res.witness,
@@ -127,12 +138,7 @@ def _cmd_oper_eps_prop(cfg):
 
 
 def _cmd_oper_band_dist(cfg):
-    space = _parse_space(cfg["space"])
-    if cfg.get("op"):
-        with open(cfg["op"]) as fh:
-            u = SpaceOperator.from_json(json.load(fh), space)
-    else:
-        u = _band_contraction(space, cfg["R"] + 2, cfg["seed"])
+    u = _operator(cfg, cfg["R"] + 2)
     b = dist_to_band_bounds(u, cfg["R"], budget=cfg["budget"], seed=cfg["seed"])
     ok = b.lower <= b.upper + 1e-9
     return {

@@ -264,7 +264,7 @@ class SpaceOperator:
 
     # The two norm hooks of the searches, which read nothing of an operator
     # but `space`, `rect_norms` and `tail_bound`. Here they work on the dense
-    # matrix; quasilocal.AssemblyOperator, which holds no dense matrix,
+    # matrix; quasilocal.QuasiLocalAssembly, which holds no dense matrix,
     # supplies the same three from its member factors.
 
     def rect_norms(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -343,11 +343,14 @@ def _rect_norms(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarr
 
 
 @dataclass(frozen=True)
-class EpsPropagationResult:
+class Bracket:
+    """A two-sided bound [lower, upper] from a search (an eps-propagation
+    radius, a distance to the band operators), with the rectangle that
+    witnesses the lower end; None where no rectangle does."""
+
     lower: float
     upper: float
     witness: RectangleWitness | None
-    mode: str
 
 
 def _smallest_radius(n: int, clear) -> int:
@@ -399,29 +402,23 @@ def eps_propagation_violation(u: SpaceOperator, eps: float, R) -> RectangleWitne
     return None
 
 
-def eps_propagation_radius(
-    u: SpaceOperator, eps: float, mode: str = "exact", seed: int = 0, budget: int = 1000
-) -> EpsPropagationResult:
+def eps_propagation_radius(u: SpaceOperator, eps: float) -> Bracket:
     """Radius R such that every compression with separation > R has norm <= eps.
 
-    exact: the smallest candidate radius at which eps_propagation_violation
-    finds no violation, by bisection over u.space.radii() (each probed
-    radius scanned once). The witness is the violation at the next smaller
+    The smallest candidate radius at which eps_propagation_violation finds no
+    violation, by bisection over u.space.radii() (each probed radius scanned
+    once); lower = upper. The witness is the violation at the next smaller
     candidate radius, which the bisection always probed: the first mask, in
     increasing mask order, whose worst-case rectangle there has norm > eps.
-    heuristic: the bracket of eps_propagation_brackets(u, [eps], seed, budget).
+    eps_propagation_brackets is the heuristic for spaces too large to scan.
     """
-    if mode == "heuristic":
-        return eps_propagation_brackets(u, [eps], seed=seed, budget=budget)[0]
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
     if not eps > 0:
         raise ValueError("eps must be positive")
     radii = u.space.radii()
     probe = functools.cache(lambda i: eps_propagation_violation(u, eps, radii[i]))
     lo = _smallest_radius(len(radii), lambda i: probe(i) is None)
     witness = probe(lo - 1) if lo else None
-    return EpsPropagationResult(lower=float(radii[lo]), upper=float(radii[lo]), witness=witness, mode="exact")
+    return Bracket(lower=float(radii[lo]), upper=float(radii[lo]), witness=witness)
 
 
 def eps_propagation_brackets(u: SpaceOperator, eps_list, seed: int = 0, budget: int = 1000) -> list:
@@ -457,7 +454,7 @@ def eps_propagation_brackets(u: SpaceOperator, eps_list, seed: int = 0, budget: 
         if hits.size:
             i = hits[np.argmax(seps[hits])]  # the earliest draw at the largest separation
             lower, witness = float(seps[i]), _witness(space, A[i], B[i], norms[i])
-        brackets.append(EpsPropagationResult(lower, float(radii[lo]), witness, "heuristic"))
+        brackets.append(Bracket(lower, float(radii[lo]), witness))
     return brackets
 
 
@@ -537,16 +534,9 @@ def _witness(space: FiniteMetricSpace, a_row, b_row, value) -> RectangleWitness:
     )
 
 
-@dataclass(frozen=True)
-class BandDistanceBounds:
-    lower: float
-    upper: float
-    witness: RectangleWitness | None
-
-
 def dist_to_band_bounds(
     u: SpaceOperator, R, budget: int = 1000, seed: int = 0, pool=None
-) -> BandDistanceBounds:
+) -> Bracket:
     """Two-sided bounds on the distance from u to the R-band operators.
 
     Any rectangle with separation > R survives subtraction of an R-band
@@ -574,4 +564,4 @@ def dist_to_band_bounds(
             if values[i] > best:
                 best = float(values[i])
                 witness = _witness(space, A[i], B[i], best)
-    return BandDistanceBounds(lower=best, upper=upper, witness=witness)
+    return Bracket(lower=best, upper=upper, witness=witness)

@@ -17,7 +17,7 @@ from .errors import (
 from .operators import (
     EXACT_BAND_DIST_MAX,
     SpaceOperator,
-    eps_propagation_radius,
+    eps_propagation_brackets,
     eps_propagation_violation,
     operator_norm,
 )
@@ -183,7 +183,7 @@ def _validate_eps_propagation(u: SpaceOperator, eps: float, R, seed: int = 0) ->
         if witness is not None:
             raise HypothesisViolated(f"rectangle of separation > R={R} has norm above eps (witness {witness})")
         return "exact-scan"
-    res = eps_propagation_radius(u, eps, mode="heuristic", seed=seed, budget=300)
+    res = eps_propagation_brackets(u, [eps], seed=seed, budget=300)[0]
     if res.lower > R:
         raise HypothesisViolated(
             f"found rectangle of separation {res.lower} with norm above eps (witness {res.witness})"

@@ -37,8 +37,8 @@ from .spaces import (
 MAX_REJECTS = 200
 
 
-def regular_family(sizes, degree: int, seed: int, R0: float = 1.0) -> ExpanderFamily:
-    """Random regular members with a per-family expansion certificate.
+def regular_family(sizes, degree: int, seed: int) -> ExpanderFamily:
+    """Random regular members with a per-family expansion certificate at radius 1.
 
     kappa is the worst member constant: exact brute force where the subset
     scan is affordable, spectral lower bound otherwise.
@@ -49,12 +49,12 @@ def regular_family(sizes, degree: int, seed: int, R0: float = 1.0) -> ExpanderFa
     for i, size in enumerate(sizes):
         member_seed = int(trial_seed(seed, i).integers(0, 2 ** 63))
         member = random_regular(size, degree, member_seed)
-        kappa, kind = expansion_kappa(member, R0, mode="exact" if size <= EXACT_KAPPA_MAX else "spectral")
+        kappa, kind = expansion_kappa(member, 1, mode="exact" if size <= EXACT_KAPPA_MAX else "spectral")
         members.append(member)
         kappas.append(kappa)
         kinds.append(kind)
     kind = KAPPA_EXACT if all(k == KAPPA_EXACT for k in kinds) else KAPPA_SPECTRAL
-    return ExpanderFamily(members=members, R0=R0, kappa=min(kappas), kappa_kind=kind)
+    return ExpanderFamily(members=members, kappa=min(kappas), kappa_kind=kind)
 
 
 def member_dims(family: ExpanderFamily) -> list:
@@ -62,16 +62,23 @@ def member_dims(family: ExpanderFamily) -> list:
     return list(range(1, len(family.members) + 1))
 
 
+def schedule(K: int, c0: float) -> list:
+    """The threshold rows {k, delta: 1/k, eps: c0 sqrt((1/k) log k)} for
+    k = 2..K. k = 1 is left out: its threshold degenerates to 0."""
+    return [{"k": k, "delta": 1.0 / k, "eps": formal_bound(1.0 / k, c0)} for k in range(2, K + 1)]
+
+
 def select_subspaces(family: ExpanderFamily, c0: float, seed: int = 0) -> tuple:
     """Rejection-sample one random subspace per member against the nested share schedule.
 
-    Member number n (dimension n) must satisfy, for every k = 2..n, that
-    the maximal restricted norm over shares <= 1/k stays below
-    c0 sqrt((1/k) log k). k = 1 is skipped: its threshold degenerates to 0.
-    So is every k with a vacuous threshold (see `vacuous_threshold`): the
+    Member number n (dimension n) must satisfy, on every row of schedule
+    with k <= n, in increasing k, that the maximal restricted norm over shares
+    <= 1/k stays below eps_k; as k <= n < d, each share holds a point. A row
+    with a vacuous threshold (see `vacuous_threshold`) is skipped: the
     restricted norm of a projection is at most 1 and cannot reach it.
     Greedy search scores each candidate.
     """
+    live = [row for row in schedule(len(family.members), c0) if not vacuous_threshold(row["eps"])]
     samples = []
     reject_counts = []
     for idx, (member, n) in enumerate(zip(family.members, member_dims(family))):
@@ -82,19 +89,11 @@ def select_subspaces(family: ExpanderFamily, c0: float, seed: int = 0) -> tuple:
         while True:
             rng = trial_seed(seed, idx * 100_000 + rejects)
             sample = sample_subspace(d, n, int(rng.integers(0, 2 ** 63)))
-            ok = True
-            for k in range(2, n + 1):
-                delta_k = 1.0 / k
-                if int(delta_k * d) < 1:
-                    continue
-                eps_k = formal_bound(delta_k, c0)
-                if vacuous_threshold(eps_k):
-                    continue
-                found = restricted_norm_max(sample, delta_k, mode="greedy", c0=c0).value
-                if found >= eps_k:
-                    ok = False
-                    break
-            if ok:
+            if all(
+                restricted_norm_max(sample, row["delta"], mode="greedy", c0=c0).formal_bound_holds
+                for row in live
+                if row["k"] <= n
+            ):
                 samples.append(sample)
                 reject_counts.append(rejects)
                 break
@@ -145,15 +144,19 @@ def _factored_rect_norms(left: np.ndarray, right: np.ndarray, rows: np.ndarray, 
 
 
 @dataclass(frozen=True)
-class AssemblyOperator:
+class QuasiLocalAssembly:
     """The assembled block-diagonal u = diag(L_i R_i^*) on the coarse union
-    `space`, held as its member factors only: member i sits on the ambient
-    index range slices[i], L_i = V_i C_i and R_i = V_i, where V_i is the
-    (d_i, r_i) orthonormal subspace basis and C_i the compressed block (I
-    without one). The searches read only `space` and the two norm hooks,
-    which are computed from the factors; no dense ambient matrix is built.
+    `space` of the family's members, held as its member factors only: member
+    i sits on the ambient index range slices[i], L_i = V_i C_i and R_i = V_i,
+    where V_i is the (d_i, r_i) orthonormal basis of subspaces[i] and C_i the
+    compressed block (I without one). The searches take the assembly as the
+    operator: they read only `space` and the two norm hooks, which are
+    computed from the factors; no dense ambient matrix is built.
     """
 
+    family: ExpanderFamily
+    subspaces: list
+    c0: float
     space: FiniteMetricSpace
     slices: tuple
     left: tuple
@@ -187,22 +190,10 @@ class AssemblyOperator:
             for sl, L, Rf in zip(self.slices, self.left, self.right)
         )
 
-
-@dataclass
-class QuasiLocalAssembly:
-    family: ExpanderFamily
-    subspaces: list
-    c0: float
-    u: AssemblyOperator
-
     @property
     def schedule(self) -> list:
-        """(k, delta_k, eps_k) rows for k up to the largest subspace dimension."""
-        K = max(member_dims(self.family))
-        return [
-            {"k": k, "delta": 1.0 / k, "eps": formal_bound(1.0 / k, self.c0)}
-            for k in range(2, K + 1)
-        ]
+        """The threshold rows for k up to the largest subspace dimension."""
+        return schedule(len(self.family.members), self.c0)
 
     @property
     def schedule_vacuous(self) -> list:
@@ -216,9 +207,9 @@ def assemble(
     """Block-diagonal operator diag of the subspace projections on the coarse union.
 
     With `blocks` given (one n x n contraction per member, in the subspace
-    basis), assembles diag of the compressed operators V x V^* instead. u is
-    an AssemblyOperator: each member's factors, from which the searches take
-    their norms.
+    basis), assembles diag of the compressed operators V x V^* instead. The
+    result holds each member's factors, from which the searches take their
+    norms.
     """
     if len(subspaces) != len(family.members):
         raise DimensionMismatch("one subspace per family member required")
@@ -234,10 +225,8 @@ def assemble(
             if b.shape != (sub.n, sub.n):
                 raise DimensionMismatch(f"block {i} must be {sub.n} x {sub.n}")
             left.append(sub.basis @ b)
-    u = AssemblyOperator(
-        space=coarse_union(family.members), slices=tuple(piece_slices(family.members)), left=tuple(left), right=right
-    )
-    return QuasiLocalAssembly(family=family, subspaces=subspaces, c0=c0, u=u)
+    space, slices = coarse_union(family.members), tuple(piece_slices(family.members))
+    return QuasiLocalAssembly(family, subspaces, c0, space, slices, tuple(left), right)
 
 
 def projection_invariants(assembly: QuasiLocalAssembly) -> dict:
@@ -247,7 +236,7 @@ def projection_invariants(assembly: QuasiLocalAssembly) -> dict:
     of u^2 - u and u - u^* are exactly 0: each deviation is the max over the
     members of that of P_i, and the trace is the sum of theirs.
     """
-    blocks = [L @ Rf.conj().T for L, Rf in zip(assembly.u.left, assembly.u.right)]
+    blocks = [L @ Rf.conj().T for L, Rf in zip(assembly.left, assembly.right)]
     return {
         "idempotency_dev": max(float(np.abs(p @ p - p).max()) for p in blocks),
         "self_adjoint_dev": max(float(np.abs(p - p.conj().T).max()) for p in blocks),
@@ -263,7 +252,7 @@ def quasilocality_profile(
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly descending")
-    brackets = eps_propagation_brackets(assembly.u, eps_list, seed=seed, budget=budget)
+    brackets = eps_propagation_brackets(assembly, eps_list, seed=seed, budget=budget)
     return [
         {"eps": float(eps), "R_lower": float(res.lower), "R_upper": float(res.upper), "witness": res.witness}
         for eps, res in zip(eps_list, brackets)
@@ -289,6 +278,8 @@ def mechanism_check(assembly: QuasiLocalAssembly, samples: int, seed: int = 0) -
     while len(draws) < samples:
         i = int(rng.integers(0, len(assembly.family.members)))
         member = assembly.family.members[i]
+        # a dimension-1 member is checked at k = 2, a row that a one-member
+        # family's schedule does not hold
         delta_k = 1.0 / max(dims[i], 2)
         d = member.n
         small = max(1, int(rng.integers(1, max(2, int(delta_k * d) + 1))))
@@ -302,7 +293,7 @@ def mechanism_check(assembly: QuasiLocalAssembly, samples: int, seed: int = 0) -
     norms = np.zeros((3, len(draws)))  # ||1_A u 1_B||, ||1_A P||, ||P 1_B||
     for i in np.unique(member_of):
         idx = np.flatnonzero(member_of == i)
-        L, V = assembly.u.left[i], assembly.u.right[i]
+        L, V = assembly.left[i], assembly.right[i]
         rows = np.zeros((len(idx), len(V)), dtype=bool)
         cols = np.zeros_like(rows)
         for r, j in enumerate(idx):
@@ -346,9 +337,9 @@ def non_band_witness(assembly: QuasiLocalAssembly, R, budget: int = 1000, seed: 
     witness something, but it moves the seeded witnesses, so it waits for the
     next change to the benchmark's reference results.
     """
-    largest = assembly.u.slices[-1]
+    largest = assembly.slices[-1]
     if not R < assembly.family.members[-1].diameter:
         raise ValueError("R must stay below the largest member diameter")
     pool = np.arange(largest.start, largest.stop)
-    bounds = dist_to_band_bounds(assembly.u, R, budget=budget, seed=seed, pool=pool)
+    bounds = dist_to_band_bounds(assembly, R, budget=budget, seed=seed, pool=pool)
     return bounds

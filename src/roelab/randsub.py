@@ -247,6 +247,8 @@ def levy_median_check(d: int, delta: float, trials: int, seed: int) -> LevyRepor
     k = int(math.floor(delta * d))
     if k < 1:
         raise ValueError("floor(delta d) must be at least 1")
+    if trials < 2:
+        raise ValueError("the standard error of the mean square needs at least 2 trials")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((trials, d))
     x = g / np.linalg.norm(g, axis=1)[:, None]

@@ -162,10 +162,9 @@ def _validate_metric(d: np.ndarray) -> None:
 
 @dataclass
 class ExpanderFamily:
-    """Ordered list of finite spaces with an expansion constant certificate."""
+    """Ordered list of finite spaces with an expansion constant certificate at radius 1."""
 
     members: list
-    R0: float
     kappa: float
     kappa_kind: str
 

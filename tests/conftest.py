@@ -39,8 +39,8 @@ def random_operator(rng, space, R=None):
 
 
 def dense_operator(u):
-    """The dense SpaceOperator of an assembly operator, diag(L_i R_i^*) on its
-    ambient space: the oracle of its factored norms."""
+    """The dense SpaceOperator of a quasi-local assembly, diag(L_i R_i^*) on
+    its ambient space: the oracle of its factored norms."""
     mat = np.zeros((u.space.n, u.space.n), dtype=np.complex128)
     for sl, L, Rf in zip(u.slices, u.left, u.right):
         mat[sl, sl] = L @ Rf.conj().T

@@ -174,7 +174,7 @@ def test_criterion_05_eps_propagation_oracle():
         banded = rng.random() < 0.5
         u = random_operator(rng, space, R=int(rng.integers(1, 3)) if banded else None)
         eps = float(rng.uniform(0.2, 2.0))
-        res = eps_propagation_radius(u, eps, mode="exact")
+        res = eps_propagation_radius(u, eps)
         oracle = eps_propagation_oracle_scan(u, eps)
         if res.lower != oracle or res.upper != oracle:
             ok = False

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from roelab.cli import COMMANDS, _parse_args, _positive_int, build_parser, main, run
-from roelab.report import report_diff, results_bytes
+from roelab.cli import COMMANDS, _band_contraction, _parse_args, _positive_int, build_parser, main, run
+from roelab.operators import eps_propagation_brackets
+from roelab.report import jsonable, report_diff, results_bytes
+from roelab.spaces import interval_space
 
 
 def run_json(argv, tmp_path, capsys=None):
@@ -157,6 +159,13 @@ class TestMalformedInput:
         ["randsub", "levy", "--d", "5", "--delta", "2"],
         # the entropy bound counts delta d >= 1 coordinates
         ["randsub", "entropy", "--delta", "0.5", "--d", "0"],
+        # one sample has no standard error
+        ["randsub", "levy", "--d", "50", "--delta", "0.1", "--trials", "1"],
+        # regular specs name their form: N,D and regular:N:D:SEED
+        ["space", "gen", "--regular", "4"],
+        ["space", "gen", "--regular", "4,4,4"],
+        ["space", "kappa", "--space", "regular:10:3"],
+        ["space", "kappa", "--space", "regular:10:3:1:5"],
     ]
 
     @pytest.mark.parametrize("argv", CASES, ids=lambda a: " ".join(a[-2:]))
@@ -369,6 +378,19 @@ class TestCommandPaths:
         assert code == 0
         assert report["config"]["eps"] == [0.5, 0.3]
         assert [row["eps"] for row in report["results"]["profile"]] == [0.5, 0.3]
+
+
+    def test_eps_prop_heuristic_is_the_first_bracket(self):
+        argv = ["oper", "eps-prop", "--space", "interval:30", "--eps", "0.2", "-R", "2", "--seed", "4"]
+        report, code = run(argv + ["--budget", "80"])
+        u = _band_contraction(interval_space(30), 2, 4)
+        bracket = eps_propagation_brackets(u, [0.2], seed=4, budget=80)[0]
+        res = report["results"]
+        assert code == 0 and res["mode"] == "heuristic"
+        assert bracket.witness is not None
+        assert (res["R_lower"], res["R_upper"], res["witness"]) == (
+            bracket.lower, bracket.upper, jsonable(bracket.witness)
+        )
 
 
 class TestQlBuildReport:

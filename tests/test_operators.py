@@ -17,7 +17,7 @@ from conftest import (
 from roelab import operators as ops
 from roelab.errors import EmptySubset, TooLargeForExact
 from roelab.operators import (
-    BandDistanceBounds,
+    Bracket,
     RectangleWitness,
     SpaceOperator,
     band_truncate,
@@ -356,7 +356,7 @@ class TestEpsPropagation:
             sp = random_connected_graph_space(rng, n)
             u = random_operator(rng, sp, R=int(rng.integers(1, 3)))
             eps = float(rng.uniform(0.1, 1.5))
-            res = eps_propagation_radius(u, eps, mode="exact")
+            res = eps_propagation_radius(u, eps)
             oracle = eps_propagation_oracle_pairs(u, eps)
             assert res.lower == res.upper == oracle
 
@@ -373,7 +373,7 @@ class TestEpsPropagation:
         rng = np.random.default_rng(8)
         sp = interval_space(10)
         u = random_operator(rng, sp, R=2)
-        res = eps_propagation_radius(u, 1e-9, mode="exact")
+        res = eps_propagation_radius(u, 1e-9)
         assert res.upper <= 2
 
     def test_heuristic_brackets_exact(self):
@@ -383,8 +383,8 @@ class TestEpsPropagation:
             sp = random_connected_graph_space(rng, n)
             u = random_operator(rng, sp)
             eps = float(rng.uniform(0.5, 2.0))
-            exact = eps_propagation_radius(u, eps, mode="exact")
-            heur = eps_propagation_radius(u, eps, mode="heuristic", seed=0, budget=200)
+            exact = eps_propagation_radius(u, eps)
+            heur = eps_propagation_brackets(u, [eps], seed=0, budget=200)[0]
             assert heur.lower <= exact.lower + 1e-12
             assert heur.upper >= exact.upper - 1e-12
 
@@ -392,7 +392,7 @@ class TestEpsPropagation:
         sp = interval_space(21)
         u = random_operator(np.random.default_rng(0), sp)
         with pytest.raises(TooLargeForExact):
-            eps_propagation_radius(u, 0.5, mode="exact")
+            eps_propagation_radius(u, 0.5)
 
     def test_eps_must_be_positive(self):
         sp = interval_space(4)
@@ -404,7 +404,7 @@ class TestEpsPropagation:
         rng = np.random.default_rng(10)
         sp = random_connected_graph_space(rng, 9)
         u = random_operator(rng, sp)
-        res = eps_propagation_radius(u, 0.5, mode="exact")
+        res = eps_propagation_radius(u, 0.5)
         if res.witness is not None:
             w = rect_norm(u, np.array(res.witness.A), np.array(res.witness.B))
             assert w.value > 0.5
@@ -559,7 +559,7 @@ def _assert_scans_match_reference(u, eps_values):
     band distance at every candidate radius."""
     eps_values = list(eps_values)
     for j, eps in enumerate(eps_values):
-        res = eps_propagation_radius(u, eps, mode="exact")
+        res = eps_propagation_radius(u, eps)
         best_R, witness = reference_eps_propagation_exact(u, eps)
         assert res.lower == res.upper == best_R
         assert _same_witness(res.witness, witness)
@@ -828,7 +828,7 @@ def _assert_random_searches_match_reference(u, R, eps, budget, seed, pool=None):
     tail, err = operator_norm(u.mat - band_truncate(u, R).mat, with_err=True)
     assert (b.lower, b.upper) == (lower, tail + err)
     assert _same_witness(b.witness, witness)
-    res = eps_propagation_radius(u, eps, mode="heuristic", seed=seed, budget=budget)
+    res = eps_propagation_brackets(u, [eps], seed=seed, budget=budget)[0]
     lower, upper, witness = reference_eps_prop_heuristic(u, eps, seed, budget)
     assert (res.lower, res.upper) == (lower, upper)
     assert _same_witness(res.witness, witness)
@@ -885,9 +885,9 @@ def test_brackets_equal_per_eps_per_draw_loops(n, seed, kind, budget, eps_values
         assert len(results) == len(eps_list)
         for eps, res in zip(eps_list, results):
             lower, upper, witness = reference_eps_prop_heuristic(u, eps, seed, budget)
-            assert (res.lower, res.upper, res.mode) == (lower, upper, "heuristic")
+            assert isinstance(res, Bracket) and (res.lower, res.upper) == (lower, upper)
             assert _same_witness(res.witness, witness)
-            assert res == eps_propagation_radius(u, eps, mode="heuristic", seed=seed, budget=budget)
+            assert res == eps_propagation_brackets(u, [eps], seed=seed, budget=budget)[0]
 
 
 def test_brackets_reject_each_non_positive_eps():
@@ -909,7 +909,7 @@ def test_random_searches_with_tiny_blocks_and_stacks(monkeypatch):
     def searches():
         return [
             (dist_to_band_bounds(u, 1, budget=120, seed=3, pool=pool),
-             eps_propagation_radius(u, 0.4, mode="heuristic", seed=3, budget=120))
+             eps_propagation_brackets(u, [0.4], seed=3, budget=120)[0])
             for u in operators
         ]
 
@@ -929,7 +929,7 @@ def test_random_search_budget_zero_or_negative():
     for u in (graph_op, interval_op):
         for budget in (0, -3):
             for call in (lambda: dist_to_band_bounds(u, 1, budget=budget),
-                         lambda: eps_propagation_radius(u, 0.1, mode="heuristic", budget=budget)):
+                         lambda: eps_propagation_brackets(u, [0.1], budget=budget)[0]):
                 with pytest.raises(ValueError, match="budget"):
                     call()
 

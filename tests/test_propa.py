@@ -17,7 +17,7 @@ from roelab.operators import (
     SpaceOperator,
     band_truncate,
     dist_to_band_bounds,
-    eps_propagation_radius,
+    eps_propagation_brackets,
     operator_norm,
     propagation,
 )
@@ -484,14 +484,14 @@ class TestErrorBars:
     def test_band_distance_upper_and_heuristic_radius(self, wide_err, monkeypatch):
         u = banded_contraction(np.random.default_rng(6), interval_space(30), R=3)
         widened = dist_to_band_bounds(u, 1, budget=20)
-        heuristic = eps_propagation_radius(u, 0.45, mode="heuristic", budget=20)
+        heuristic = eps_propagation_brackets(u, [0.45], budget=20)[0]
         monkeypatch.undo()
         plain = dist_to_band_bounds(u, 1, budget=20)
         assert widened.upper == pytest.approx(plain.upper + 1.0, abs=1e-12)
         assert widened.lower == plain.lower
         # every tail + 1 exceeds 0.45, so the upper radius is the diameter
         assert heuristic.upper == 29.0
-        assert eps_propagation_radius(u, 0.45, mode="heuristic", budget=20).upper < 29.0
+        assert eps_propagation_brackets(u, [0.45], budget=20)[0].upper < 29.0
 
     def test_gap_certificate(self, wide_err):
         cert = gap_certificate(heisenberg_rep(5), far_points(5), R=2)

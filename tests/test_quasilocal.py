@@ -8,7 +8,7 @@ from roelab import operators, quasilocal
 from roelab.errors import DimensionMismatch, RejectionBudgetExhausted
 from roelab.operators import _sigma_max, band_truncate, operator_norm, rect_norm
 from roelab.quasilocal import (
-    AssemblyOperator,
+    QuasiLocalAssembly,
     assemble,
     mechanism_check,
     member_dims,
@@ -53,15 +53,11 @@ class TestFamily:
 
 class TestSelection:
     def test_selected_subspaces_meet_schedule(self, small_assembly):
-        from roelab.randsub import formal_bound, restricted_norm_max
-
         for sub, n in zip(small_assembly.subspaces, member_dims(small_assembly.family)):
-            for k in range(2, n + 1):
-                delta = 1.0 / k
-                if int(delta * sub.d) < 1:
-                    continue
-                found = restricted_norm_max(sub, delta, mode="greedy", c0=3.0).value
-                assert found < formal_bound(delta, 3.0)
+            for row in small_assembly.schedule:
+                if row["k"] <= n:
+                    found = restricted_norm_max(sub, row["delta"], mode="greedy", c0=3.0).value
+                    assert found < row["eps"]
 
     def test_budget_exhaustion_with_tiny_c0(self, monkeypatch):
         family = regular_family([8, 12, 16], degree=3, seed=2)
@@ -104,8 +100,11 @@ def reference_select_subspaces(family, c0, max_rejects=200, seed=0):
 
 class TestVacuousSchedule:
     # c0 = 3: every threshold is vacuous; c0 = 1.69: k = 3 is vacuous, k = 2
-    # and k = 4 are not, and two members need a second draw
-    @pytest.mark.parametrize("sizes,c0", [([8, 12, 16], 3.0), ([8, 12, 16, 20], 1.69)])
+    # and k = 4 are not, and two members need a second draw; c0 = 1.67: the
+    # second member's only row, k = n = 2, rejects its first draw
+    @pytest.mark.parametrize(
+        "sizes,c0", [([8, 12, 16], 3.0), ([8, 12, 16, 20], 1.69), ([10, 14, 18], 1.67)]
+    )
     def test_same_draws_and_rejections(self, sizes, c0):
         family = regular_family(sizes, degree=3, seed=2)
         subs, rejects = select_subspaces(family, c0=c0, seed=0)
@@ -150,27 +149,25 @@ class TestAssembly:
         assert inv["trace"] == pytest.approx(1 + 2 + 3, abs=1e-8)
 
     def test_block_diagonal_structure(self, small_assembly):
-        u = small_assembly.u
         slices = piece_slices(small_assembly.family.members)
-        assert list(u.slices) == slices
-        assert u.space.n == slices[-1].stop
-        for sub, L, Rf in zip(small_assembly.subspaces, u.left, u.right):
+        assert list(small_assembly.slices) == slices
+        assert small_assembly.space.n == slices[-1].stop
+        for sub, L, Rf in zip(small_assembly.subspaces, small_assembly.left, small_assembly.right):
             assert L is sub.basis and Rf is sub.basis
-        mat = dense_operator(u).mat
+        mat = dense_operator(small_assembly).mat
         for sub, sl in zip(small_assembly.subspaces, slices):
             assert np.abs(mat[sl, sl] - sub.basis @ sub.basis.T).max() < 1e-12
 
     def test_holds_no_dense_matrix(self, small_assembly):
-        u = small_assembly.u
-        assert not isinstance(u, operators.SpaceOperator)
-        assert not hasattr(u, "mat") and not hasattr(small_assembly.subspaces[0], "P")
+        assert not isinstance(small_assembly, operators.SpaceOperator)
+        assert not hasattr(small_assembly, "mat") and not hasattr(small_assembly.subspaces[0], "P")
 
     def test_compressed_blocks(self):
         family = regular_family([8, 12], degree=3, seed=3)
         subs, _ = select_subspaces(family, c0=3.0, seed=3)
         blocks = [np.eye(1) * 0.5, np.diag([0.25, -0.5])]
         asm = assemble(family, subs, blocks=blocks, c0=3.0)
-        assert operator_norm(dense_operator(asm.u).mat) == pytest.approx(0.5, abs=1e-9)
+        assert operator_norm(dense_operator(asm).mat) == pytest.approx(0.5, abs=1e-9)
         with pytest.raises(DimensionMismatch):
             assemble(family, subs, blocks=[np.eye(1), np.eye(3)], c0=3.0)
 
@@ -201,7 +198,7 @@ class TestProfile:
 
     def test_one_search_and_one_tail_norm_per_radius(self, small_assembly, monkeypatch):
         closes, tails = [], []
-        close, tail_bound = operators._close_rectangles, AssemblyOperator.tail_bound
+        close, tail_bound = operators._close_rectangles, QuasiLocalAssembly.tail_bound
 
         def counted_close(*args):
             closes.append(1)
@@ -212,7 +209,7 @@ class TestProfile:
             return tail_bound(u, R)
 
         monkeypatch.setattr(operators, "_close_rectangles", counted_close)
-        monkeypatch.setattr(AssemblyOperator, "tail_bound", counted_tail)
+        monkeypatch.setattr(QuasiLocalAssembly, "tail_bound", counted_tail)
         rows = quasilocality_profile(small_assembly, [0.5, 0.2, 0.05], seed=1, budget=100)
         assert len(rows) == 3 and len(closes) == 1
         assert tails and len(tails) == len(set(tails))
@@ -220,7 +217,7 @@ class TestProfile:
     def test_tail_vanishes_at_large_radius(self, small_assembly):
         # the whole operator is a band operator at the ambient diameter
         rows = quasilocality_profile(small_assembly, [1e-9], budget=50)
-        assert rows[0]["R_upper"] <= small_assembly.u.space.diameter
+        assert rows[0]["R_upper"] <= small_assembly.space.diameter
 
     def test_rejects_empty_budget(self, small_assembly):
         with pytest.raises(ValueError, match="budget"):
@@ -247,7 +244,7 @@ class TestWitness:
 
     def test_witness_rectangle_verifies(self, small_assembly):
         b = non_band_witness(small_assembly, R=1, budget=300, seed=0)
-        w = rect_norm(dense_operator(small_assembly.u), np.array(b.witness.A), np.array(b.witness.B))
+        w = rect_norm(dense_operator(small_assembly), np.array(b.witness.A), np.array(b.witness.B))
         assert w.value == pytest.approx(b.lower, abs=1e-9)
         assert w.separation > 1
 
@@ -272,7 +269,7 @@ def reference_mechanism_check(assembly, samples, seed=0):
     submult_failures = []
     schedule_failures = []
     min_gap = math.inf
-    u = dense_operator(assembly.u).mat
+    u = dense_operator(assembly).mat
     while checked < samples:
         i = int(rng.integers(0, len(assembly.family.members)))
         member = assembly.family.members[i]
@@ -291,7 +288,7 @@ def reference_mechanism_check(assembly, samples, seed=0):
             continue
         b_size = int(rng.integers(1, far.size + 1))
         B_loc = np.sort(rng.choice(far, size=b_size, replace=False))
-        sl = assembly.u.slices[i]
+        sl = assembly.slices[i]
         A = A_loc + sl.start
         B = B_loc + sl.start
         P = sub.basis @ sub.basis.T
@@ -365,17 +362,17 @@ class TestBatchedSearchesEqualPerDrawLoops:
 
     @pytest.mark.parametrize("budget,seed", [(1, 0), (77, 2), (300, 0)])
     def test_non_band_witness(self, small_assembly, budget, seed):
-        largest = small_assembly.u.slices[-1]
+        largest = small_assembly.slices[-1]
         pool = np.arange(largest.start, largest.stop)
         b = non_band_witness(small_assembly, R=1, budget=budget, seed=seed)
-        lower, witness = reference_band_dist_random(dense_operator(small_assembly.u), 1, budget, seed, pool)
+        lower, witness = reference_band_dist_random(dense_operator(small_assembly), 1, budget, seed, pool)
         assert b.lower == pytest.approx(lower, abs=1e-12)
         assert_same_witness(b.witness, witness)
 
     def test_profile(self, small_assembly):
         rows = quasilocality_profile(small_assembly, [0.5, 0.2, 0.05], seed=1, budget=200)
         for row in rows:
-            lower, upper, witness = reference_eps_prop_heuristic(dense_operator(small_assembly.u), row["eps"], 1, 200)
+            lower, upper, witness = reference_eps_prop_heuristic(dense_operator(small_assembly), row["eps"], 1, 200)
             assert (row["R_lower"], row["R_upper"]) == (lower, upper)
             assert_same_witness(row["witness"], witness)
 
@@ -395,11 +392,11 @@ def any_assembly(request, small_assembly, failing_assembly):
 
 
 class TestFactoredHooksEqualDenseDefaults:
-    """AssemblyOperator's factored rect_norms and tail_bound against the dense
+    """QuasiLocalAssembly's factored rect_norms and tail_bound against the dense
     SpaceOperator computations on the matrix its factors make."""
 
     def test_rect_norms(self, any_assembly):
-        u, slices = any_assembly.u, any_assembly.u.slices
+        u, slices = any_assembly, any_assembly.slices
         rng = np.random.default_rng(40)
         rows = rng.random((399, u.space.n)) < 0.3
         cols = rng.random((399, u.space.n)) < 0.3
@@ -420,7 +417,7 @@ class TestFactoredHooksEqualDenseDefaults:
         assert np.abs(values - dense).max() <= 1e-12
 
     def test_tail_bound(self, any_assembly):
-        u, full = any_assembly.u, dense_operator(any_assembly.u)
+        u, full = any_assembly, dense_operator(any_assembly)
         for R in u.space.radii():
             dense = operator_norm(full.mat - band_truncate(full, R).mat)
             tail = u.tail_bound(R)
@@ -429,13 +426,13 @@ class TestFactoredHooksEqualDenseDefaults:
     def test_tail_bound_rejects_negative_radius(self, small_assembly):
         for R in (-1, math.nan):
             with pytest.raises(ValueError):
-                small_assembly.u.tail_bound(R)
+                small_assembly.tail_bound(R)
 
 
 def test_projection_invariants_equal_dense_formulas(any_assembly):
     """The per-member invariants against the dense formulas on the ambient
     matrix the factors make, within 1e-12."""
-    m = dense_operator(any_assembly.u).mat
+    m = dense_operator(any_assembly).mat
     dense = {
         "idempotency_dev": np.abs(m @ m - m).max(),
         "self_adjoint_dev": np.abs(m - m.conj().T).max(),

@@ -533,7 +533,6 @@ class TestExpanderFamily:
         with pytest.raises(InvalidMetric):
             ExpanderFamily(
                 members=[path_space(4), path_space(4)],
-                R0=1,
                 kappa=1.5,
                 kappa_kind=KAPPA_EXACT,
             )
@@ -542,7 +541,6 @@ class TestExpanderFamily:
         with pytest.raises(InvalidMetric):
             ExpanderFamily(
                 members=[path_space(3), path_space(4)],
-                R0=1,
                 kappa=1.0,
                 kappa_kind=KAPPA_EXACT,
             )
