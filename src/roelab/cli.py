@@ -295,12 +295,19 @@ def _cmd_all_smoke(cfg):
 # ---------------------------------------------------------------- wiring
 
 
+def _nonempty(values: list) -> list:
+    """A list flag's values; an empty list would check nothing and pass."""
+    if not values:
+        raise argparse.ArgumentTypeError("needs at least one value")
+    return values
+
+
 def _int_list(text):
-    return [int(t) for t in text.split(",") if t]
+    return _nonempty([int(t) for t in text.split(",") if t])
 
 
 def _float_list(text):
-    return [float(t) for t in text.split(",") if t]
+    return _nonempty([float(t) for t in text.split(",") if t])
 
 
 def _positive_int(text):

@@ -26,12 +26,10 @@ CLOSE_BLOCK = 64
 # operator_norm: LAPACK when the smaller side is at most DENSE_NORM_MAX,
 # Golub-Kahan-Lanczos above it. Both cost about 2.5 ms (main-thread CPU, 2-vCPU
 # x86 VM, OpenBLAS) on complex 128 x 128 band and dense matrices. The Lanczos
-# products gather over the nonzero entries, at O(nnz) each, when at most
-# GATHER_MAX_FILL of the entries are nonzero, and use BLAS otherwise; each step
-# runs one Gram-Schmidt pass, and a second only when the first cancels more
-# than 1/sqrt(2) of the norm; Ritz checks come every max(1, k // 4) steps.
+# products gather over the nonzero entries, at O(nnz) each; each step runs one
+# Gram-Schmidt pass, and a second only when the first cancels more than
+# 1/sqrt(2) of the norm; Ritz checks come every max(1, k // 4) steps.
 DENSE_NORM_MAX = 128
-GATHER_MAX_FILL = 0.25
 _GKL_TOL = 1e-12
 _GKL_MAXITER = 500
 
@@ -44,10 +42,9 @@ def operator_norm(mat, *, with_err: bool = False):
     Otherwise Golub-Kahan-Lanczos bidiagonalisation runs from a fixed seeded
     start vector, using only products with mat and its adjoint (the Gram
     matrix is never formed). One scan finds the nonzero entries: none gives
-    (0.0, 0.0) at once; at most GATHER_MAX_FILL of them makes each product a
-    gather, a multiply and a segmented sum over those entries (a scipy sparse
-    matrix always enters through its COO entries); a denser matrix is
-    multiplied by BLAS. Each new basis vector is reorthogonalised by one
+    (0.0, 0.0) at once; otherwise each product is a gather, a multiply and a
+    segmented sum over those entries (a scipy sparse matrix enters through
+    its COO entries). Each new basis vector is reorthogonalised by one
     classical Gram-Schmidt pass, and by a second only when the first removed
     more than 1/sqrt(2) of its norm ("twice is enough"). At steps spaced by a
     quarter of the step count, and whenever the basis stalls, the iteration
@@ -89,10 +86,8 @@ def _products(m):
         order = np.argsort(rows, kind="stable")
         rows, cols, vals = rows[order], cols[order], vals[order]
     else:
-        nonzero = m != 0
-        if np.count_nonzero(nonzero) > GATHER_MAX_FILL * m.size:
-            return (lambda x: m @ x), (lambda y: (y.conj() @ m).conj())
-        rows, cols = np.divmod(np.flatnonzero(nonzero), m.shape[1])
+        # scanned as booleans: np.flatnonzero of a complex array is 2.6x slower
+        rows, cols = np.divmod(np.flatnonzero(m != 0), m.shape[1])
         vals = m[rows, cols]
     if vals.size == 0:
         return None

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -263,19 +264,26 @@ def _mean_se(x: np.ndarray) -> tuple:
     return x.mean(axis=0), x.std(axis=0, ddof=1) / math.sqrt(x.shape[0])
 
 
+def _bonferroni_z(k: float, n: int) -> float:
+    """The threshold z with P(Z > z) = P(Z > k) / n, Z standard normal: a
+    k-sigma test run at n points at once, corrected (Bonferroni) so that the n
+    of them together fail correct data no more often than one test at k does.
+    z(k, 1) = k, and z grows with n."""
+    normal = NormalDist()
+    return -normal.inv_cdf(normal.cdf(-k) / n)
+
+
 def rademacher_diagnostics(
-    field: IsometryField,
-    mu: PropertyAKernel,
-    trials: int,
-    seed: int,
-    u: SpaceOperator | None = None,
+    field: IsometryField, mu: PropertyAKernel, trials: int, seed: int, u: SpaceOperator
 ) -> dict:
     """Moment and perturbation diagnostics for the sign-field analysis.
 
     Closed-form fourth moments, Monte Carlo second moments, truncation and
     smoothing mean-square errors against their bounds, the per-sample
-    Lipschitz estimate, and (optionally) convergence of the empirical
-    average of f u f to the Schur-multiplier image.
+    Lipschitz estimate, and the convergence of the empirical average of
+    f u f to the Schur-multiplier image. The Monte Carlo checks test every
+    point at once, so each allows _bonferroni_z(k, n) standard errors at
+    every one of the n points, not k.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
@@ -294,20 +302,21 @@ def rademacher_diagnostics(
     sup_bound = math.sqrt(growth(space, field.T))
     sup_ok = bool(np.abs(f).max() <= sup_bound + 1e-9)
 
+    z3, z4 = _bonferroni_z(3, n), _bonferroni_z(4, n)
     second, second_se = _mean_se(f ** 2)
-    second_ok = bool(np.all(np.abs(second - 1.0) <= 3 * second_se))
+    second_ok = bool(np.all(np.abs(second - 1.0) <= z3 * second_se))
 
     fourth_closed = 3.0 - 2.0 * (field.F ** 4).sum(axis=0)
     fourth_emp, fourth_se = _mean_se(f ** 4)
     fourth_ok = bool(np.all(fourth_closed <= 3.0 + 1e-12))
-    fourth_mc_ok = bool(np.all(np.abs(fourth_emp - fourth_closed) <= 4 * fourth_se))
+    fourth_mc_ok = bool(np.all(np.abs(fourth_emp - fourth_closed) <= z4 * fourth_se))
 
     trunc_emp, trunc_se = _mean_se((f - g) ** 2)
     trunc_bound = 3.0 / C ** 2
-    trunc_ok = bool(np.all(trunc_emp <= trunc_bound + 3 * trunc_se + 1e-12))
+    trunc_ok = bool(np.all(trunc_emp <= trunc_bound + z3 * trunc_se + 1e-12))
 
     smooth_emp, smooth_se = _mean_se((g - h) ** 2)
-    smooth_ok = bool(np.all(smooth_emp <= delta + 3 * smooth_se + 1e-12))
+    smooth_ok = bool(np.all(smooth_emp <= delta + z3 * smooth_se + 1e-12))
 
     h_sup_ok = bool(np.abs(h).max() <= C + 1e-12)
     close = np.argwhere(space.near(mu.R) & ~np.eye(n, dtype=bool))
@@ -316,7 +325,8 @@ def rademacher_diagnostics(
         lip = float(np.abs(h[:, close[:, 0]] - h[:, close[:, 1]]).max())
     lip_ok = bool(lip <= C * delta + 1e-9)
 
-    out = {
+    emp = u.mat * (f.T @ f / trials)
+    return {
         "trials": trials,
         "seed": seed,
         "sup_bound_ok": sup_ok,
@@ -335,10 +345,5 @@ def rademacher_diagnostics(
         "lipschitz_max": lip,
         "lipschitz_bound": C * delta,
         "lipschitz_ok": lip_ok,
+        "reconstruction_gap": operator_norm(emp - phi_nu(u, field).mat),
     }
-    if u is not None:
-        emp_gram = f.T @ f / trials
-        emp = u.mat * emp_gram
-        target = phi_nu(u, field).mat
-        out["reconstruction_gap"] = operator_norm(emp - target)
-    return out

@@ -14,7 +14,6 @@ from .operators import (
     operator_norm,
 )
 from .randsub import (
-    SubspaceSample,
     formal_bound,
     restricted_norm_max,
     sample_subspace,
@@ -90,7 +89,7 @@ def select_subspaces(family: ExpanderFamily, c0: float, seed: int = 0) -> tuple:
             rng = trial_seed(seed, idx * 100_000 + rejects)
             sample = sample_subspace(d, n, int(rng.integers(0, 2 ** 63)))
             if all(
-                restricted_norm_max(sample, row["delta"], mode="greedy", c0=c0).formal_bound_holds
+                restricted_norm_max(sample, row["delta"], mode="greedy").value < row["eps"]
                 for row in live
                 if row["k"] <= n
             ):

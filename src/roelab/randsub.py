@@ -11,7 +11,6 @@ import numpy as np
 from .errors import RankDeficient, TooLargeForExact
 from .operators import sigma_max_stack
 
-DEFAULT_C0 = 100.0
 EXACT_SUBSET_CAP = 1_000_000
 # callers run the exact restricted-norm scan up to this many subsets, greedy above
 EXACT_AFFORDABLE = 20_000
@@ -20,7 +19,7 @@ _SWAP_CAP = 500
 SUBSPACE_TRIES = 20
 
 
-def formal_bound(delta: float, c0: float = DEFAULT_C0) -> float:
+def formal_bound(delta: float, c0: float) -> float:
     """c0 * sqrt(delta log(1/delta)); the certified threshold for restricted norms."""
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
@@ -74,9 +73,6 @@ class RestrictedNormReport:
     mode: str
     value: float
     E_witness: tuple
-    bound: float
-    formal_bound_holds: bool
-    vacuous: bool
 
 
 def _forward_select(basis: np.ndarray, k: int) -> list:
@@ -122,9 +118,7 @@ def _hill_climb(basis: np.ndarray, E0: list) -> tuple:
     return best_val, E
 
 
-def restricted_norm_max(
-    sample: SubspaceSample, delta: float, mode: str = "exact", c0: float = DEFAULT_C0
-) -> RestrictedNormReport:
+def restricted_norm_max(sample: SubspaceSample, delta: float, mode: str = "exact") -> RestrictedNormReport:
     """Maximum of ||P_V|l2(E)|| over coordinate subsets with |E| = floor(delta d).
 
     exact enumerates every subset in chunks of at most SUBSET_CELLS gathered
@@ -136,7 +130,6 @@ def restricted_norm_max(
     k = int(math.floor(delta * d))
     if k < 1:
         raise ValueError("floor(delta d) must be at least 1")
-    bound = formal_bound(delta, c0)
     if mode == "exact":
         if math.comb(d, k) > EXACT_SUBSET_CAP:
             raise TooLargeForExact(f"C({d},{k}) subsets exceed the exact cap")
@@ -170,9 +163,6 @@ def restricted_norm_max(
         mode=mode,
         value=best_val,
         E_witness=tuple(int(i) for i in best_E),
-        bound=bound,
-        formal_bound_holds=bool(best_val < bound),
-        vacuous=vacuous_threshold(bound),
     )
 
 
@@ -195,7 +185,7 @@ def mc_lemma_random(
 ) -> MonteCarloReport:
     """Fraction of random subspaces whose restricted norm stays under the bound.
 
-    With the default c0 = 100 the bound exceeds 1 at desk scale and the
+    With the CLI's default c0 = 100 the bound exceeds 1 at desk scale and the
     probability is exactly 1; the report flags that regime as vacuous.
     """
     if trials < 1:
@@ -207,7 +197,7 @@ def mc_lemma_random(
     for t in range(trials):
         rng = trial_seed(seed, t)
         sample = sample_subspace(d, n, int(rng.integers(0, 2 ** 63)))
-        values.append(restricted_norm_max(sample, delta, mode=mode, c0=c0).value)
+        values.append(restricted_norm_max(sample, delta, mode=mode).value)
     values = np.array(values)
     prob = float(np.mean(values < bound))
     return MonteCarloReport(

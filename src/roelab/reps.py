@@ -38,7 +38,7 @@ class FiniteGroup:
     def inv(self, i):
         raise NotImplementedError
 
-    def validate(self, seed: int = 0) -> None:
+    def validate(self) -> None:
         """Identity and inverse laws on all elements; associativity on sampled triples."""
         g = np.arange(self.order)
         e = self.identity
@@ -47,7 +47,7 @@ class FiniteGroup:
         gi = self.inv(g)
         if not (np.all(self.mult(g, gi) == e) and np.all(self.mult(gi, g) == e)):
             raise ValueError("inverse law fails")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         a, b, c = rng.integers(0, self.order, size=(3, _ASSOC_SAMPLES))
         if not np.all(self.mult(self.mult(a, b), c) == self.mult(a, self.mult(b, c))):
             raise ValueError("associativity fails on sampled triples")

@@ -27,7 +27,7 @@ metrics by construction and skip that check through
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -228,7 +228,7 @@ def growth(space: FiniteMetricSpace, R) -> int:
     return int(space.near(R).sum(axis=1).max())
 
 
-def coarse_union(members, label: str = "") -> FiniteMetricSpace:
+def coarse_union(members) -> FiniteMetricSpace:
     """Disjoint union with inter-piece distances forced above a gap schedule.
 
     Cross distances depend only on the larger piece index j and equal
@@ -255,7 +255,7 @@ def coarse_union(members, label: str = "") -> FiniteMetricSpace:
         for sl_i in slices[:j]:
             dist[sl_i, sl_j] = g[j]
             dist[sl_j, sl_i] = g[j]
-    return FiniteMetricSpace._trusted(dist, label or "+".join(mm.label for mm in members))
+    return FiniteMetricSpace._trusted(dist, "+".join(mm.label for mm in members))
 
 
 def piece_slices(members) -> list:
@@ -341,28 +341,26 @@ def random_regular(n: int, d: int, seed: int) -> FiniteMetricSpace:
     raise GenerationFailed(f"no connected simple {d}-regular graph on {n} vertices after {REGULAR_TRIES} tries")
 
 
-def far_points(n: int, separation=10, label: str = "") -> FiniteMetricSpace:
-    """n points at mutual distance `separation` (uniform metric)."""
-    dist = np.full((n, n), separation, dtype=np.int64)
+def far_points(n: int) -> FiniteMetricSpace:
+    """n points at mutual distance 10 (uniform metric)."""
+    dist = np.full((n, n), 10, dtype=np.int64)
     np.fill_diagonal(dist, 0)
-    if n > 1 and not dist[0, 1] > 0:
-        raise InvalidMetric("far points need a positive integer separation")
-    return FiniteMetricSpace._trusted(dist, label or f"far{n}")
+    return FiniteMetricSpace._trusted(dist, f"far{n}")
 
 
-def interval_space(N: int, label: str = "") -> FiniteMetricSpace:
+def interval_space(N: int) -> FiniteMetricSpace:
     """The path metric on {0, ..., N-1}; a metric by construction, not re-validated."""
     idx = np.arange(N)
     dist = np.abs(idx[:, None] - idx[None, :]).astype(np.int64)
-    return FiniteMetricSpace._trusted(dist, label or f"interval{N}")
+    return FiniteMetricSpace._trusted(dist, f"interval{N}")
 
 
-def torus_space(N: int, label: str = "") -> FiniteMetricSpace:
+def torus_space(N: int) -> FiniteMetricSpace:
     """The cyclic metric on Z/N; a metric by construction, not re-validated."""
     idx = np.arange(N)
     diff = np.abs(idx[:, None] - idx[None, :])
     dist = np.minimum(diff, N - diff).astype(np.int64)
-    return FiniteMetricSpace._trusted(dist, label or f"torus{N}")
+    return FiniteMetricSpace._trusted(dist, f"torus{N}")
 
 
 def save_space(space: FiniteMetricSpace, path) -> None:

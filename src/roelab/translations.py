@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,21 +16,12 @@ class PartialTranslation:
 
     pairs: dict
 
-    @property
-    def dom(self):
-        return set(self.pairs.keys())
-
-    @property
-    def ran(self):
-        return set(self.pairs.values())
-
     def graph(self):
         return sorted(self.pairs.items())
 
 
 @dataclass
 class TranslationDecomposition:
-    space: FiniteMetricSpace
     R: float
     parts: list
 
@@ -73,9 +64,7 @@ def decompose_band(space: FiniteMetricSpace, R) -> TranslationDecomposition:
         parts[i][x] = y
         used |= bit
         ran_bits[y] |= bit
-    return TranslationDecomposition(
-        space=space, R=R, parts=[PartialTranslation(pairs=p) for p in parts]
-    )
+    return TranslationDecomposition(R=R, parts=[PartialTranslation(pairs=p) for p in parts])
 
 
 def schur_restrict(u: SpaceOperator, T: PartialTranslation) -> SpaceOperator:

@@ -200,8 +200,8 @@ def test_criterion_06_random_subspace_ingredients():
     worst_gap = 0.0
     for seed in range(50):
         s = sample_subspace(d=12, n=2, seed=seed)
-        exact = restricted_norm_max(s, delta=0.25, mode="exact", c0=100.0)
-        greedy = restricted_norm_max(s, delta=0.25, mode="greedy", c0=100.0)
+        exact = restricted_norm_max(s, delta=0.25, mode="exact")
+        greedy = restricted_norm_max(s, delta=0.25, mode="greedy")
         worst_gap = max(worst_gap, exact.value - greedy.value)
     ok = ok and worst_gap <= 0.05
     elapsed = time.monotonic() - start
@@ -284,7 +284,8 @@ def test_criterion_09_rademacher_diagnostics():
         mu = uniform_ball_kernel(space, R=2, delta=0.5)
         nu = uniform_ball_kernel(space, mu.S, 0.5)
         field = isometry_field(nu)
-        out = rademacher_diagnostics(field, mu, trials=1000, seed=9)
+        u = SpaceOperator(space=space, mat=np.eye(space.n, dtype=complex))
+        out = rademacher_diagnostics(field, mu, trials=1000, seed=9, u=u)
         ok = ok and out["fourth_closed_max"] <= 3.0 + 1e-12
         ok = ok and out["second_moment_ok"] and out["fourth_closed_ok"]
     space = torus_space(60)

@@ -166,6 +166,10 @@ class TestMalformedInput:
         ["space", "gen", "--regular", "4,4,4"],
         ["space", "kappa", "--space", "regular:10:3"],
         ["space", "kappa", "--space", "regular:10:3:1:5"],
+        # a list flag holds at least one value: an empty list checks nothing
+        ["ql", "build", "--members", ","],
+        ["ql", "profile", "--members", "8,12,16", "--eps", ","],
+        ["space", "gen", "--regular", ","],
     ]
 
     @pytest.mark.parametrize("argv", CASES, ids=lambda a: " ".join(a[-2:]))

@@ -179,8 +179,8 @@ class TestOperatorNormLanczos:
 
 
 class TestGatheredProducts:
-    """Above DENSE_NORM_MAX, a matrix with at most GATHER_MAX_FILL of its entries
-    nonzero is multiplied by gathering over those entries."""
+    """Above DENSE_NORM_MAX, a matrix is multiplied by gathering over its
+    nonzero entries, however many of them there are."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -237,9 +237,10 @@ class TestGatheredProducts:
         assert operator_norm(explicit, with_err=True) == (0.0, 0.0)
         assert built == []
 
-    def test_denser_matrix_keeps_blas(self, built):
-        _assert_norm(self._sparse(np.random.default_rng(22), (300, 300), fill=0.5))
-        assert built == []
+    @pytest.mark.parametrize("fill", [0.5, 1.0])
+    def test_dense_matrix_gathers_too(self, built, fill):
+        _assert_norm(self._sparse(np.random.default_rng(22), (300, 300), fill=fill))
+        assert built == [300, 300] * 2  # with_err and plain call
 
     def test_sparse_and_dense_twin_identical(self, built):
         import scipy.sparse as sparse
@@ -651,7 +652,8 @@ def test_exact_scans_tie_break_on_constant_operator(n):
 
 
 def test_exact_scans_on_float_metric():
-    space = far_points(6, separation=1.5)
+    space = FiniteMetricSpace(dist=np.where(np.eye(6, dtype=bool), 0.0, 1.5))
+    assert not space.is_integer
     u = _scan_operator(np.random.default_rng(23), space, "dense-complex")
     _assert_scans_match_reference(u, [0.3, 1.1])
 

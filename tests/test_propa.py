@@ -13,6 +13,7 @@ from roelab.errors import (
     NotAContraction,
 )
 from roelab import operators
+from roelab.cli import main
 from roelab.operators import (
     SpaceOperator,
     band_truncate,
@@ -427,7 +428,8 @@ class TestRademacher:
 
     def test_fourth_moment_closed_form(self, setup):
         sp, mu, field = setup
-        out = rademacher_diagnostics(field, mu, trials=500, seed=1)
+        u = SpaceOperator(space=sp, mat=np.eye(40, dtype=complex))
+        out = rademacher_diagnostics(field, mu, trials=500, seed=1, u=u)
         assert out["fourth_closed_max"] <= 3.0 + 1e-12
 
     def test_reconstruction_gap_small_at_many_trials(self, setup):
@@ -439,8 +441,20 @@ class TestRademacher:
 
     def test_trials_validation(self, setup):
         sp, mu, field = setup
+        u = SpaceOperator(space=sp, mat=np.eye(40, dtype=complex))
         with pytest.raises(ValueError):
-            rademacher_diagnostics(field, mu, trials=10, seed=0)
+            rademacher_diagnostics(field, mu, trials=10, seed=0, u=u)
+
+    def test_one_point_keeps_the_plain_threshold(self):
+        assert propa._bonferroni_z(3, 1) == pytest.approx(3, abs=1e-9)
+        assert propa._bonferroni_z(4, 1) == pytest.approx(4, abs=1e-9)
+        z = [propa._bonferroni_z(3, n) for n in (1, 2, 10, 100, 1000)]
+        assert all(a < b for a, b in zip(z, z[1:]))
+
+    def test_checks_are_corrected_for_testing_every_point(self):
+        """E f^2 = 1 holds exactly, yet a 3-sigma test at each of the 100
+        points at once failed this seed (second_moment_ok false, exit 2)."""
+        assert main(["propa", "rademacher", "--N", "100", "--seed", "1"]) == 0
 
 
 @pytest.fixture

@@ -56,7 +56,7 @@ class TestSelection:
         for sub, n in zip(small_assembly.subspaces, member_dims(small_assembly.family)):
             for row in small_assembly.schedule:
                 if row["k"] <= n:
-                    found = restricted_norm_max(sub, row["delta"], mode="greedy", c0=3.0).value
+                    found = restricted_norm_max(sub, row["delta"], mode="greedy").value
                     assert found < row["eps"]
 
     def test_budget_exhaustion_with_tiny_c0(self, monkeypatch):
@@ -82,7 +82,7 @@ def reference_select_subspaces(family, c0, max_rejects=200, seed=0):
                     continue
                 eps_k = formal_bound(delta_k, c0)
                 mode = "exact" if idx == 0 and math.comb(d, int(delta_k * d)) <= 20_000 else "greedy"
-                if restricted_norm_max(sample, delta_k, mode=mode, c0=c0).value >= eps_k:
+                if restricted_norm_max(sample, delta_k, mode=mode).value >= eps_k:
                     ok = False
                     break
             if ok:

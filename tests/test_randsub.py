@@ -86,7 +86,7 @@ def reference_restricted_norm_max(sample, delta, mode):
 
 def _assert_matches_reference(sample, delta, modes=("exact", "greedy")):
     for mode in modes:
-        r = restricted_norm_max(sample, delta, mode=mode, c0=3.0)
+        r = restricted_norm_max(sample, delta, mode=mode)
         assert (r.value, r.E_witness) == reference_restricted_norm_max(sample, delta, mode)
 
 
@@ -110,7 +110,7 @@ class TestRestrictedNormGather:
     def test_tied_rows_first_subset_wins(self):
         s = _tied_sample(5, 2, seed=3)
         delta = 0.3  # k = 3
-        r = restricted_norm_max(s, delta, mode="exact", c0=3.0)
+        r = restricted_norm_max(s, delta, mode="exact")
         combos = list(itertools.combinations(range(10), 3))
         values = _svd_top(np.stack([s.basis[list(E)] for E in combos]))
         assert (values == values.max()).sum() >= 2
@@ -127,9 +127,9 @@ class TestRestrictedNormGather:
         # at k = 1 the tied subsets (i,) and (i + 6,) fall in different chunks
         s = _tied_sample(6, 2, seed=8)
         delta = (k + 0.5) / 12
-        one_chunk = restricted_norm_max(s, delta, mode="exact", c0=3.0)
+        one_chunk = restricted_norm_max(s, delta, mode="exact")
         monkeypatch.setattr(randsub, "SUBSET_CELLS", 4 * k + 1)  # two subsets a chunk
-        assert restricted_norm_max(s, delta, mode="exact", c0=3.0) == one_chunk
+        assert restricted_norm_max(s, delta, mode="exact") == one_chunk
         _assert_matches_reference(s, delta, modes=("exact",))
 
 
@@ -161,7 +161,7 @@ class TestSampling:
 class TestRestrictedNorm:
     def test_exact_matches_direct_enumeration(self):
         s = sample_subspace(d=10, n=3, seed=1)
-        r = restricted_norm_max(s, delta=0.3, mode="exact", c0=3.0)
+        r = restricted_norm_max(s, delta=0.3, mode="exact")
         best = max(
             np.linalg.svd(s.basis[list(E), :], compute_uv=False)[0]
             for E in itertools.combinations(range(10), 3)
@@ -172,15 +172,15 @@ class TestRestrictedNorm:
     def test_witness_reproduces_value(self):
         s = sample_subspace(d=12, n=3, seed=4)
         for mode in ("exact", "greedy"):
-            r = restricted_norm_max(s, delta=0.25, mode=mode, c0=3.0)
+            r = restricted_norm_max(s, delta=0.25, mode=mode)
             direct = np.linalg.svd(s.basis[list(r.E_witness), :], compute_uv=False)[0]
             assert r.value == pytest.approx(direct, abs=1e-10)
 
     def test_greedy_is_a_lower_bound(self):
         for seed in range(10):
             s = sample_subspace(d=12, n=2, seed=seed)
-            ex = restricted_norm_max(s, delta=0.25, mode="exact", c0=3.0)
-            gr = restricted_norm_max(s, delta=0.25, mode="greedy", c0=3.0)
+            ex = restricted_norm_max(s, delta=0.25, mode="exact")
+            gr = restricted_norm_max(s, delta=0.25, mode="greedy")
             assert gr.value <= ex.value + 1e-12
 
     def test_exact_cap(self):
@@ -190,15 +190,16 @@ class TestRestrictedNorm:
 
     def test_value_at_most_one(self):
         s = sample_subspace(d=14, n=4, seed=3)
-        r = restricted_norm_max(s, delta=0.5, mode="greedy", c0=3.0)
+        r = restricted_norm_max(s, delta=0.5, mode="greedy")
         assert r.value <= 1.0 + 1e-9
 
     def test_default_c0_is_vacuous(self):
+        # the CLI's default c0 = 100 gives a threshold no restricted norm reaches
+        bound = formal_bound(0.25, 100.0)
+        assert vacuous_threshold(bound)
+        assert bound > 1.0
         s = sample_subspace(d=14, n=3, seed=0)
-        r = restricted_norm_max(s, delta=0.25, mode="greedy")
-        assert r.vacuous
-        assert r.bound > 1.0
-        assert r.formal_bound_holds
+        assert restricted_norm_max(s, delta=0.25, mode="greedy").value < bound
 
 
 class TestFormalBound:
@@ -207,9 +208,9 @@ class TestFormalBound:
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            formal_bound(0.0)
+            formal_bound(0.0, 100.0)
         with pytest.raises(ValueError):
-            formal_bound(1.0)
+            formal_bound(1.0, 100.0)
         for c0 in (0.0, -5.0, math.nan):
             with pytest.raises(ValueError):
                 formal_bound(0.25, c0)

@@ -233,7 +233,7 @@ class TestTrustedConstructors:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 17, 40])
     def test_interval_torus_far_points(self, n):
-        for space in (interval_space(n), torus_space(n), far_points(n), far_points(n, separation=1)):
+        for space in (interval_space(n), torus_space(n), far_points(n)):
             _validate_metric(space.dist)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -244,10 +244,6 @@ class TestTrustedConstructors:
         for space in [*members, *regular, coarse_union(members), coarse_union(regular),
                       coarse_union(regular[:1]), coarse_union([far_points(1), far_points(2)])]:
             _validate_metric(space.dist)
-
-    def test_non_positive_separation_rejected(self):
-        with pytest.raises(InvalidMetric):
-            far_points(3, separation=0)
 
 
 class TestBallsAndGrowth:
@@ -521,7 +517,7 @@ class TestGenerators:
             random_regular(5, 3, seed=0)
 
     def test_far_points(self):
-        sp = far_points(6, separation=10)
+        sp = far_points(6)
         assert sp.n == 6
         assert sp.dist[0, 5] == 10
         assert growth(sp, 9) == 1

@@ -142,9 +142,3 @@ class TestSchurRestrict:
             restricted = schur_restrict(u, part)
             entries = [abs(u.mat[y, x]) for x, y in part.graph()]
             assert operator_norm(restricted.mat) == pytest.approx(max(entries), abs=1e-9)
-
-    def test_dom_ran_accessors(self):
-        sp = interval_space(4)
-        part = decompose_band(sp, 0).parts[0]
-        assert part.dom == {0, 1, 2, 3}
-        assert part.ran == {0, 1, 2, 3}
