@@ -230,20 +230,24 @@ def sz_approximate(u: SpaceOperator, eps: float, R, seed: int = 0) -> tuple:
     At desk scale the ball radii S and T routinely exceed the diameter; the
     truncated balls remain valid kernels, but when 2T >= diameter every
     operator has propagation <= 2T and the bound says nothing about band
-    approximation. The report flags that case as support_covers_space.
+    approximation. The report flags that case as support_covers_space. A
+    bound of at least 2 says nothing either: Schur multiplication by the
+    unit-diagonal PSD Gram kernel is a contraction, so ||u - phi_nu(u)|| <= 2
+    for every contraction u. `vacuous` flags either case.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     norm_u = operator_norm(u.mat)
     if norm_u > 1 + 1e-9:
         raise NotAContraction(f"||u|| = {norm_u:.6g} exceeds 1")
-    _validate_eps_propagation(u, eps, R, seed=seed)
+    method = _validate_eps_propagation(u, eps, R, seed=seed)
     delta = math.sqrt(eps)
     space = u.space
     mu, field = kernel_chain(space, R, delta)
     approx = phi_nu(u, field)
     error, error_err = operator_norm(u.mat - approx.mat, with_err=True)
     bound = 18.0 * eps ** 0.25
+    covers = bool(2 * field.T >= space.diameter)
     report = {
         "eps": eps,
         "R": R,
@@ -254,7 +258,9 @@ def sz_approximate(u: SpaceOperator, eps: float, R, seed: int = 0) -> tuple:
         "bound": bound,
         "holds": bool(error + error_err < bound),
         "slack": bound - error,
-        "support_covers_space": bool(2 * field.T >= space.diameter),
+        "support_covers_space": covers,
+        "propagation_check": method,
+        "vacuous": bound >= 2 or covers,
     }
     return approx, error, report
 

@@ -14,6 +14,7 @@ from .operators import (
     operator_norm,
 )
 from .randsub import (
+    exact_affordable,
     formal_bound,
     restricted_norm_max,
     sample_subspace,
@@ -75,7 +76,9 @@ def select_subspaces(family: ExpanderFamily, c0: float, seed: int = 0) -> tuple:
     <= 1/k stays below eps_k; as k <= n < d, each share holds a point. A row
     with a vacuous threshold (see `vacuous_threshold`) is skipped: the
     restricted norm of a projection is at most 1 and cannot reach it.
-    Greedy search scores each candidate.
+    `restricted_norm_max` scores each candidate: exactly, so that acceptance
+    certifies the row, where the subset count is affordable, and by the greedy
+    lower bound above, where acceptance only means "not refuted".
     """
     live = [row for row in schedule(len(family.members), c0) if not vacuous_threshold(row["eps"])]
     samples = []
@@ -89,7 +92,7 @@ def select_subspaces(family: ExpanderFamily, c0: float, seed: int = 0) -> tuple:
             rng = trial_seed(seed, idx * 100_000 + rejects)
             sample = sample_subspace(d, n, int(rng.integers(0, 2 ** 63)))
             if all(
-                restricted_norm_max(sample, row["delta"], mode="greedy").value < row["eps"]
+                restricted_norm_max(sample, row["delta"]).value < row["eps"]
                 for row in live
                 if row["k"] <= n
             ):
@@ -191,13 +194,26 @@ class QuasiLocalAssembly:
 
     @property
     def schedule(self) -> list:
-        """The threshold rows for k up to the largest subspace dimension."""
-        return schedule(len(self.family.members), self.c0)
+        """The threshold rows for k up to the largest subspace dimension, each
+        naming the certificate its acceptance carries: "vacuous" (see
+        `vacuous_threshold`), "exact" when `restricted_norm_max` scanned every
+        subset on each member the row applies to (dimension >= k), else
+        "greedy", a lower bound only."""
+        dims = list(zip(member_dims(self.family), (m.n for m in self.family.members)))
+        rows = schedule(len(self.family.members), self.c0)
+        for row in rows:
+            if vacuous_threshold(row["eps"]):
+                row["certificate"] = "vacuous"
+            elif all(exact_affordable(d, math.floor(row["delta"] * d)) for n, d in dims if n >= row["k"]):
+                row["certificate"] = "exact"
+            else:
+                row["certificate"] = "greedy"
+        return rows
 
     @property
     def schedule_vacuous(self) -> list:
         """One flag per schedule row: its threshold cannot be reached."""
-        return [vacuous_threshold(row["eps"]) for row in self.schedule]
+        return [row["certificate"] == "vacuous" for row in self.schedule]
 
 
 def assemble(

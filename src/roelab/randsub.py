@@ -8,11 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficient, TooLargeForExact
+from .errors import RankDeficient
 from .operators import sigma_max_stack
 
-EXACT_SUBSET_CAP = 1_000_000
-# callers run the exact restricted-norm scan up to this many subsets, greedy above
+# restricted_norm_max scans every subset up to this many, and searches greedily above
 EXACT_AFFORDABLE = 20_000
 SUBSET_CELLS = 1 << 18
 _SWAP_CAP = 500
@@ -118,52 +117,52 @@ def _hill_climb(basis: np.ndarray, E0: list) -> tuple:
     return best_val, E
 
 
-def restricted_norm_max(sample: SubspaceSample, delta: float, mode: str = "exact") -> RestrictedNormReport:
-    """Maximum of ||P_V|l2(E)|| over coordinate subsets with |E| = floor(delta d).
+def _exact_max(basis: np.ndarray, k: int) -> tuple:
+    """(value, E) maximising ||basis[E]|| over all k-subsets, one LAPACK pass per
+    chunk of at most SUBSET_CELLS gathered entries; the first largest wins."""
+    chunk = max(1, SUBSET_CELLS // (k * basis.shape[1]))
+    combos = itertools.combinations(range(basis.shape[0]), k)
+    best_val, best_E = -1.0, None
+    while True:
+        E = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, chunk)), dtype=np.intp)
+        if not E.size:
+            return best_val, best_E
+        E = E.reshape(-1, k)
+        vals = sigma_max_stack(basis[E])
+        i = int(np.argmax(vals))
+        if vals[i] > best_val:
+            best_val, best_E = float(vals[i]), tuple(E[i].tolist())
 
-    exact enumerates every subset in chunks of at most SUBSET_CELLS gathered
-    basis entries, one LAPACK pass per chunk; greedy seeds E with the largest
-    leverage scores and improves by single swaps, giving a lower bound for
-    the true maximum.
+
+def _greedy_max(basis: np.ndarray, k: int) -> tuple:
+    """(value, E) of the better single-swap ascent, from the k largest leverage
+    scores and from forward selection: a lower bound on the maximum."""
+    leverage = np.einsum("ij,ij->i", basis, basis)
+    best_val, best_E = -1.0, None
+    for E0 in (list(np.argsort(leverage)[::-1][:k]), _forward_select(basis, k)):
+        val, E = _hill_climb(basis, E0)
+        if val > best_val:
+            best_val, best_E = val, tuple(sorted(E))
+    return best_val, best_E
+
+
+def exact_affordable(d: int, k: int) -> bool:
+    """The one rule that picks the method: scan all C(d, k) subsets if affordable."""
+    return math.comb(d, k) <= EXACT_AFFORDABLE
+
+
+def restricted_norm_max(sample: SubspaceSample, delta: float) -> RestrictedNormReport:
+    """Maximum of ||P_V|l2(E)|| over coordinate subsets with |E| = k = floor(delta d).
+
+    The exact scan gives the maximum where `exact_affordable(d, k)`, a greedy
+    search a lower bound on it above; the report's `mode` names which ran.
     """
-    d, basis = sample.d, sample.basis
-    k = int(math.floor(delta * d))
-    if k < 1:
-        raise ValueError("floor(delta d) must be at least 1")
-    if mode == "exact":
-        if math.comb(d, k) > EXACT_SUBSET_CAP:
-            raise TooLargeForExact(f"C({d},{k}) subsets exceed the exact cap")
-        # each chunk is gathered by one fancy index; the first largest value
-        # wins, across chunks too
-        chunk = max(1, SUBSET_CELLS // (k * basis.shape[1]))
-        combos = itertools.combinations(range(d), k)
-        best_val, best_E = -1.0, None
-        while True:
-            E = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, chunk)), dtype=np.intp)
-            if not E.size:
-                break
-            E = E.reshape(-1, k)
-            vals = sigma_max_stack(basis[E])
-            i = int(np.argmax(vals))
-            if vals[i] > best_val:
-                best_val, best_E = float(vals[i]), tuple(E[i].tolist())
-    elif mode == "greedy":
-        leverage = np.einsum("ij,ij->i", basis, basis)
-        starts = [list(np.argsort(leverage)[::-1][:k]), _forward_select(basis, k)]
-        best_val, best_E = -1.0, None
-        for E0 in starts:
-            val, E = _hill_climb(basis, E0)
-            if val > best_val:
-                best_val, best_E = val, tuple(sorted(E))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return RestrictedNormReport(
-        delta=delta,
-        k=k,
-        mode=mode,
-        value=best_val,
-        E_witness=tuple(int(i) for i in best_E),
-    )
+    k = int(math.floor(delta * sample.d))
+    if not 1 <= k <= sample.d:
+        raise ValueError(f"floor(delta d) = {k} must lie in 1..{sample.d}")
+    mode = "exact" if exact_affordable(sample.d, k) else "greedy"
+    value, E = (_exact_max if mode == "exact" else _greedy_max)(sample.basis, k)
+    return RestrictedNormReport(delta, k, mode, value, tuple(int(i) for i in E))
 
 
 @dataclass(frozen=True)
@@ -185,19 +184,19 @@ def mc_lemma_random(
 ) -> MonteCarloReport:
     """Fraction of random subspaces whose restricted norm stays under the bound.
 
-    With the CLI's default c0 = 100 the bound exceeds 1 at desk scale and the
-    probability is exactly 1; the report flags that regime as vacuous.
+    Where `restricted_norm_max` searches greedily its values are lower bounds
+    and the fraction an upper estimate. With the CLI's default c0 = 100 the
+    bound exceeds 1 at desk scale and the probability is exactly 1; the report
+    flags that regime as vacuous.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    k = int(math.floor(delta * d))
-    mode = "exact" if math.comb(d, k) <= EXACT_AFFORDABLE else "greedy"
     bound = formal_bound(delta, c0)
     values = []
     for t in range(trials):
         rng = trial_seed(seed, t)
         sample = sample_subspace(d, n, int(rng.integers(0, 2 ** 63)))
-        values.append(restricted_norm_max(sample, delta, mode=mode).value)
+        values.append(restricted_norm_max(sample, delta).value)
     values = np.array(values)
     prob = float(np.mean(values < bound))
     return MonteCarloReport(

@@ -145,7 +145,7 @@ def _validate_metric(d: np.ndarray) -> None:
         return
     integer = np.issubdtype(d.dtype, np.integer)
     tol = 0 if integer else METRIC_TOL
-    if not np.array_equal(d, d.T) if integer else not np.allclose(d, d.T, atol=tol):
+    if not np.array_equal(d, d.T) if integer else not np.allclose(d, d.T, rtol=0, atol=tol):
         raise InvalidMetric("distance matrix is not symmetric")
     diag = np.diag(d)
     if np.any(diag != 0) if integer else np.any(np.abs(diag) > tol):
@@ -300,8 +300,9 @@ def expansion_kappa(space: FiniteMetricSpace, R, mode: str = "exact"):
             raise ValueError(f"exact expansion needs at least 2 points, got {n}")
         neigh = neighbourhood_table(space.near(R))
         subsets = np.arange(1 << n, dtype=np.uint32)
-        size_a = np.bitwise_count(subsets).astype(np.int64)
-        size_n = np.bitwise_count(neigh).astype(np.int64)
+        # uint8 counts: at most EXACT_KAPPA_MAX, and 2 * size_a stays below 256
+        size_a = np.bitwise_count(subsets)
+        size_n = np.bitwise_count(neigh)
         valid = (size_a > 0) & (2 * size_a <= n)
         ratios = size_n[valid] / size_a[valid]
         return float(ratios.min()), KAPPA_EXACT

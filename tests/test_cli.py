@@ -300,6 +300,16 @@ class TestCommands:
         assert code == 0
         assert report["results"]["lower"] == 0.0
 
+    # the README config's support covers the interval; at eps = 1e-2 the bound
+    # 18 eps^(1/4) = 5.7 exceeds 2 as well
+    @pytest.mark.parametrize("argv", [[], ["--N", "200", "--eps", "1e-2", "-R", "1"]])
+    def test_sz_reports_vacuity_and_method(self, argv):
+        report, code = run(["propa", "sz", *argv])
+        assert code == 0
+        res = report["results"]
+        assert res["vacuous"] is True
+        assert res["propagation_check"] == "truncation-tail"
+
     def test_all_smoke(self):
         report, code = run(["all", "smoke", "--seed", "0"])
         assert code == 0
@@ -403,3 +413,4 @@ class TestQlBuildReport:
         assert code == 0
         results = report["results"]
         assert results["schedule_vacuous"] == [True] * len(results["schedule"])
+        assert {row["certificate"] for row in results["schedule"]} == {"vacuous"}

@@ -400,6 +400,7 @@ class TestSz:
         _, _, report = sz_approximate(u, 0.25, R=1)
         assert (report["S"], report["T"]) == (4, 16)
         assert report["support_covers_space"] is False
+        assert report["vacuous"] is True  # the bound 18 eps^(1/4) = 12.7 is above 2
 
     def test_eps_validation(self):
         sp = interval_space(10)

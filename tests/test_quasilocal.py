@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_operator, reference_band_dist_random, reference_eps_prop_heuristic
-from roelab import operators, quasilocal
+from roelab import operators, quasilocal, randsub
 from roelab.errors import DimensionMismatch, RejectionBudgetExhausted
 from roelab.operators import _sigma_max, band_truncate, operator_norm, rect_norm
 from roelab.quasilocal import (
@@ -56,7 +56,7 @@ class TestSelection:
         for sub, n in zip(small_assembly.subspaces, member_dims(small_assembly.family)):
             for row in small_assembly.schedule:
                 if row["k"] <= n:
-                    found = restricted_norm_max(sub, row["delta"], mode="greedy").value
+                    found = restricted_norm_max(sub, row["delta"]).value
                     assert found < row["eps"]
 
     def test_budget_exhaustion_with_tiny_c0(self, monkeypatch):
@@ -81,8 +81,9 @@ def reference_select_subspaces(family, c0, max_rejects=200, seed=0):
                 if int(delta_k * d) < 1:
                     continue
                 eps_k = formal_bound(delta_k, c0)
-                mode = "exact" if idx == 0 and math.comb(d, int(delta_k * d)) <= 20_000 else "greedy"
-                if restricted_norm_max(sample, delta_k, mode=mode).value >= eps_k:
+                k_sub = int(delta_k * d)
+                search = randsub._exact_max if math.comb(d, k_sub) <= 20_000 else randsub._greedy_max
+                if search(sample.basis, k_sub)[0] >= eps_k:
                     ok = False
                     break
             if ok:
@@ -139,6 +140,40 @@ class TestVacuousSchedule:
             asm = assemble(family, subs, c0=c0)
             assert asm.schedule_vacuous == flags
             assert [r["eps"] > 1 for r in asm.schedule] == flags
+
+
+def _certificates(sizes, degree, c0):
+    family = regular_family(sizes, degree=degree, seed=2)
+    subs, rejects = select_subspaces(family, c0=c0, seed=2)
+    asm = assemble(family, subs, c0=c0)
+    return {row["k"]: row["certificate"] for row in asm.schedule}, asm, rejects
+
+
+class TestScheduleCertificate:
+    def test_first_live_row_is_exact(self):
+        # members 32..61 carry the dimensions 1..30 on vacuous rows; the
+        # 64-point member's k = 31 row has |E| = 2, C(64, 2) = 2016 subsets
+        certs, asm, rejects = _certificates([*range(32, 62), 64], 4, 3.0)
+        assert certs[31] == "exact"
+        assert {c for k, c in certs.items() if k < 31} == {"vacuous"}
+        assert sum(rejects) == 0
+        row = asm.schedule[-1]
+        r = restricted_norm_max(asm.subspaces[-1], row["delta"])
+        assert (r.k, r.mode) == (2, "exact")
+        assert r.value == pytest.approx(0.873575511910041, abs=1e-12)
+        assert row["eps"] == pytest.approx(0.99848, abs=1e-5)
+        assert r.value < row["eps"]
+
+    def test_readme_config_is_vacuous(self):
+        certs, _, _ = _certificates([16, 32, 64, 128], 4, 3.0)
+        assert set(certs.values()) == {"vacuous"}
+
+    def test_greedy_where_a_member_is_too_large(self):
+        # k = 2 reaches the 20-point member with C(20, 10) = 184756 subsets,
+        # k = 4 only that member with C(20, 5) = 15504
+        certs, asm, _ = _certificates([8, 12, 16, 20], 3, 1.69)
+        assert certs == {2: "greedy", 3: "vacuous", 4: "exact"}
+        assert asm.schedule_vacuous == [False, True, False]
 
 
 class TestAssembly:

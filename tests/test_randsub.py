@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roelab import randsub
-from roelab.errors import TooLargeForExact
 from roelab.randsub import (
     SubspaceSample,
     entropy_count_bound,
@@ -84,10 +83,15 @@ def reference_restricted_norm_max(sample, delta, mode):
     return best_val, tuple(int(i) for i in best_E)
 
 
+# the two methods restricted_norm_max picks between, each callable on any sample
+SEARCHES = {"exact": randsub._exact_max, "greedy": randsub._greedy_max}
+
+
 def _assert_matches_reference(sample, delta, modes=("exact", "greedy")):
+    k = int(math.floor(delta * sample.d))
     for mode in modes:
-        r = restricted_norm_max(sample, delta, mode=mode)
-        assert (r.value, r.E_witness) == reference_restricted_norm_max(sample, delta, mode)
+        value, E = SEARCHES[mode](sample.basis, k)
+        assert (value, E) == reference_restricted_norm_max(sample, delta, mode)
 
 
 def _tied_sample(half, n, seed):
@@ -110,7 +114,8 @@ class TestRestrictedNormGather:
     def test_tied_rows_first_subset_wins(self):
         s = _tied_sample(5, 2, seed=3)
         delta = 0.3  # k = 3
-        r = restricted_norm_max(s, delta, mode="exact")
+        r = restricted_norm_max(s, delta)
+        assert r.mode == "exact"
         combos = list(itertools.combinations(range(10), 3))
         values = _svd_top(np.stack([s.basis[list(E)] for E in combos]))
         assert (values == values.max()).sum() >= 2
@@ -127,9 +132,9 @@ class TestRestrictedNormGather:
         # at k = 1 the tied subsets (i,) and (i + 6,) fall in different chunks
         s = _tied_sample(6, 2, seed=8)
         delta = (k + 0.5) / 12
-        one_chunk = restricted_norm_max(s, delta, mode="exact")
+        one_chunk = restricted_norm_max(s, delta)
         monkeypatch.setattr(randsub, "SUBSET_CELLS", 4 * k + 1)  # two subsets a chunk
-        assert restricted_norm_max(s, delta, mode="exact") == one_chunk
+        assert restricted_norm_max(s, delta) == one_chunk
         _assert_matches_reference(s, delta, modes=("exact",))
 
 
@@ -161,7 +166,7 @@ class TestSampling:
 class TestRestrictedNorm:
     def test_exact_matches_direct_enumeration(self):
         s = sample_subspace(d=10, n=3, seed=1)
-        r = restricted_norm_max(s, delta=0.3, mode="exact")
+        r = restricted_norm_max(s, delta=0.3)
         best = max(
             np.linalg.svd(s.basis[list(E), :], compute_uv=False)[0]
             for E in itertools.combinations(range(10), 3)
@@ -171,27 +176,48 @@ class TestRestrictedNorm:
 
     def test_witness_reproduces_value(self):
         s = sample_subspace(d=12, n=3, seed=4)
-        for mode in ("exact", "greedy"):
-            r = restricted_norm_max(s, delta=0.25, mode=mode)
-            direct = np.linalg.svd(s.basis[list(r.E_witness), :], compute_uv=False)[0]
-            assert r.value == pytest.approx(direct, abs=1e-10)
+        for search in SEARCHES.values():
+            value, E = search(s.basis, 3)
+            direct = np.linalg.svd(s.basis[list(E), :], compute_uv=False)[0]
+            assert value == pytest.approx(direct, abs=1e-10)
 
     def test_greedy_is_a_lower_bound(self):
         for seed in range(10):
             s = sample_subspace(d=12, n=2, seed=seed)
-            ex = restricted_norm_max(s, delta=0.25, mode="exact")
-            gr = restricted_norm_max(s, delta=0.25, mode="greedy")
-            assert gr.value <= ex.value + 1e-12
+            assert randsub._greedy_max(s.basis, 3)[0] <= randsub._exact_max(s.basis, 3)[0] + 1e-12
 
-    def test_exact_cap(self):
-        s = sample_subspace(d=40, n=5, seed=0)
-        with pytest.raises(TooLargeForExact):
-            restricted_norm_max(s, delta=0.3, mode="exact")
+    # C(20, 5) = 15504 subsets are scanned; C(20, 10) = 184756 and C(40, 12)
+    # are searched greedily
+    @pytest.mark.parametrize("d,k,mode", [(20, 5, "exact"), (20, 10, "greedy"), (40, 12, "greedy")])
+    def test_method_follows_the_subset_count(self, d, k, mode):
+        s = sample_subspace(d=d, n=3, seed=0)
+        r = restricted_norm_max(s, delta=(k + 0.5) / d)
+        assert (r.k, r.mode) == (k, mode)
+        assert (r.value, r.E_witness) == SEARCHES[mode](s.basis, k)
+
+    def test_exact_up_to_the_affordable_count(self, monkeypatch):
+        s = sample_subspace(d=10, n=2, seed=1)
+        monkeypatch.setattr(randsub, "EXACT_AFFORDABLE", math.comb(10, 3))
+        assert restricted_norm_max(s, delta=0.3).mode == "exact"
+        monkeypatch.setattr(randsub, "EXACT_AFFORDABLE", math.comb(10, 3) - 1)
+        assert restricted_norm_max(s, delta=0.3).mode == "greedy"
+
+    @pytest.mark.parametrize("delta", [1.5, 0.05, -0.2])
+    def test_subset_size_outside_one_to_d(self, delta):
+        # delta = 1.5 used to end in a TypeError (exact) or an empty argmax (greedy)
+        s = sample_subspace(d=10, n=2, seed=0)
+        with pytest.raises(ValueError, match=r"must lie in 1\.\.10"):
+            restricted_norm_max(s, delta)
+
+    def test_all_coordinates(self):
+        s = sample_subspace(d=10, n=2, seed=0)
+        r = restricted_norm_max(s, delta=1.0)
+        assert (r.k, r.mode, r.E_witness) == (10, "exact", tuple(range(10)))
+        assert r.value == pytest.approx(1.0, abs=1e-12)
 
     def test_value_at_most_one(self):
         s = sample_subspace(d=14, n=4, seed=3)
-        r = restricted_norm_max(s, delta=0.5, mode="greedy")
-        assert r.value <= 1.0 + 1e-9
+        assert randsub._greedy_max(s.basis, 7)[0] <= 1.0 + 1e-9
 
     def test_default_c0_is_vacuous(self):
         # the CLI's default c0 = 100 gives a threshold no restricted norm reaches
@@ -199,7 +225,7 @@ class TestRestrictedNorm:
         assert vacuous_threshold(bound)
         assert bound > 1.0
         s = sample_subspace(d=14, n=3, seed=0)
-        assert restricted_norm_max(s, delta=0.25, mode="greedy").value < bound
+        assert restricted_norm_max(s, delta=0.25).value < bound
 
 
 class TestFormalBound:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -69,6 +70,13 @@ class TestValidation:
     def test_rejects_asymmetric(self):
         d = np.array([[0, 1], [2, 0]])
         with pytest.raises(InvalidMetric):
+            FiniteMetricSpace(dist=d)
+
+    def test_rejects_float_asymmetry_above_tolerance(self):
+        # 9e-6 apart: within numpy's default relative tolerance of allclose,
+        # far above METRIC_TOL
+        d = np.array([[0.0, 1.0, 1.0], [1.000009, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        with pytest.raises(InvalidMetric, match="not symmetric"):
             FiniteMetricSpace(dist=d)
 
     def test_rejects_nonzero_diagonal(self):
@@ -441,6 +449,17 @@ class TestExpansion:
         sp = far_points(23)
         with pytest.raises(TooLargeForExact):
             expansion_kappa(sp, 1, mode="exact")
+
+    def test_exact_scan_memory(self):
+        # the subset counts are uint8: as int64 they peaked at 39 MiB here
+        sp = random_regular(20, 4, 0)
+        tracemalloc.start()
+        try:
+            expansion_kappa(sp, 1, mode="exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2 ** 20
 
     def test_spectral_is_a_lower_bound(self):
         sp = random_regular(16, 4, seed=1)
