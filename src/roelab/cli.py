@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import operators, propa, quasilocal, randsub, reps, spaces, translations
-from .operators import SpaceOperator, dist_to_band_bounds, eps_propagation_radius, operator_norm
+from .operators import SpaceOperator, dist_to_band_bounds, eps_propagation_radius
 from .report import dumps, make_report
 from .errors import RoelabError
 
@@ -68,12 +68,16 @@ def _parse_group(spec: str) -> reps.UnitaryRep:
 
 
 def _band_contraction(space, R, seed):
+    """A seeded contraction of band radius R: complex Gaussian entries (real
+    parts drawn first) on near(R), zero elsewhere, built in one n x n array
+    and normed once by SpaceOperator.normalised."""
     rng = np.random.default_rng(seed)
     n = space.n
-    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    m = np.where(space.near(R), m, 0.0)
-    norm = operator_norm(m)
-    return SpaceOperator(space=space, mat=m / norm if norm > 0 else m)
+    m = np.empty((n, n), np.complex128)
+    m.real = rng.standard_normal((n, n))
+    m.imag = rng.standard_normal((n, n))
+    m[~space.near(R)] = 0
+    return SpaceOperator.normalised(space, m)
 
 
 def _operator(cfg, R):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -221,16 +221,54 @@ def complex_from_pairs(obj) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpaceOperator:
-    """Dense operator on l2(X); entry mat[y, x] is the (delta_x -> delta_y) coefficient."""
+    """Dense operator on l2(X); entry mat[y, x] is the (delta_x -> delta_y) coefficient.
+
+    `norm()` is (value, err) of ||mat||, from operator_norm, except on an
+    operator built by the trusted constructor `SpaceOperator.normalised`,
+    which carries the pair it proved while dividing by the norm.
+    """
 
     space: FiniteMetricSpace
     mat: np.ndarray
+    # (value, err) of ||mat||, set only by normalised
+    _norm: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.mat, dtype=np.complex128)
         if m.shape != (self.space.n, self.space.n):
             raise ValueError("operator shape does not match the space")
         object.__setattr__(self, "mat", m)
+
+    @classmethod
+    def normalised(cls, space: FiniteMetricSpace, mat) -> "SpaceOperator":
+        """mat / ||mat||, carrying the (value, err) of its norm that the
+        division proves; a complex128 mat is divided in place and becomes the
+        operator's.
+
+        With (value, err) = operator_norm(mat, with_err=True), ||mat|| lies
+        in [value - err, value + err] (the Lanczos value is the lower end of
+        [value, value + err]), so ||mat / value|| lies within rel = err / value
+        of 1. Each stored entry is mat[y, x] times a rounded 1 / value,
+        rounded again, a relative change of at most eps_mach (1 + eps_mach);
+        as ||A|| <= ||A||_F <= sqrt(n) ||A||, the stored matrix is within
+        2 n eps_mach (1 + rel) of mat / value in norm. The carried pair is
+        therefore (1.0, rel + 2 n eps_mach (1 + rel)). A zero (or non-finite)
+        mat is left undivided and carries operator_norm's own pair.
+        """
+        op = cls(space=space, mat=mat)
+        value, err = operator_norm(op.mat, with_err=True)
+        if value > 0:
+            np.divide(op.mat, value, out=op.mat)
+            rel = err / value
+            value, err = 1.0, rel + 2 * space.n * np.finfo(float).eps * (1 + rel)
+        object.__setattr__(op, "_norm", (value, err))
+        return op
+
+    def norm(self) -> tuple:
+        """(value, err) of ||u||: the pair normalised carried, else operator_norm's."""
+        if self._norm is not None:
+            return self._norm
+        return operator_norm(self.mat, with_err=True)
 
     def to_json(self) -> dict:
         flat = self.mat.reshape(-1)

@@ -234,10 +234,14 @@ def sz_approximate(u: SpaceOperator, eps: float, R, seed: int = 0) -> tuple:
     bound of at least 2 says nothing either: Schur multiplication by the
     unit-diagonal PSD Gram kernel is a contraction, so ||u - phi_nu(u)|| <= 2
     for every contraction u. `vacuous` flags either case.
+
+    The contraction check compares the value of u.norm(): the pair that
+    SpaceOperator.normalised carried, else a fresh operator_norm.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    norm_u = operator_norm(u.mat)
+    # an infinite eps would make S = T = 0 and the bound infinite: a vacuous PASS
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    norm_u, _ = u.norm()
     if norm_u > 1 + 1e-9:
         raise NotAContraction(f"||u|| = {norm_u:.6g} exceeds 1")
     method = _validate_eps_propagation(u, eps, R, seed=seed)
@@ -309,11 +313,14 @@ def rademacher_diagnostics(
     sup_ok = bool(np.abs(f).max() <= sup_bound + 1e-9)
 
     z3, z4 = _bonferroni_z(3, n), _bonferroni_z(4, n)
-    second, second_se = _mean_se(f ** 2)
+    power = f ** 2
+    second, second_se = _mean_se(power)
     second_ok = bool(np.all(np.abs(second - 1.0) <= z3 * second_se))
 
     fourth_closed = 3.0 - 2.0 * (field.F ** 4).sum(axis=0)
-    fourth_emp, fourth_se = _mean_se(f ** 4)
+    # f^4 as the square of f^2, in place: no libm pow, and no second array
+    fourth_emp, fourth_se = _mean_se(np.square(power, out=power))
+    del power  # freed before the arrays below, so the peak does not grow
     fourth_ok = bool(np.all(fourth_closed <= 3.0 + 1e-12))
     fourth_mc_ok = bool(np.all(np.abs(fourth_emp - fourth_closed) <= z4 * fourth_se))
 

@@ -352,7 +352,7 @@ def far_points(n: int) -> FiniteMetricSpace:
 def interval_space(N: int) -> FiniteMetricSpace:
     """The path metric on {0, ..., N-1}; a metric by construction, not re-validated."""
     idx = np.arange(N)
-    dist = np.abs(idx[:, None] - idx[None, :]).astype(np.int64)
+    dist = np.abs(idx[:, None] - idx[None, :]).astype(np.int64, copy=False)
     return FiniteMetricSpace._trusted(dist, f"interval{N}")
 
 
@@ -360,7 +360,7 @@ def torus_space(N: int) -> FiniteMetricSpace:
     """The cyclic metric on Z/N; a metric by construction, not re-validated."""
     idx = np.arange(N)
     diff = np.abs(idx[:, None] - idx[None, :])
-    dist = np.minimum(diff, N - diff).astype(np.int64)
+    dist = np.minimum(diff, N - diff).astype(np.int64, copy=False)
     return FiniteMetricSpace._trusted(dist, f"torus{N}")
 
 

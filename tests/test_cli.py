@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from roelab.cli import COMMANDS, _band_contraction, _parse_args, _positive_int, build_parser, main, run
-from roelab.operators import eps_propagation_brackets
+from roelab import operators
+from roelab.cli import COMMANDS, _band_contraction, _parse_args, _parse_space, _positive_int, build_parser, main, run
+from roelab.operators import DENSE_NORM_MAX, SpaceOperator, eps_propagation_brackets, operator_norm
+from roelab.propa import sz_approximate
 from roelab.report import jsonable, report_diff, results_bytes
 from roelab.spaces import interval_space
 
@@ -115,6 +117,8 @@ class TestMalformedInput:
         ["propa", "rademacher", "-R", "nan", "--N", "20"],
         # infinite radii, whose support radius 2R/delta has no integer ceiling
         ["propa", "sz", "--N", "20", "-R", "inf"],
+        # an infinite eps made S = T = 0 and printed a vacuous PASS
+        ["propa", "sz", "--eps", "inf"],
         ["propa", "rademacher", "--N", "20", "-R", "infinity"],
         # [re, im] files: bare numbers, text, infinity, 1 x 2 matrices, a non-integer table
         ["oper", "eps-prop", "--mode", "exact", "--space", "interval:4", "--eps", "0.1",
@@ -378,6 +382,49 @@ class TestImportFootprint:
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+
+class TestBandContraction:
+    """The seeded contraction is normed once, and carries that norm."""
+
+    @pytest.mark.parametrize(
+        "spec, R, seed",
+        [
+            *(("interval:150", R, R) for R in (1, 2, 3)),
+            ("interval:600", 2, 0),
+            ("torus:200", 2, 1),
+            ("regular:200:4:3", 1, 2),
+            ("interval:100", 2, 5),  # at most DENSE_NORM_MAX: the LAPACK norm
+        ],
+    )
+    def test_carried_norm_is_honest(self, spec, R, seed):
+        u = _band_contraction(_parse_space(spec), R, seed)
+        assert u._norm is not None
+        value, err = u.norm()
+        fresh, fresh_err = operator_norm(u.mat, with_err=True)
+        assert value <= 1 + 1e-9
+        assert fresh - fresh_err <= value + err and value - err <= fresh + fresh_err
+
+    @pytest.mark.parametrize("N, eps, R, seed", [(200, "1e-2", 1, 0), (300, "1e-4", 3, 1)])
+    def test_sz_runs_three_lanczos_norms(self, N, eps, R, seed, monkeypatch):
+        assert N > DENSE_NORM_MAX
+        nonzero = []
+        gkl = operators._gkl_top
+
+        def counted(m):
+            nonzero.append(bool(np.any(m)))
+            return gkl(m)
+
+        monkeypatch.setattr(operators, "_gkl_top", counted)
+        report, code = run(["propa", "sz", "--N", str(N), "--eps", eps, "-R", str(R), "--seed", str(seed)])
+        # normalising the contraction, its all-zero truncation tail, the error
+        assert code == 0 and nonzero == [True, False, True]
+        monkeypatch.undo()
+        space = interval_space(N)
+        plain = SpaceOperator(space, _band_contraction(space, R, seed).mat.copy())
+        assert plain._norm is None
+        _, _, expected = sz_approximate(plain, float(eps), float(R), seed=seed)
+        assert results_bytes(report["results"]) == results_bytes(expected)
 
 
 class TestCommandPaths:

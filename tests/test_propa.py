@@ -407,6 +407,10 @@ class TestSz:
         u = banded_contraction(np.random.default_rng(0), sp, R=1)
         with pytest.raises(ValueError):
             sz_approximate(u, 0.0, R=1)
+        # an infinite eps gave S = T = 0 and an infinite bound: a vacuous PASS
+        for eps in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                sz_approximate(u, eps, R=1)
 
 
 @pytest.fixture(scope="module")

@@ -244,6 +244,15 @@ class TestTrustedConstructors:
         for space in (interval_space(n), torus_space(n), far_points(n)):
             _validate_metric(space.dist)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 17, 40])
+    def test_interval_torus_int64_distances(self, n):
+        # written out, against the constructors' in-place int64 cast
+        i, j = np.meshgrid(np.arange(n, dtype=np.int64), np.arange(n, dtype=np.int64), indexing="ij")
+        gap = np.abs(i - j)
+        for space, expected in ((interval_space(n), gap), (torus_space(n), np.minimum(gap, n - gap))):
+            assert space.dist.dtype == np.int64
+            assert space.dist.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("seed", range(4))
     def test_graphs_and_unions(self, seed):
         rng = np.random.default_rng(seed)
