@@ -22,6 +22,11 @@ MASK_CELLS = 1 << 18
 # the random rectangle searches close their seeds CLOSE_BLOCK draws at a time
 STACK_ENTRIES = 1 << 16
 CLOSE_BLOCK = 64
+# relative slack of the exact scans' bound decisions (rect_bounds, and the
+# subset bounds of randsub): far above the relative rounding of a computed
+# bound or LAPACK value, O(p q eps_mach) on a p x q matrix and below 1e-11 at
+# every size the exact scans reach
+BOUND_SLACK = 1e-9
 
 # operator_norm: LAPACK when the smaller side is at most DENSE_NORM_MAX,
 # Golub-Kahan-Lanczos above it. Both cost about 2.5 ms (main-thread CPU, 2-vCPU
@@ -295,16 +300,21 @@ class SpaceOperator:
             raise ValueError(f"operator json needs n * n = {n * n} [re, im] rows")
         return SpaceOperator(space=space, mat=flat.reshape(n, n))
 
-    # The two norm hooks of the searches, which read nothing of an operator
-    # but `space`, `rect_norms` and `tail_bound`. Here they work on the dense
-    # matrix; quasilocal.QuasiLocalAssembly, which holds no dense matrix,
-    # supplies the same three from its member factors.
+    # The norm hooks of the searches, which read nothing of an operator but
+    # `space`, `rect_norms`, `rect_bounds` and `tail_bound`. Here they work on
+    # the dense matrix; quasilocal.QuasiLocalAssembly, which holds no dense
+    # matrix, supplies the same four from its member factors.
 
     def rect_norms(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """sigma_max of each compression 1_A u 1_B, given boolean membership
         rows of shape (k, n) for A and B; 0.0 where a side is empty
         (_rect_norms on the dense matrix)."""
         return _rect_norms(self.mat, rows, cols)
+
+    def rect_bounds(self, rows: np.ndarray, cols: np.ndarray) -> tuple:
+        """(lower, upper) bounds on each value of rect_norms(rows, cols)
+        (_rect_bounds on the dense matrix)."""
+        return _rect_bounds(self.mat, rows, cols)
 
     def tail_bound(self, R) -> float:
         """Upper estimate value + err of ||u - band_truncate(u, R)||, the truncation
@@ -375,6 +385,71 @@ def _rect_norms(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarr
     return values
 
 
+def _rect_bounds(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple:
+    """(lower, upper) of sigma_max of each compression M = mat[rows[i]][:, cols[i]],
+    given boolean membership rows of shape (k, n): the largest column or row
+    norm of M, and its Frobenius norm, which enclose sigma_max(M).
+
+    With s the largest entry modulus of mat and w = |mat / s|^2 (no square
+    overflows), the squared column norms of M / s are the entries of
+    rows @ w at the columns in B, its squared row norms those of cols @ w^T
+    at the rows in A, and ||M / s||_F^2 the sum of the former: two GEMMs per
+    chunk. Each is a sum of nonnegative terms, so it is computed to a
+    relative O(n eps_mach), except that a square below the normal range is
+    off by up to 2^-1074, and a sum of them by up to n^2 2^-1074 < tiny =
+    2^-1022: lower takes tiny off its sum and upper adds it before the root,
+    so that each is off its exact bound by no more than the relative
+    rounding. An empty side gives (0, s sqrt(tiny)), which holds rect_norms'
+    exact 0.0; a zero mat gives (0, 0), and a non-finite mat NaN bounds,
+    which decide nothing.
+    """
+    scale = float(np.abs(mat).max(initial=0.0))
+    if not np.isfinite(scale):
+        return np.full(len(rows), np.nan), np.full(len(rows), np.nan)
+    if scale == 0.0:
+        return np.zeros(len(rows)), np.zeros(len(rows))
+    w = np.square(np.abs(mat) / scale)
+    # [i, x]: squared norm of column x of M / s, for x in B; 0 elsewhere
+    down = np.multiply(rows @ w, cols)
+    # [i, y]: squared norm of row y of M / s, for y in A; 0 elsewhere
+    across = np.multiply(cols @ np.ascontiguousarray(w.T), rows)  # a strided w.T misses BLAS
+    line = np.maximum(down.max(axis=1, initial=0.0), across.max(axis=1, initial=0.0))
+    frobenius = down.sum(axis=1)
+    tiny = np.finfo(float).tiny
+    return scale * np.sqrt(np.maximum(line - tiny, 0.0)), scale * np.sqrt(frobenius + tiny)
+
+
+def largest_candidates(lower: np.ndarray, upper: np.ndarray, best: float) -> np.ndarray:
+    """Which candidates of one chunk of a first-largest scan LAPACK must norm,
+    given their computed bounds and the scan's best value so far, `best`.
+
+    Premise: a candidate's LAPACK value v and finite computed bounds l, h
+    satisfy l / (1 + BOUND_SLACK) <= v <= h (1 + BOUND_SLACK). The exact
+    bounds enclose the exact value; the computed ones are within a relative
+    O(p q eps_mach) of them on a p x q matrix (see _rect_bounds and
+    randsub._subset_bounds), and LAPACK's backward-stable sigma_max within
+    a relative O(max(p, q) eps_mach) of the exact value, all far below
+    BOUND_SLACK.
+
+    The floor f is the larger of `best` and the largest finite lower bound
+    of the chunk, at a candidate m. A candidate is skipped iff
+    h < f (1 - BOUND_SLACK) / (1 + BOUND_SLACK); then
+    v <= h (1 + BOUND_SLACK) < f (1 - BOUND_SLACK). If f = best, v < best,
+    so v neither replaces best nor decides the chunk's largest value unless
+    that value is below best too, and then nothing in the chunk replaces
+    best. Otherwise m is normed (its h >= l = f), and
+    v(m) >= f / (1 + BOUND_SLACK) > f (1 - BOUND_SLACK) > v: a skipped
+    candidate is strictly below a normed one. Either way every candidate
+    that attains the chunk's largest value, when that value can replace
+    best, is normed, and so is the first of them: the scan that reads the
+    normed values only (NaN never winning) picks the same value and the
+    same candidate as a scan of all of them. Bounds are nonnegative, so
+    nothing is skipped unless f > 0, and a NaN upper bound never is.
+    """
+    floor = max(best, float(np.max(lower, where=np.isfinite(lower), initial=-np.inf)))
+    return ~(upper < floor * (1 - BOUND_SLACK) / (1 + BOUND_SLACK))
+
+
 @dataclass(frozen=True)
 class Bracket:
     """A two-sided bound [lower, upper] from a search (an eps-propagation
@@ -400,13 +475,12 @@ def _smallest_radius(n: int, clear) -> int:
 
 
 def _exact_rectangles(u: SpaceOperator, R):
-    """(A, B, norms) per chunk of at most MASK_CELLS (mask, point) cells:
+    """(A, B, bounds) per chunk of at most MASK_CELLS (mask, point) cells:
     every nonempty output mask A, in increasing mask order, with B the
     complement of its R-neighbourhood (spaces.neighbourhood_table), the
     largest B separated from A by more than R (rectangle norms are monotone
-    in B, so this B is the worst case). norms come from u.rect_norms; on a
-    dense operator that is one LAPACK pass per (|A|, |B|) shape group,
-    bit-identical to one LAPACK SVD per rectangle; 0.0 where B is empty."""
+    in B, so this B is the worst case), and bounds = u.rect_bounds(A, B), the
+    (lower, upper) bounds on the norms that the scans decide by."""
     n = u.space.n
     table = neighbourhood_table(u.space.near(R))
     bits = np.uint32(1) << np.arange(n, dtype=np.uint32)
@@ -415,19 +489,55 @@ def _exact_rectangles(u: SpaceOperator, R):
         masks = np.arange(start, min(start + step, 1 << n), dtype=np.uint32)
         A = (masks[:, None] & bits) != 0
         B = (table[masks][:, None] & bits) == 0
-        yield A, B, u.rect_norms(A, B)
+        yield A, B, u.rect_bounds(A, B)
+
+
+def _norms_where(u: SpaceOperator, A, B, run, fill: float) -> np.ndarray:
+    """u.rect_norms of the rectangles (A[i], B[i]) where run[i], fill elsewhere;
+    each value is bit-identical to a LAPACK SVD of that rectangle alone."""
+    values = np.full(len(A), fill)
+    if run.any():
+        values[run] = u.rect_norms(A[run], B[run])
+    return values
+
+
+def _violation_candidates(lower: np.ndarray, upper: np.ndarray, eps: float) -> np.ndarray:
+    """Which rectangles of one chunk of eps_propagation_violation LAPACK must
+    norm, given their computed bounds (premise of largest_candidates).
+
+    A rectangle is clear if upper <= eps (1 - BOUND_SLACK): its value is at
+    most eps (1 - BOUND_SLACK)(1 + BOUND_SLACK) < eps. It is a sure
+    violation if lower > eps (1 + BOUND_SLACK): its value is above eps. So
+    the first violating rectangle of the chunk, if any, is the first sure
+    one or an undecided one before it. Normed are: the rectangles that are
+    neither clear nor sure up to the first sure one, that one, and every
+    rectangle with a non-finite bound, so that a NaN entry still raises
+    LinAlgError wherever the chunk holds it, as a scan of every rectangle
+    would.
+    """
+    sure = lower > eps * (1 + BOUND_SLACK)
+    stop = int(np.argmax(sure)) if sure.any() else len(lower)
+    run = ~(upper <= eps * (1 - BOUND_SLACK))  # a sure one is never clear, as lower <= upper
+    run[stop + 1 :] = False
+    return run | ~(np.isfinite(lower) & np.isfinite(upper))
 
 
 def eps_propagation_violation(u: SpaceOperator, eps: float, R) -> RectangleWitness | None:
     """Witness of the first output mask, in increasing mask order, whose
     worst-case rectangle at radius R (_exact_rectangles) has norm not <= eps
     (NaN counts as a violation); None if u has eps-propagation <= R. The scan
-    stops at the first chunk holding a violation."""
+    stops at the first chunk holding a violation.
+
+    LAPACK norms only the rectangles of each chunk that
+    _violation_candidates keeps by their bounds; every one it skips is proved not
+    to be the first violation, so the witness and its value are those of a
+    scan that norms every rectangle."""
     if not eps > 0:
         raise ValueError("eps must be positive")
     if u.space.n > EXACT_EPSPROP_MAX:
         raise TooLargeForExact(f"exact eps-propagation limited to |X| <= {EXACT_EPSPROP_MAX}")
-    for A, B, norms in _exact_rectangles(u, R):
+    for A, B, bounds in _exact_rectangles(u, R):
+        norms = _norms_where(u, A, B, _violation_candidates(*bounds, eps), 0.0)
         bad = np.flatnonzero(~(norms <= eps))
         if bad.size:
             i = bad[0]
@@ -578,23 +688,33 @@ def dist_to_band_bounds(
     rectangles, witnessed by the first rectangle that reaches it (a strict >
     scan; NaN never wins). For |X| <= EXACT_BAND_DIST_MAX and no `pool` the
     set is _exact_rectangles(u, R), the scan eps_propagation_violation reads,
-    so the lower bound is the exact separated-rectangle supremum. Otherwise it is the `budget` rectangles of
+    so the lower bound is the exact separated-rectangle supremum; LAPACK
+    norms only the rectangles of each chunk that largest_candidates keeps,
+    which proves that the value and witness are those of a scan that norms
+    every rectangle. Otherwise it is the `budget` rectangles of
     _random_rectangles at radius R, seeded from `pool` if given, in draw
     order, each distinct one normed once.
     """
     space = u.space
     upper = u.tail_bound(R)  # also rejects a negative or NaN R
+    best, witness = 0.0, None
     if space.n <= EXACT_BAND_DIST_MAX and pool is None:
-        batches = _exact_rectangles(u, R)
+        for A, B, bounds in _exact_rectangles(u, R):
+            values = _norms_where(u, A, B, largest_candidates(*bounds, best), -np.inf)
+            best, witness = _first_largest(space, A, B, values, best, witness)
     else:
         pool = np.arange(space.n) if pool is None else pool
         _, seeds = _draw_seeds(np.random.default_rng(seed), pool, space.n, budget)
-        batches = [_random_rectangles(u, np.full(len(seeds), R), seeds)]
-    best, witness = 0.0, None
-    for A, B, values in batches:
-        if len(values):
-            i = np.argmax(np.where(np.isnan(values), -np.inf, values))  # first largest, NaN never wins
-            if values[i] > best:
-                best = float(values[i])
-                witness = _witness(space, A[i], B[i], best)
+        A, B, values = _random_rectangles(u, np.full(len(seeds), R), seeds)
+        best, witness = _first_largest(space, A, B, values, best, witness)
     return Bracket(lower=best, upper=upper, witness=witness)
+
+
+def _first_largest(space: FiniteMetricSpace, A, B, values, best: float, witness) -> tuple:
+    """(best, witness) after one chunk of a first-largest scan: the chunk's
+    first largest value replaces best iff it is strictly larger; NaN never wins."""
+    if len(values):
+        i = np.argmax(np.where(np.isnan(values), -np.inf, values))
+        if values[i] > best:
+            return float(values[i]), _witness(space, A[i], B[i], values[i])
+    return best, witness

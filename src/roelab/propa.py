@@ -29,6 +29,8 @@ ROW_TOL = 1e-12
 # above the rounding of a per-row variation sum and the ROW_TOL slack of a
 # row's mass, so the closed form never hides a pair the sums would reject
 VARIATION_SLACK = 1e-9
+# rademacher_diagnostics takes its Lipschitz max over this many close pairs at a time
+LIP_PAIRS = 32
 
 
 @dataclass(frozen=True)
@@ -334,8 +336,10 @@ def rademacher_diagnostics(
     h_sup_ok = bool(np.abs(h).max() <= C + 1e-12)
     close = np.argwhere(space.near(mu.R) & ~np.eye(n, dtype=bool))
     lip = 0.0
-    if close.size:
-        lip = float(np.abs(h[:, close[:, 0]] - h[:, close[:, 1]]).max())
+    # LIP_PAIRS pairs at a time, so that no trials x |close| array is gathered
+    for start in range(0, len(close), LIP_PAIRS):
+        x, y = close[start : start + LIP_PAIRS].T
+        lip = float(np.maximum(lip, np.abs(h[:, x] - h[:, y]).max()))
     lip_ok = bool(lip <= C * delta + 1e-9)
 
     emp = u.mat * (f.T @ f / trials)

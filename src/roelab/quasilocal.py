@@ -152,7 +152,7 @@ class QuasiLocalAssembly:
     i sits on the ambient index range slices[i], L_i = V_i C_i and R_i = V_i,
     where V_i is the (d_i, r_i) orthonormal basis of subspaces[i] and C_i the
     compressed block (I without one). The searches take the assembly as the
-    operator: they read only `space` and the two norm hooks, which are
+    operator: they read only `space` and the three norm hooks, which are
     computed from the factors; no dense ambient matrix is built.
     """
 
@@ -180,6 +180,11 @@ class QuasiLocalAssembly:
                 norms = _factored_rect_norms(L, Rf, rows[live, sl], cols[live, sl])
                 values[live] = np.maximum(values[live], norms)
         return values
+
+    def rect_bounds(self, rows: np.ndarray, cols: np.ndarray) -> tuple:
+        """The trivial bounds (0, inf) on each value of rect_norms: they decide
+        nothing, so an exact scan of an assembly norms every rectangle."""
+        return np.zeros(len(rows)), np.full(len(rows), np.inf)
 
     def tail_bound(self, R) -> float:
         """u - band_truncate(u, R) = u o (dist > R) is block diagonal like u,

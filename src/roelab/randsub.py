@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficient
-from .operators import sigma_max_stack
+from .operators import largest_candidates, sigma_max_stack
 
 # restricted_norm_max scans every subset up to this many, and searches greedily above
 EXACT_AFFORDABLE = 20_000
@@ -117,19 +117,74 @@ def _hill_climb(basis: np.ndarray, E0: list) -> tuple:
     return best_val, E
 
 
+def _subset_bounds(basis: np.ndarray, k: int):
+    """E -> (lower, upper) of ||basis[E[i]]|| for each row of a (c, k) index
+    array E, the bounds of largest_candidates' premise.
+
+    With G the Gram of basis[E] on its smaller side, ||basis[E]||^2 =
+    lambda_max(G). G is Hermitian PSD with eigenvalues l_j, so
+    ||G||_F^2 / tr G = sum l_j^2 / sum l_j <= lambda_max(G), and
+    lambda_max(G) is at most ||G||_F and, by Gershgorin, the largest row sum
+    of |G|. G is k x k where k <= n, the (E, E) block of the d x d row Gram,
+    and else n x n, the sum over a in E of the outer products of row a: a
+    gather or one GEMM per chunk. tr G is the sum of the rows' squared norms
+    either way. An entry of G is a sum of products; its error is at most
+    O(k n eps_mach) times the product of two row norms, which is at most
+    lambda_max(G), so each bound is computed to a relative O(k n eps_mach),
+    but for products below the normal range, which are off by up to 2^-1074
+    each, and so the sums by less than tiny = 2^-1022: lower takes tiny off
+    ||G||_F^2 and adds it to tr G, and upper adds it to both of its sums, so
+    that each is off its exact bound by no more than the relative rounding.
+    A zero basis[E] gives lower 0.
+    """
+    d, n = basis.shape
+    leverage = np.einsum("ij,ij->i", basis.conj(), basis).real
+    if k <= n:
+        gram = np.abs(basis @ basis.conj().T)
+
+        def abs_gram(E):
+            return gram[E[:, :, None], E[:, None, :]]
+
+    else:
+        outer = (basis.conj()[:, :, None] * basis[:, None, :]).reshape(d, n * n)
+
+        def abs_gram(E):
+            rows = np.zeros((len(E), d))
+            np.put_along_axis(rows, E, 1.0, axis=1)
+            return np.abs(rows @ outer).reshape(len(E), n, n)
+
+    tiny = np.finfo(float).tiny
+
+    def bounds(E):
+        g = abs_gram(E)
+        f2 = (g * g).sum(axis=(1, 2))
+        lower = np.sqrt(np.maximum(f2 - tiny, 0.0) / (leverage[E].sum(axis=1) + tiny))
+        return lower, np.sqrt(np.minimum(np.sqrt(f2 + tiny), g.sum(axis=2).max(axis=1) + tiny))
+
+    return bounds
+
+
 def _exact_max(basis: np.ndarray, k: int) -> tuple:
-    """(value, E) maximising ||basis[E]|| over all k-subsets, one LAPACK pass per
-    chunk of at most SUBSET_CELLS gathered entries; the first largest wins."""
+    """(value, E) maximising ||basis[E]|| over all k-subsets, in chunks of at
+    most SUBSET_CELLS gathered entries; the first largest wins, NaN never.
+
+    Each chunk is bounded first (_subset_bounds), and one LAPACK pass norms
+    only the subsets that operators.largest_candidates keeps; its docstring
+    proves that the value and E are those of a scan that norms every subset.
+    """
     chunk = max(1, SUBSET_CELLS // (k * basis.shape[1]))
     combos = itertools.combinations(range(basis.shape[0]), k)
+    bounds = _subset_bounds(basis, k)
     best_val, best_E = -1.0, None
     while True:
         E = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, chunk)), dtype=np.intp)
         if not E.size:
             return best_val, best_E
         E = E.reshape(-1, k)
-        vals = sigma_max_stack(basis[E])
-        i = int(np.argmax(vals))
+        run = largest_candidates(*bounds(E), best_val)
+        vals = np.full(len(E), -np.inf)
+        vals[run] = sigma_max_stack(basis[E[run]])
+        i = int(np.argmax(np.where(np.isnan(vals), -np.inf, vals)))
         if vals[i] > best_val:
             best_val, best_E = float(vals[i]), tuple(E[i].tolist())
 

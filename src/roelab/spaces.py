@@ -271,14 +271,15 @@ def neighbourhood_table(near: np.ndarray) -> np.ndarray:
 
     Removing the lowest set bit b of m leaves a subset whose own lowest bit is
     strictly higher, so the table fills in descending bit order:
-    table[m] = table[m without b] | (the bits within R of b).
+    table[m] = table[m without b] | (the bits within R of b). The masks
+    whose lowest set bit is b are the indices 2^b + j 2^(b+1), and removing
+    b gives j 2^(b+1): two strided slices of the table, one in-place OR.
     """
     n = near.shape[0]
     rowmask = near @ (np.uint32(1) << np.arange(n, dtype=np.uint32))
     table = np.zeros(1 << n, dtype=np.uint32)
     for b in reversed(range(n)):
-        base = np.arange(1 << (n - b - 1), dtype=np.uint32) << (b + 1)
-        table[base | np.uint32(1 << b)] = table[base] | rowmask[b]
+        np.bitwise_or(table[:: 2 << b], rowmask[b], out=table[1 << b :: 2 << b])
     return table
 
 
@@ -290,7 +291,9 @@ def expansion_kappa(space: FiniteMetricSpace, R, mode: str = "exact"):
     spectral: certified lower bound 1 + lambda_2(L)/(2 d_max) from the
     Laplacian L of the unit-distance graph (Cheeger: at least
     lambda_2(L)|A|/2 edges leave A, each boundary point takes at most d_max
-    of them); valid for any R >= 1, and R < 1 is rejected.
+    of them), with the computed lambda_2 lowered by its backward-error bound
+    n eps_mach 2 d_max so that the bound holds in floating point; valid for
+    any R >= 1, and R < 1 is rejected.
     """
     n = space.n
     if mode == "exact":
@@ -315,6 +318,10 @@ def expansion_kappa(space: FiniteMetricSpace, R, mode: str = "exact"):
         if d == 0:
             raise InvalidMetric("space has no unit-distance pairs; no adjacency structure")
         lam2 = np.linalg.eigvalsh(np.diag(deg) - adjacency)[1]
+        # eigvalsh is backward stable: each computed eigenvalue is within
+        # n eps_mach ||L|| of the exact one (Weyl), and ||L|| <= 2 d_max
+        # (Gershgorin), so lam2 less that margin is a lower bound on it
+        lam2 -= n * np.finfo(float).eps * 2.0 * d
         return float(1.0 + lam2 / (2.0 * d)), KAPPA_SPECTRAL
     raise ValueError(f"unknown mode {mode!r}")
 

@@ -706,15 +706,21 @@ def test_violation_scan_stops_at_the_first_violating_chunk(monkeypatch):
     rng = np.random.default_rng(25)
     space = random_connected_graph_space(rng, 10)
     u = _scan_operator(rng, space, "dense-complex")
-    calls = []
-    rect_norms = ops._rect_norms
-    monkeypatch.setattr(ops, "_rect_norms", lambda *a: calls.append(1) or rect_norms(*a))
+    chunks = []
+    exact_rectangles = ops._exact_rectangles
+
+    def counting(*args):
+        for chunk in exact_rectangles(*args):
+            chunks.append(1)
+            yield chunk
+
+    monkeypatch.setattr(ops, "_exact_rectangles", counting)
     monkeypatch.setattr(ops, "MASK_CELLS", 64)  # 6 masks per chunk at n = 10
     assert eps_propagation_violation(u, 1e-3, 0).A == (0,)
-    assert len(calls) == 1
-    calls.clear()
+    assert len(chunks) == 1
+    chunks.clear()
     assert eps_propagation_violation(u, 1e-3, space.diameter) is None
-    assert len(calls) == 171  # ceil(1023 / 6)
+    assert len(chunks) == 171  # ceil(1023 / 6)
 
 
 def test_violation_guards():
@@ -741,6 +747,90 @@ def test_exact_radius_at_n14_across_mask_chunks(monkeypatch, eps):
     best_R, witness = reference_eps_propagation_exact(u, eps)
     assert 0 < res.lower == res.upper == best_R < space.diameter
     assert _same_witness(res.witness, witness)
+
+
+# ---------------------------------------------------------------- bounds of the exact scans
+
+
+def _assert_bound_premise(lower, upper, values):
+    """largest_candidates' premise: lower / (1 + BOUND_SLACK) <= value <= upper (1 + BOUND_SLACK)."""
+    slack = 1 + ops.BOUND_SLACK
+    assert np.all(lower <= values * slack)
+    assert np.all(values <= upper * slack)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    kind=st.sampled_from(["real", "complex", "zero", "constant", "spread"]),
+    exponent=st.integers(-200, 200),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_rect_bounds_enclose_the_lapack_norm(n, kind, exponent, seed):
+    """Real, complex, zero and constant (tied) matrices at scales 1e-200..1e200;
+    "spread" puts entries 170 decades apart, whose squares underflow."""
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        mat = np.zeros((n, n))
+    elif kind == "constant":
+        mat = np.full((n, n), complex(*rng.uniform(0.2, 1.0, 2)))
+    else:
+        mat = rng.standard_normal((n, n))
+        if kind == "complex":
+            mat = mat + 1j * rng.standard_normal((n, n))
+        if kind == "spread":
+            mat = mat * 10.0 ** -rng.integers(0, 170, size=(n, n))
+    mat = mat * 10.0 ** exponent
+    rows = rng.random((40, n)) < 0.5
+    cols = rng.random((40, n)) < 0.5
+    u = SpaceOperator(space=far_points(n), mat=mat)
+    _assert_bound_premise(*u.rect_bounds(rows, cols), u.rect_norms(rows, cols))
+
+
+def test_non_finite_bounds_are_normed():
+    nan, inf = math.nan, math.inf
+    mat = np.ones((3, 3))
+    for bad in (nan, inf):
+        mat[1, 2] = bad
+        lower, upper = ops._rect_bounds(mat, np.ones((2, 3), bool), np.eye(2, 3, dtype=bool))
+        assert np.isnan(lower).all() and np.isnan(upper).all()
+    # at eps = 1: clear, NaN, inf upper, the first sure violation, then undecided,
+    # clear and NaN after it: only the non-finite one is normed past the stop
+    lower = np.array([0.0, nan, 0.0, 5.0, 0.0, 0.0, nan])
+    upper = np.array([0.5, nan, inf, 5.0, 2.0, 0.5, nan])
+    assert ops._violation_candidates(lower, upper, 1.0).tolist() == [False, True, True, True, False, False, True]
+    assert ops.largest_candidates(np.array([1.0, nan, 0.0, inf]), np.array([1.0, nan, 0.5, inf]), 0.0).tolist() == [
+        True, True, False, True,
+    ]
+
+
+def test_exact_scans_norm_few_rectangles(monkeypatch):
+    """Seeded n = 12 eps-propagation and band distance: the bounds settle all but a
+    few rectangles, and the answers equal the per-rectangle scans'."""
+    rng = np.random.default_rng(41)
+    space = random_connected_graph_space(rng, 12)
+    m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    u = SpaceOperator(space=space, mat=m * 0.4 ** space.dist)
+    scanned, normed = [], []  # rectangles scanned, rectangles gathered for LAPACK
+    exact_rectangles, stack = ops._exact_rectangles, ops.sigma_max_stack
+
+    def counting(*args):
+        for chunk in exact_rectangles(*args):
+            scanned.append(len(chunk[0]))
+            yield chunk
+
+    monkeypatch.setattr(ops, "_exact_rectangles", counting)
+    monkeypatch.setattr(ops, "sigma_max_stack", lambda s: normed.append(len(s)) or stack(s))
+    res = eps_propagation_radius(u, 0.05)
+    assert sum(scanned) >= 2 * 4095 and sum(normed) <= 4
+    best_R, witness = reference_eps_propagation_exact(u, 0.05)
+    assert res.lower == best_R and _same_witness(res.witness, witness)
+    scanned.clear()
+    normed.clear()
+    b = dist_to_band_bounds(u, 1)
+    assert sum(scanned) == 4095 and sum(normed) <= 200
+    lower, witness = reference_dist_to_band_exact(u, 1)
+    assert b.lower == lower and _same_witness(b.witness, witness)
 
 
 class TestSigmaMaxStack:

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -449,6 +450,24 @@ class TestRademacher:
         u = SpaceOperator(space=sp, mat=np.eye(40, dtype=complex))
         with pytest.raises(ValueError):
             rademacher_diagnostics(field, mu, trials=10, seed=0, u=u)
+
+    def test_lipschitz_max_is_the_same_in_any_block(self, setup, monkeypatch):
+        sp, mu, field = setup
+        u = SpaceOperator(space=sp, mat=np.eye(40, dtype=complex))
+        whole = rademacher_diagnostics(field, mu, trials=300, seed=3, u=u)
+        for pairs in (1, 7):  # 160 close pairs on torus:40 at R = 2
+            monkeypatch.setattr(propa, "LIP_PAIRS", pairs)
+            assert rademacher_diagnostics(field, mu, trials=300, seed=3, u=u) == whole
+
+    def test_lipschitz_blocks_bound_the_peak(self):
+        # gathering two trials x |close| arrays at once peaked at 33 MiB here
+        tracemalloc.start()
+        try:
+            assert main(["propa", "rademacher", "--N", "200", "--seed", "2"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 26 * 2 ** 20
 
     def test_one_point_keeps_the_plain_threshold(self):
         assert propa._bonferroni_z(3, 1) == pytest.approx(3, abs=1e-9)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roelab import randsub
+from roelab import operators, randsub
 from roelab.randsub import (
     SubspaceSample,
     entropy_count_bound,
@@ -136,6 +136,52 @@ class TestRestrictedNormGather:
         monkeypatch.setattr(randsub, "SUBSET_CELLS", 4 * k + 1)  # two subsets a chunk
         assert restricted_norm_max(s, delta) == one_chunk
         _assert_matches_reference(s, delta, modes=("exact",))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(2, 10),
+    n=st.integers(1, 6),
+    kind=st.sampled_from(["real", "complex", "zero", "tied", "spread"]),
+    data=st.data(),
+)
+def test_subset_bounds_enclose_the_lapack_norm(d, n, kind, data):
+    """Both Gram sides (k <= n and k > n) on real, complex, zero and tied rows,
+    and on entries up to 330 decades apart, whose products underflow, against
+    largest_candidates' premise."""
+    k = data.draw(st.integers(1, d))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    basis = rng.standard_normal((d, n))
+    if kind == "complex":
+        basis = basis + 1j * rng.standard_normal((d, n))
+    elif kind == "zero":
+        basis[: d // 2 + 1] = 0.0
+    elif kind == "tied":
+        basis[1::2] = basis[::2][: d // 2]
+    elif kind == "spread":
+        basis = basis * 10.0 ** -rng.integers(0, 330, size=(d, n))
+    E = np.array(list(itertools.combinations(range(d), k))[:500], dtype=np.intp)
+    lower, upper = randsub._subset_bounds(basis, k)(E)
+    values = randsub.sigma_max_stack(basis[E])
+    slack = 1 + operators.BOUND_SLACK
+    assert np.all(lower <= values * slack)
+    assert np.all(values <= upper * slack)
+
+
+def test_exact_scan_norms_few_subsets(monkeypatch):
+    """randsub mc --d 20 --n 3 --delta 0.2 --trials 5: the bounds settle at least
+    three quarters of each trial's C(20, 4) = 4845 subsets, and every value
+    equals the per-subset loop's."""
+    normed = []
+    stack = randsub.sigma_max_stack
+    monkeypatch.setattr(randsub, "sigma_max_stack", lambda s: normed.append(len(s)) or stack(s))
+    for seed in range(3):
+        report = mc_lemma_random(20, 3, 0.2, 100.0, 5, seed)
+        assert len(normed) == 5 and max(normed) <= 4845 // 4
+        normed.clear()
+        for t, value in enumerate(report.values):
+            sample = sample_subspace(20, 3, int(trial_seed(seed, t).integers(0, 2 ** 63)))
+            assert value == reference_restricted_norm_max(sample, 0.2, "exact")[0]
 
 
 class TestSampling:

@@ -440,6 +440,18 @@ class TestExpansion:
                 near = np.flatnonzero(sp.dist[[i for i in range(8) if m >> i & 1]].min(axis=0) <= R)
                 assert table[m] == sum(1 << int(c) for c in near)
 
+    def test_neighbourhood_table_equals_the_scattered_fill(self):
+        # the strided-slice fill against the index-array scatter it replaced
+        sp = random_regular(14, 3, seed=5)
+        for R in (0, 1, 2):
+            near = sp.near(R)
+            rowmask = near @ (np.uint32(1) << np.arange(14, dtype=np.uint32))
+            table = np.zeros(1 << 14, dtype=np.uint32)
+            for b in reversed(range(14)):
+                base = np.arange(1 << (13 - b), dtype=np.uint32) << (b + 1)
+                table[base | np.uint32(1 << b)] = table[base] | rowmask[b]
+            assert np.array_equal(neighbourhood_table(near), table)
+
     def test_exact_needs_two_points(self):
         for n in (0, 1):
             with pytest.raises(ValueError, match="at least 2 points"):
@@ -477,6 +489,17 @@ class TestExpansion:
         assert kind == KAPPA_SPECTRAL
         assert spectral <= exact + 1e-9
         assert spectral > 1
+
+    @pytest.mark.parametrize("n", [2, 5, 16, 64, 200])
+    def test_spectral_on_complete_graph_is_below_the_exact_lambda2(self, n):
+        # the Laplacian of K_n has lambda_2 = n exactly; the computed one, less
+        # its backward-error margin, gives below the exact 1 + n / (2 (n - 1)),
+        # strictly, since the margin n eps_mach 2 (n - 1) is above its rounding
+        sp = from_graph(np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64))
+        spectral, _ = expansion_kappa(sp, 1, mode="spectral")
+        exact = 1 + n / (2 * (n - 1))
+        assert spectral < exact
+        assert spectral == pytest.approx(exact, abs=1e-12)
 
     def test_spectral_rejects_radius_below_one(self):
         sp = random_regular(16, 4, seed=2)
