@@ -5,8 +5,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from itertools import chain
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .errors import SchemaMismatch
 
@@ -14,8 +15,6 @@ TOOL_VERSION = "0.1.0"
 
 
 _PLAIN = frozenset((int, str, bool, type(None)))
-# dumps encodes lists of int rows about ROWS_CHUNK ints at a time
-ROWS_CHUNK = 1 << 10
 
 
 def jsonable(obj):
@@ -60,19 +59,20 @@ def dumps(obj) -> str:
     With an indent CPython runs its pure-Python encoder; this writer emits the
     same text for the plain trees `jsonable` returns (exact dict with str keys,
     list, str, int, bool, None and finite float), joins a list whose elements
-    are all exact ints in one ``str.join``, and a list of nonempty lists of
-    exact ints, such as [x, y] pairs, in one pass over its rows. Any other
-    value sends the whole object to ``json.dumps``, so the bytes cannot
-    drift.
+    are all exact ints in one ``str.join``, and writes a list of nonempty
+    lists of exact ints, such as [x, y] pairs or a distance matrix, from
+    per-value tokens built once per call (`_int_rows`). Any other value sends
+    the whole object to ``json.dumps``, so the bytes cannot drift.
     """
     try:
-        return _write(obj, "\n")
+        return _write(obj, "\n", {})
     except _Fallback:
         return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _write(obj, newline: str) -> str:
-    """`obj` as indented JSON; `newline` is a line break plus its level's indent."""
+def _write(obj, newline: str, memo: dict) -> str:
+    """`obj` as indented JSON; `newline` is a line break plus its level's
+    indent, and `memo` holds `_int_rows`' tokens for the whole call."""
     t = type(obj)
     if t is str:
         return encode_basestring_ascii(obj)
@@ -86,9 +86,9 @@ def _write(obj, newline: str) -> str:
         if types == {int}:
             body = sep.join(map(int.__repr__, obj))
         elif types == {list} and all(obj) and set(map(type, chain.from_iterable(obj))) == {int}:
-            body = sep.join(_int_rows(obj, inner))
+            return _int_rows(obj, newline, memo)
         else:
-            body = sep.join([_write(v, inner) for v in obj])
+            body = sep.join([_write(v, inner, memo) for v in obj])
         return f"[{inner}{body}{newline}]"
     if t is dict:
         if not obj:
@@ -97,7 +97,7 @@ def _write(obj, newline: str) -> str:
             raise _Fallback  # json converts such keys after sorting them
         inner = newline + "  "
         body = ("," + inner).join([
-            f"{encode_basestring_ascii(k)}: {_write(v, inner)}" for k, v in sorted(obj.items())
+            f"{encode_basestring_ascii(k)}: {_write(v, inner, memo)}" for k, v in sorted(obj.items())
         ])
         return f"{{{inner}{body}{newline}}}"
     if t is int:
@@ -113,22 +113,46 @@ def _write(obj, newline: str) -> str:
     raise _Fallback
 
 
-def _int_rows(rows: list, newline: str):
-    """Indented text of nonempty rows of exact ints, such as [x, y] pairs, at
-    the level of `newline`, in pieces to be joined by "," + newline.
+class _Tokens(dict):
+    """The text of each exact int followed by `suffix`, built on first lookup."""
 
-    Each piece covers about ROWS_CHUNK ints, written compactly by the C
-    encoder and indented by two replacements: in "1,2],[3" every comma
-    separates ints, then every "],[" (spread by the first replacement)
-    separates rows. The pieces keep the compact copies small.
+    def __init__(self, suffix: str):
+        super().__init__()
+        self.suffix = suffix
+
+    def __missing__(self, v):
+        token = self[v] = int.__repr__(v) + self.suffix
+        return token
+
+
+def _int_rows(rows: list, newline: str, memo: dict) -> str:
+    """Indented text of a list of nonempty rows of exact ints, such as [x, y]
+    pairs or a distance matrix, at the level of `newline`.
+
+    Every entry is written as one token, its digits and what follows it: the
+    comma and line break to the next entry of its row, or at a row's end the
+    row's closing bracket, the comma and the next row's opening. The tokens
+    of each value are built once per `newline` in `memo`, the row ends are
+    set by one slice assignment when all rows have the same length, and one
+    ``str.join`` writes the list.
     """
-    row = newline + "  "
-    gap = f"{newline}],{newline}[{row}"
-    step = max(1, ROWS_CHUNK // max(map(len, rows)))
-    for s in range(0, len(rows), step):
-        text = json.dumps(rows[s : s + step], separators=(",", ":"))[2:-2]
-        text = text.replace(",", "," + row).replace(f"],{row}[", gap)
-        yield f"[{row}{text}{newline}]"
+    inner = newline + "  "
+    row = inner + "  "
+    if newline not in memo:
+        memo[newline] = _Tokens("," + row), _Tokens(f"{inner}],{inner}[{row}")
+    within, end = memo[newline]
+    tokens = list(map(within.__getitem__, chain.from_iterable(rows)))
+    lasts = map(itemgetter(-1), rows)
+    if len(set(map(len, rows))) == 1:
+        width = len(rows[0])
+        tokens[width - 1 :: width] = map(end.__getitem__, lasts)
+    else:
+        for stop, v in zip(accumulate(map(len, rows)), lasts):
+            tokens[stop - 1] = end[v]
+    # the last entry first: with one entry the two are the same token
+    tokens[-1] = f"{int.__repr__(rows[-1][-1])}{inner}]{newline}]"
+    tokens[0] = f"[{inner}[{row}{tokens[0]}"
+    return "".join(tokens)
 
 
 def results_bytes(results: dict) -> bytes:

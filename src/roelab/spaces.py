@@ -179,13 +179,20 @@ class ExpanderFamily:
 def from_graph(adjacency: np.ndarray, label: str = "") -> FiniteMetricSpace:
     """Shortest-path metric of a connected simple graph.
 
-    One level-synchronous BFS from all sources at once, bit-packed over the
-    sources: row v of the uint8 `frontier` is the bitset of sources whose BFS
-    reached v at the current level. The next level is one
+    One level-synchronous BFS from a block of sources at once, bit-packed over
+    the sources in 64-bit words: row v of `frontier` is the bitset of sources
+    whose BFS reached v at the current level, and row v of `missing` the
+    bitset of sources that have not reached v yet. The next level is one
     `np.bitwise_or.reduceat` of the frontier rows over each point's neighbour
-    list, minus the sources that already reached that point, and
-    `np.unpackbits` writes it into `dist`. A shortest-path metric is a metric
-    by construction, so the result is not re-validated.
+    list, masked by `missing`. dist(s, v) is the number of levels after which
+    v is still missing for s, so each level adds the unpacked `missing` bits
+    into an n x width counter of the narrowest unsigned dtype that holds
+    n - 1, and the block's rows of `dist` are written once from its
+    transpose. Sources go in byte-aligned blocks so that the gathered
+    frontier (|E| rows of one bit per source) stays near BFS_CELLS bits. A
+    frontier that empties while bits are missing means the graph is not
+    connected. A shortest-path metric is a metric by construction, so the
+    result is not re-validated.
     """
     a = np.asarray(adjacency)
     n = a.shape[0]
@@ -197,29 +204,27 @@ def from_graph(adjacency: np.ndarray, label: str = "") -> FiniteMetricSpace:
     degree = np.bincount(rows, minlength=n)
     if n > 1 and np.any(degree == 0):
         raise DisconnectedGraph("graph is not connected")
-    dist = np.full((n, n), -1, dtype=np.int64)
-    np.fill_diagonal(dist, 0)
+    dist = np.zeros((n, n), dtype=np.int64)
     if cols.size:
         starts = np.concatenate(([0], np.cumsum(degree[:-1])))
-        # sources go in byte-aligned blocks so that the gathered frontier
-        # (|E| rows of one bit per source) stays near BFS_CELLS bits
         block = 8 * max(1, BFS_CELLS // (8 * cols.size))
         for lo in range(0, n, block):
             width = min(block, n - lo)
-            part = dist[lo:lo + width].T  # a view: part[v, s] is dist(lo + s, v)
             s = np.arange(width)
-            frontier = np.zeros((n, (width + 7) // 8), dtype=np.uint8)
-            frontier[lo + s, s >> 3] = 1 << (s & 7)
-            reached = frontier.copy()
-            level = 0
-            while frontier.any():
-                level += 1
+            frontier = np.zeros((n, (width + 63) // 64), dtype=np.uint64)
+            frontier.view(np.uint8)[lo + s, s >> 3] = 1 << (s & 7)
+            # the bits of real sources: a padding bit is never missing
+            real = np.packbits(np.arange(64 * frontier.shape[1]) < width, bitorder="little")
+            missing = real.view(np.uint64) & ~frontier
+            count = np.zeros((n, width), dtype=np.min_scalar_type(n - 1))
+            while missing.any():
+                count += np.unpackbits(missing.view(np.uint8), axis=1, count=width, bitorder="little")
                 # every neighbour list is nonempty, as reduceat needs
-                frontier = np.bitwise_or.reduceat(frontier[cols], starts, axis=0) & ~reached
-                reached |= frontier
-                part[np.unpackbits(frontier, axis=1, count=width, bitorder="little").view(bool)] = level
-    if np.any(dist < 0):
-        raise DisconnectedGraph("graph is not connected")
+                frontier = np.bitwise_or.reduceat(frontier[cols], starts, axis=0) & missing
+                if not frontier.any():
+                    raise DisconnectedGraph("graph is not connected")
+                missing ^= frontier
+            dist[lo:lo + width] = count.T
     return FiniteMetricSpace._trusted(dist, label)
 
 
@@ -302,13 +307,14 @@ def expansion_kappa(space: FiniteMetricSpace, R, mode: str = "exact"):
         if n < 2:
             raise ValueError(f"exact expansion needs at least 2 points, got {n}")
         neigh = neighbourhood_table(space.near(R))
-        subsets = np.arange(1 << n, dtype=np.uint32)
-        # uint8 counts: at most EXACT_KAPPA_MAX, and 2 * size_a stays below 256
-        size_a = np.bitwise_count(subsets)
-        size_n = np.bitwise_count(neigh)
-        valid = (size_a > 0) & (2 * size_a <= n)
-        ratios = size_n[valid] / size_a[valid]
-        return float(ratios.min()), KAPPA_EXACT
+        # one count per (|A|, |N(A)|), both at most EXACT_KAPPA_MAX < 32; for
+        # a fixed |A| = a the least ratio is the least |N(A)| over a, since
+        # division by a fixed a keeps the order
+        sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.uint16)
+        sizes <<= 5
+        sizes |= np.bitwise_count(neigh)
+        seen = np.bincount(sizes, minlength=(n + 1) << 5).reshape(n + 1, 32) > 0
+        return min(float(seen[a].argmax()) / a for a in range(1, n // 2 + 1)), KAPPA_EXACT
     if mode == "spectral":
         if not R >= 1:
             raise ValueError("the spectral expansion bound needs R >= 1")
@@ -327,20 +333,31 @@ def expansion_kappa(space: FiniteMetricSpace, R, mode: str = "exact"):
 
 
 def random_regular(n: int, d: int, seed: int) -> FiniteMetricSpace:
-    """Connected random d-regular graph via the pairing model with rejection."""
+    """Connected random d-regular graph via the pairing model with rejection.
+
+    Each draw pairs the n d shuffled stubs into d n / 2 edges and is rejected
+    on that edge list, before any n x n array exists: for a self-loop, or for
+    a repeated edge, a repeated code min * n + max among the sorted pairs.
+    Only a simple draw is laid out as a bool adjacency for `from_graph`, which
+    rejects it if it is not connected.
+    """
     if n * d % 2 != 0 or d >= n or d < 1:
         raise ValueError("need n*d even and 1 <= d < n")
     rng = np.random.default_rng(seed)
+    sorted_stubs = np.repeat(np.arange(n), d)
     for _ in range(REGULAR_TRIES):
-        stubs = np.repeat(np.arange(n), d)
+        stubs = sorted_stubs.copy()
         rng.shuffle(stubs)
         u, v = stubs[0::2], stubs[1::2]
-        if np.any(u == v):
+        if (u == v).any():
             continue
-        adjacency = np.zeros((n, n), dtype=np.int64)
-        adjacency[u, v] = adjacency[v, u] = 1
-        if adjacency.sum() < 2 * u.size:  # a repeated edge
+        codes = np.minimum(u, v) * n
+        codes += np.maximum(u, v)
+        codes.sort()
+        if (codes[1:] == codes[:-1]).any():
             continue
+        adjacency = np.zeros((n, n), dtype=bool)
+        adjacency[u, v] = adjacency[v, u] = True
         try:
             space = from_graph(adjacency, label=f"rr{n}d{d}s{seed}")
         except DisconnectedGraph:

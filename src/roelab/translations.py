@@ -28,7 +28,8 @@ class TranslationDecomposition:
     def to_json(self) -> dict:
         return {
             "R": float(self.R),
-            "parts": [{"pairs": [[int(x), int(y)] for x, y in p.graph()]} for p in self.parts],
+            # decompose_band fills the pairs from tolist(), so they are Python ints
+            "parts": [{"pairs": list(map(list, p.graph()))} for p in self.parts],
         }
 
 

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roelab import report
 from roelab.cli import run
 from roelab.errors import SchemaMismatch
 from roelab.report import dumps, jsonable, make_report, report_diff, results_bytes
@@ -100,16 +99,29 @@ class TestDumps:
     def test_edge_cases(self, obj):
         assert dumps(obj) == reference_dumps(obj)
 
-    def test_int_rows_across_chunks(self, monkeypatch):
+    def test_int_rows(self):
         rng = np.random.default_rng(0)
         cases = [
             rng.integers(-50, 10 ** 6, (40, 2)).tolist(), rng.integers(0, 9, (7, 5)).tolist(),
             [[1], [2, 3, 4], [5, 6]] * 5, {"a": [[1, 2]] * 9, "b": [[[3, 4], [5, 6]]]},
         ]
-        for chunk in (1, 2, 3, 7, 1 << 10):
-            monkeypatch.setattr(report, "ROWS_CHUNK", chunk)
-            for obj in cases:
-                assert dumps(obj) == reference_dumps(obj)
+        for obj in cases:
+            assert dumps(obj) == reference_dumps(obj)
+
+    @pytest.mark.parametrize("obj", [
+        # the same values at two indent levels, and at one level in blocks of
+        # equal and of ragged rows
+        {"a": [[1, 2], [2, 1]], "b": {"c": [[1, 2], [2, 1]]}, "d": [[[2, 1]], [[1, 2], [2, 1]]]},
+        {"a": [[1, 2], [3, 4]], "b": [[1], [2, 3, 4]], "c": [[4, 3], [2, 1]]},
+        # one row, and rows of length 1
+        [[5, 6, 7]], [[4]], [[1], [2], [1]], {"x": [[0]], "y": [[0], [0]]},
+        # beyond int64, and negatives (-1 and -2 share a hash)
+        [[2 ** 63, -(2 ** 63) - 1], [2 ** 64 + 1, 2 ** 63]], [[-1, -2], [-2, -1]], [[-(10 ** 30)], [10 ** 30]],
+        # ragged blocks, one of them with as many entries as rows times the first row's length
+        [[1, 2, 3], [4], [5, 6]], [[1, 2], [3], [4, 5, 6]], [[7], [7, 7]],
+    ])
+    def test_int_row_tokens(self, obj):
+        assert dumps(obj) == reference_dumps(obj)
 
     @staticmethod
     def readme_examples():

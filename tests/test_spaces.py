@@ -21,6 +21,7 @@ from roelab.spaces import interval_space, torus_space
 from roelab.spaces import (
     KAPPA_EXACT,
     KAPPA_SPECTRAL,
+    REGULAR_TRIES,
     ExpanderFamily,
     FiniteMetricSpace,
     _validate_metric,
@@ -218,6 +219,18 @@ class TestPackedBfs:
             monkeypatch.setattr(roelab.spaces, "BFS_CELLS", 8 * block_bytes * int(adj.sum()))
         with pytest.raises(DisconnectedGraph):
             from_graph(adj)
+
+    @pytest.mark.parametrize("block_bytes", [None, 1])
+    def test_diameter_above_255(self, block_bytes, monkeypatch):
+        """The path on 300 points has distances up to 299, more than a uint8
+        level counter holds, whole and in blocks of 8 sources."""
+        import roelab.spaces
+
+        n = 300
+        if block_bytes is not None:
+            monkeypatch.setattr(roelab.spaces, "BFS_CELLS", 8 * block_bytes * 2 * (n - 1))
+        i = np.arange(n)
+        assert np.array_equal(path_space(n).dist, np.abs(i[:, None] - i[None, :]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -539,12 +552,16 @@ class TestGenerators:
         b = random_regular(12, 3, seed=7)
         assert np.array_equal(a.dist, b.dist)
 
-    @pytest.mark.parametrize("n,d,seed", [(12, 3, 7), (10, 4, 0), (16, 3, 2), (30, 3, 1), (60, 4, 2)])
+    # (16, 4, 3), (20, 4, 1) and (512, 4, 3) reject many draws before a
+    # connected simple one
+    @pytest.mark.parametrize("n,d,seed", [
+        (12, 3, 7), (10, 4, 0), (16, 3, 2), (30, 3, 1), (60, 4, 2), (16, 4, 3), (20, 4, 1), (512, 4, 3),
+    ])
     def test_random_regular_matches_edge_set_construction(self, n, d, seed):
         """The same rng calls as the pairing model over a set of edge tuples,
         which rejects a repeated edge by the set's size, give the same graph."""
         rng = np.random.default_rng(seed)
-        for _ in range(100):
+        for _ in range(REGULAR_TRIES):
             stubs = np.repeat(np.arange(n), d)
             rng.shuffle(stubs)
             u, v = stubs[0::2], stubs[1::2]
