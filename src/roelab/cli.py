@@ -99,11 +99,12 @@ def _cmd_space_gen(cfg):
     n, d = cfg["regular"]
     space = spaces.random_regular(n, d, cfg["seed"])
     degrees = space.near(1).sum(axis=1) - 1  # the points within 1, less the point itself
+    regular = bool(np.all(degrees == d))
     return {
         "space": space.to_json(),
-        "degrees_all_equal": bool(np.all(degrees == d)),
+        "degrees_all_equal": regular,
         "diameter": int(space.diameter),
-    }, True
+    }, regular
 
 
 def _cmd_space_kappa(cfg):
@@ -199,13 +200,14 @@ def _cmd_randsub_levy(cfg):
 
 def _cmd_randsub_entropy(cfg):
     log_binomial, H_bound = randsub.entropy_count_bound(cfg["d"], cfg["delta"])
+    holds = bool(log_binomial <= H_bound + 1e-9)
     return {
         "d": cfg["d"],
         "delta": cfg["delta"],
         "log_binomial": log_binomial,
         "H_bound": H_bound,
-        "holds": bool(log_binomial <= H_bound + 1e-9),
-    }, True
+        "holds": holds,
+    }, holds
 
 
 def _build_assembly(cfg):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -334,13 +335,18 @@ class RectangleWitness:
 
 
 def propagation(u: SpaceOperator, tol: float = ZERO_TOL):
-    """Largest distance carrying an entry of modulus > tol; -inf for the zero operator."""
+    """Largest distance carrying an entry of modulus > tol; -inf for the zero operator.
+
+    It is the smallest of u.space.radii() whose (symmetric) near holds every
+    such entry, found by bisection; it keeps the metric's numpy type."""
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     mask = np.abs(u.mat) > tol
     if not mask.any():
         return -math.inf
-    return u.space.dist.T[mask].max()
+    radii = u.space.radii()
+    lo = bisect.bisect_left(range(len(radii) - 1), True, key=lambda i: u.space.near(radii[i])[mask].all())
+    return radii[lo]
 
 
 def rect_norm(u: SpaceOperator, A, B) -> RectangleWitness:
@@ -441,13 +447,25 @@ def largest_candidates(lower: np.ndarray, upper: np.ndarray, best: float) -> np.
     v(m) >= f / (1 + BOUND_SLACK) > f (1 - BOUND_SLACK) > v: a skipped
     candidate is strictly below a normed one. Either way every candidate
     that attains the chunk's largest value, when that value can replace
-    best, is normed, and so is the first of them: the scan that reads the
-    normed values only (NaN never winning) picks the same value and the
-    same candidate as a scan of all of them. Bounds are nonnegative, so
-    nothing is skipped unless f > 0, and a NaN upper bound never is.
+    best, is normed, and so is the first of them: first_largest of the
+    normed values only (skipped ones read as -inf) picks the same value and
+    the same candidate as first_largest of all of them. Bounds are
+    nonnegative, so nothing is skipped unless f > 0, and a NaN upper bound
+    never is.
     """
     floor = max(best, float(np.max(lower, where=np.isfinite(lower), initial=-np.inf)))
     return ~(upper < floor * (1 - BOUND_SLACK) / (1 + BOUND_SLACK))
+
+
+def first_largest(values: np.ndarray, best: float) -> int | None:
+    """The update rule of a first-largest scan, per chunk: the index of the
+    chunk's first largest value if that value is strictly above the scan's
+    best so far, else None; NaN never wins."""
+    if len(values):
+        i = int(np.argmax(np.where(np.isnan(values), -np.inf, values)))
+        if values[i] > best:
+            return i
+    return None
 
 
 @dataclass(frozen=True)
@@ -459,19 +477,6 @@ class Bracket:
     lower: float
     upper: float
     witness: RectangleWitness | None
-
-
-def _smallest_radius(n: int, clear) -> int:
-    """Index of the smallest of n candidate radii at which clear(i) holds, by
-    bisection; clear is taken to be monotone and to hold at n - 1."""
-    lo, hi = 0, n - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if clear(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 def _exact_rectangles(u: SpaceOperator, R):
@@ -559,7 +564,7 @@ def eps_propagation_radius(u: SpaceOperator, eps: float) -> Bracket:
         raise ValueError("eps must be positive")
     radii = u.space.radii()
     probe = functools.cache(lambda i: eps_propagation_violation(u, eps, radii[i]))
-    lo = _smallest_radius(len(radii), lambda i: probe(i) is None)
+    lo = bisect.bisect_left(range(len(radii) - 1), True, key=lambda i: probe(i) is None)
     witness = probe(lo - 1) if lo else None
     return Bracket(lower=float(radii[lo]), upper=float(radii[lo]), witness=witness)
 
@@ -591,7 +596,7 @@ def eps_propagation_brackets(u: SpaceOperator, eps_list, seed: int = 0, budget: 
     tail = functools.cache(lambda i: u.tail_bound(radii[i]))
     brackets = []
     for eps in eps_list:
-        lo = _smallest_radius(len(radii), lambda i: tail(i) <= eps)
+        lo = bisect.bisect_left(range(len(radii) - 1), True, key=lambda i: tail(i) <= eps)
         lower, witness = 0.0, None
         hits = np.flatnonzero(norms > eps)
         if hits.size:
@@ -711,10 +716,8 @@ def dist_to_band_bounds(
 
 
 def _first_largest(space: FiniteMetricSpace, A, B, values, best: float, witness) -> tuple:
-    """(best, witness) after one chunk of a first-largest scan: the chunk's
-    first largest value replaces best iff it is strictly larger; NaN never wins."""
-    if len(values):
-        i = np.argmax(np.where(np.isnan(values), -np.inf, values))
-        if values[i] > best:
-            return float(values[i]), _witness(space, A[i], B[i], values[i])
-    return best, witness
+    """(best, witness) after one chunk of rectangles, updated by first_largest."""
+    i = first_largest(values, best)
+    if i is None:
+        return best, witness
+    return float(values[i]), _witness(space, A[i], B[i], values[i])

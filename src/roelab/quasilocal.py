@@ -18,6 +18,7 @@ from .randsub import (
     formal_bound,
     restricted_norm_max,
     sample_subspace,
+    subset_grams,
     trial_seed,
     vacuous_threshold,
 )
@@ -108,16 +109,6 @@ def select_subspaces(family: ExpanderFamily, c0: float, seed: int = 0) -> tuple:
     return samples, reject_counts
 
 
-def _grams(F: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(k, r, r) stack of F[A]^* F[A] = sum over a in A of f_a f_a^*, f_a the
-    conjugated row a of the d x r factor F and A the True entries of each
-    boolean row of `rows` (k, d): one GEMM of the rows against the flattened
-    outer products f_a f_a^*."""
-    d, r = F.shape
-    outer = (F.conj()[:, :, None] * F[:, None, :]).reshape(d, r * r)
-    return (rows.astype(outer.dtype) @ outer).reshape(len(rows), r, r)
-
-
 def _top_norms(grams: np.ndarray) -> np.ndarray:
     """sqrt of the largest eigenvalue of each Hermitian PSD matrix of a stack."""
     return np.sqrt(np.maximum(np.linalg.eigvalsh(grams)[:, -1], 0.0))
@@ -140,9 +131,9 @@ def _factored_rect_norms(left: np.ndarray, right: np.ndarray, rows: np.ndarray, 
     ||C||^2: norms at or above 1e-4 are good to about 1e-12, and a norm far
     below that only to about sqrt(eps_mach ||G_A||).
     """
-    w, Q = np.linalg.eigh(_grams(right, cols))
+    w, Q = np.linalg.eigh(subset_grams(right, cols))
     T = Q * np.sqrt(np.maximum(w, 0.0))[:, None, :]
-    return _top_norms(np.swapaxes(T.conj(), 1, 2) @ _grams(left, rows) @ T)
+    return _top_norms(np.swapaxes(T.conj(), 1, 2) @ subset_grams(left, rows) @ T)
 
 
 @dataclass(frozen=True)
@@ -188,13 +179,13 @@ class QuasiLocalAssembly:
 
     def tail_bound(self, R) -> float:
         """u - band_truncate(u, R) = u o (dist > R) is block diagonal like u,
-        and member i's block is (L_i R_i^*) o (dist_i > R), so the tail is
-        the max over members of value + err of operator_norm of that
-        d_i x d_i block (LAPACK up to DENSE_NORM_MAX points)."""
-        near = self.space.near(R)
+        and member i's block is (L_i R_i^*) o (dist_i > R), masked by the
+        member's near(R), so the tail is the max over members of value + err
+        of operator_norm of that d_i x d_i block (LAPACK up to DENSE_NORM_MAX
+        points)."""
         return max(
-            sum(operator_norm(np.where(near[sl, sl], 0.0, L @ Rf.conj().T), with_err=True))
-            for sl, L, Rf in zip(self.slices, self.left, self.right)
+            sum(operator_norm(np.where(member.near(R), 0.0, L @ Rf.conj().T), with_err=True))
+            for member, L, Rf in zip(self.family.members, self.left, self.right)
         )
 
     @property
@@ -320,7 +311,9 @@ def mechanism_check(assembly: QuasiLocalAssembly, samples: int, seed: int = 0) -
             rows[r, draws[j][2]] = True
             cols[r, draws[j][3]] = True
         norms[:, idx] = [
-            _factored_rect_norms(L, V, rows, cols), _top_norms(_grams(V, rows)), _top_norms(_grams(V, cols))
+            _factored_rect_norms(L, V, rows, cols),
+            _top_norms(subset_grams(V, rows)),
+            _top_norms(subset_grams(V, cols)),
         ]
     submult_failures = []
     schedule_failures = []

@@ -9,13 +9,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficient
-from .operators import largest_candidates, sigma_max_stack
+from .operators import first_largest, largest_candidates, sigma_max_stack
 
 # restricted_norm_max scans every subset up to this many, and searches greedily above
 EXACT_AFFORDABLE = 20_000
 SUBSET_CELLS = 1 << 18
 _SWAP_CAP = 500
-SUBSPACE_TRIES = 20
 
 
 def formal_bound(delta: float, c0: float) -> float:
@@ -48,21 +47,18 @@ class SubspaceSample:
 
 
 def sample_subspace(d: int, n: int, seed: int) -> SubspaceSample:
-    """Span of n independent uniform points on the unit sphere of R^d."""
+    """Span of n independent uniform points on the unit sphere of R^d, drawn
+    once; the basis is their Q factor. A zero Gaussian row or a
+    rank-deficient frame (probability zero, drawn by no seed) fails the rank
+    check on R, which NaN fails too, and raises RankDeficient."""
     if not 1 <= n < d:
         raise ValueError("need 1 <= n < d")
-    rng = np.random.default_rng(seed)
-    for _ in range(SUBSPACE_TRIES):
-        g = rng.standard_normal((n, d))
-        norms = np.linalg.norm(g, axis=1)
-        if np.any(norms == 0):
-            continue
-        x = g / norms[:, None]
-        q, r = np.linalg.qr(x.T)
-        if np.min(np.abs(np.diag(r))) < 1e-10:
-            continue
-        return SubspaceSample(d=d, n=n, vectors=x, basis=q, seed=seed)
-    raise RankDeficient(f"no full-rank {n}-frame in R^{d} after {SUBSPACE_TRIES} tries")
+    g = np.random.default_rng(seed).standard_normal((n, d))
+    x = g / np.linalg.norm(g, axis=1)[:, None]
+    q, r = np.linalg.qr(x.T)
+    if not np.all(np.abs(np.diag(r)) >= 1e-10):
+        raise RankDeficient(f"the {n} sampled points span less than {n} dimensions of R^{d}")
+    return SubspaceSample(d=d, n=n, vectors=x, basis=q, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -117,6 +113,16 @@ def _hill_climb(basis: np.ndarray, E0: list) -> tuple:
     return best_val, E
 
 
+def subset_grams(F: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(c, r, r) stack of F[A]^* F[A] = sum over a in A of f_a f_a^*, f_a the
+    conjugated row a of the d x r factor F and A the True entries of each
+    boolean row of `rows` (c, d): one GEMM of the rows against the flattened
+    outer products f_a f_a^*; _subset_bounds and quasilocal both read it."""
+    d, r = F.shape
+    outer = (F.conj()[:, :, None] * F[:, None, :]).reshape(d, r * r)
+    return (rows.astype(outer.dtype) @ outer).reshape(len(rows), r, r)
+
+
 def _subset_bounds(basis: np.ndarray, k: int):
     """E -> (lower, upper) of ||basis[E[i]]|| for each row of a (c, k) index
     array E, the bounds of largest_candidates' premise.
@@ -126,8 +132,8 @@ def _subset_bounds(basis: np.ndarray, k: int):
     ||G||_F^2 / tr G = sum l_j^2 / sum l_j <= lambda_max(G), and
     lambda_max(G) is at most ||G||_F and, by Gershgorin, the largest row sum
     of |G|. G is k x k where k <= n, the (E, E) block of the d x d row Gram,
-    and else n x n, the sum over a in E of the outer products of row a: a
-    gather or one GEMM per chunk. tr G is the sum of the rows' squared norms
+    and else n x n, subset_grams of the rows in E: a gather or one GEMM per
+    chunk. tr G is the sum of the rows' squared norms
     either way. An entry of G is a sum of products; its error is at most
     O(k n eps_mach) times the product of two row norms, which is at most
     lambda_max(G), so each bound is computed to a relative O(k n eps_mach),
@@ -146,12 +152,11 @@ def _subset_bounds(basis: np.ndarray, k: int):
             return gram[E[:, :, None], E[:, None, :]]
 
     else:
-        outer = (basis.conj()[:, :, None] * basis[:, None, :]).reshape(d, n * n)
 
         def abs_gram(E):
-            rows = np.zeros((len(E), d))
-            np.put_along_axis(rows, E, 1.0, axis=1)
-            return np.abs(rows @ outer).reshape(len(E), n, n)
+            rows = np.zeros((len(E), d), dtype=bool)
+            np.put_along_axis(rows, E, True, axis=1)
+            return np.abs(subset_grams(basis, rows))
 
     tiny = np.finfo(float).tiny
 
@@ -166,7 +171,7 @@ def _subset_bounds(basis: np.ndarray, k: int):
 
 def _exact_max(basis: np.ndarray, k: int) -> tuple:
     """(value, E) maximising ||basis[E]|| over all k-subsets, in chunks of at
-    most SUBSET_CELLS gathered entries; the first largest wins, NaN never.
+    most SUBSET_CELLS gathered entries, updated by operators.first_largest.
 
     Each chunk is bounded first (_subset_bounds), and one LAPACK pass norms
     only the subsets that operators.largest_candidates keeps; its docstring
@@ -184,8 +189,8 @@ def _exact_max(basis: np.ndarray, k: int) -> tuple:
         run = largest_candidates(*bounds(E), best_val)
         vals = np.full(len(E), -np.inf)
         vals[run] = sigma_max_stack(basis[E[run]])
-        i = int(np.argmax(np.where(np.isnan(vals), -np.inf, vals)))
-        if vals[i] > best_val:
+        i = first_largest(vals, best_val)
+        if i is not None:
             best_val, best_E = float(vals[i]), tuple(E[i].tolist())
 
 
@@ -323,14 +328,12 @@ def levy_median_check(d: int, delta: float, trials: int, seed: int) -> LevyRepor
 
 
 def entropy_count_bound(d: int, delta: float):
-    """log C(d, delta d) against the binary entropy bound H(delta) d (natural logs)."""
+    """(log C(d, delta d), H(delta) d), natural logs: the count and its binary
+    entropy bound, which `randsub entropy` compares for its verdict."""
     k = delta * d
     if not 0 < delta < 1 or abs(k - round(k)) > 1e-9 or round(k) < 1:
         raise ValueError("delta d must be a positive integer with 0 < delta < 1")
     k = int(round(k))
     log_binomial = math.lgamma(d + 1) - math.lgamma(k + 1) - math.lgamma(d - k + 1)
     H = -delta * math.log(delta) - (1.0 - delta) * math.log(1.0 - delta)
-    H_bound = H * d
-    if log_binomial > H_bound + 1e-9:
-        raise AssertionError("entropy bound violated; this is a bug")
-    return log_binomial, H_bound
+    return log_binomial, H * d

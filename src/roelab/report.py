@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import reprlib
 from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -31,7 +32,7 @@ def jsonable(obj):
             return list(map(list, obj))  # rows of plain values, such as [x, y] pairs
         return [v if type(v) in _PLAIN else jsonable(v) for v in obj]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: jsonable(v) for k, v in dataclasses.asdict(obj).items()}
+        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -44,30 +45,22 @@ def jsonable(obj):
         return repr(obj)
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
-    if hasattr(obj, "tolist"):
-        return jsonable(obj.tolist())
     return repr(obj)
 
 
-class _Fallback(Exception):
-    """A value outside the trees `jsonable` returns; `dumps` hands it to json."""
-
-
 def dumps(obj) -> str:
-    """Exactly ``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, of a plain
+    tree as `jsonable` returns it: exact dicts with str keys, lists, str, int,
+    bool, None and finite floats. Anything else (a tuple, a non-str key, a
+    non-finite or numpy float) raises ValueError.
 
     With an indent CPython runs its pure-Python encoder; this writer emits the
-    same text for the plain trees `jsonable` returns (exact dict with str keys,
-    list, str, int, bool, None and finite float), joins a list whose elements
-    are all exact ints in one ``str.join``, and writes a list of nonempty
-    lists of exact ints, such as [x, y] pairs or a distance matrix, from
-    per-value tokens built once per call (`_int_rows`). Any other value sends
-    the whole object to ``json.dumps``, so the bytes cannot drift.
+    same text, joins a list whose elements are all exact ints in one
+    ``str.join``, and writes a list of nonempty lists of exact ints, such as
+    [x, y] pairs or a distance matrix, from per-value tokens built once per
+    call (`_int_rows`).
     """
-    try:
-        return _write(obj, "\n", {})
-    except _Fallback:
-        return json.dumps(obj, sort_keys=True, indent=2)
+    return _write(obj, "\n", {})
 
 
 def _write(obj, newline: str, memo: dict) -> str:
@@ -94,7 +87,7 @@ def _write(obj, newline: str, memo: dict) -> str:
         if not obj:
             return "{}"
         if set(map(type, obj)) != {str}:
-            raise _Fallback  # json converts such keys after sorting them
+            raise ValueError("dumps writes only str keys")
         inner = newline + "  "
         body = ("," + inner).join([
             f"{encode_basestring_ascii(k)}: {_write(v, inner, memo)}" for k, v in sorted(obj.items())
@@ -110,7 +103,7 @@ def _write(obj, newline: str, memo: dict) -> str:
         return "false"
     if obj is None:
         return "null"
-    raise _Fallback
+    raise ValueError(f"dumps cannot write {reprlib.repr(obj)}: not a value that jsonable returns")
 
 
 class _Tokens(dict):

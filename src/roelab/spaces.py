@@ -11,9 +11,7 @@ needs to know the tolerance.
 Consumers outside this module read a space's distances only through
 ``near(R)`` (the R-relation dist <= R, and the one place that rejects
 negative and NaN radii), ``radii()`` (the distinct distances),
-``set_distance`` and ``diameter``. The one exception is
-``operators.propagation``, which reads distance values rather than
-comparing them with a radius.
+``set_distance`` and ``diameter``; no other module reads ``dist``.
 
 Distance matrices from outside the library, through
 ``FiniteMetricSpace(dist=...)``, ``from_json`` and ``load_space``, are

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -36,6 +37,16 @@ def random_operator(rng, space, R=None):
     if R is not None:
         m = np.where(space.dist <= R, m, 0.0)
     return SpaceOperator(space=space, mat=m)
+
+
+def propagation_oracle(u, tol):
+    """The largest distance carrying an entry of modulus > tol, read from the
+    dense distance matrix (-inf for the zero operator): the rule
+    operators.propagation follows through near and radii."""
+    mask = np.abs(u.mat) > tol
+    if not mask.any():
+        return -math.inf
+    return u.space.dist.T[mask].max()
 
 
 def dense_operator(u):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from roelab import operators
+from roelab import operators, randsub, spaces, translations
 from roelab.cli import COMMANDS, _band_contraction, _parse_args, _parse_space, _positive_int, build_parser, main, run
 from roelab.operators import DENSE_NORM_MAX, SpaceOperator, eps_propagation_brackets, operator_norm
 from roelab.propa import sz_approximate
@@ -49,6 +49,30 @@ class TestExitCodes:
         assert code == 2
         assert report["results"]["verdict"] == "FAIL"
         assert not report["results"]["certificate"]["irreducible"]
+
+
+class TestVerdictsDecidedByTheCommand:
+    def test_entropy_exits_two_when_the_bound_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(randsub, "entropy_count_bound", lambda d, delta: (1.0, 0.0))
+        assert main(["randsub", "entropy", "--d", "100", "--delta", "0.1"]) == 2
+        assert json.loads(capsys.readouterr().out)["results"]["holds"] is False
+
+    def test_decompose_exits_two_when_over_the_cap(self, monkeypatch, capsys):
+        # growth forced to 1 wherever it is bound: the greedy partition then
+        # exceeds the cap 2, which the command reports instead of raising
+        for module in (spaces, translations):
+            if hasattr(module, "growth"):
+                monkeypatch.setattr(module, "growth", lambda space, R: 1)
+        assert main(["translations", "decompose", "--space", "regular:24:3:1", "-R", "2"]) == 2
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["within_cap"] is False and results["cap"] == 2 < results["part_count"]
+
+    def test_space_gen_verdict_is_regularity(self, monkeypatch):
+        assert run(["space", "gen", "--regular", "16,3", "--seed", "1"])[1] == 0
+        path = spaces.interval_space(16)  # a path is not 3-regular
+        monkeypatch.setattr(spaces, "random_regular", lambda n, d, seed: path)
+        report, code = run(["space", "gen", "--regular", "16,3", "--seed", "1"])
+        assert code == 2 and report["results"]["degrees_all_equal"] is False
 
 
 class TestMalformedInput:

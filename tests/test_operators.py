@@ -9,6 +9,7 @@ from conftest import (
     closed_pair,
     eps_propagation_oracle_pairs,
     eps_propagation_oracle_scan,
+    propagation_oracle,
     random_connected_graph_space,
     random_operator,
     reference_band_dist_random,
@@ -320,6 +321,35 @@ class TestPropagation:
         u = SpaceOperator(space=sp, mat=m)
         assert propagation(u) == 0
         assert propagation(u, tol=0.0) == 2
+
+    @staticmethod
+    def _space(kind, rng):
+        if kind == "integer":
+            return random_connected_graph_space(rng, 11, extra_edges=2)
+        if kind == "float":
+            return _plane_space(rng, 9)
+        if kind == "uniform-integer":
+            return far_points(7)
+        dist = np.full((6, 6), 0.75)
+        np.fill_diagonal(dist, 0.0)
+        return FiniteMetricSpace(dist=dist)
+
+    @pytest.mark.parametrize("kind", ["integer", "float", "uniform-integer", "uniform-float"])
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.5])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_dist_oracle(self, kind, tol, seed):
+        # moduli in [0, 1) on a random support, a few of them at 1e-12, which
+        # only tol 0 counts; density 0 is the zero operator (-inf)
+        rng = np.random.default_rng(seed)
+        space = self._space(kind, rng)
+        n = space.n
+        for density in (0.0, 0.05, 0.3, 1.0):
+            m = rng.random((n, n)) * np.exp(2j * np.pi * rng.random((n, n)))
+            m[rng.random((n, n)) < 0.1] = 1e-12
+            m[rng.random((n, n)) >= density] = 0.0
+            u = SpaceOperator(space=space, mat=m)
+            got, want = propagation(u, tol), propagation_oracle(u, tol)
+            assert got == want and type(got) is type(want), (kind, tol, seed, density)
 
 
 class TestRectangles:
@@ -747,6 +777,92 @@ def test_exact_radius_at_n14_across_mask_chunks(monkeypatch, eps):
     best_R, witness = reference_eps_propagation_exact(u, eps)
     assert 0 < res.lower == res.upper == best_R < space.diameter
     assert _same_witness(res.witness, witness)
+
+
+def reference_bisection(n: int, clear) -> tuple:
+    """(index, probed indices) of the smallest of n candidates at which clear
+    holds, by bisection over [0, n - 1] (candidate n - 1 is never probed): the
+    rule the radius searches follow, written out as the reference."""
+    probed = []
+    lo, hi = 0, n - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        probed.append(mid)
+        if clear(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo, probed
+
+
+def _plane_space(rng, n):
+    """n Gaussian points of the plane: a float metric with up to C(n, 2) radii."""
+    points = rng.standard_normal((n, 2))
+    return FiniteMetricSpace(dist=np.linalg.norm(points[:, None] - points[None], axis=2))
+
+
+def _bisection_space(kind, rng):
+    """A seeded space with many candidate radii: a tree on 12 points, or 8
+    points of the plane."""
+    return random_connected_graph_space(rng, 12, extra_edges=1) if kind == "graph" else _plane_space(rng, 8)
+
+
+@pytest.mark.parametrize("kind", ["graph", "float"])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("eps", [0.05, 0.3, 0.7])
+def test_exact_radius_probes_the_bisection_radii(monkeypatch, kind, seed, eps):
+    rng = np.random.default_rng(seed)
+    space = _bisection_space(kind, rng)
+    m = rng.standard_normal((space.n, space.n)) + 1j * rng.standard_normal((space.n, space.n))
+    u = SpaceOperator(space=space, mat=m / operator_norm(m))
+    violation = ops.eps_propagation_violation
+    probed = []
+
+    def recording(u_, eps_, R):
+        probed.append(R)
+        return violation(u_, eps_, R)
+
+    monkeypatch.setattr(ops, "eps_propagation_violation", recording)
+    res = eps_propagation_radius(u, eps)
+    radii = space.radii()
+    lo, order = reference_bisection(len(radii), lambda i: violation(u, eps, radii[i]) is None)
+    assert probed == [radii[i] for i in order]
+    assert res.lower == res.upper == float(radii[lo])
+    assert res.witness == (violation(u, eps, radii[lo - 1]) if lo else None)
+
+
+@pytest.mark.parametrize("kind", ["graph", "float"])
+@pytest.mark.parametrize("seed", range(3))
+def test_heuristic_upper_probes_the_bisection_radii(monkeypatch, kind, seed):
+    rng = np.random.default_rng(seed)
+    space = _bisection_space(kind, rng)
+    m = rng.standard_normal((space.n, space.n)) + 1j * rng.standard_normal((space.n, space.n))
+    u = SpaceOperator(space=space, mat=m * 0.5 ** space.dist / operator_norm(m))
+    tail_bound = SpaceOperator.tail_bound
+    probed = []
+
+    def recording(self, R):
+        probed.append(R)
+        return tail_bound(self, R)
+
+    monkeypatch.setattr(SpaceOperator, "tail_bound", recording)
+    eps_list = [0.8, 0.4, 0.1, 0.02]
+    brackets = eps_propagation_brackets(u, eps_list, seed=seed, budget=40)
+    radii = space.radii()
+    tails, order = {}, []  # each radius normed once across every eps, in first-probe order
+
+    def clear_at(eps):
+        def clear(i):
+            if i not in tails:
+                tails[i] = tail_bound(u, radii[i])
+                order.append(i)
+            return tails[i] <= eps
+        return clear
+
+    for eps, bracket in zip(eps_list, brackets):
+        assert bracket.upper == float(radii[reference_bisection(len(radii), clear_at(eps))[0]])
+    assert probed == [radii[i] for i in order]
+    assert len(order) > 2
 
 
 # ---------------------------------------------------------------- bounds of the exact scans

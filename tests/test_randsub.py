@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roelab import operators, randsub
+from roelab.errors import RankDeficient
 from roelab.randsub import (
     SubspaceSample,
     entropy_count_bound,
@@ -207,6 +208,19 @@ class TestSampling:
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             sample_subspace(d=5, n=5, seed=0)
+
+    @pytest.mark.parametrize("pivot", [0.0, 1e-11, math.nan])
+    def test_singular_frame_raises(self, monkeypatch, pivot):
+        qr = np.linalg.qr
+
+        def singular(a):
+            q, r = qr(a)
+            r[1, 1] = pivot
+            return q, r
+
+        monkeypatch.setattr(randsub.np.linalg, "qr", singular)
+        with pytest.raises(RankDeficient):
+            sample_subspace(d=10, n=3, seed=0)
 
 
 class TestRestrictedNorm:

@@ -93,11 +93,18 @@ class TestDumps:
         [True, False], [1, True, 0], {"b": [], "a": {}}, [[]], "", -0.0,
         [[1, 2], [3, 4]], [[0], [-(2 ** 70), 5, 6]], [[1, True], [0, 2]], [[1, 2], [False]],
         [[1, 2], []], [[1, 2], [3.5]], {"pairs": [[4, 1], [2, 3]]},
-        # outside what jsonable returns: json.dumps writes these
-        math.nan, [math.inf, -math.inf], (1, 2), {3: "x", 1: [2.5]}, {None: 0}, np.float64(0.1),
     ])
     def test_edge_cases(self, obj):
         assert dumps(obj) == reference_dumps(obj)
+
+    # outside what jsonable returns (it makes keys str and non-finite floats
+    # strings): dumps rejects these, and cli.main reports the ValueError
+    @pytest.mark.parametrize("obj", [
+        math.nan, [math.inf, -math.inf], (1, 2), {3: "x", 1: [2.5]}, {None: 0}, np.float64(0.1),
+    ])
+    def test_rejects_values_jsonable_never_returns(self, obj):
+        with pytest.raises(ValueError):
+            dumps(obj)
 
     def test_int_rows(self):
         rng = np.random.default_rng(0)
