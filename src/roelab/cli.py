@@ -101,7 +101,7 @@ def _cmd_space_gen(cfg):
     degrees = space.near(1).sum(axis=1) - 1  # the points within 1, less the point itself
     regular = bool(np.all(degrees == d))
     return {
-        "space": space.to_json(),
+        "space": space.json_arrays(),
         "degrees_all_equal": regular,
         "diameter": int(space.diameter),
     }, regular
@@ -119,7 +119,7 @@ def _cmd_translations_decompose(cfg):
     N = spaces.growth(space, cfg["R"])
     ok = len(dec.parts) <= 2 * N
     return {
-        "decomposition": dec.to_json(),
+        "decomposition": dec.json_arrays(),
         "part_count": len(dec.parts),
         "cap": 2 * N,
         "within_cap": ok,
@@ -474,7 +474,7 @@ def _to_csv(results: dict) -> str:
             lines.append(f"{prefix},{obj}")
 
     walk("", results)
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
@@ -485,16 +485,17 @@ def main(argv=None) -> int:
         if args.format == "csv":
             text = _to_csv(report["results"])
         else:
-            text = dumps(report) + "\n"
+            text = dumps(report)
+        # print adds the final newline, so the report text is not copied for it
         if args.out:
             with open(args.out, "w") as fh:
-                fh.write(text)
+                print(text, file=fh)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (RoelabError, OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(text, end="")
+    print(text)
     return code
 
 

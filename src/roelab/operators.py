@@ -405,9 +405,12 @@ def _rect_bounds(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple:
     off by up to 2^-1074, and a sum of them by up to n^2 2^-1074 < tiny =
     2^-1022: lower takes tiny off its sum and upper adds it before the root,
     so that each is off its exact bound by no more than the relative
-    rounding. An empty side gives (0, s sqrt(tiny)), which holds rect_norms'
-    exact 0.0; a zero mat gives (0, 0), and a non-finite mat NaN bounds,
-    which decide nothing.
+    rounding. Unless the square of some nonzero entry underflows to 0 in w,
+    a sum of the w entries of M is 0 iff M is zero, and then upper is set to
+    exactly 0 (largest_candidates skips such compressions); otherwise a zero
+    M, an empty side among them, gets (0, s sqrt(tiny)). Either holds
+    rect_norms' exact 0.0. A zero mat gives (0, 0), and a non-finite mat NaN
+    bounds, which decide nothing.
     """
     scale = float(np.abs(mat).max(initial=0.0))
     if not np.isfinite(scale):
@@ -422,7 +425,10 @@ def _rect_bounds(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple:
     line = np.maximum(down.max(axis=1, initial=0.0), across.max(axis=1, initial=0.0))
     frobenius = down.sum(axis=1)
     tiny = np.finfo(float).tiny
-    return scale * np.sqrt(np.maximum(line - tiny, 0.0)), scale * np.sqrt(frobenius + tiny)
+    upper = scale * np.sqrt(frobenius + tiny)
+    if not np.any(w[mat != 0] == 0):
+        upper[frobenius == 0] = 0.0
+    return scale * np.sqrt(np.maximum(line - tiny, 0.0)), upper
 
 
 def largest_candidates(lower: np.ndarray, upper: np.ndarray, best: float) -> np.ndarray:
@@ -450,11 +456,21 @@ def largest_candidates(lower: np.ndarray, upper: np.ndarray, best: float) -> np.
     best, is normed, and so is the first of them: first_largest of the
     normed values only (skipped ones read as -inf) picks the same value and
     the same candidate as first_largest of all of them. Bounds are
-    nonnegative, so nothing is skipped unless f > 0, and a NaN upper bound
-    never is.
+    nonnegative, so this rule skips nothing unless f > 0, and a NaN upper
+    bound is never skipped.
+
+    A candidate with h = 0 exactly is skipped too when best >= 0: then
+    0 <= v <= h (1 + BOUND_SLACK) = 0, and v = 0 <= best cannot replace best
+    under the strict rule, nor can it be the chunk's largest value when that
+    value replaces best, so first_largest picks as before. A scan that starts
+    below 0 (randsub._exact_max starts at -1) norms its all-zero candidates
+    until its best reaches 0.
     """
     floor = max(best, float(np.max(lower, where=np.isfinite(lower), initial=-np.inf)))
-    return ~(upper < floor * (1 - BOUND_SLACK) / (1 + BOUND_SLACK))
+    skip = upper < floor * (1 - BOUND_SLACK) / (1 + BOUND_SLACK)
+    if best >= 0:
+        skip |= upper == 0
+    return ~skip
 
 
 def first_largest(values: np.ndarray, best: float) -> int | None:

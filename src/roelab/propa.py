@@ -16,7 +16,7 @@ from .errors import (
     NotAContraction,
 )
 from .operators import (
-    EXACT_BAND_DIST_MAX,
+    EXACT_EPSPROP_MAX,
     SpaceOperator,
     eps_propagation_brackets,
     eps_propagation_violation,
@@ -181,7 +181,7 @@ def _validate_eps_propagation(u: SpaceOperator, eps: float, R, seed: int = 0) ->
     """Check that u has eps-propagation at most R; returns the method used."""
     if u.tail_bound(R) <= eps:
         return "truncation-tail"
-    if u.space.n <= EXACT_BAND_DIST_MAX:
+    if u.space.n <= EXACT_EPSPROP_MAX:
         witness = eps_propagation_violation(u, eps, R)
         if witness is not None:
             raise HypothesisViolated(f"rectangle of separation > R={R} has norm above eps (witness {witness})")

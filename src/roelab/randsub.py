@@ -90,7 +90,8 @@ def _hill_climb(basis: np.ndarray, E0: list) -> tuple:
     d = basis.shape[0]
     k = len(E0)
     E = list(E0)
-    out = [i for i in range(d) if i not in set(E)]
+    taken = set(E)
+    out = [i for i in range(d) if i not in taken]
     best_val = float(sigma_max_stack(basis[np.array(E)][None])[0])
     swaps = 0
     improved = True

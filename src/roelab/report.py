@@ -1,4 +1,13 @@
-"""Deterministic JSON reports and tolerance-aware report diffing."""
+"""Deterministic JSON reports and tolerance-aware report diffing.
+
+A report is built in two passes, each of which visits a value once:
+`jsonable` turns results into a plain JSON tree, and `dumps` writes that
+tree as indented JSON into one list of text pieces that it joins once.
+Integer rows (a distance matrix, the [x, y] pairs of a partial
+translation) are best handed to `jsonable` as a 2-D numpy array: they
+become lists by one ``tolist()``, with no per-element scan, and `dumps`
+type-scans them once and writes them from per-value tokens.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +19,8 @@ from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
+import numpy as np
+
 from .errors import SchemaMismatch
 
 TOOL_VERSION = "0.1.0"
@@ -19,7 +30,17 @@ _PLAIN = frozenset((int, str, bool, type(None)))
 
 
 def jsonable(obj):
-    """Convert results (dataclasses, numpy scalars/arrays, tuples) to plain JSON types."""
+    """Convert results (dataclasses, numpy scalars/arrays, tuples) to plain JSON types.
+
+    Each value is visited once. A list of plain values (exact int, str, bool,
+    None), or of rows of them, is copied by one type scan. A numpy array
+    whose ``tolist()`` holds only exact int, bool or finite float, that is an
+    integer, unsigned or bool array, or a float array of at most 64 bits
+    whose values pass one vectorised ``np.isfinite``, is returned as that
+    fresh ``tolist()`` without an element scan. Any other array goes through
+    its ``tolist()`` element by element, so a non-finite float becomes its
+    repr string ("nan", "inf") and a complex value its repr.
+    """
     t = type(obj)
     # exact types: np.float64 subclasses float and np.bool_ is not bool
     if t in _PLAIN:
@@ -31,14 +52,17 @@ def jsonable(obj):
         if types == {list} and _PLAIN.issuperset(map(type, chain.from_iterable(obj))):
             return list(map(list, obj))  # rows of plain values, such as [x, y] pairs
         return [v if type(v) in _PLAIN else jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        dtype = obj.dtype
+        if dtype.kind in "biu" or (dtype.kind == "f" and dtype.itemsize <= 8 and np.isfinite(obj).all()):
+            return obj.tolist()
+        return jsonable(obj.tolist())
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if hasattr(obj, "ndim") and getattr(obj, "ndim") > 0:
-        return jsonable(obj.tolist())
     if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
         return jsonable(obj.item())
     if isinstance(obj, float) and (math.isinf(obj) or math.isnan(obj)):
@@ -55,55 +79,69 @@ def dumps(obj) -> str:
     non-finite or numpy float) raises ValueError.
 
     With an indent CPython runs its pure-Python encoder; this writer emits the
-    same text, joins a list whose elements are all exact ints in one
-    ``str.join``, and writes a list of nonempty lists of exact ints, such as
-    [x, y] pairs or a distance matrix, from per-value tokens built once per
-    call (`_int_rows`).
+    same text. Every value appends its pieces to one list, which is joined
+    once at the end, so no value's text is copied by the levels that enclose
+    it. A list whose elements are all exact ints is one piece, and a list of
+    nonempty lists of exact ints, such as [x, y] pairs or a distance matrix,
+    is written from per-value tokens built once per call (`_int_rows`).
     """
-    return _write(obj, "\n", {})
+    out: list = []
+    _write(obj, "\n", {}, out)
+    return "".join(out)
 
 
-def _write(obj, newline: str, memo: dict) -> str:
-    """`obj` as indented JSON; `newline` is a line break plus its level's
-    indent, and `memo` holds `_int_rows`' tokens for the whole call."""
+def _write(obj, newline: str, memo: dict, out: list) -> None:
+    """Append the pieces of `obj` as indented JSON to `out`; `newline` is a
+    line break plus its level's indent, and `memo` holds `_int_rows`' tokens
+    for the whole call."""
     t = type(obj)
     if t is str:
-        return encode_basestring_ascii(obj)
-    if t is list:
+        out.append(encode_basestring_ascii(obj))
+    elif t is list:
         if not obj:
-            return "[]"
+            out.append("[]")
+            return
         inner = newline + "  "
         sep = "," + inner
         types = set(map(type, obj))
         # exact int only: a bool must print as true/false, not as 1/0
         if types == {int}:
-            body = sep.join(map(int.__repr__, obj))
+            out += "[" + inner, sep.join(map(int.__repr__, obj)), newline + "]"
         elif types == {list} and all(obj) and set(map(type, chain.from_iterable(obj))) == {int}:
-            return _int_rows(obj, newline, memo)
+            _int_rows(obj, newline, memo, out)
         else:
-            body = sep.join([_write(v, inner, memo) for v in obj])
-        return f"[{inner}{body}{newline}]"
-    if t is dict:
+            lead = "[" + inner
+            for v in obj:
+                out.append(lead)
+                lead = sep
+                _write(v, inner, memo, out)
+            out.append(newline + "]")
+    elif t is dict:
         if not obj:
-            return "{}"
+            out.append("{}")
+            return
         if set(map(type, obj)) != {str}:
             raise ValueError("dumps writes only str keys")
         inner = newline + "  "
-        body = ("," + inner).join([
-            f"{encode_basestring_ascii(k)}: {_write(v, inner, memo)}" for k, v in sorted(obj.items())
-        ])
-        return f"{{{inner}{body}{newline}}}"
-    if t is int:
-        return int.__repr__(obj)
-    if t is float and math.isfinite(obj):
-        return float.__repr__(obj)
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if obj is None:
-        return "null"
-    raise ValueError(f"dumps cannot write {reprlib.repr(obj)}: not a value that jsonable returns")
+        sep = "," + inner
+        lead = "{" + inner
+        for k, v in sorted(obj.items()):
+            out.append(f"{lead}{encode_basestring_ascii(k)}: ")
+            lead = sep
+            _write(v, inner, memo, out)
+        out.append(newline + "}")
+    elif t is int:
+        out.append(int.__repr__(obj))
+    elif t is float and math.isfinite(obj):
+        out.append(float.__repr__(obj))
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif obj is None:
+        out.append("null")
+    else:
+        raise ValueError(f"dumps cannot write {reprlib.repr(obj)}: not a value that jsonable returns")
 
 
 class _Tokens(dict):
@@ -118,34 +156,34 @@ class _Tokens(dict):
         return token
 
 
-def _int_rows(rows: list, newline: str, memo: dict) -> str:
-    """Indented text of a list of nonempty rows of exact ints, such as [x, y]
-    pairs or a distance matrix, at the level of `newline`.
+def _int_rows(rows: list, newline: str, memo: dict, out: list) -> None:
+    """Append the indented text of a list of nonempty rows of exact ints, such
+    as [x, y] pairs or a distance matrix, at the level of `newline` to `out`.
 
-    Every entry is written as one token, its digits and what follows it: the
-    comma and line break to the next entry of its row, or at a row's end the
-    row's closing bracket, the comma and the next row's opening. The tokens
-    of each value are built once per `newline` in `memo`, the row ends are
-    set by one slice assignment when all rows have the same length, and one
-    ``str.join`` writes the list.
+    Every entry is one token, its digits and what follows it: the comma and
+    line break to the next entry of its row, or at a row's end the row's
+    closing bracket, the comma and the next row's opening. The tokens of each
+    value are built once per `newline` in `memo`, `out` is extended by one
+    token per entry, and the row ends are set by one slice assignment when
+    all rows have the same length.
     """
     inner = newline + "  "
     row = inner + "  "
     if newline not in memo:
         memo[newline] = _Tokens("," + row), _Tokens(f"{inner}],{inner}[{row}")
     within, end = memo[newline]
-    tokens = list(map(within.__getitem__, chain.from_iterable(rows)))
+    start = len(out)
+    out += map(within.__getitem__, chain.from_iterable(rows))
     lasts = map(itemgetter(-1), rows)
     if len(set(map(len, rows))) == 1:
         width = len(rows[0])
-        tokens[width - 1 :: width] = map(end.__getitem__, lasts)
+        out[start + width - 1 :: width] = map(end.__getitem__, lasts)
     else:
         for stop, v in zip(accumulate(map(len, rows)), lasts):
-            tokens[stop - 1] = end[v]
+            out[start + stop - 1] = end[v]
     # the last entry first: with one entry the two are the same token
-    tokens[-1] = f"{int.__repr__(rows[-1][-1])}{inner}]{newline}]"
-    tokens[0] = f"[{inner}[{row}{tokens[0]}"
-    return "".join(tokens)
+    out[-1] = f"{int.__repr__(rows[-1][-1])}{inner}]{newline}]"
+    out[start] = f"[{inner}[{row}{out[start]}"
 
 
 def results_bytes(results: dict) -> bytes:

@@ -37,6 +37,7 @@ from .errors import (
     NonSymmetricInput,
     TooLargeForExact,
 )
+from .report import jsonable
 
 METRIC_TOL = 1e-9
 EXACT_KAPPA_MAX = 22
@@ -107,9 +108,14 @@ class FiniteMetricSpace:
             raise EmptySubset("set distance needs nonempty subsets")
         return self.dist[np.ix_(A, B)].min()
 
-    def to_json(self) -> dict:
+    def json_arrays(self) -> dict:
+        """The space's JSON schema with the distance matrix left as the array;
+        `report.jsonable` turns it into lists in one ``tolist()``."""
         kind = "graph" if self.is_integer else "explicit"
-        return {"label": self.label, "n": self.n, "metric": {"kind": kind, "data": self.dist.tolist()}}
+        return {"label": self.label, "n": self.n, "metric": {"kind": kind, "data": self.dist}}
+
+    def to_json(self) -> dict:
+        return jsonable(self.json_arrays())
 
     @staticmethod
     def from_json(obj: dict) -> "FiniteMetricSpace":

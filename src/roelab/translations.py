@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import SpaceOperator
+from .report import jsonable
 from .spaces import FiniteMetricSpace
 
 
@@ -19,18 +20,30 @@ class PartialTranslation:
     def graph(self):
         return sorted(self.pairs.items())
 
+    def graph_array(self) -> np.ndarray:
+        """graph() as an (m, 2) int array of [x, y] rows."""
+        m = len(self.pairs)
+        rows = np.empty((m, 2), dtype=np.int64)
+        rows[:, 0] = np.fromiter(self.pairs, np.int64, m)
+        rows[:, 1] = np.fromiter(self.pairs.values(), np.int64, m)
+        # decompose_band fills each part row by row, so this is already in order
+        if m > 1 and not (rows[1:, 0] > rows[:-1, 0]).all():
+            rows = rows[np.argsort(rows[:, 0])]
+        return rows
+
 
 @dataclass
 class TranslationDecomposition:
     R: float
     parts: list
 
+    def json_arrays(self) -> dict:
+        """The decomposition's JSON schema with each part's pairs as its
+        graph_array(); `report.jsonable` turns it into `to_json()`."""
+        return {"R": float(self.R), "parts": [{"pairs": p.graph_array()} for p in self.parts]}
+
     def to_json(self) -> dict:
-        return {
-            "R": float(self.R),
-            # decompose_band fills the pairs from tolist(), so they are Python ints
-            "parts": [{"pairs": list(map(list, p.graph()))} for p in self.parts],
-        }
+        return jsonable(self.json_arrays())
 
 
 def decompose_band(space: FiniteMetricSpace, R) -> TranslationDecomposition:

@@ -14,6 +14,15 @@ from roelab.operators import (
 from roelab.spaces import FiniteMetricSpace, from_graph
 
 
+def typed(obj):
+    """obj with each leaf paired with its exact type, so that == also compares
+    types (1 == 1.0 == True otherwise)."""
+    if type(obj) is dict:
+        return {k: typed(v) for k, v in obj.items()}
+    if type(obj) is list:
+        return [typed(v) for v in obj]
+    return type(obj), obj
+
 def random_connected_graph_space(rng, n, extra_edges=None):
     """Connected graph metric: random spanning tree plus extra random edges."""
     adj = np.zeros((n, n), dtype=np.int64)

@@ -949,6 +949,45 @@ def test_exact_scans_norm_few_rectangles(monkeypatch):
     assert b.lower == lower and _same_witness(b.witness, witness)
 
 
+def test_zero_upper_bounds_are_skipped_once_best_is_nonnegative():
+    nan = math.nan
+    zero = np.zeros(3)
+    assert ops.largest_candidates(zero, zero, -1.0).all()
+    assert not ops.largest_candidates(zero, zero, 0.0).any()
+    assert ops.largest_candidates(zero, np.array([0.0, 1e-300, nan]), 0.0).tolist() == [False, True, True]
+
+
+def test_band_distance_gathers_no_zero_rectangle(monkeypatch):
+    """Band-1 operators on seeded 12-point graphs: every rectangle separated by
+    more than 1 is zero and none is gathered for LAPACK; at R = 0 and 1 the
+    value and witness equal those of a scan that norms every rectangle."""
+    norms_where = ops._norms_where
+    gathered = []
+
+    def counting(u, A, B, run, fill):
+        gathered.append(int(run.sum()))
+        return norms_where(u, A, B, run, fill)
+
+    monkeypatch.setattr(ops, "_norms_where", counting)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        u = random_operator(rng, random_connected_graph_space(rng, 12), R=1)
+        for R in (0, 1):
+            gathered.clear()
+            b = dist_to_band_bounds(u, R)
+            skipped = sum(gathered)
+            with monkeypatch.context() as every:
+                every.setattr(ops, "largest_candidates", lambda lower, upper, best: np.ones(len(upper), bool))
+                gathered.clear()
+                full = dist_to_band_bounds(u, R)
+            assert sum(gathered) == 4095
+            assert b.lower == full.lower and _same_witness(b.witness, full.witness)
+            if R == 1:
+                assert b.lower == 0.0 and b.witness is None and skipped == 0
+            else:
+                assert b.lower > 0 and 0 < skipped < 4095
+
+
 class TestSigmaMaxStack:
     def test_mixed_shapes_match_lapack_bit_for_bit(self):
         rng = np.random.default_rng(30)

@@ -519,6 +519,18 @@ class TestErrorBars:
         assert propa._validate_eps_propagation(u, 0.1, 1) == "exact-scan"
         assert propa._validate_eps_propagation(u, 1.5, 1) == "truncation-tail"
 
+    @pytest.mark.parametrize("n", [14, 16])
+    def test_exact_scan_up_to_its_own_limit(self, n, wide_err):
+        # above the band-distance limit of 12 points and within the scan's own
+        # of 20, a tail above eps is settled by the exact scan: cleared ...
+        u = banded_contraction(np.random.default_rng(5), interval_space(n), R=1)
+        assert propa._validate_eps_propagation(u, 0.1, 1) == "exact-scan"
+        # ... or refuted with the scan's own witness
+        u = banded_contraction(np.random.default_rng(1), interval_space(n), R=6)
+        witness = operators.eps_propagation_violation(u, 1e-6, 1)
+        with pytest.raises(HypothesisViolated, match=re.escape(str(witness))):
+            propa._validate_eps_propagation(u, 1e-6, 1)
+
     def test_band_distance_upper_and_heuristic_radius(self, wide_err, monkeypatch):
         u = banded_contraction(np.random.default_rng(6), interval_space(30), R=3)
         widened = dist_to_band_bounds(u, 1, budget=20)

@@ -185,6 +185,20 @@ def test_exact_scan_norms_few_subsets(monkeypatch):
             assert value == reference_restricted_norm_max(sample, 0.2, "exact")[0]
 
 
+def test_exact_scan_norms_zero_subsets_from_below_zero(monkeypatch):
+    """_exact_max starts at -1, so the all-zero subsets of its first chunk are
+    normed and the first of them is the maximiser of a zero basis."""
+    normed = []
+    stack = randsub.sigma_max_stack
+    monkeypatch.setattr(randsub, "sigma_max_stack", lambda s: normed.append(len(s)) or stack(s))
+    assert randsub._exact_max(np.zeros((6, 2)), 2) == (0.0, (0, 1))
+    assert normed == [math.comb(6, 2)]
+    basis = np.zeros((6, 2))
+    basis[4:] = [[0.6, 0.0], [0.0, 0.8]]
+    sample = SubspaceSample(d=6, n=2, vectors=basis.T, basis=basis, seed=0)
+    assert randsub._exact_max(basis, 2) == reference_restricted_norm_max(sample, 0.34, "exact")
+
+
 class TestSampling:
     def test_projection_invariants(self):
         for seed in range(5):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import typed
 from roelab.cli import run
 from roelab.errors import SchemaMismatch
 from roelab.report import dumps, jsonable, make_report, report_diff, results_bytes
@@ -54,6 +55,64 @@ class TestJsonable:
         assert all(a is not b for a, b in zip(out, rows))
         assert [type(v) for v in out[1]] == [int, bool]
         assert jsonable([[1, np.int64(2)], [3, 4]]) == [[1, 2], [3, 4]]
+
+
+_DTYPES = ["int8", "int64", "uint8", "uint64", "bool", "float16", "float32", "float64", "nonfinite", "complex128"]
+_SHAPES = [(0,), (0, 2), (3, 0), (), (5,), (3, 4)]
+
+
+def _array(kind, shape, rng):
+    """A seeded array of dtype `kind` ("nonfinite": float64 holding nan and
+    +-inf as well) spanning its whole range."""
+    if kind == "bool":
+        return np.asarray(rng.random(shape) < 0.5)
+    if kind in ("float16", "float32", "float64", "nonfinite", "complex128"):
+        dtype = np.float64 if kind == "nonfinite" else np.dtype(kind)
+        top = int(np.log10(np.finfo(dtype).max)) - 1  # no overflow in the cast
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-top, top, shape)
+        if kind == "complex128":
+            a = a + 1j * rng.standard_normal(shape)
+        if kind == "nonfinite":
+            a.flat[:3] = [math.nan, math.inf, -math.inf][: a.size]
+        return np.asarray(a, dtype=dtype)
+    info = np.iinfo(kind)
+    return np.asarray(rng.integers(info.min, info.max, shape, dtype=kind, endpoint=True))
+
+
+class TestJsonableArrays:
+    @pytest.mark.parametrize("shape", _SHAPES)
+    @pytest.mark.parametrize("kind", _DTYPES)
+    def test_array_converts_as_its_tolist(self, kind, shape):
+        a = _array(kind, shape, np.random.default_rng(7))
+        assert isinstance(a, np.ndarray) and a.shape == shape
+        assert typed(jsonable(a)) == typed(jsonable(a.tolist()))
+
+    def test_extreme_integers_and_nonfinite_floats(self):
+        assert jsonable(np.array([2 ** 64 - 1, 0], dtype=np.uint64)) == [2 ** 64 - 1, 0]
+        assert jsonable(np.array([[-(2 ** 63)], [2 ** 63 - 1]])) == [[-(2 ** 63)], [2 ** 63 - 1]]
+        assert jsonable(np.array([1.5, math.nan, -math.inf])) == [1.5, "nan", "-inf"]
+        assert jsonable(np.array(2.5)) == 2.5 and jsonable(np.array(True)) is True
+
+
+_array_leaves = st.builds(
+    _array, st.sampled_from(_DTYPES), st.sampled_from(_SHAPES), st.integers(0, 2 ** 32 - 1).map(np.random.default_rng)
+)
+_numpy_scalars = st.one_of(
+    st.integers(-(2 ** 63), 2 ** 63 - 1).map(np.int64), st.floats().map(np.float64), st.booleans().map(np.bool_)
+)
+_numpy_trees = st.recursive(
+    st.one_of(st.none(), st.integers(), st.floats(), st.text(max_size=3), _array_leaves, _numpy_scalars),
+    lambda children: (st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=3), children, max_size=4)
+                      | st.tuples(children, children)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_numpy_trees)
+def test_trees_with_numpy_leaves_print_as_json_dumps(tree):
+    plain = jsonable(tree)
+    assert dumps(plain) == json.dumps(plain, sort_keys=True, indent=2)
 
 
 def reference_dumps(obj):

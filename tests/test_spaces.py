@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import floyd_warshall, random_connected_graph_space
+from conftest import floyd_warshall, random_connected_graph_space, typed
+from roelab.report import jsonable
 from roelab.errors import (
     DisconnectedGraph,
     EmptySubset,
@@ -361,6 +362,16 @@ class TestSerialization:
         assert set(obj) == {"label", "n", "metric"}
         assert obj["metric"]["kind"] == "graph"
         json.dumps(obj)  # serializable
+
+    def test_json_arrays_convert_to_the_list_schema(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(7)
+        graph = random_connected_graph_space(rng, 9)
+        explicit = FiniteMetricSpace(dist=np.abs(x[:, None] - x[None, :]), label="line")
+        for space, kind in [(graph, "graph"), (explicit, "explicit")]:
+            lists = {"label": space.label, "n": space.n, "metric": {"kind": kind, "data": space.dist.tolist()}}
+            assert typed(jsonable(space.json_arrays())) == typed(lists)
+            assert typed(space.to_json()) == typed(lists)
 
 
 class TestCoarseUnion:

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_connected_graph_space, random_operator
+from conftest import random_connected_graph_space, random_operator, typed
 from roelab.operators import band_truncate, operator_norm
 from roelab.spaces import interval_space
 from roelab.spaces import growth
-from roelab.translations import decompose_band, schur_restrict
+from roelab.report import jsonable
+from roelab.translations import PartialTranslation, decompose_band, schur_restrict
 
 
 def reference_decompose_band(space, R):
@@ -99,6 +100,15 @@ class TestDecomposeBand:
         obj = decompose_band(interval_space(4), 1).to_json()
         assert set(obj) == {"R", "parts"}
         assert all(set(p) == {"pairs"} for p in obj["parts"])
+
+    def test_json_arrays_convert_to_the_list_schema(self):
+        dec = decompose_band(random_connected_graph_space(np.random.default_rng(2), 20), 2)
+        # a part whose pairs were not added in order, and an empty one
+        dec.parts += [PartialTranslation(pairs={5: 1, 2: 7, 9: 0}), PartialTranslation(pairs={})]
+        lists = {"R": 2.0, "parts": [{"pairs": [list(pair) for pair in p.graph()]} for p in dec.parts]}
+        assert typed(jsonable(dec.json_arrays())) == typed(lists)
+        assert typed(dec.to_json()) == typed(lists)
+        assert dec.parts[-2].graph_array().tolist() == [[2, 7], [5, 1], [9, 0]]
 
 
 @settings(max_examples=80, deadline=None)
