@@ -33,13 +33,11 @@ def jsonable(obj):
     """Convert results (dataclasses, numpy scalars/arrays, tuples) to plain JSON types.
 
     Each value is visited once. A list of plain values (exact int, str, bool,
-    None), or of rows of them, is copied by one type scan. A numpy array
-    whose ``tolist()`` holds only exact int, bool or finite float, that is an
-    integer, unsigned or bool array, or a float array of at most 64 bits
-    whose values pass one vectorised ``np.isfinite``, is returned as that
-    fresh ``tolist()`` without an element scan. Any other array goes through
-    its ``tolist()`` element by element, so a non-finite float becomes its
-    repr string ("nan", "inf") and a complex value its repr.
+    None), or of rows of them, is copied by one type scan. An integer,
+    unsigned or bool numpy array is returned as its fresh ``tolist()``, which
+    holds only exact int or bool, without an element scan. Any other array
+    goes through its ``tolist()`` element by element, so a non-finite float
+    becomes its repr string ("nan", "inf") and a complex value its repr.
     """
     t = type(obj)
     # exact types: np.float64 subclasses float and np.bool_ is not bool
@@ -53,8 +51,7 @@ def jsonable(obj):
             return list(map(list, obj))  # rows of plain values, such as [x, y] pairs
         return [v if type(v) in _PLAIN else jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        dtype = obj.dtype
-        if dtype.kind in "biu" or (dtype.kind == "f" and dtype.itemsize <= 8 and np.isfinite(obj).all()):
+        if obj.dtype.kind in "biu":
             return obj.tolist()
         return jsonable(obj.tolist())
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):

@@ -23,6 +23,7 @@ def typed(obj):
         return [typed(v) for v in obj]
     return type(obj), obj
 
+
 def random_connected_graph_space(rng, n, extra_edges=None):
     """Connected graph metric: random spanning tree plus extra random edges."""
     adj = np.zeros((n, n), dtype=np.int64)
