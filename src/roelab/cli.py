@@ -258,7 +258,7 @@ def _cmd_ql_witness(cfg):
 def _cmd_propa_sz(cfg):
     space = spaces.interval_space(cfg["N"])
     u = _band_contraction(space, cfg["R"], cfg["seed"])
-    _, error, report = propa.sz_approximate(u, cfg["eps"], cfg["R"], seed=cfg["seed"])
+    _, _, report = propa.sz_approximate(u, cfg["eps"], cfg["R"], seed=cfg["seed"])
     return report, report["holds"]
 
 

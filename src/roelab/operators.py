@@ -1,4 +1,4 @@
-"""Operators on l2(X): norms, propagation, band truncation, band-distance bounds."""
+"""Operators on l2(X): norms, eps-propagation radii, band truncation, band-distance bounds."""
 
 from __future__ import annotations
 
@@ -9,10 +9,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySubset, TooLargeForExact
+from .errors import TooLargeForExact
 from .spaces import FiniteMetricSpace, neighbourhood_table
 
-ZERO_TOL = 1e-9
 EXACT_EPSPROP_MAX = 20
 EXACT_BAND_DIST_MAX = 12
 # the exact subset scans enumerate output masks in chunks of at most
@@ -332,32 +331,6 @@ class RectangleWitness:
     B: tuple
     separation: float
     value: float
-
-
-def propagation(u: SpaceOperator, tol: float = ZERO_TOL):
-    """Largest distance carrying an entry of modulus > tol; -inf for the zero operator.
-
-    It is the smallest of u.space.radii() whose (symmetric) near holds every
-    such entry, found by bisection; it keeps the metric's numpy type."""
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    mask = np.abs(u.mat) > tol
-    if not mask.any():
-        return -math.inf
-    radii = u.space.radii()
-    lo = bisect.bisect_left(range(len(radii) - 1), True, key=lambda i: u.space.near(radii[i])[mask].all())
-    return radii[lo]
-
-
-def rect_norm(u: SpaceOperator, A, B) -> RectangleWitness:
-    """Witness for the compression 1_A u 1_B (A on the output side)."""
-    A = np.asarray(A, dtype=int)
-    B = np.asarray(B, dtype=int)
-    if A.size == 0 or B.size == 0:
-        raise EmptySubset("rectangle compression needs nonempty subsets")
-    value = operator_norm(u.mat[np.ix_(A, B)])
-    sep = u.space.set_distance(A, B)
-    return RectangleWitness(A=tuple(A.tolist()), B=tuple(B.tolist()), separation=sep, value=value)
 
 
 def band_truncate(u: SpaceOperator, R) -> SpaceOperator:

@@ -354,5 +354,4 @@ def non_band_witness(assembly: QuasiLocalAssembly, R, budget: int = 1000, seed: 
     if not R < assembly.family.members[-1].diameter:
         raise ValueError("R must stay below the largest member diameter")
     pool = np.arange(largest.start, largest.stop)
-    bounds = dist_to_band_bounds(assembly, R, budget=budget, seed=seed, pool=pool)
-    return bounds
+    return dist_to_band_bounds(assembly, R, budget=budget, seed=seed, pool=pool)

@@ -61,7 +61,10 @@ def jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
-        return jsonable(obj.item())
+        value = obj.item()
+        if type(value) is t:  # np.longdouble and np.clongdouble return themselves
+            value = complex(obj) if isinstance(obj, np.complexfloating) else float(obj)
+        return jsonable(value)
     if isinstance(obj, float) and (math.isinf(obj) or math.isnan(obj)):
         return repr(obj)
     if isinstance(obj, (str, int, float, bool)) or obj is None:

@@ -27,16 +27,15 @@ def _is_prime(p: int) -> bool:
 
 
 class FiniteGroup:
-    """Finite group addressed by element indices 0..order-1."""
+    """Finite group addressed by element indices 0..order-1.
+
+    Each subclass provides two hooks, mult(i, j) -> the index of i j and
+    inv(i) -> the index of i^-1, both elementwise over index arrays; validate
+    checks their group laws.
+    """
 
     order: int
     identity: int = 0
-
-    def mult(self, i, j):
-        raise NotImplementedError
-
-    def inv(self, i):
-        raise NotImplementedError
 
     def validate(self) -> None:
         """Identity and inverse laws on all elements; associativity on sampled triples."""
@@ -124,12 +123,6 @@ class UnitaryRep:
 
     group: FiniteGroup
     dim: int
-
-    def matrices(self, idx) -> np.ndarray:
-        raise NotImplementedError
-
-    def matrix(self, i) -> np.ndarray:
-        return self.matrices([i])[0]
 
     def average_image(self, alpha: np.ndarray) -> np.ndarray:
         """|G|^-1 sum_g alpha_g pi(g)."""

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import SpaceOperator
-from .report import jsonable
 from .spaces import FiniteMetricSpace
 
 
@@ -17,11 +16,8 @@ class PartialTranslation:
 
     pairs: dict
 
-    def graph(self):
-        return sorted(self.pairs.items())
-
     def graph_array(self) -> np.ndarray:
-        """graph() as an (m, 2) int array of [x, y] rows."""
+        """The graph as an (m, 2) int array of [x, y] rows, sorted by x."""
         m = len(self.pairs)
         rows = np.empty((m, 2), dtype=np.int64)
         rows[:, 0] = np.fromiter(self.pairs, np.int64, m)
@@ -39,11 +35,8 @@ class TranslationDecomposition:
 
     def json_arrays(self) -> dict:
         """The decomposition's JSON schema with each part's pairs as its
-        graph_array(); `report.jsonable` turns it into `to_json()`."""
+        graph_array(), which `report.jsonable` turns into plain lists."""
         return {"R": float(self.R), "parts": [{"pairs": p.graph_array()} for p in self.parts]}
-
-    def to_json(self) -> dict:
-        return jsonable(self.json_arrays())
 
 
 def decompose_band(space: FiniteMetricSpace, R) -> TranslationDecomposition:

@@ -50,9 +50,9 @@ def random_operator(rng, space, R=None):
 
 
 def propagation_oracle(u, tol):
-    """The largest distance carrying an entry of modulus > tol, read from the
-    dense distance matrix (-inf for the zero operator): the rule
-    operators.propagation follows through near and radii."""
+    """The propagation of u: the largest distance carrying an entry of
+    modulus > tol, read from the dense distance matrix (-inf for the zero
+    operator)."""
     mask = np.abs(u.mat) > tol
     if not mask.any():
         return -math.inf

@@ -310,6 +310,14 @@ class TestCommands:
         assert res["verdict"] == "PASS"
         assert res["eps_achieved"] == 1.0
 
+    def test_gap_cert_with_a_live_tensor_check(self):
+        # the README line: the first golden gap certificate with a check that is not vacuous
+        report, code = run(["reps", "gap-cert", "--group", "sym:4", "--space", "torus:6", "-R", "1"])
+        assert code == 0
+        res = report["results"]
+        assert res["verdict"] == "PASS" and res["checks"]["tensor_lower"]
+        assert res["vacuous"]["tensor_lower"] is False
+
     def test_operator_file_input(self, tmp_path):
         from roelab.operators import SpaceOperator
         from roelab.spaces import interval_space
@@ -485,3 +493,10 @@ class TestQlBuildReport:
         results = report["results"]
         assert results["schedule_vacuous"] == [True] * len(results["schedule"])
         assert {row["certificate"] for row in results["schedule"]} == {"vacuous"}
+
+    def test_low_c0_rows_are_greedy(self):
+        # the README line at c0 = 1.69, whose live rows only the greedy search scores
+        report, code = run(["ql", "build", "--members", "16,32,64,128", "--c0", "1.69", "--seed", "2"])
+        assert code == 0
+        schedule = report["results"]["schedule"]
+        assert [(row["k"], row["certificate"]) for row in schedule] == [(2, "greedy"), (3, "vacuous"), (4, "greedy")]

@@ -16,7 +16,7 @@ from conftest import (
     reference_eps_prop_heuristic,
 )
 from roelab import operators as ops
-from roelab.errors import EmptySubset, TooLargeForExact
+from roelab.errors import TooLargeForExact
 from roelab.operators import (
     Bracket,
     RectangleWitness,
@@ -28,8 +28,6 @@ from roelab.operators import (
     eps_propagation_radius,
     eps_propagation_violation,
     operator_norm,
-    propagation,
-    rect_norm,
     sigma_max_stack,
 )
 from roelab.spaces import interval_space
@@ -296,31 +294,12 @@ class TestSpaceOperator:
 
 
 class TestPropagation:
-    def test_diagonal_is_zero(self):
-        sp = interval_space(6)
-        u = SpaceOperator(space=sp, mat=np.eye(6, dtype=complex))
-        assert propagation(u) == 0
-
-    def test_zero_operator(self):
-        sp = interval_space(4)
-        u = SpaceOperator(space=sp, mat=np.zeros((4, 4)))
-        assert propagation(u) == -math.inf
-
     def test_band_truncation_controls_propagation(self):
         rng = np.random.default_rng(4)
         sp = interval_space(12)
         u = random_operator(rng, sp)
         for R in (0, 1, 3, 5):
-            assert propagation(band_truncate(u, R)) <= R
-
-    def test_tolerance(self):
-        sp = interval_space(3)
-        m = np.zeros((3, 3), dtype=complex)
-        m[0, 2] = 1e-12
-        m[0, 0] = 1.0
-        u = SpaceOperator(space=sp, mat=m)
-        assert propagation(u) == 0
-        assert propagation(u, tol=0.0) == 2
+            assert propagation_oracle(band_truncate(u, R), 0.0) <= R
 
     @staticmethod
     def _space(kind, rng):
@@ -339,7 +318,9 @@ class TestPropagation:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_the_dist_oracle(self, kind, tol, seed):
         # moduli in [0, 1) on a random support, a few of them at 1e-12, which
-        # only tol 0 counts; density 0 is the zero operator (-inf)
+        # only tol 0 counts; density 0 is the zero operator (-inf). Truncating
+        # to the R-band keeps the propagation the dense dist gives exactly
+        # when R reaches it
         rng = np.random.default_rng(seed)
         space = self._space(kind, rng)
         n = space.n
@@ -348,8 +329,10 @@ class TestPropagation:
             m[rng.random((n, n)) < 0.1] = 1e-12
             m[rng.random((n, n)) >= density] = 0.0
             u = SpaceOperator(space=space, mat=m)
-            got, want = propagation(u, tol), propagation_oracle(u, tol)
-            assert got == want and type(got) is type(want), (kind, tol, seed, density)
+            want = propagation_oracle(u, tol)
+            for R in space.radii():
+                kept = propagation_oracle(band_truncate(u, R), tol)
+                assert (kept == want) == (R >= want), (kind, tol, seed, density, R)
 
 
 class TestRectangles:
@@ -361,16 +344,9 @@ class TestRectangles:
         u = SpaceOperator(space=sp, mat=np.outer(v, v.conj()))
         A = np.array([0, 2, 4])
         B = np.array([5, 6, 9])
-        w = rect_norm(u, A, B)
         expected = np.linalg.norm(v[A]) * np.linalg.norm(v[B])
-        assert w.value == pytest.approx(expected, abs=1e-9)
-        assert w.separation == 1
-
-    def test_empty_rectangle(self):
-        sp = interval_space(4)
-        u = random_operator(np.random.default_rng(0), sp)
-        with pytest.raises(EmptySubset):
-            rect_norm(u, [], [1])
+        assert operator_norm(u.mat[np.ix_(A, B)]) == pytest.approx(expected, abs=1e-9)
+        assert sp.set_distance(A, B) == 1
 
     def test_band_mask_symmetry(self):
         sp = interval_space(7)
@@ -437,9 +413,9 @@ class TestEpsPropagation:
         u = random_operator(rng, sp)
         res = eps_propagation_radius(u, 0.5)
         if res.witness is not None:
-            w = rect_norm(u, np.array(res.witness.A), np.array(res.witness.B))
-            assert w.value > 0.5
-            assert w.separation == res.lower
+            A, B = np.array(res.witness.A), np.array(res.witness.B)
+            assert operator_norm(u.mat[np.ix_(A, B)]) > 0.5
+            assert sp.set_distance(A, B) == res.lower
 
 
 class TestBandDistance:
@@ -540,7 +516,11 @@ def reference_eps_propagation_exact(u, eps):
         if r_a > best_R:
             best_R = r_a
             if lo > 0:
-                witness = rect_norm(u, A, _worst_B(space, A, radii[lo - 1]))
+                B = _worst_B(space, A, radii[lo - 1])
+                witness = RectangleWitness(
+                    A=tuple(A.tolist()), B=tuple(B.tolist()),
+                    separation=space.set_distance(A, B), value=operator_norm(u.mat[np.ix_(A, B)]),
+                )
     return float(best_R), witness
 
 

@@ -93,6 +93,16 @@ class TestJsonableArrays:
         assert jsonable(np.array([1.5, math.nan, -math.inf])) == [1.5, "nan", "-inf"]
         assert jsonable(np.array(2.5)) == 2.5 and jsonable(np.array(True)) is True
 
+    def test_long_doubles_round_to_double(self):
+        # .item() of np.longdouble and np.clongdouble returns the same type
+        assert typed(jsonable(np.longdouble(0.1))) == typed(0.1)
+        assert jsonable([np.longdouble(math.inf), -np.longdouble(math.inf), np.longdouble(math.nan)]) == [
+            "inf", "-inf", "nan"]
+        rows = np.array([[0.25, math.inf], [-math.inf, math.nan]], dtype=np.longdouble)
+        assert typed(jsonable(rows)) == typed([[0.25, "inf"], ["-inf", "nan"]])
+        assert jsonable(np.clongdouble(1 + 2j)) == "(1+2j)"
+        assert jsonable(np.array([1j, math.inf], dtype=np.clongdouble)) == ["1j", "(inf+0j)"]
+
 
 _array_leaves = st.builds(
     _array, st.sampled_from(_DTYPES), st.sampled_from(_SHAPES), st.integers(0, 2 ** 32 - 1).map(np.random.default_rng)

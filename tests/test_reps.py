@@ -47,7 +47,7 @@ def projection_kron_loop(rep):
     n, order = rep.dim, rep.group.order
     P = np.zeros((n * n, n * n), dtype=np.complex128)
     for g in range(order):
-        m = rep.matrix(g)
+        m = rep.matrices([g])[0]
         P += np.kron(m, m.conj())
     return P / order
 
@@ -68,12 +68,12 @@ def certificate_devs_loop(rep, seed):
     eye = np.eye(rep.dim)
     unit_dev = 0.0
     for g in sample:
-        m = rep.matrix(g)
+        m = rep.matrices([g])[0]
         unit_dev = max(unit_dev, float(np.abs(m.conj().T @ m - eye).max()))
     hom_dev = 0.0
     for g, h in zip(rng.choice(order, k), rng.choice(order, k)):
-        lhs = rep.matrix(g) @ rep.matrix(h)
-        rhs = rep.matrix(int(rep.group.mult(int(g), int(h))))
+        lhs = rep.matrices([g])[0] @ rep.matrices([h])[0]
+        rhs = rep.matrices([int(rep.group.mult(int(g), int(h)))])[0]
         hom_dev = max(hom_dev, float(np.abs(lhs - rhs).max()))
     return unit_dev, hom_dev
 
@@ -143,7 +143,7 @@ class TestHeisenbergRep:
     def test_homomorphism_all_pairs_p3(self):
         rep = heisenberg_rep(3)
         g = rep.group
-        mats = [rep.matrix(i) for i in range(g.order)]
+        mats = rep.matrices(np.arange(g.order))
         for i in range(g.order):
             for j in range(g.order):
                 prod = mats[i] @ mats[j]
@@ -152,14 +152,14 @@ class TestHeisenbergRep:
     def test_shift_generator(self):
         rep = heisenberg_rep(5)
         g = rep.group.encode(1, 0, 0)
-        assert np.abs(rep.matrix(g) - np.roll(np.eye(5), 1, axis=0)).max() < 1e-12
+        assert np.abs(rep.matrices([g])[0] - np.roll(np.eye(5), 1, axis=0)).max() < 1e-12
 
     def test_average_image_matches_dense_sum(self):
         rep = heisenberg_rep(3)
         order = rep.group.order
         rng = np.random.default_rng(0)
         alpha = rng.standard_normal(order) + 1j * rng.standard_normal(order)
-        dense = sum(alpha[g] * rep.matrix(g) for g in range(order)) / order
+        dense = sum(alpha[g] * rep.matrices([g])[0] for g in range(order)) / order
         assert np.abs(rep.average_image(alpha) - dense).max() < 1e-10
 
     def test_band_residual_is_zero_or_one(self):
@@ -185,7 +185,7 @@ class TestMatrixStack:
         stack = rep.matrices(np.arange(rep.group.order))
         loop = np.array([heisenberg_matrix_loop(rep, g) for g in range(rep.group.order)])
         assert np.array_equal(stack, loop)
-        assert np.array_equal(rep.matrix(7), loop[7])
+        assert np.array_equal(rep.matrices([7])[0], loop[7])
 
     @pytest.mark.parametrize(
         "make",
@@ -351,7 +351,7 @@ class TestGapCertificate:
         eps = 0.0
         tensor = np.zeros((n * n, n * n), dtype=np.complex128)
         for g in range(order):
-            m = rep.matrix(g)
+            m = rep.matrices([g])[0]
             c = np.where(band, m, 0.0)
             eps = max(eps, float(np.linalg.norm(m - c, 2)))
             tensor += np.kron(c, m.conj()) / order
@@ -361,7 +361,7 @@ class TestGapCertificate:
         assert cert.pair_count == int(band.sum())
         sups = []
         for part in decompose_band(space, R).parts:
-            inside = [(y, x) for x, y in part.graph() if x < n and y < n]  # (row, col)
+            inside = [(y, x) for x, y in part.pairs.items() if x < n and y < n]  # (row, col)
             blocks = [tensor[j * n : (j + 1) * n, i * n : (i + 1) * n] for j, i in inside]
             sups.append(max((float(np.linalg.norm(b, 2)) for b in blocks), default=0.0))
         assert np.allclose(cert.per_translation_sup, sups, rtol=0, atol=1e-12)
