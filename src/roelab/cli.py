@@ -69,14 +69,16 @@ def _parse_group(spec: str) -> reps.UnitaryRep:
 
 def _band_contraction(space, R, seed):
     """A seeded contraction of band radius R: complex Gaussian entries (real
-    parts drawn first) on near(R), zero elsewhere, built in one n x n array
-    and normed once by SpaceOperator.normalised."""
+    parts drawn first, as n x n draws) on near(R), zero elsewhere, normed
+    once by SpaceOperator.normalised. Both draws go through one real buffer,
+    and only the band is copied into the zeroed complex array."""
     rng = np.random.default_rng(seed)
     n = space.n
-    m = np.empty((n, n), np.complex128)
-    m.real = rng.standard_normal((n, n))
-    m.imag = rng.standard_normal((n, n))
-    m[~space.near(R)] = 0
+    band = space.near(R)
+    m = np.zeros((n, n), np.complex128)
+    buf = rng.standard_normal((n, n))
+    np.copyto(m.real, buf, where=band)
+    np.copyto(m.imag, rng.standard_normal(out=buf), where=band)
     return SpaceOperator.normalised(space, m)
 
 

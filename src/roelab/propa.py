@@ -4,8 +4,10 @@ Rademacher-field diagnostics."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
@@ -31,6 +33,8 @@ ROW_TOL = 1e-12
 VARIATION_SLACK = 1e-9
 # rademacher_diagnostics takes its Lipschitz max over this many close pairs at a time
 LIP_PAIRS = 32
+# _overlaps gathers at most this many 64-bit support words at a time
+OVERLAP_WORDS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -44,12 +48,17 @@ class PropertyAKernel:
     S: float
     delta: float
     R: float
+    # the packed supports (see _uniform_supports) that the proof computed, or
+    # None if mu is not uniform on its supports
+    supports: np.ndarray | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        validate_kernel(self.space, self.mu, self.S, self.delta, self.R)
+        object.__setattr__(self, "supports", validate_kernel(self.space, self.mu, self.S, self.delta, self.R))
 
 
-def validate_kernel(space, mu, S, delta, R) -> None:
+def validate_kernel(space, mu, S, delta, R):
+    """Raise KernelInvalid unless mu is a kernel for (S, delta, R); returns
+    _uniform_supports(mu)."""
     mu = np.asarray(mu)
     n = space.n
     if mu.shape != (n, n):
@@ -63,8 +72,9 @@ def validate_kernel(space, mu, S, delta, R) -> None:
         raise KernelInvalid("kernel rows must sum to 1")
     if np.any((mu > 0) & ~space.near(S)):
         raise KernelInvalid(f"kernel support leaves the radius-{S} balls")
+    supports = _uniform_supports(mu)
     close_mask = space.near(R) & ~np.eye(n, dtype=bool)
-    for x in _rows_to_sum(mu, close_mask, delta):
+    for x in _rows_to_sum(supports, close_mask, delta):
         ys = np.flatnonzero(close_mask[x])
         if ys.size == 0:
             continue
@@ -74,25 +84,64 @@ def validate_kernel(space, mu, S, delta, R) -> None:
             raise KernelInvalid(
                 f"variation at pair ({x},{ys[worst]}) is not below delta={delta}"
             )
+    return supports
 
 
-def _rows_to_sum(mu, close_mask, delta):
-    """Rows x whose variations ||mu_x - mu_y||_1 over close y need summing.
-
-    All rows, unless every row of mu is uniform on its support. Then
-    ||mu_x - mu_y||_1 = 2 - 2 |supp x & supp y| / max(|supp x|, |supp y|),
-    with the overlap counts from one GEMM of the 0/1 supports (exact for
-    integers), and only rows whose worst close pair comes within
-    VARIATION_SLACK of delta are left, so a tie is decided by the sums.
-    """
+def _uniform_supports(mu):
+    """The supports of mu's rows as bit rows, little-endian in 64-bit words
+    (zero-padded to whole words), if every row is uniform on its support;
+    else None."""
     support = mu > 0
     if not np.all((mu == mu.max(axis=1, keepdims=True)) | ~support):
-        return range(mu.shape[0])
-    ind = support.astype(np.float64)
-    size = ind.sum(axis=1)
-    closed = 2.0 - 2.0 * (ind @ ind.T) / np.maximum(size[:, None], size[None, :])
-    worst = np.where(close_mask, closed, -np.inf).max(axis=1)
-    return np.flatnonzero(worst >= delta - VARIATION_SLACK)
+        return None
+    n, m = support.shape
+    words = np.zeros((n, -(-m // 64)), np.uint64)
+    words.view(np.uint8)[:, : -(-m // 8)] = np.packbits(support, axis=1, bitorder="little")
+    return words
+
+
+def _overlaps(words, x, y) -> np.ndarray:
+    """|supp x & supp y| for each pair (x[i], y[i]) of packed support rows,
+    counted exactly by np.bitwise_count, OVERLAP_WORDS words at a time."""
+    out = np.empty(len(x), np.int64)
+    step = max(1, OVERLAP_WORDS // words.shape[1])
+    for lo in range(0, len(x), step):
+        pair = slice(lo, lo + step)
+        out[pair] = np.bitwise_count(words[x[pair]] & words[y[pair]]).sum(axis=1)
+    return out
+
+
+def _rows_to_sum(supports, close_mask, delta):
+    """Rows x whose variations ||mu_x - mu_y||_1 over close y need summing.
+
+    All rows, unless every row of mu is uniform on its support, that is,
+    unless supports = _uniform_supports(mu) is not None. Then
+    ||mu_x - mu_y||_1 = 2 - 2 |supp x & supp y| / max(|supp x|, |supp y|),
+    and only rows with a close pair within VARIATION_SLACK of delta are
+    left, so a tie is decided by the sums. The overlap counts are exact
+    integers from the packed rows, taken only on close pairs of distinct
+    supports: rows are numbered by support through one sort of the packed
+    rows, and a pair of equal supports has variation exactly 0.
+    """
+    n = close_mask.shape[0]
+    if supports is None:
+        return range(n)
+    # one number per distinct support: a lexicographic sort of the packed rows
+    order = np.lexsort(supports.T)
+    ranked = supports[order]
+    fresh = np.ones(n, bool)
+    fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    ids = np.empty(n, np.intp)
+    ids[order] = np.cumsum(fresh)
+    threshold = delta - VARIATION_SLACK
+    # a close pair of equal supports, of variation 0, reaches only a threshold <= 0
+    kept = close_mask.any(axis=1) if threshold <= 0 else np.zeros(n, bool)
+    x, y = np.nonzero(close_mask & (ids[:, None] != ids[None, :]))
+    if x.size:
+        size = np.bitwise_count(supports).sum(axis=1, dtype=np.int64)
+        variation = 2.0 - 2.0 * _overlaps(supports, x, y) / np.maximum(size[x], size[y])
+        kept[x[variation >= threshold]] = True
+    return np.flatnonzero(kept)
 
 
 def _support_radius(R, delta) -> int:
@@ -125,10 +174,16 @@ def uniform_ball_kernel(space: FiniteMetricSpace, R, delta: float) -> PropertyAK
 @dataclass(frozen=True)
 class IsometryField:
     """Square roots f_z = nu_.(z)^(1/2) of a kernel, viewed as multiplication
-    operators; built only by isometry_field."""
+    operators; built only by isometry_field. The n x n array F of the roots
+    is built on first use: phi_nu works from the kernel's packed supports,
+    and only rademacher_diagnostics reads F."""
 
     kernel: PropertyAKernel
-    F: np.ndarray  # F[z, x] = nu_x(z)^(1/2)
+
+    @cached_property
+    def F(self) -> np.ndarray:
+        """F[z, x] = nu_x(z)^(1/2)."""
+        return np.sqrt(self.kernel.mu.T)
 
     @property
     def T(self) -> float:
@@ -142,10 +197,6 @@ class IsometryField:
     def delta(self) -> float:
         return self.kernel.delta
 
-    def gram(self) -> np.ndarray:
-        """k(x, y) = sum_z f_z(x) f_z(y); unit diagonal, psd, support within 2T."""
-        return self.F.T @ self.F
-
 
 def isometry_field(nu: PropertyAKernel) -> IsometryField:
     """The field F[z, x] = nu_x(z)^(1/2); nothing is re-checked, since the
@@ -155,7 +206,7 @@ def isometry_field(nu: PropertyAKernel) -> IsometryField:
     - for dist(x, y) <= R, ||F_x - F_y||^2 <= ||nu_x - nu_y||_1 < delta,
       since (sqrt a - sqrt b)^2 <= |a - b| for a, b >= 0, term by term.
     """
-    return IsometryField(kernel=nu, F=np.sqrt(nu.mu.T))
+    return IsometryField(kernel=nu)
 
 
 def kernel_chain(space: FiniteMetricSpace, R, delta: float) -> tuple:
@@ -166,15 +217,35 @@ def kernel_chain(space: FiniteMetricSpace, R, delta: float) -> tuple:
 
 
 def phi_nu(u: SpaceOperator, field: IsometryField) -> SpaceOperator:
-    """Schur multiplication by the field's Gram kernel: sum_z f_z u f_z.
+    """Schur multiplication by the field's Gram kernel k(x, y) = sum_z f_z(x) f_z(y),
+    that is, sum_z f_z u f_z.
 
-    Unital, hermiticity- and positivity-preserving. The output propagation is
-    at most 2T unmasked: beyond 2T each term f_z(x) f_z(y) of k(x, y) has an
-    exact zero factor and the other is finite, so k(x, y) is exactly 0.
+    The kernel must be uniform on its supports B_x = supp nu_x, as every
+    kernel uniform_ball_kernel builds is; any other raises KernelInvalid.
+    Then f_z(x) = 1_{B_x}(z) / sqrt|B_x|, and k has the closed form
+
+        k(x, y) = |B_x & B_y| / sqrt(|B_x| |B_y|),
+
+    taken on u's nonzero entries only, from exact integer overlap counts of
+    the packed supports. So:
+    - unital exactly: k(x, x) = |B_x| / sqrt(|B_x|^2) = 1.0, since the square
+      root of an exact square is exact; likewise k(x, y) = 1.0 wherever
+      B_x = B_y, so phi_nu(u) = u when every ball is the whole space;
+    - positive semidefinite, being the Gram matrix of the unit vectors
+      1_{B_x} / sqrt|B_x|; hence hermiticity- and positivity-preserving;
+    - propagation at most 2T unmasked: beyond 2T the balls of radius T are
+      disjoint, the count is 0 and k(x, y) is exactly 0.
     """
     if u.space.n != field.space.n:
         raise KernelInvalid("operator and field live on different spaces")
-    return SpaceOperator(space=u.space, mat=u.mat * field.gram())
+    words = field.kernel.supports
+    if words is None:
+        raise KernelInvalid("phi_nu takes a kernel that is uniform on its supports")
+    size = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+    x, y = np.nonzero(u.mat != 0)
+    out = np.zeros_like(u.mat)
+    out[x, y] = u.mat[x, y] * (_overlaps(words, x, y) / np.sqrt(size[x] * size[y]))
+    return SpaceOperator(space=u.space, mat=out)
 
 
 def _validate_eps_propagation(u: SpaceOperator, eps: float, R, seed: int = 0) -> str:
@@ -235,7 +306,9 @@ def sz_approximate(u: SpaceOperator, eps: float, R, seed: int = 0) -> tuple:
     approximation. The report flags that case as support_covers_space. A
     bound of at least 2 says nothing either: Schur multiplication by the
     unit-diagonal PSD Gram kernel is a contraction, so ||u - phi_nu(u)|| <= 2
-    for every contraction u. `vacuous` flags either case.
+    for every contraction u. `vacuous` flags either case. When every T-ball
+    is the whole space, every Gram entry is exactly 1.0, phi_nu(u) = u, and
+    the error is exactly 0.0.
 
     The contraction check compares the value of u.norm(): the pair that
     SpaceOperator.normalised carried, else a fresh operator_norm.

@@ -196,3 +196,28 @@ def reference_eps_prop_heuristic(u, eps, seed, budget):
                     A=tuple(A.tolist()), B=tuple(B.tolist()), separation=sep, value=value
                 )
     return lower, float(radii[lo]), witness
+
+
+# ---------------------------------------------------------------- kernel closed forms by GEMM
+
+
+def reference_rows_to_sum(mu, close_mask, delta):
+    """The rows propa._rows_to_sum leaves, by the GEMM closed form it replaced:
+    every row unless each row of mu is uniform on its support; then the rows
+    whose worst close pair has 2 - 2 |supp x & supp y| / max(|supp x|, |supp y|)
+    within 1e-9 of delta, with the overlaps from one float GEMM of the 0/1
+    supports."""
+    support = mu > 0
+    if not np.all((mu == mu.max(axis=1, keepdims=True)) | ~support):
+        return range(mu.shape[0])
+    ind = support.astype(np.float64)
+    size = ind.sum(axis=1)
+    closed = 2.0 - 2.0 * (ind @ ind.T) / np.maximum(size[:, None], size[None, :])
+    worst = np.where(close_mask, closed, -np.inf).max(axis=1)
+    return np.flatnonzero(worst >= delta - 1e-9)
+
+
+def reference_gram(field):
+    """The Gram kernel k(x, y) = sum_z f_z(x) f_z(y) of an isometry field, as
+    the GEMM F^T F of its dense roots."""
+    return field.F.T @ field.F

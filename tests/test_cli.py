@@ -437,7 +437,7 @@ class TestBandContraction:
         assert value <= 1 + 1e-9
         assert fresh - fresh_err <= value + err and value - err <= fresh + fresh_err
 
-    @pytest.mark.parametrize("N, eps, R, seed", [(200, "1e-2", 1, 0), (300, "1e-4", 3, 1)])
+    @pytest.mark.parametrize("N, eps, R, seed", [(200, "1e-2", 1, 0), (300, "1e-4", 3, 1), (600, "1e-2", 1, 0)])
     def test_sz_runs_three_lanczos_norms(self, N, eps, R, seed, monkeypatch):
         assert N > DENSE_NORM_MAX
         nonzero = []
@@ -449,14 +449,36 @@ class TestBandContraction:
 
         monkeypatch.setattr(operators, "_gkl_top", counted)
         report, code = run(["propa", "sz", "--N", str(N), "--eps", eps, "-R", str(R), "--seed", str(seed)])
+        # where every T-ball is the whole interval (T = 400 and 120000 here, but
+        # not T = 400 at N = 600), phi_nu(u) = u and the error matrix is all zero
+        error_normed = report["results"]["T"] < N - 1
+        assert error_normed is (N == 600)
         # normalising the contraction, its all-zero truncation tail, the error
-        assert code == 0 and nonzero == [True, False, True]
+        assert code == 0 and nonzero == [True, False, error_normed]
+        assert (report["results"]["error"] == 0.0) is not error_normed
         monkeypatch.undo()
         space = interval_space(N)
         plain = SpaceOperator(space, _band_contraction(space, R, seed).mat.copy())
         assert plain._norm is None
         _, _, expected = sz_approximate(plain, float(eps), float(R), seed=seed)
         assert results_bytes(report["results"]) == results_bytes(expected)
+
+    @pytest.mark.parametrize(
+        "spec, R, seed",
+        [("interval:200", 1, 0), ("interval:300", 3, 1), ("interval:600", 2, 2), ("torus:50", 2, 3),
+         ("regular:64:4:1", 1, 1)],
+    )
+    def test_band_drawn_from_the_full_draws(self, spec, R, seed):
+        # the contraction masks the real and then the imaginary n x n draw
+        space = _parse_space(spec)
+        rng = np.random.default_rng(seed)
+        m = np.empty((space.n, space.n), np.complex128)
+        m.real = rng.standard_normal((space.n, space.n))
+        m.imag = rng.standard_normal((space.n, space.n))
+        m[~space.near(R)] = 0
+        expected = SpaceOperator.normalised(space, m)
+        u = _band_contraction(space, R, seed)
+        assert np.array_equal(u.mat, expected.mat) and u.norm() == expected.norm()
 
 
 class TestCommandPaths:

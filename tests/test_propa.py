@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import propagation_oracle, random_connected_graph_space, random_operator
+from conftest import (
+    propagation_oracle,
+    random_connected_graph_space,
+    random_operator,
+    reference_gram,
+    reference_rows_to_sum,
+)
 from roelab.errors import (
     HypothesisViolated,
     KernelInvalid,
@@ -23,7 +29,7 @@ from roelab.operators import (
     operator_norm,
 )
 from roelab.reps import gap_certificate, heisenberg_rep
-from roelab.spaces import far_points, interval_space, torus_space
+from roelab.spaces import far_points, interval_space, random_regular, torus_space
 from roelab import propa
 from roelab.propa import (
     PropertyAKernel,
@@ -222,10 +228,10 @@ class TestValidateKernel:
         space = interval_space(100)
         nu = uniform_ball_kernel(space, R=2, delta=0.5)
         close = (space.dist <= 2) & ~np.eye(100, dtype=bool)
-        assert len(propa._rows_to_sum(nu.mu, close, 0.5)) == 0
+        assert len(propa._rows_to_sum(nu.supports, close, 0.5)) == 0
         # a tie at the worst pair sends exactly the rows that reach it
         worst = _max_variation(space, nu.mu, 2)
-        rows = propa._rows_to_sum(nu.mu, close, worst)
+        rows = propa._rows_to_sum(nu.supports, close, worst)
         assert 0 < len(rows) < 100
 
     def test_non_uniform_rows_are_all_summed(self):
@@ -235,7 +241,8 @@ class TestValidateKernel:
         mu[0, 0] += 0.1  # row 0 stays stochastic but is no longer uniform
         mu[0, 1] -= 0.1
         close = (space.dist <= 1) & ~np.eye(30, dtype=bool)
-        assert list(propa._rows_to_sum(mu, close, 0.5)) == list(range(30))
+        assert propa._uniform_supports(mu) is None
+        assert list(propa._rows_to_sum(None, close, 0.5)) == list(range(30))
 
 
 def random_valid_kernel(seed) -> PropertyAKernel:
@@ -253,9 +260,9 @@ def random_valid_kernel(seed) -> PropertyAKernel:
     w = (space.dist <= S) * rng.uniform(0.5, 1.5, size=space.dist.shape)
     mu = w / w.sum(axis=1, keepdims=True)
     delta = max(_max_variation(space, mu, R), 0.0) + 1e-3
-    close = (space.dist <= R) & ~np.eye(space.n, dtype=bool)
-    assert list(propa._rows_to_sum(mu, close, delta)) == list(range(space.n))
-    return PropertyAKernel(space=space, mu=mu, S=S, delta=delta, R=R)
+    kernel = PropertyAKernel(space=space, mu=mu, S=S, delta=delta, R=R)
+    assert kernel.supports is None
+    return kernel
 
 
 class TestIsometryField:
@@ -278,11 +285,13 @@ class TestIsometryField:
         assert np.abs((field.F ** 2).sum(axis=0) - 1.0).max() < 1e-12
 
     def test_gram_psd_unit_diagonal(self):
+        # phi_nu of the all-ones operator is the Gram kernel on every pair
         sp = torus_space(24)
         field = isometry_field(uniform_ball_kernel(sp, R=1, delta=0.5))
-        g = field.gram()
-        assert np.abs(np.diag(g) - 1.0).max() < 1e-12
-        assert np.linalg.eigvalsh(g).min() > -1e-9
+        g = phi_nu(SpaceOperator(space=sp, mat=np.ones((24, 24))), field).mat
+        assert np.all(np.diag(g) == 1.0)
+        assert np.all(g.imag == 0) and np.array_equal(g, g.T)
+        assert np.linalg.eigvalsh(g.real).min() > -1e-9
 
     def test_quadratic_variation_below_delta(self):
         sp = interval_space(40)
@@ -291,6 +300,75 @@ class TestIsometryField:
         close = np.argwhere((sp.dist <= 2) & (sp.dist > 0))
         for x, y in close:
             assert ((field.F[:, x] - field.F[:, y]) ** 2).sum() < 0.3
+
+
+def seeded_space(seed):
+    """An interval, a torus or a random 4-regular graph of a seeded size."""
+    rng = np.random.default_rng(seed)
+    N = 2 * int(rng.integers(5, 60))
+    kind = seed % 3
+    if kind == 2:
+        return random_regular(N, 4, seed)
+    return interval_space(N) if kind == 0 else torus_space(N)
+
+
+class TestPackedOverlaps:
+    """The packed overlap counts against the GEMM closed forms they replaced."""
+
+    @pytest.mark.parametrize("seed", range(18))
+    def test_rows_match_the_gemm_closed_form(self, seed):
+        rng = np.random.default_rng(seed)
+        space = seeded_space(seed)
+        S = int(rng.integers(0, int(space.diameter) + 2))
+        R = (0.5, 1, 2, 3)[seed % 4]
+        within = space.near(S)
+        mu = within / within.sum(axis=1, keepdims=True)
+        close = space.near(R) & ~np.eye(space.n, dtype=bool)
+        supports = propa._uniform_supports(mu)
+        worst = max(_max_variation(space, mu, R), 0.0)
+        for delta in (worst, np.nextafter(worst, np.inf), np.nextafter(worst, -np.inf),
+                      worst + 1e-10, worst - 1e-10, 1e-3, 0.3, 2.5):
+            assert list(propa._rows_to_sum(supports, close, delta)) == list(
+                reference_rows_to_sum(mu, close, delta)
+            )
+
+    @pytest.mark.parametrize("R, S", [(1, 20), (2, 40), (3, 7)])
+    def test_interval_300_rows(self, R, S):
+        space = interval_space(300)
+        within = space.near(S)
+        mu = within / within.sum(axis=1, keepdims=True)
+        close = space.near(R) & ~np.eye(300, dtype=bool)
+        supports = propa._uniform_supports(mu)
+        counts = set()
+        for delta in (0.02, 0.0476, 0.05, 0.3):
+            rows = list(propa._rows_to_sum(supports, close, delta))
+            assert rows == list(reference_rows_to_sum(mu, close, delta))
+            counts.add(len(rows))
+        # the cases leave no row, some rows near the ends, or every row
+        assert counts == {(1, 20): {300, 40, 0}, (2, 40): {300, 80, 0}, (3, 7): {300}}[R, S]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_phi_nu_is_the_gram_schur_multiple(self, seed):
+        rng = np.random.default_rng(seed)
+        space = seeded_space(seed)
+        R = (1, 2)[seed % 2]
+        field = isometry_field(uniform_ball_kernel(space, R, (0.3, 0.6, 1.2, 2.5)[seed % 4]))
+        gram = reference_gram(field)
+        k = phi_nu(SpaceOperator(space=space, mat=np.ones((space.n, space.n))), field).mat
+        assert np.all(np.diag(k) == 1.0)
+        assert np.abs(k - gram).max() <= 1e-12
+        u = random_operator(rng, space, R=(None, 2 * field.T)[seed % 2])
+        out = phi_nu(u, field).mat
+        support = u.mat != 0
+        assert np.all(out[~support] == 0)
+        assert np.abs(out - u.mat * gram)[support].max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_phi_nu_rejects_a_kernel_not_uniform_on_its_supports(self, seed):
+        nu = random_valid_kernel(seed)
+        u = SpaceOperator(space=nu.space, mat=np.eye(nu.space.n))
+        with pytest.raises(KernelInvalid, match="uniform on its supports"):
+            phi_nu(u, isometry_field(nu))
 
 
 class TestPhiNu:
