@@ -59,6 +59,9 @@ class PropertyAKernel:
 def validate_kernel(space, mu, S, delta, R):
     """Raise KernelInvalid unless mu is a kernel for (S, delta, R); returns
     _uniform_supports(mu)."""
+    # a NaN delta would pass the variation test below, which compares >= delta
+    if not delta > 0:
+        raise KernelInvalid("delta must be positive")
     mu = np.asarray(mu)
     n = space.n
     if mu.shape != (n, n):

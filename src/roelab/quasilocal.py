@@ -182,7 +182,9 @@ class QuasiLocalAssembly:
         and member i's block is (L_i R_i^*) o (dist_i > R), masked by the
         member's near(R), so the tail is the max over members of value + err
         of operator_norm of that d_i x d_i block (LAPACK up to DENSE_NORM_MAX
-        points)."""
+        points). For a projection assembly L_i = R_i = V_i, and the block
+        (V_i V_i^T) o (dist_i > R) is real symmetric, so operator_norm takes
+        the symmetric eigensolver for it."""
         return max(
             sum(operator_norm(np.where(member.near(R), 0.0, L @ Rf.conj().T), with_err=True))
             for member, L, Rf in zip(self.family.members, self.left, self.right)

@@ -71,6 +71,51 @@ class TestOperatorNorm:
                 m = m + 1j * rng.standard_normal((p, q))
             assert operator_norm(m) == np.linalg.svd(m, compute_uv=False)[0]
 
+    @staticmethod
+    def _hermitian(rng, n, complex_):
+        x = rng.standard_normal((n, n))
+        if complex_:
+            x = x + 1j * rng.standard_normal((n, n))
+        return (x + x.conj().T) / 2
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_hermitian_value_within_backward_error_of_svd(self, monkeypatch, complex_):
+        calls = []
+        hermitian = ops._hermitian_norm
+        monkeypatch.setattr(ops, "_hermitian_norm", lambda m: calls.append(len(m)) or hermitian(m))
+        rng = np.random.default_rng(6)
+        sizes = range(1, ops.DENSE_NORM_MAX + 1)
+        for n in sizes:
+            m = self._hermitian(rng, n, complex_)
+            value, err = operator_norm(m, with_err=True)
+            oracle = np.linalg.svd(m, compute_uv=False)[0]
+            assert abs(value - oracle) <= n * np.finfo(float).eps * value
+            assert value + err >= oracle
+        assert calls == list(sizes)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_one_off_symmetric_entry_takes_the_svd(self, monkeypatch, complex_):
+        monkeypatch.setattr(ops, "_hermitian_norm", None)  # not called
+        rng = np.random.default_rng(7)
+        for n in (2, 3, 17, ops.DENSE_NORM_MAX):
+            m = self._hermitian(rng, n, complex_)
+            i, j = rng.choice(n, size=2, replace=False)
+            m[i, j] *= 1 + 2.0**-40
+            assert not np.array_equal(m, m.conj().T)
+            assert operator_norm(m) == np.linalg.svd(m, compute_uv=False)[0]
+
+    def test_zero_hermitian(self):
+        for dtype in (np.float64, np.complex128):
+            value, err = operator_norm(np.zeros((5, 5), dtype), with_err=True)
+            assert (value, err) == (0.0, 0.0)
+            assert math.copysign(1.0, value) == 1.0
+
+    def test_nan_hermitian_raises_as_the_svd_does(self):
+        # NaN != NaN, so a NaN input is never taken for Hermitian
+        for m in (np.full((3, 3), np.nan), np.diag([1.0, np.nan, 1.0])):
+            with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+                operator_norm(m)
+
 
 def _svd_top(m):
     dense = m.toarray() if hasattr(m, "toarray") else m
@@ -1247,3 +1292,48 @@ def test_random_searches_on_float_metric():
     b, res = _assert_random_searches_match_reference(u, 1.7, 0.3, 200, 5)
     assert b.witness is not None and res.witness is not None
     assert isinstance(res.witness.separation, np.floating)
+
+
+def reference_random_rectangles(u, radii, seeds):
+    """_random_rectangles with the dedupe by np.unique over the packed rows."""
+    A, B, kept = ops._close_rectangles(u.space, radii, seeds)
+    A, B = A[kept], B[kept]
+    keys = np.packbits(np.concatenate([A, B], axis=1), axis=1)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return A, B, u.rect_norms(A[first], B[first])[inverse.reshape(-1)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ql", "witness", "--members", "16,32,64,128", "--seed", "2", "-R", "2"],
+        ["ql", "profile", "--members", "16,32,64,128", "--seed", "0"],
+        ["oper", "band-dist", "--space", "regular:30:3:1", "-R", "1", "--seed", "3"],
+    ],
+)
+def test_rectangle_dedupe_equals_unique_rows(monkeypatch, capsys, argv):
+    """Every dedupe of a seeded search gives np.unique(axis=0)'s first and
+    inverse, and every search its (A, B, norms), bit for bit."""
+    from roelab.cli import main
+
+    distinct, search, seen = ops._distinct_rows, ops._random_rectangles, []
+
+    def checked_distinct(A, B):
+        first, inverse = distinct(A, B)
+        keys = np.packbits(np.concatenate([A, B], axis=1), axis=1)
+        _, ref_first, ref_inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        assert np.array_equal(first, ref_first) and np.array_equal(inverse, ref_inverse.reshape(-1))
+        seen.append(len(first) < len(A))
+        return first, inverse
+
+    def checked_search(u, radii, seeds):
+        out = search(u, radii, seeds)
+        for got, ref in zip(out, reference_random_rectangles(u, radii, seeds)):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        return out
+
+    monkeypatch.setattr(ops, "_distinct_rows", checked_distinct)
+    monkeypatch.setattr(ops, "_random_rectangles", checked_search)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert any(seen)  # some search drew a rectangle twice

@@ -121,10 +121,23 @@ class TestKernels:
         with pytest.raises(KernelInvalid, match="finite"):
             PropertyAKernel(space=nu.space, mu=mu, S=nu.S, delta=nu.delta, R=nu.R)
 
+    @pytest.mark.parametrize(
+        "space,delta",
+        # the identity kernel has variation 2 at every close pair of the
+        # interval, yet no variation compares >= NaN; far_points(4) has no
+        # close pair at R = 1, so no variation is compared at all
+        [(interval_space(10), math.nan), (far_points(4), -1.0), (far_points(4), 0.0)],
+    )
+    def test_delta_not_positive_rejected(self, space, delta):
+        with pytest.raises(KernelInvalid, match="delta must be positive"):
+            PropertyAKernel(space=space, mu=np.eye(space.n), S=0, delta=delta, R=1)
+
 
 def reference_validate_kernel(space, mu, S, delta, R) -> None:
     """Per-row variation sums over every row: validate_kernel before the
-    closed form, kept as the oracle."""
+    closed form, kept as the oracle, with its delta > 0 precondition."""
+    if not delta > 0:
+        raise KernelInvalid("delta must be positive")
     mu = np.asarray(mu)
     n = space.n
     if mu.shape != (n, n):

@@ -465,6 +465,22 @@ class TestFactoredHooksEqualDenseDefaults:
                 small_assembly.tail_bound(R)
 
 
+@pytest.mark.parametrize("seed", [0, 2])
+def test_projection_tails_take_the_hermitian_route(monkeypatch, seed):
+    """Every member block a projection assembly's tail_bound norms, (V V^T) o
+    (dist > R), is exactly symmetric, so none of them falls back to the SVD."""
+    family = regular_family([16, 32, 64, 128], degree=4, seed=seed)
+    subs, _ = select_subspaces(family, c0=3.0, seed=seed)
+    u = assemble(family, subs, c0=3.0)
+    sizes, hermitian = [], operators._hermitian_norm
+    monkeypatch.setattr(operators, "_hermitian_norm", lambda m: sizes.append(len(m)) or hermitian(m))
+    monkeypatch.setattr(operators, "_sigma_max", None)  # not called
+    for R in range(int(max(m.diameter for m in family.members)) + 1):
+        sizes.clear()
+        u.tail_bound(R)
+        assert sizes == [16, 32, 64, 128]
+
+
 def test_projection_invariants_equal_dense_formulas(any_assembly):
     """The per-member invariants against the dense formulas on the ambient
     matrix the factors make, within 1e-12."""
