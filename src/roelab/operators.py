@@ -29,20 +29,19 @@ CLOSE_BLOCK = 64
 BOUND_SLACK = 1e-9
 
 # operator_norm: LAPACK when the smaller side is at most DENSE_NORM_MAX,
-# Golub-Kahan-Lanczos above it. Both cost about 2.5 ms (main-thread CPU, 2-vCPU
-# x86 VM, OpenBLAS) on complex 128 x 128 band and dense matrices. A square
-# input equal to its adjoint takes the symmetric eigensolver instead of the
-# SVD: 0.6 ms against 2.1 ms on a real symmetric 128 x 128 matrix. The Lanczos
-# products gather over the nonzero entries, at O(nnz) each; each step runs one
-# Gram-Schmidt pass, and a second only when the first cancels more than
-# 1/sqrt(2) of the norm; Ritz checks come every max(1, k // 4) steps.
+# Lanczos on the Gram above it. On complex 128 x 128 matrices (main-thread CPU,
+# 2-vCPU x86 VM, OpenBLAS, median of 150) LAPACK takes 4.2 ms dense and 1.8 ms
+# on a radius-1 band, the Lanczos 6.0 and 1.5 ms (6.8 and 2.1 ms as
+# Golub-Kahan). An exactly Hermitian input takes eigvalsh, not the SVD: 0.7
+# against 2.5 ms on a real symmetric 128 x 128 matrix.
 DENSE_NORM_MAX = 128
-_GKL_TOL = 1e-12
-_GKL_MAXITER = 500
+_LANCZOS_TOL = 1e-12
+_LANCZOS_MAXITER = 500
 
 
 def operator_norm(mat, *, with_err: bool = False):
-    """Largest singular value of a dense array or a scipy sparse matrix.
+    """Largest singular value of a dense array, a scipy sparse matrix or an
+    Entries list, computed in float64 or complex128 whatever the input dtype.
 
     If the smaller side is at most DENSE_NORM_MAX, LAPACK gives the value,
     and err is its backward-error bound max(p, q) * eps_mach * value. A
@@ -51,22 +50,9 @@ def operator_norm(mat, *, with_err: bool = False):
     stable, and by Weyl each computed eigenvalue lies within the backward
     error of an exact one, so the same err holds. Any other matrix, a
     non-finite one included (NaN fails the equality), takes the SVD.
-    Otherwise Golub-Kahan-Lanczos bidiagonalisation runs from a fixed seeded
-    start vector, using only products with mat and its adjoint (the Gram
-    matrix is never formed). One scan finds the nonzero entries: none gives
-    (0.0, 0.0) at once; otherwise each product is a gather, a multiply and a
-    segmented sum over those entries (a scipy sparse matrix enters through
-    its COO entries). Each new basis vector is reorthogonalised by one
-    classical Gram-Schmidt pass, and by a second only when the first removed
-    more than 1/sqrt(2) of its norm ("twice is enough"). At steps spaced by a
-    quarter of the step count, and whenever the basis stalls, the iteration
-    stops once the top Ritz residual beta_k |e_k^T x| (x the top left
-    singular vector of the k x k bidiagonal B_k) is at most 1e-12 times the
-    Ritz value theta = sigma_max(B_k). Then theta is a lower estimate of the
-    norm and err is that residual: some singular value lies within err of
-    theta, so theta + err is the upper estimate. An iteration that has not
-    converged after _GKL_MAXITER steps is not reported: the dense LAPACK
-    value is returned instead.
+    Otherwise _lanczos_top gives the value, a lower estimate, and err, value
+    + err the upper one, from products over the nonzero entries alone (none
+    gives (0.0, 0.0)); unconverged after _LANCZOS_MAXITER steps, LAPACK's.
 
     Returns the value, or (value, err) with with_err=True.
     """
@@ -75,42 +61,49 @@ def operator_norm(mat, *, with_err: bool = False):
 
 
 def _norm_with_err(mat) -> tuple:
-    sparse = hasattr(mat, "tocoo")
-    m = mat if sparse else np.atleast_2d(np.asarray(mat))
-    if 0 in m.shape:
+    if not isinstance(mat, Entries):
+        mat = mat if hasattr(mat, "tocoo") else np.atleast_2d(np.asarray(mat))
+        # LAPACK norms a float32 matrix in single precision, far above err
+        mat = mat.astype(np.result_type(mat.dtype, np.float64), copy=False)
+    if 0 in mat.shape:
         return 0.0, 0.0
-    if min(m.shape) > DENSE_NORM_MAX:
-        found = _gkl_top(m)
+    if min(mat.shape) > DENSE_NORM_MAX:
+        found = _lanczos_top(mat if isinstance(mat, Entries) else Entries.of(mat))
         if found is not None:
             return found
-    dense = m.toarray() if sparse else m
-    if dense.shape[0] == dense.shape[1] and np.array_equal(dense, dense.conj().T):
-        value = _hermitian_norm(dense)
-    else:
-        value = _sigma_max(dense)
-    return value, max(m.shape) * np.finfo(float).eps * value
+    dense = mat.toarray() if hasattr(mat, "toarray") else mat
+    hermitian = dense.shape[0] == dense.shape[1] and np.array_equal(dense, dense.conj().T)
+    value = _hermitian_norm(dense) if hermitian else _sigma_max(dense)
+    return value, max(mat.shape) * np.finfo(float).eps * value
 
 
-def _products(m):
-    """(x -> m x, y -> m* y), or None when m has no nonzero entry."""
-    if hasattr(m, "tocoo"):
-        coo = m.tocoo()
-        live = coo.data != 0
-        rows, cols, vals = coo.row[live], coo.col[live], coo.data[live]
-        # row-major like the dense scan, so that a sparse matrix and its dense
-        # twin sum each product in the same order
-        order = np.argsort(rows, kind="stable")
-        rows, cols, vals = rows[order], cols[order], vals[order]
-    else:
+@dataclass(frozen=True)
+class Entries:
+    """A p x q matrix as its nonzero entries in row-major order, vals[j] (float64
+    or complex128) at (rows[j], cols[j]) and 0 elsewhere; operator_norm takes one."""
+
+    shape: tuple
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @classmethod
+    def of(cls, m) -> "Entries":
+        """The nonzero entries of a dense array or a scipy sparse matrix."""
+        if hasattr(m, "tocoo"):
+            # in CSR order, row-major like the dense scan, so that a sparse
+            # matrix and its dense twin sum each product in the same order
+            coo = m.tocsr().tocoo()
+            live = coo.data != 0
+            return cls(m.shape, coo.row[live], coo.col[live], coo.data[live])
         # scanned as booleans: np.flatnonzero of a complex array is 2.6x slower
         rows, cols = np.divmod(np.flatnonzero(m != 0), m.shape[1])
-        vals = m[rows, cols]
-    if vals.size == 0:
-        return None
-    by_col = np.argsort(cols, kind="stable")
-    forward = _gathered(rows, cols, vals, m.shape[0])
-    adjoint = _gathered(cols[by_col], rows[by_col], vals[by_col].conj(), m.shape[1])
-    return forward, adjoint
+        return cls(m.shape, rows, cols, m[rows, cols])
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, self.vals.dtype)
+        out[self.rows, self.cols] = self.vals
+        return out
 
 
 def _gathered(out, inp, vals, size):
@@ -139,55 +132,58 @@ def _orthogonalise(w: np.ndarray, Q: np.ndarray) -> float:
     return after
 
 
-def _gkl_top(m):
-    """(theta, residual) of Golub-Kahan-Lanczos once converged; None at the cap."""
-    products = _products(m)
-    if products is None:
-        return 0.0, 0.0
-    apply, adjoint = products
-    p, q = m.shape
-    if p < q:  # start on the smaller side, which fills first
-        apply, adjoint, p, q = adjoint, apply, q, p
-    dtype = np.result_type(m.dtype, np.float64)
+def _lanczos_top(e: Entries):
+    """Hermitian Lanczos on the Gram G of e's smaller side (A* A or A A*, never
+    formed) from a fixed seeded start: one basis, one _orthogonalise per step.
+    At steps spaced by a quarter of the step count, and whenever the basis
+    stalls, it stops once the top Ritz residual r = beta_k |s_k| (theta the top
+    eigenvalue of the tridiagonal T_k, s its unit eigenvector) is at most
+    1e-12 theta, and returns (sqrt(theta), r / sqrt(theta)): the Ritz vector y
+    has ||G y - theta y|| = r, so some eigenvalue lambda = sigma^2 of the
+    Hermitian G lies within r of theta, and |sigma - sqrt(theta)| =
+    |lambda - theta| / (sigma + sqrt(theta)) <= r / sqrt(theta); theta <= ||A||^2,
+    a Rayleigh quotient. None at the cap or for a non-finite entry."""
+    top = np.abs(e.vals).max(initial=0.0)
+    if top == 0 or not np.isfinite(top):
+        return (0.0, 0.0) if top == 0 else None
+    # G of e / scale, exactly, with its largest entry in [1, 2): no overflow or underflow
+    scale = math.ldexp(1.0, int(np.frexp(top)[1]) - 1)
+    vals = e.vals / scale
+    by_col = np.argsort(e.cols, kind="stable")
+    forward = _gathered(e.rows, e.cols, vals, e.shape[0])
+    adjoint = _gathered(e.cols[by_col], e.rows[by_col], vals[by_col].conj(), e.shape[1])
+    if e.shape[0] < e.shape[1]:  # the Gram of the smaller side, which fills first
+        forward, adjoint = adjoint, forward
+    q = min(e.shape)
     rng = np.random.default_rng(0x5EED)
     v = rng.standard_normal(q)
-    if dtype.kind == "c":
+    if vals.dtype.kind == "c":
         v = v + 1j * rng.standard_normal(q)
-    # Krylov bases as rows, grown by doubling; B is upper bidiagonal with
-    # alpha on its diagonal and beta above it
-    cap = 16
-    U = np.empty((cap, p), dtype)
-    V = np.empty((cap, q), dtype)
+    # the Krylov basis as rows, grown by doubling; T_k = tridiag(beta, alpha, beta)
+    steps = min(_LANCZOS_MAXITER, q)
+    V = np.empty((16, q), v.dtype)
     V[0] = v / np.linalg.norm(v)
-    alpha = np.empty(cap)
-    beta = np.empty(cap)
+    alpha, beta = np.empty(steps), np.empty(steps)
     next_check = 1
-    for k in range(min(_GKL_MAXITER, p, q)):
-        if k + 1 == cap:
-            cap *= 2
-            U = np.concatenate([U, np.empty_like(U)])
+    for k in range(steps):
+        if k + 1 == len(V):
             V = np.concatenate([V, np.empty_like(V)])
-            alpha = np.concatenate([alpha, np.empty_like(alpha)])
-            beta = np.concatenate([beta, np.empty_like(beta)])
-        w = apply(V[k])
+        w = adjoint(forward(V[k]))
         if k:
-            w -= beta[k - 1] * U[k - 1]
-        alpha[k] = _orthogonalise(w, U[:k])
-        # alpha = 0: V[:k+1] maps into span(U[:k]), an invariant pair; the zero
-        # row makes r and so beta vanish, which ends the iteration below
-        U[k] = w / alpha[k] if alpha[k] > 0 else 0.0
-        r = adjoint(U[k]) - alpha[k] * V[k]
-        beta[k] = _orthogonalise(r, V[: k + 1])
+            w -= beta[k - 1] * V[k - 1]
+        alpha[k] = np.vdot(V[k], w).real
+        w -= alpha[k] * V[k]
+        beta[k] = _orthogonalise(w, V[: k + 1])
+        # beta = 0: span(V[:k+1]) is invariant under G, and every residual is 0
         if beta[k] > 0:
-            V[k + 1] = r / beta[k]
-        # checks at geometrically spaced steps, and whenever the basis stalls
-        if k + 1 >= next_check or beta[k] <= _GKL_TOL * alpha[: k + 1].max():
+            V[k + 1] = w / beta[k]
+        if k + 1 >= next_check or beta[k] <= _LANCZOS_TOL * alpha[: k + 1].max():
             next_check = k + 1 + max(1, (k + 1) // 4)
-            B = np.diag(alpha[: k + 1]) + np.diag(beta[:k], 1)
-            X, s, _ = np.linalg.svd(B)
-            residual = float(beta[k] * abs(X[-1, 0]))
-            if residual <= _GKL_TOL * s[0]:
-                return float(s[0]), residual
+            theta, s = np.linalg.eigh(np.diag(alpha[: k + 1]) + np.diag(beta[:k], -1))  # reads the lower half
+            residual = float(beta[k] * abs(s[-1, -1]))
+            if residual <= _LANCZOS_TOL * theta[-1]:
+                value = math.sqrt(theta[-1])
+                return value * scale, (residual / value if residual else 0.0) * scale
     return None
 
 
@@ -199,13 +195,9 @@ def _hermitian_norm(mat: np.ndarray) -> float:
 
 
 def _sigma_max(mat: np.ndarray) -> float:
-    """LAPACK largest singular value of one matrix: the scalar entry of
-    sigma_max_stack, and bit-identical to it.
-
-    Dense operator_norm values of matrices that are not exactly Hermitian
-    come from here; the rectangle searches batch their norms through
-    sigma_max_stack instead.
-    """
+    """LAPACK largest singular value of one matrix, bit-identical to
+    sigma_max_stack of it: the dense operator_norm of a matrix that is not
+    exactly Hermitian."""
     m = np.atleast_2d(mat)
     return float(sigma_max_stack(m[None])[0])
 
@@ -263,26 +255,33 @@ class SpaceOperator:
             raise ValueError("operator shape does not match the space")
         object.__setattr__(self, "mat", m)
 
+    @functools.cached_property
+    def entries(self) -> Entries:
+        """mat's nonzero entries, from one scan of the mat (never changed after)."""
+        return Entries.of(self.mat)
+
     @classmethod
     def normalised(cls, space: FiniteMetricSpace, mat) -> "SpaceOperator":
         """mat / ||mat||, carrying the (value, err) of its norm that the
         division proves; a complex128 mat is divided in place and becomes the
         operator's.
 
-        With (value, err) = operator_norm(mat, with_err=True), ||mat|| lies
-        in [value - err, value + err] (the Lanczos value is the lower end of
+        With (value, err) = operator_norm of the entries, ||mat|| lies in
+        [value - err, value + err] (the Lanczos value is the lower end of
         [value, value + err]), so ||mat / value|| lies within rel = err / value
         of 1. Each stored entry is mat[y, x] times a rounded 1 / value,
         rounded again, a relative change of at most eps_mach (1 + eps_mach);
         as ||A|| <= ||A||_F <= sqrt(n) ||A||, the stored matrix is within
         2 n eps_mach (1 + rel) of mat / value in norm. The carried pair is
         therefore (1.0, rel + 2 n eps_mach (1 + rel)). A zero (or non-finite)
-        mat is left undivided and carries operator_norm's own pair.
+        mat is left undivided and carries operator_norm's own pair. Entries
+        are regathered from the divided mat (one that underflows stays, as 0).
         """
         op = cls(space=space, mat=mat)
-        value, err = operator_norm(op.mat, with_err=True)
+        value, err = operator_norm(op.entries, with_err=True)
         if value > 0:
             np.divide(op.mat, value, out=op.mat)
+            op.entries.vals[:] = op.mat[op.entries.rows, op.entries.cols]
             rel = err / value
             value, err = 1.0, rel + 2 * space.n * np.finfo(float).eps * (1 + rel)
         object.__setattr__(op, "_norm", (value, err))
@@ -290,9 +289,7 @@ class SpaceOperator:
 
     def norm(self) -> tuple:
         """(value, err) of ||u||: the pair normalised carried, else operator_norm's."""
-        if self._norm is not None:
-            return self._norm
-        return operator_norm(self.mat, with_err=True)
+        return self._norm or operator_norm(self.entries, with_err=True)
 
     def to_json(self) -> dict:
         flat = self.mat.reshape(-1)
@@ -336,10 +333,13 @@ class SpaceOperator:
         return _rect_bounds(self.mat, rows, cols)
 
     def tail_bound(self, R) -> float:
-        """Upper estimate value + err of ||u - band_truncate(u, R)||, the truncation
-        tail, normed on one copy of u with its R-band zeroed."""
-        tail, err = operator_norm(np.where(self.space.near(R), 0.0, self.mat), with_err=True)
-        return tail + err
+        """Upper estimate value + err of the truncation tail ||u - band_truncate(u, R)||,
+        normed on u's entries outside near(R); exactly 0.0, with no norm, if none."""
+        e = self.entries
+        outside = ~self.space.near(R)[e.rows, e.cols]
+        if not outside.any():
+            return 0.0
+        return sum(operator_norm(Entries(e.shape, e.rows[outside], e.cols[outside], e.vals[outside]), with_err=True))
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,25 @@ class TestOperatorNorm:
             assert not np.array_equal(m, m.conj().T)
             assert operator_norm(m) == np.linalg.svd(m, compute_uv=False)[0]
 
+    def test_single_precision_is_normed_in_double(self):
+        # LAPACK normed float32 in single precision: 5.605551242828369, err
+        # 2.5e-15, with the exact 2 + sqrt(13) 3.3e-8 above
+        value, err = operator_norm(np.array([[1, 2], [2, -5]], np.float32), with_err=True)
+        assert abs(value - (2 + math.sqrt(13))) <= err
+        rng = np.random.default_rng(12)
+        for n in (5, ops.DENSE_NORM_MAX + 40):  # LAPACK and the Lanczos
+            m = rng.standard_normal((n, n + 3)) + 1j * rng.standard_normal((n, n + 3))
+            single = m.astype(np.complex64)
+            assert operator_norm(single, with_err=True) == operator_norm(single.astype(np.complex128), with_err=True)
+            assert operator_norm(single.real, with_err=True) == operator_norm(single.real.astype(float), with_err=True)
+
+    def test_single_precision_sparse_is_normed_in_double(self):
+        import scipy.sparse as sparse
+
+        for n in (20, ops.DENSE_NORM_MAX + 40):
+            m = sparse.random(n, n, density=0.1, random_state=n, format="csr", dtype=np.float32)
+            assert operator_norm(m, with_err=True) == operator_norm(m.astype(np.float64), with_err=True)
+
     def test_zero_hermitian(self):
         for dtype in (np.float64, np.complex128):
             value, err = operator_norm(np.zeros((5, 5), dtype), with_err=True)
@@ -142,7 +161,7 @@ def _band(rng, N, R, complex_=True):
 
 
 class TestOperatorNormLanczos:
-    """Sizes above DENSE_NORM_MAX, where Golub-Kahan-Lanczos runs."""
+    """Sizes above DENSE_NORM_MAX, where Lanczos on the Gram runs."""
 
     @pytest.mark.parametrize("N", [60, 200, 600])
     @pytest.mark.parametrize("R", [1, 3, None])
@@ -195,6 +214,17 @@ class TestOperatorNormLanczos:
         s[0], s[1] = 1.0, 1.0 - 1e-13
         _assert_norm(q1 @ np.diag(s) @ q2.T)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
+    def test_gram_neither_overflows_nor_underflows(self, scale):
+        # the squares in the Gram of these would leave the float64 range
+        _assert_norm(_band(np.random.default_rng(14), 300, 2) * scale)
+
+    def test_non_finite_entry_goes_to_lapack(self):
+        m = _band(np.random.default_rng(15), 300, 2)
+        m[7, 8] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            operator_norm(m)
+
     def test_orthogonalise_repeats_only_on_cancellation(self):
         rng = np.random.default_rng(11)
         Q = np.linalg.qr(rng.standard_normal((300, 20)) + 1j * rng.standard_normal((300, 20)))[0].T
@@ -210,11 +240,23 @@ class TestOperatorNormLanczos:
         assert norm == pytest.approx(1.0, rel=1e-6)
         assert np.abs(Q.conj() @ w).max() <= 1e-14 * norm
 
+    @pytest.mark.parametrize("shape", [(300, 300), (400, 150), (150, 400)])
+    def test_one_basis_one_orthogonalise_per_step(self, monkeypatch, shape):
+        # Lanczos on the Gram keeps one basis, on the smaller side, and
+        # orthogonalises against all of it once per step
+        bases = []
+        original = ops._orthogonalise
+        monkeypatch.setattr(ops, "_orthogonalise", lambda w, Q: bases.append(Q.shape) or original(w, Q))
+        rng = np.random.default_rng(shape[0])
+        _assert_norm(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        steps = len(bases) // 2  # with_err and plain call
+        assert steps > 1 and bases == [(k + 1, min(shape)) for k in range(steps)] * 2
+
     def test_cap_falls_back_to_lapack(self, monkeypatch):
         calls = []
         original = ops._sigma_max
         monkeypatch.setattr(ops, "_sigma_max", lambda m: calls.append(m.shape) or original(m))
-        monkeypatch.setattr(ops, "_GKL_MAXITER", 2)
+        monkeypatch.setattr(ops, "_LANCZOS_MAXITER", 2)
         m = _band(np.random.default_rng(10), 300, 3)
         value, err = _assert_norm(m)
         assert calls == [(300, 300)] * 2  # with_err and plain call
@@ -303,6 +345,32 @@ class TestGatheredProducts:
 
 
 class TestSpaceOperator:
+    def test_entries_are_the_nonzero_scan_of_the_final_mat(self):
+        rng = np.random.default_rng(13)
+        space = interval_space(200)
+        m = np.where(space.near(2), rng.standard_normal((200, 200)) + 1j * rng.standard_normal((200, 200)), 0.0)
+        u = SpaceOperator.normalised(space, m)
+        assert u.mat is m  # divided in place
+        e = u.entries
+        rows, cols = np.nonzero(u.mat)
+        assert np.array_equal(e.rows, rows) and np.array_equal(e.cols, cols)
+        assert e.vals.tobytes() == u.mat[rows, cols].tobytes()
+        assert np.array_equal(e.toarray(), u.mat)
+
+    @pytest.mark.parametrize("n", [12, 200])
+    def test_tail_bound_is_the_norm_of_the_zeroed_copy(self, monkeypatch, n):
+        rng = np.random.default_rng(n)
+        space = interval_space(n)
+        u = SpaceOperator(space, (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * 0.5 ** space.dist)
+        for R in (0, 1, 3, n - 2):
+            value, err = operator_norm(np.where(space.near(R), 0.0, u.mat), with_err=True)
+            assert u.tail_bound(R) == value + err
+        # no entry outside near(R): exactly 0.0, and no norm is taken
+        monkeypatch.setattr(ops, "_norm_with_err", None)
+        assert u.tail_bound(n - 1) == 0.0
+        with pytest.raises(ValueError, match="nonnegative"):
+            u.tail_bound(-1.0)
+
     def test_shape_mismatch(self):
         sp = far_points(3)
         with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from roelab.errors import (
     NotAContraction,
 )
 from roelab import operators
-from roelab.cli import main
+from roelab.cli import _band_contraction, _cmd_propa_sz, main
 from roelab.operators import (
     SpaceOperator,
     band_truncate,
@@ -46,6 +46,15 @@ from roelab.propa import (
 def banded_contraction(rng, space, R, scale=0.99):
     u = random_operator(rng, space, R=R)
     return SpaceOperator(space=space, mat=u.mat / operator_norm(u.mat) * scale)
+
+
+def leaky_contraction(rng, space, R, leak=1e-3):
+    """A contraction with Gaussian entries within R and entries leak times
+    smaller beyond it, so that every truncation tail below the diameter is
+    small but nonzero, and is normed."""
+    m = random_operator(rng, space).mat
+    m = np.where(space.dist <= R, m, leak * m)
+    return SpaceOperator(space=space, mat=m / operator_norm(m) * 0.99)
 
 
 class TestSpaces:
@@ -504,6 +513,66 @@ class TestSz:
                 sz_approximate(u, eps, R=1)
 
 
+@pytest.fixture
+def recorded_norms(monkeypatch):
+    """(matrix, (value, err)) of each operator_norm call that propa makes."""
+    calls = []
+
+    def recorded(m, with_err=False):
+        pair = operator_norm(m, with_err=True)
+        calls.append((m, pair))
+        return pair if with_err else pair[0]
+
+    monkeypatch.setattr(propa, "operator_norm", recorded)
+    return calls
+
+
+class TestSzNorms:
+    """The Lanczos norms that propa sz and propa rademacher report, against
+    LAPACK: sigma_max lies within err + max(p, q) eps_mach value of each."""
+
+    @staticmethod
+    def _assert_brackets_lapack(dense, value, err):
+        sigma = np.linalg.svd(dense, compute_uv=False)[0]
+        assert abs(sigma - value) <= err + max(dense.shape) * np.finfo(float).eps * value
+
+    def test_nonzero_sz_error(self, recorded_norms):
+        # T = 400 < 599: the one benchmark config whose error matrix is not zero
+        u = _band_contraction(interval_space(600), 1, 0)
+        approx, error, report = sz_approximate(u, 1e-2, 1.0, seed=0)
+        ((m, (value, err)),) = recorded_norms
+        dense = u.mat - approx.mat
+        assert min(m.shape) > operators.DENSE_NORM_MAX
+        assert np.array_equal(m.toarray(), dense)  # the entries of the dense difference
+        assert value == error == report["error"] > 0
+        self._assert_brackets_lapack(dense, value, err)
+
+    def test_rademacher_reconstruction_gap(self, recorded_norms, monkeypatch):
+        shapes = []
+        lanczos = operators._lanczos_top
+        monkeypatch.setattr(operators, "_lanczos_top", lambda e: shapes.append(e.shape) or lanczos(e))
+        assert main(["propa", "rademacher", "--N", "200", "--seed", "2"]) == 0
+        ((m, (value, err)),) = recorded_norms
+        assert isinstance(m, np.ndarray) and m.shape == (200, 200)
+        assert shapes == [(200, 200)] * 2  # normalising u, then emp - phi_nu(u)
+        self._assert_brackets_lapack(m, value, err)
+
+    def test_sz_peak_memory(self):
+        """The tracemalloc peak of one propa sz run at N = 600 (eps 1e-2, R 1,
+        seed 0) is 20.7 MiB, about 3.8 complex n x n arrays: u, phi_nu(u),
+        the two kernels and the distance matrix. A complex n x n array alive
+        there, as the dense u - phi_nu(u) the error was once normed on, adds
+        5.5 MiB; the bound sits half an array above the peak."""
+        cfg = {"N": 600, "eps": 1e-2, "R": 1.0, "seed": 0}
+        tracemalloc.start()
+        try:
+            _cmd_propa_sz(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20.7 * 2**20 + 600 * 600 * 16 / 2
+
+
 @pytest.fixture(scope="module")
 def setup():
     sp = torus_space(40)
@@ -586,7 +655,10 @@ def wide_err(monkeypatch):
 class TestErrorBars:
     """Upper-bound verdicts use value + err; lower-bound ones the value alone."""
 
-    def test_sz_holds_needs_the_upper_estimate(self, wide_err):
+    def test_sz_holds_needs_the_upper_estimate(self, wide_err, monkeypatch):
+        # every T-ball covers the 60 points, so phi_nu(u) = u; a phi_nu that
+        # halves u makes the error ||u|| / 2, a norm taken with its err
+        monkeypatch.setattr(propa, "phi_nu", lambda u, field: SpaceOperator(u.space, u.mat / 2))
         u = banded_contraction(np.random.default_rng(4), interval_space(60), R=2)
         _, error, report = sz_approximate(u, 1e-4, R=2)  # bound 1.8
         assert error + 1.0 < report["bound"] and report["holds"]
@@ -603,9 +675,17 @@ class TestErrorBars:
         assert out["commutator_norm"] <= out["bound"]
         assert not out["holds"]
 
+    def test_zero_error_and_tail_take_no_norm(self, wide_err):
+        # a matrix with no nonzero entry has norm exactly 0.0, with no err
+        u = banded_contraction(np.random.default_rng(4), interval_space(60), R=2)
+        _, error, report = sz_approximate(u, 1e-6, R=2)  # bound 0.57
+        assert error == 0.0 and report["holds"]
+        assert u.tail_bound(2) == 0.0
+        assert propa._validate_eps_propagation(u, 1e-12, 2) == "truncation-tail"
+
     def test_truncation_tail_needs_the_upper_estimate(self, wide_err):
-        # tail 0, so only err keeps the cheap check from certifying eps = 0.1
-        u = banded_contraction(np.random.default_rng(5), interval_space(10), R=1)
+        # tail about 1e-3, so only err keeps the cheap check from certifying eps = 0.1
+        u = leaky_contraction(np.random.default_rng(5), interval_space(10), R=1)
         assert propa._validate_eps_propagation(u, 0.1, 1) == "exact-scan"
         assert propa._validate_eps_propagation(u, 1.5, 1) == "truncation-tail"
 
@@ -613,7 +693,7 @@ class TestErrorBars:
     def test_exact_scan_up_to_its_own_limit(self, n, wide_err):
         # above the band-distance limit of 12 points and within the scan's own
         # of 20, a tail above eps is settled by the exact scan: cleared ...
-        u = banded_contraction(np.random.default_rng(5), interval_space(n), R=1)
+        u = leaky_contraction(np.random.default_rng(5), interval_space(n), R=1)
         assert propa._validate_eps_propagation(u, 0.1, 1) == "exact-scan"
         # ... or refuted with the scan's own witness
         u = banded_contraction(np.random.default_rng(1), interval_space(n), R=6)
@@ -622,14 +702,15 @@ class TestErrorBars:
             propa._validate_eps_propagation(u, 1e-6, 1)
 
     def test_band_distance_upper_and_heuristic_radius(self, wide_err, monkeypatch):
-        u = banded_contraction(np.random.default_rng(6), interval_space(30), R=3)
+        u = leaky_contraction(np.random.default_rng(6), interval_space(30), R=3)
         widened = dist_to_band_bounds(u, 1, budget=20)
         heuristic = eps_propagation_brackets(u, [0.45], budget=20)[0]
         monkeypatch.undo()
         plain = dist_to_band_bounds(u, 1, budget=20)
         assert widened.upper == pytest.approx(plain.upper + 1.0, abs=1e-12)
         assert widened.lower == plain.lower
-        # every tail + 1 exceeds 0.45, so the upper radius is the diameter
+        # every tail below the diameter is nonzero, and with its err + 1 exceeds
+        # 0.45, so the upper radius is the diameter
         assert heuristic.upper == 29.0
         assert eps_propagation_brackets(u, [0.45], budget=20)[0].upper < 29.0
 
