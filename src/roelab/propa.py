@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from statistics import NormalDist
 
@@ -28,10 +29,6 @@ from .operators import (
 # interval_space is unused here, but perfbench/tracer.py wraps propa.interval_space
 from .spaces import FiniteMetricSpace, growth, interval_space
 
-ROW_TOL = 1e-12
-# above the rounding of a per-row variation sum and the ROW_TOL slack of a
-# row's mass, so the closed form never hides a pair the sums would reject
-VARIATION_SLACK = 1e-9
 # rademacher_diagnostics takes its Lipschitz max over this many close pairs at a time
 LIP_PAIRS = 32
 # _overlaps gathers at most this many 64-bit support words at a time
@@ -40,68 +37,80 @@ OVERLAP_WORDS = 1 << 16
 
 @dataclass(frozen=True)
 class PropertyAKernel:
-    """Row-stochastic kernel mu with supp mu_x in Ball(x, S) and
-    ||mu_x - mu_y||_1 < delta whenever dist(x, y) <= R: the one place where
-    propa proves kernel facts, which the field and phi_nu then trust."""
+    """The uniform-ball kernel mu_x = 1_{B_x} / |B_x|, B_x = Ball(x, S), proved
+    to have ||mu_x - mu_y||_1 < delta whenever dist(x, y) <= R: the one place
+    where propa proves kernel facts, which the field and phi_nu then trust.
+
+    Each mu_x is a probability vector on B_x, which holds x, by construction.
+    For a close pair let m = max(|B_x|, |B_y|) = |B_x| say, and
+    ov = |B_x & B_y|. Summing |mu_x - mu_y| over B_x & B_y, B_x - B_y and
+    B_y - B_x gives ov (1/|B_y| - 1/m) + (m - ov)/m + (|B_y| - ov)/|B_y|, so
+
+        ||mu_x - mu_y||_1 = 2 (m - ov) / m,
+
+    and the kernel is proved iff 2 (m - ov) < delta m on every close pair.
+    Both sides are exact: m and ov are integer bit counts of the packed
+    supports, taken only on close pairs x < y of distinct supports (equal
+    supports have variation 0 < delta), and delta m is compared in floats
+    wherever the two sides differ by more than its rounding, else in
+    Fraction(delta). So a variation exactly equal to delta is rejected, as
+    the strict bound asks, whatever a float sum of the row would read.
+
+    The dense n x n kernel mu is built only on first use.
+    """
 
     space: FiniteMetricSpace
-    mu: np.ndarray  # mu[x, z]
     S: float
     delta: float
     R: float
-    # the packed supports (see _uniform_supports) that the proof computed, or
-    # None if mu is not uniform on its supports
-    supports: np.ndarray | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
+    # B_x as bit rows, little-endian in 64-bit words (zero-padded to whole words)
+    supports: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "supports", validate_kernel(self.space, self.mu, self.S, self.delta, self.R))
+        _support_radius(self.R, self.delta)
+        n = self.space.n
+        words = np.zeros((n, -(-n // 64)), np.uint64)
+        words.view(np.uint8)[:, : -(-n // 8)] = np.packbits(self.space.near(self.S), axis=1, bitorder="little")
+        object.__setattr__(self, "supports", words)
+        pair = self._first_reaching_delta()
+        if pair is not None:
+            raise KernelInvalid(f"variation at pair {pair} is not below delta={self.delta}")
 
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """|B_x| for each x."""
+        return np.bitwise_count(self.supports).sum(axis=1, dtype=np.int64)
 
-def validate_kernel(space, mu, S, delta, R):
-    """Raise KernelInvalid unless mu is a kernel for (S, delta, R); returns
-    _uniform_supports(mu)."""
-    # a NaN delta would pass the variation test below, which compares >= delta
-    if not delta > 0:
-        raise KernelInvalid("delta must be positive")
-    mu = np.asarray(mu)
-    n = space.n
-    if mu.shape != (n, n):
-        raise KernelInvalid("kernel must be a square row-stochastic array over the space")
-    # every comparison with NaN is False, so the checks below would pass it
-    if not np.isfinite(mu).all():
-        raise KernelInvalid("kernel entries must be finite")
-    if np.any(mu < 0):
-        raise KernelInvalid("kernel rows must be nonnegative")
-    if np.abs(mu.sum(axis=1) - 1.0).max() > ROW_TOL:
-        raise KernelInvalid("kernel rows must sum to 1")
-    if np.any((mu > 0) & ~space.near(S)):
-        raise KernelInvalid(f"kernel support leaves the radius-{S} balls")
-    supports = _uniform_supports(mu)
-    close_mask = space.near(R) & ~np.eye(n, dtype=bool)
-    for x in _rows_to_sum(supports, close_mask, delta):
-        ys = np.flatnonzero(close_mask[x])
-        if ys.size == 0:
-            continue
-        variations = np.abs(mu[ys] - mu[x]).sum(axis=1)
-        worst = int(np.argmax(variations))
-        if variations[worst] >= delta:
-            raise KernelInvalid(
-                f"variation at pair ({x},{ys[worst]}) is not below delta={delta}"
-            )
-    return supports
+    @cached_property
+    def mu(self) -> np.ndarray:
+        """mu[x, z] = mu_x(z), the dense kernel."""
+        packed = self.supports.view(np.uint8)
+        within = np.unpackbits(packed, axis=1, count=self.space.n, bitorder="little").view(bool)
+        return within / within.sum(axis=1, keepdims=True)
 
-
-def _uniform_supports(mu):
-    """The supports of mu's rows as bit rows, little-endian in 64-bit words
-    (zero-padded to whole words), if every row is uniform on its support;
-    else None."""
-    support = mu > 0
-    if not np.all((mu == mu.max(axis=1, keepdims=True)) | ~support):
-        return None
-    n, m = support.shape
-    words = np.zeros((n, -(-m // 64)), np.uint64)
-    words.view(np.uint8)[:, : -(-m // 8)] = np.packbits(support, axis=1, bitorder="little")
-    return words
+    def _first_reaching_delta(self):
+        """The first close pair (x, y), x < y, with 2 (m - ov) >= delta m, or None."""
+        words = self.supports
+        n = len(words)
+        # one number per distinct support: a lexicographic sort of the packed rows
+        order = np.lexsort(words.T)
+        ranked = words[order]
+        fresh = np.ones(n, bool)
+        fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        ids = np.empty(n, np.intp)
+        ids[order] = np.cumsum(fresh)
+        x, y = np.nonzero(np.triu(self.space.near(self.R), 1) & (ids[:, None] != ids[None, :]))
+        m = np.maximum(self.sizes[x], self.sizes[y])
+        twice_gap = 2 * (m - _overlaps(words, x, y))
+        product = self.delta * m
+        reach = twice_gap >= product
+        # fl(delta m) lies within 2^-53 delta m of delta m unless it underflows, and
+        # then 2 (m - ov) >= 2 (the supports differ) is far above it: floats
+        # decide every pair off this band
+        for i in np.flatnonzero(np.abs(twice_gap - product) <= product * 2.0 ** -52):
+            reach[i] = int(twice_gap[i]) >= Fraction(self.delta) * int(m[i])
+        hits = np.flatnonzero(reach)
+        return (int(x[hits[0]]), int(y[hits[0]])) if hits.size else None
 
 
 def _overlaps(words, x, y) -> np.ndarray:
@@ -113,39 +122,6 @@ def _overlaps(words, x, y) -> np.ndarray:
         pair = slice(lo, lo + step)
         out[pair] = np.bitwise_count(words[x[pair]] & words[y[pair]]).sum(axis=1)
     return out
-
-
-def _rows_to_sum(supports, close_mask, delta):
-    """Rows x whose variations ||mu_x - mu_y||_1 over close y need summing.
-
-    All rows, unless every row of mu is uniform on its support, that is,
-    unless supports = _uniform_supports(mu) is not None. Then
-    ||mu_x - mu_y||_1 = 2 - 2 |supp x & supp y| / max(|supp x|, |supp y|),
-    and only rows with a close pair within VARIATION_SLACK of delta are
-    left, so a tie is decided by the sums. The overlap counts are exact
-    integers from the packed rows, taken only on close pairs of distinct
-    supports: rows are numbered by support through one sort of the packed
-    rows, and a pair of equal supports has variation exactly 0.
-    """
-    n = close_mask.shape[0]
-    if supports is None:
-        return range(n)
-    # one number per distinct support: a lexicographic sort of the packed rows
-    order = np.lexsort(supports.T)
-    ranked = supports[order]
-    fresh = np.ones(n, bool)
-    fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    ids = np.empty(n, np.intp)
-    ids[order] = np.cumsum(fresh)
-    threshold = delta - VARIATION_SLACK
-    # a close pair of equal supports, of variation 0, reaches only a threshold <= 0
-    kept = close_mask.any(axis=1) if threshold <= 0 else np.zeros(n, bool)
-    x, y = np.nonzero(close_mask & (ids[:, None] != ids[None, :]))
-    if x.size:
-        size = np.bitwise_count(supports).sum(axis=1, dtype=np.int64)
-        variation = 2.0 - 2.0 * _overlaps(supports, x, y) / np.maximum(size[x], size[y])
-        kept[x[variation >= threshold]] = True
-    return np.flatnonzero(kept)
 
 
 def _support_radius(R, delta) -> int:
@@ -164,15 +140,13 @@ def _support_radius(R, delta) -> int:
 def uniform_ball_kernel(space: FiniteMetricSpace, R, delta: float) -> PropertyAKernel:
     """mu_x uniform on Ball(x, S), S = _support_radius(R, delta), truncated to the space.
 
-    For pairs at distance <= R the overlap of the two balls keeps the total
-    variation below 2 dist / (2S+1) <= delta; boundary rows renormalize the
-    truncated ball and are covered by validate_kernel, which checks every
-    close pair.
+    Away from the boundary two balls at distance d <= R overlap in all but
+    d of their 2S + 1 points, so the variation is 2d / (2S + 1) < delta;
+    PropertyAKernel proves every close pair, truncated boundary balls
+    included, from its closed form.
     """
     S = _support_radius(R, delta)
-    within = space.near(S)
-    mu = within / within.sum(axis=1, keepdims=True)
-    return PropertyAKernel(space=space, mu=mu, S=S, delta=delta, R=R)
+    return PropertyAKernel(space=space, S=S, delta=delta, R=R)
 
 
 @dataclass(frozen=True)
@@ -203,10 +177,10 @@ class IsometryField:
 
 
 def isometry_field(nu: PropertyAKernel) -> IsometryField:
-    """The field F[z, x] = nu_x(z)^(1/2); nothing is re-checked, since the
-    validated kernel nu proves each property:
+    """The field F[z, x] = nu_x(z)^(1/2) = 1_{B_x}(z) / sqrt|B_x|; nothing is
+    re-checked, since the proved kernel nu gives each property:
     - unit columns: sum_z F[z, x]^2 = sum_z nu_x(z) = 1;
-    - support within T = S: F[z, x] > 0 only where nu_x(z) > 0;
+    - support within T = S: F[z, x] > 0 only on B_x = Ball(x, S);
     - for dist(x, y) <= R, ||F_x - F_y||^2 <= ||nu_x - nu_y||_1 < delta,
       since (sqrt a - sqrt b)^2 <= |a - b| for a, b >= 0, term by term.
     """
@@ -224,9 +198,8 @@ def phi_nu(u: SpaceOperator, field: IsometryField) -> SpaceOperator:
     """Schur multiplication by the field's Gram kernel k(x, y) = sum_z f_z(x) f_z(y),
     that is, sum_z f_z u f_z.
 
-    The kernel must be uniform on its supports B_x = supp nu_x, as every
-    kernel uniform_ball_kernel builds is; any other raises KernelInvalid.
-    Then f_z(x) = 1_{B_x}(z) / sqrt|B_x|, and k has the closed form
+    With f_z(x) = 1_{B_x}(z) / sqrt|B_x| for the balls B_x of the kernel,
+    k has the closed form
 
         k(x, y) = |B_x & B_y| / sqrt(|B_x| |B_y|),
 
@@ -242,13 +215,11 @@ def phi_nu(u: SpaceOperator, field: IsometryField) -> SpaceOperator:
     """
     if u.space.n != field.space.n:
         raise KernelInvalid("operator and field live on different spaces")
-    words = field.kernel.supports
-    if words is None:
-        raise KernelInvalid("phi_nu takes a kernel that is uniform on its supports")
-    size = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+    kernel = field.kernel
+    size = kernel.sizes
     e = u.entries
     out = np.zeros_like(u.mat)
-    out[e.rows, e.cols] = e.vals * (_overlaps(words, e.rows, e.cols) / np.sqrt(size[e.rows] * size[e.cols]))
+    out[e.rows, e.cols] = e.vals * (_overlaps(kernel.supports, e.rows, e.cols) / np.sqrt(size[e.rows] * size[e.cols]))
     return SpaceOperator(space=u.space, mat=out)
 
 
@@ -272,17 +243,20 @@ def _validate_eps_propagation(u: SpaceOperator, eps: float, R, seed: int = 0) ->
 def commutator_bound_check(u: SpaceOperator, h, R, delta: float, eps: float) -> dict:
     """Verify ||[h, u]|| <= 4 delta ||u|| + 2 eps / delta for slowly varying diagonal h."""
     h = np.asarray(h, dtype=np.float64)
+    # a NaN fails every comparison below, and surfaced as an SVD that did not converge
+    if not np.isfinite(h).all():
+        raise ValueError("h must be finite")
     space = u.space
     if h.shape != (space.n,):
         raise ValueError("h must be a real diagonal over the space")
     if np.any(h < -1e-12) or np.any(h > 1 + 1e-12):
         raise HypothesisViolated("h must take values in [0, 1]")
-    close = np.argwhere(space.near(R) & ~np.eye(space.n, dtype=bool))
-    for x, y in close:
-        if abs(h[x] - h[y]) > delta + 1e-12:
-            raise HypothesisViolated(
-                f"|h({x}) - h({y})| = {abs(h[x] - h[y]):.6g} > delta at distance <= R"
-            )
+    x, y = np.nonzero(space.near(R))
+    jump = np.abs(h[x] - h[y])
+    steep = np.flatnonzero(jump > delta + 1e-12)
+    if steep.size:
+        i = steep[0]
+        raise HypothesisViolated(f"|h({x[i]}) - h({y[i]})| = {jump[i]:.6g} > delta at distance <= R")
     method = _validate_eps_propagation(u, eps, R)
     norm_u = operator_norm(u.mat)
     comm = h[:, None] * u.mat - u.mat * h[None, :]

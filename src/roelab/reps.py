@@ -29,9 +29,10 @@ def _is_prime(p: int) -> bool:
 class FiniteGroup:
     """Finite group addressed by element indices 0..order-1.
 
-    Each subclass provides two hooks, mult(i, j) -> the index of i j and
-    inv(i) -> the index of i^-1, both elementwise over index arrays; validate
-    checks their group laws.
+    Each subclass provides mult(i, j) -> the index of i j, elementwise over
+    index arrays. Only a validated group (TableGroup) also provides
+    inv(i) -> the index of i^-1, which validate reads to check the group
+    laws.
     """
 
     order: int
@@ -105,10 +106,6 @@ class HeisenbergGroup(FiniteGroup):
         a1, b1, c1 = self.decode(i)
         a2, b2, c2 = self.decode(j)
         return self.encode(a1 + a2, b1 + b2, c1 + c2 + b1 * a2)
-
-    def inv(self, i):
-        a, b, c = self.decode(i)
-        return self.encode(-a, -b, -c + a * b)
 
 
 class UnitaryRep:

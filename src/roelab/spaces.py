@@ -37,7 +37,6 @@ from .errors import (
     NonSymmetricInput,
     TooLargeForExact,
 )
-from .report import jsonable
 
 METRIC_TOL = 1e-9
 EXACT_KAPPA_MAX = 22
@@ -113,9 +112,6 @@ class FiniteMetricSpace:
         `report.jsonable` turns it into lists in one ``tolist()``."""
         kind = "graph" if self.is_integer else "explicit"
         return {"label": self.label, "n": self.n, "metric": {"kind": kind, "data": self.dist}}
-
-    def to_json(self) -> dict:
-        return jsonable(self.json_arrays())
 
     @staticmethod
     def from_json(obj: dict) -> "FiniteMetricSpace":
@@ -390,11 +386,6 @@ def torus_space(N: int) -> FiniteMetricSpace:
     diff = np.abs(idx[:, None] - idx[None, :])
     dist = np.minimum(diff, N - diff).astype(np.int64, copy=False)
     return FiniteMetricSpace._trusted(dist, f"torus{N}")
-
-
-def save_space(space: FiniteMetricSpace, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(space.to_json(), fh)
 
 
 def load_space(path) -> FiniteMetricSpace:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -201,20 +202,21 @@ def reference_eps_prop_heuristic(u, eps, seed, budget):
 # ---------------------------------------------------------------- kernel closed forms by GEMM
 
 
-def reference_rows_to_sum(mu, close_mask, delta):
-    """The rows propa._rows_to_sum leaves, by the GEMM closed form it replaced:
-    every row unless each row of mu is uniform on its support; then the rows
-    whose worst close pair has 2 - 2 |supp x & supp y| / max(|supp x|, |supp y|)
-    within 1e-9 of delta, with the overlaps from one float GEMM of the 0/1
-    supports."""
-    support = mu > 0
-    if not np.all((mu == mu.max(axis=1, keepdims=True)) | ~support):
-        return range(mu.shape[0])
-    ind = support.astype(np.float64)
+def reference_variations(space, S, R) -> dict:
+    """{(x, y): ||mu_x - mu_y||_1} over close pairs x < y, in row-major order,
+    of the kernel uniform on the balls B(x, S): the exact Fractions
+    2 (m - ov) / m, with m = max(|B_x|, |B_y|) and the overlaps ov from one
+    integer GEMM of the 0/1 supports."""
+    ind = space.near(S).astype(np.int64)
     size = ind.sum(axis=1)
-    closed = 2.0 - 2.0 * (ind @ ind.T) / np.maximum(size[:, None], size[None, :])
-    worst = np.where(close_mask, closed, -np.inf).max(axis=1)
-    return np.flatnonzero(worst >= delta - 1e-9)
+    overlap = ind @ ind.T
+    x, y = np.nonzero(np.triu(space.near(R), 1))
+    m = np.maximum(size[x], size[y])
+    gap = m - overlap[x, y]
+    return {
+        (a, b): Fraction(2 * g, k)
+        for a, b, g, k in zip(x.tolist(), y.tolist(), gap.tolist(), m.tolist())
+    }
 
 
 def reference_gram(field):

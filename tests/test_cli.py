@@ -320,12 +320,12 @@ class TestCommands:
 
     def test_operator_file_input(self, tmp_path):
         from roelab.operators import SpaceOperator
+        from roelab.report import jsonable
         from roelab.spaces import interval_space
-        from roelab.spaces import save_space
 
         sp = interval_space(12)
         space_file = tmp_path / "space.json"
-        save_space(sp, space_file)
+        space_file.write_text(json.dumps(jsonable(sp.json_arrays())))
         rng = np.random.default_rng(0)
         mat = np.where(sp.dist <= 1, rng.standard_normal((12, 12)), 0.0)
         op_file = tmp_path / "op.json"

@@ -37,11 +37,8 @@ ALLOWED = {
     "operators.complex_from_pairs": "reads --op and file: inputs, which a README line cannot ship",
     "operators.SpaceOperator.from_json": "reads --op inputs, which a README line cannot ship",
     "operators.SpaceOperator.to_json": "writes the --op format",
-    "spaces.save_space": "writes the saved spaces that --space PATH reads",
-    "spaces.FiniteMetricSpace.to_json": "writes the saved spaces that --space PATH reads",
     "quasilocal.QuasiLocalAssembly.rect_bounds": "search-hook contract; no CLI path scans an assembly exactly",
     "propa.commutator_bound_check": "acceptance criterion 08; ROADMAP item 11 gives it a caller",
-    "reps.HeisenbergGroup.inv": "group-law oracle of the tests",
 }
 
 

@@ -1,10 +1,11 @@
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -12,7 +13,7 @@ from conftest import (
     random_connected_graph_space,
     random_operator,
     reference_gram,
-    reference_rows_to_sum,
+    reference_variations,
 )
 from roelab.errors import (
     HypothesisViolated,
@@ -39,7 +40,6 @@ from roelab.propa import (
     rademacher_diagnostics,
     sz_approximate,
     uniform_ball_kernel,
-    validate_kernel,
 )
 
 
@@ -111,39 +111,54 @@ class TestKernels:
         nu = uniform_ball_kernel(sp, R=1, delta=0.5)
         for R in (math.nan, -1):
             with pytest.raises(ValueError, match="radius must be nonnegative"):
-                PropertyAKernel(space=sp, mu=nu.mu, S=nu.S, delta=nu.delta, R=R)
-            with pytest.raises(ValueError, match="radius must be nonnegative"):
-                validate_kernel(sp, nu.mu, R, nu.delta, 1)
+                PropertyAKernel(space=sp, S=nu.S, delta=nu.delta, R=R)
 
     def test_invalid_kernel_rejected(self):
         sp = interval_space(6)
-        mu = np.eye(6)  # variation 2 between distinct points at distance <= R
+        # point masses: variation 2 between distinct points at distance <= R
         with pytest.raises(KernelInvalid):
-            PropertyAKernel(space=sp, mu=mu, S=0, delta=0.5, R=1)
+            PropertyAKernel(space=sp, S=0, delta=0.5, R=1)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_entry_rejected(self, bad):
-        # a NaN fails no comparison, so only the finiteness check can catch it
-        nu = uniform_ball_kernel(interval_space(10), 1, 0.9)
-        mu = nu.mu.copy()
-        mu[3, 3] = bad
-        with pytest.raises(KernelInvalid, match="finite"):
-            PropertyAKernel(space=nu.space, mu=mu, S=nu.S, delta=nu.delta, R=nu.R)
+    def test_exact_tie_is_rejected(self):
+        """The bound is strict, so a variation equal to delta is rejected. On
+        interval:6 at S = 2, the pair (0, 1) has |B_0| = 3, |B_1| = m = 4 and
+        ov = 3: variation 2 (m - ov) / m = 0.5 exactly, which a float sum of
+        the rows reads as 0.49999999999999994 and passed."""
+        sp = interval_space(6)
+        mu = sp.near(2) / sp.near(2).sum(axis=1, keepdims=True)
+        assert np.abs(mu[0] - mu[1]).sum() < 0.5
+        with pytest.raises(KernelInvalid, match=re.escape("pair (0, 1) is not below delta=0.5")):
+            PropertyAKernel(space=sp, S=2, delta=0.5, R=1)
+        PropertyAKernel(space=sp, S=2, delta=float(np.nextafter(0.5, 1)), R=1)
 
     @pytest.mark.parametrize(
         "space,delta",
-        # the identity kernel has variation 2 at every close pair of the
-        # interval, yet no variation compares >= NaN; far_points(4) has no
-        # close pair at R = 1, so no variation is compared at all
+        # point masses have variation 2 at every close pair of the interval,
+        # yet no variation compares >= NaN; far_points(4) has no close pair
+        # at R = 1, so no variation is compared at all
         [(interval_space(10), math.nan), (far_points(4), -1.0), (far_points(4), 0.0)],
     )
     def test_delta_not_positive_rejected(self, space, delta):
-        with pytest.raises(KernelInvalid, match="delta must be positive"):
-            PropertyAKernel(space=space, mu=np.eye(space.n), S=0, delta=delta, R=1)
+        with pytest.raises(ValueError, match="delta must be positive"):
+            PropertyAKernel(space=space, S=0, delta=delta, R=1)
+
+    def test_kernel_chain_allocates_no_dense_float_array(self):
+        """Both stages at N = 2000 (S = 20, T = 400) peak below one n x n
+        float64 array: the kernels are packed bit rows, and mu and F are built
+        only on first use."""
+        space = interval_space(2000)
+        tracemalloc.start()
+        try:
+            mu, field = propa.kernel_chain(space, 1, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (mu.S, field.T) == (20, 400)
+        assert peak < 8 * space.n ** 2
 
 
 def reference_validate_kernel(space, mu, S, delta, R) -> None:
-    """Per-row variation sums over every row: validate_kernel before the
+    """Per-row variation sums over every row: the kernel proof before the
     closed form, kept as the oracle, with its delta > 0 precondition."""
     if not delta > 0:
         raise KernelInvalid("delta must be positive")
@@ -170,12 +185,17 @@ def reference_validate_kernel(space, mu, S, delta, R) -> None:
             )
 
 
-def _verdict(check, *args):
+def _raises(check, *args) -> bool:
     try:
         check(*args)
-    except KernelInvalid as exc:
-        return str(exc)
-    return None
+    except KernelInvalid:
+        return True
+    return False
+
+
+def _uniform_rows(space, S):
+    within = space.near(S)
+    return within / within.sum(axis=1, keepdims=True)
 
 
 def _max_variation(space, mu, R) -> float:
@@ -200,37 +220,38 @@ def kernel_cases(draw):
         space = interval_space(N) if kind == "interval" else torus_space(N)
     S = draw(st.integers(0, int(space.diameter) + 1))
     R = draw(st.sampled_from([1, 2, 3, 5, 0.5]))
-    within = space.dist <= S
-    shape = draw(st.sampled_from(["uniform", "heavy", "light", "perturbed"]))
-    if shape == "perturbed":  # not uniform on its support: the per-row path
-        w = within * rng.uniform(0.5, 1.5, size=within.shape)
-        mu = w / w.sum(axis=1, keepdims=True)
-    else:
-        mu = within / within.sum(axis=1, keepdims=True)
-        # row mass 1 +- 5e-13, inside the row tolerance, moves the sums off the closed form
-        mu = mu * {"uniform": 1.0, "heavy": 1.0 + 5e-13, "light": 1.0 - 5e-13}[shape]
-    worst = _max_variation(space, mu, R)
+    worst = _max_variation(space, _uniform_rows(space, S), R)
     if worst < 0:
         delta = draw(st.floats(0.01, 2.0))
     else:
-        step = draw(st.sampled_from(["tie", "up", "down", "1e-10", "-1e-10", "1e-3", "0.3"]))
-        if step == "tie":
-            delta = worst
-        elif step == "up":
-            delta = float(np.nextafter(worst, np.inf))
-        elif step == "down":
-            delta = float(np.nextafter(worst, -np.inf))
-        else:
-            delta = worst + float(step)
-        delta = max(delta, 1e-6)
-    return space, mu, S, delta, R
+        step = draw(st.sampled_from(["1e-8", "-1e-8", "1e-3", "-1e-3", "0.3", "-0.3"]))
+        delta = max(worst + float(step), 1e-6)
+    return space, S, delta, R
+
+
+def _float_neighbours(v) -> list:
+    """The float nearest the Fraction v > 0 and the floats on either side; none if v = 0."""
+    near = float(v)
+    return [float(d) for d in (np.nextafter(near, -np.inf), near, np.nextafter(near, np.inf))] if v else []
+
+
+def _decided_exactly(space, S, delta, R) -> bool:
+    """Whether PropertyAKernel raises, from the exact GEMM variations."""
+    return any(v >= Fraction(delta) for v in reference_variations(space, S, R).values())
 
 
 class TestValidateKernel:
+    """The kernel proof against the per-row sums and the GEMM closed form it replaced."""
+
     @settings(max_examples=300, deadline=None)
     @given(kernel_cases())
     def test_raises_exactly_when_the_per_row_sums_do(self, case):
-        assert _verdict(validate_kernel, *case) == _verdict(reference_validate_kernel, *case)
+        space, S, delta, R = case
+        mu = _uniform_rows(space, S)
+        # off ties: the sums round by far less than 1e-9
+        assume(abs(_max_variation(space, mu, R) - delta) > 1e-9)
+        raised = _raises(PropertyAKernel, space, S, delta, R)
+        assert raised == _raises(reference_validate_kernel, space, mu, S, delta, R)
 
     @pytest.mark.parametrize("N,R,delta", [(300, 1, 0.1), (300, 20, 0.1), (200, 3, 0.01)])
     def test_cli_sized_kernels_agree(self, N, R, delta):
@@ -238,38 +259,40 @@ class TestValidateKernel:
         mu = uniform_ball_kernel(space, R, delta)
         nu = uniform_ball_kernel(space, mu.S, delta)
         for k in (mu, nu):
-            args = (space, k.mu, k.S, k.delta, k.R)
-            assert _verdict(validate_kernel, *args) is None
-            assert _verdict(reference_validate_kernel, *args) is None
-            tie = _max_variation(space, k.mu, k.R)
-            assert _verdict(validate_kernel, space, k.mu, k.S, tie, k.R) == _verdict(
-                reference_validate_kernel, space, k.mu, k.S, tie, k.R
-            ) is not None
+            assert not _raises(reference_validate_kernel, space, k.mu, k.S, k.delta, k.R)
+            # at the float neighbours of the worst variation the proof is exact
+            worst = max(reference_variations(space, k.S, k.R).values())
+            for d in _float_neighbours(worst):
+                assert _raises(PropertyAKernel, space, k.S, d, k.R) == (Fraction(d) <= worst)
 
-    def test_closed_form_leaves_no_rows_away_from_delta(self):
+    def test_closed_form_leaves_no_rows_away_from_delta(self, monkeypatch):
+        """Floats decide every pair off delta; only pairs whose variation lies
+        within the rounding of delta m take the exact product."""
+        exact = []
+        monkeypatch.setattr(propa, "Fraction", lambda d: exact.append(d) or Fraction(d))
         space = interval_space(100)
         nu = uniform_ball_kernel(space, R=2, delta=0.5)
-        close = (space.dist <= 2) & ~np.eye(100, dtype=bool)
-        assert len(propa._rows_to_sum(nu.supports, close, 0.5)) == 0
-        # a tie at the worst pair sends exactly the rows that reach it
-        worst = _max_variation(space, nu.mu, 2)
-        rows = propa._rows_to_sum(nu.supports, close, worst)
-        assert 0 < len(rows) < 100
+        assert exact == []
+        variations = reference_variations(space, nu.S, 2)
+        below = _float_neighbours(max(variations.values()))[0]
+        with pytest.raises(KernelInvalid):
+            PropertyAKernel(space=space, S=nu.S, delta=below, R=2)
+        assert 0 < len(exact) < len(variations)
 
-    def test_non_uniform_rows_are_all_summed(self):
-        space = interval_space(30)
-        nu = uniform_ball_kernel(space, R=1, delta=0.5)
-        mu = nu.mu.copy()
-        mu[0, 0] += 0.1  # row 0 stays stochastic but is no longer uniform
-        mu[0, 1] -= 0.1
-        close = (space.dist <= 1) & ~np.eye(30, dtype=bool)
-        assert propa._uniform_supports(mu) is None
-        assert list(propa._rows_to_sum(None, close, 0.5)) == list(range(30))
+    @pytest.mark.parametrize(
+        "space,S,R,delta",
+        # no close pair: nothing is compared, whatever delta is
+        [(far_points(4), 0, 1, 1e-9), (interval_space(1), 0, 5, 1e-9),
+         # every ball is the whole space: all supports equal, variation 0
+         (interval_space(7), 6, 3, 1e-9), (torus_space(9), 4, 2, 1e-9)],
+    )
+    def test_equal_or_no_supports_pass_any_delta(self, space, S, R, delta):
+        PropertyAKernel(space=space, S=S, delta=delta, R=R)
 
 
-def random_valid_kernel(seed) -> PropertyAKernel:
-    """A validated kernel that is not uniform on its supports, so that
-    validate_kernel sums every row."""
+def seeded_kernel(seed) -> PropertyAKernel:
+    """A proved uniform-ball kernel on a seeded interval, torus or graph, with
+    a seeded S and R, and delta 1e-3 above its worst variation."""
     rng = np.random.default_rng(seed)
     kind = ("interval", "torus", "graph")[seed % 3]
     if kind == "graph":
@@ -279,19 +302,15 @@ def random_valid_kernel(seed) -> PropertyAKernel:
         space = interval_space(N) if kind == "interval" else torus_space(N)
     S = int(rng.integers(1, int(space.diameter) + 1))
     R = (0.5, 1, 2, 3)[int(rng.integers(4))]
-    w = (space.dist <= S) * rng.uniform(0.5, 1.5, size=space.dist.shape)
-    mu = w / w.sum(axis=1, keepdims=True)
-    delta = max(_max_variation(space, mu, R), 0.0) + 1e-3
-    kernel = PropertyAKernel(space=space, mu=mu, S=S, delta=delta, R=R)
-    assert kernel.supports is None
-    return kernel
+    worst = max(reference_variations(space, S, R).values(), default=0)
+    return PropertyAKernel(space=space, S=S, delta=float(worst) + 1e-3, R=R)
 
 
 class TestIsometryField:
     @pytest.mark.parametrize("seed", range(24))
     def test_properties_follow_from_the_kernel(self, seed):
         # isometry_field checks nothing; these are the facts its docstring proves
-        nu = random_valid_kernel(seed)
+        nu = seeded_kernel(seed)
         field = isometry_field(nu)
         space, F = nu.space, field.F
         assert field.T == nu.S
@@ -300,6 +319,7 @@ class TestIsometryField:
         for x, y in np.argwhere((space.dist <= nu.R) & ~np.eye(space.n, dtype=bool)):
             qv = ((F[:, x] - F[:, y]) ** 2).sum()
             assert qv <= np.abs(nu.mu[x] - nu.mu[y]).sum() + 1e-12
+            assert qv < nu.delta
 
     def test_columns_unit_norm(self):
         sp = interval_space(30)
@@ -343,31 +363,32 @@ class TestPackedOverlaps:
         space = seeded_space(seed)
         S = int(rng.integers(0, int(space.diameter) + 2))
         R = (0.5, 1, 2, 3)[seed % 4]
-        within = space.near(S)
-        mu = within / within.sum(axis=1, keepdims=True)
-        close = space.near(R) & ~np.eye(space.n, dtype=bool)
-        supports = propa._uniform_supports(mu)
-        worst = max(_max_variation(space, mu, R), 0.0)
-        for delta in (worst, np.nextafter(worst, np.inf), np.nextafter(worst, -np.inf),
-                      worst + 1e-10, worst - 1e-10, 1e-3, 0.3, 2.5):
-            assert list(propa._rows_to_sum(supports, close, delta)) == list(
-                reference_rows_to_sum(mu, close, delta)
-            )
+        nu = PropertyAKernel(space=space, S=S, delta=2.5, R=R)  # every variation is <= 2
+        assert np.array_equal(nu.sizes, space.near(S).sum(axis=1))
+        assert np.array_equal(nu.mu, _uniform_rows(space, S))
+        worst = max(reference_variations(space, S, R).values(), default=0)
+        for delta in _float_neighbours(worst) + [float(worst) + 1e-10, float(worst) - 1e-10, 1e-3, 0.3, 2.5]:
+            if delta > 0:
+                assert _raises(PropertyAKernel, space, S, delta, R) == _decided_exactly(space, S, delta, R)
 
     @pytest.mark.parametrize("R, S", [(1, 20), (2, 40), (3, 7)])
     def test_interval_300_rows(self, R, S):
         space = interval_space(300)
-        within = space.near(S)
-        mu = within / within.sum(axis=1, keepdims=True)
-        close = space.near(R) & ~np.eye(300, dtype=bool)
-        supports = propa._uniform_supports(mu)
-        counts = set()
+        variations = reference_variations(space, S, R)
+        verdicts = set()
         for delta in (0.02, 0.0476, 0.05, 0.3):
-            rows = list(propa._rows_to_sum(supports, close, delta))
-            assert rows == list(reference_rows_to_sum(mu, close, delta))
-            counts.add(len(rows))
-        # the cases leave no row, some rows near the ends, or every row
-        assert counts == {(1, 20): {300, 40, 0}, (2, 40): {300, 80, 0}, (3, 7): {300}}[R, S]
+            first = next((pair for pair, v in variations.items() if v >= Fraction(delta)), None)
+            try:
+                PropertyAKernel(space=space, S=S, delta=delta, R=R)
+            except KernelInvalid as exc:
+                assert f"pair {first} " in str(exc)
+            else:
+                assert first is None
+            verdicts.add(first)
+        # the boundary pairs fail first: (0, 1), or (0, 2) once delta is past
+        # the variation of (0, 1) but not of (0, 2); None when every pair passes
+        expected = {(1, 20): {(0, 1), None}, (2, 40): {(0, 1), (0, 2), None}, (3, 7): {(0, 1), (0, 2)}}
+        assert verdicts == expected[R, S]
 
     @pytest.mark.parametrize("seed", range(12))
     def test_phi_nu_is_the_gram_schur_multiple(self, seed):
@@ -384,13 +405,6 @@ class TestPackedOverlaps:
         support = u.mat != 0
         assert np.all(out[~support] == 0)
         assert np.abs(out - u.mat * gram)[support].max() <= 1e-12
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_phi_nu_rejects_a_kernel_not_uniform_on_its_supports(self, seed):
-        nu = random_valid_kernel(seed)
-        u = SpaceOperator(space=nu.space, mat=np.eye(nu.space.n))
-        with pytest.raises(KernelInvalid, match="uniform on its supports"):
-            phi_nu(u, isometry_field(nu))
 
 
 class TestPhiNu:
@@ -439,7 +453,7 @@ class TestCommutatorBound:
         sp = interval_space(10)
         u = banded_contraction(np.random.default_rng(0), sp, R=1)
         h = np.tile([0.0, 1.0], 5)
-        with pytest.raises(HypothesisViolated):
+        with pytest.raises(HypothesisViolated, match=re.escape("|h(0) - h(1)| = 1 > delta")):
             commutator_bound_check(u, h, R=1, delta=0.1, eps=1e-9)
 
     def test_rejects_h_out_of_range(self):
@@ -447,6 +461,16 @@ class TestCommutatorBound:
         u = banded_contraction(np.random.default_rng(0), sp, R=1)
         with pytest.raises(HypothesisViolated):
             commutator_bound_check(u, np.full(10, 2.0), R=1, delta=0.5, eps=1e-9)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_h(self, bad):
+        # a NaN fails every comparison, so it passed the [0, 1] and close-pair
+        # checks and surfaced as "SVD did not converge"
+        u = banded_contraction(np.random.default_rng(0), interval_space(8), R=1)
+        h = np.linspace(0.0, 1.0, 8)
+        h[3] = bad
+        with pytest.raises(ValueError, match="h must be finite"):
+            commutator_bound_check(u, h, R=1, delta=0.5, eps=0.1)
 
     def test_rejects_wrong_propagation(self):
         sp = interval_space(10)
