@@ -71,15 +71,16 @@ def _band_contraction(space, R, seed):
     """A seeded contraction of band radius R: complex Gaussian entries (real
     parts drawn first, as n x n draws) on near(R), zero elsewhere, normed
     once by SpaceOperator.normalised. Both draws go through one real buffer,
-    and only the band is copied into the zeroed complex array."""
+    and only its band entries are gathered, row-major (an exact-zero draw
+    stays listed, as 0)."""
     rng = np.random.default_rng(seed)
-    n = space.n
-    band = space.near(R)
-    m = np.zeros((n, n), np.complex128)
-    buf = rng.standard_normal((n, n))
-    np.copyto(m.real, buf, where=band)
-    np.copyto(m.imag, rng.standard_normal(out=buf), where=band)
-    return SpaceOperator.normalised(space, m)
+    rows, cols = np.nonzero(space.near(R))
+    buf = rng.standard_normal((space.n, space.n))
+    vals = np.empty(len(rows), np.complex128)
+    vals.real = buf[rows, cols]
+    vals.imag = rng.standard_normal(out=buf)[rows, cols]
+    del buf  # freed before the norm grows its Krylov basis
+    return SpaceOperator.normalised(space, operators.Entries((space.n, space.n), rows, cols, vals))
 
 
 def _operator(cfg, R):

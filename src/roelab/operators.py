@@ -5,7 +5,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +35,12 @@ BOUND_SLACK = 1e-9
 # Golub-Kahan). An exactly Hermitian input takes eigvalsh, not the SVD: 0.7
 # against 2.5 ms on a real symmetric 128 x 128 matrix.
 DENSE_NORM_MAX = 128
+# Above it, more than FILL_CUT nonzero takes LAPACK. On complex matrices with
+# random positions (wall clock, median of 7, 2 cores) the Lanczos took 11.5 and
+# 18.6 ms at 25 and 100 % fill of 200 x 200, LAPACK 11-12 ms; the two meet near
+# 30 % fill at 200 x 200, 50 % at 300 x 300 and 37 % at 600 x 600, so one cut
+# below all three sends a 25-37 % fill to the slower LAPACK, by up to 1.4x.
+FILL_CUT = 0.25
 _LANCZOS_TOL = 1e-12
 _LANCZOS_MAXITER = 500
 
@@ -43,13 +49,14 @@ def operator_norm(mat, *, with_err: bool = False):
     """Largest singular value of a dense array, a scipy sparse matrix or an
     Entries list, computed in float64 or complex128 whatever the input dtype.
 
-    If the smaller side is at most DENSE_NORM_MAX, LAPACK gives the value,
-    and err is its backward-error bound max(p, q) * eps_mach * value. A
-    square matrix that equals its adjoint exactly is normed by the symmetric
-    eigensolver, as max(|lambda_min|, |lambda_max|): eigvalsh is backward
-    stable, and by Weyl each computed eigenvalue lies within the backward
-    error of an exact one, so the same err holds. Any other matrix, a
-    non-finite one included (NaN fails the equality), takes the SVD.
+    If the smaller side is at most DENSE_NORM_MAX, or more than FILL_CUT of
+    the entries are nonzero, LAPACK gives the value, and err is its
+    backward-error bound max(p, q) * eps_mach * value. A square matrix that
+    equals its adjoint exactly is normed by the symmetric eigensolver, as
+    max(|lambda_min|, |lambda_max|): eigvalsh is backward stable, and by Weyl
+    each computed eigenvalue lies within the backward error of an exact one,
+    so the same err holds. Any other matrix, a non-finite one included (NaN
+    fails the equality), takes the SVD.
     Otherwise _lanczos_top gives the value, a lower estimate, and err, value
     + err the upper one, from products over the nonzero entries alone (none
     gives (0.0, 0.0)); unconverged after _LANCZOS_MAXITER steps, LAPACK's.
@@ -68,9 +75,12 @@ def _norm_with_err(mat) -> tuple:
     if 0 in mat.shape:
         return 0.0, 0.0
     if min(mat.shape) > DENSE_NORM_MAX:
-        found = _lanczos_top(mat if isinstance(mat, Entries) else Entries.of(mat))
-        if found is not None:
-            return found
+        # counted before any entry list is gathered, which a filled input never needs
+        nnz = len(mat.vals) if isinstance(mat, Entries) else mat.nnz if hasattr(mat, "tocoo") else np.count_nonzero(mat)
+        if nnz <= FILL_CUT * math.prod(mat.shape):
+            found = _lanczos_top(mat if isinstance(mat, Entries) else Entries.of(mat))
+            if found is not None:
+                return found
     dense = mat.toarray() if hasattr(mat, "toarray") else mat
     hermitian = dense.shape[0] == dense.shape[1] and np.array_equal(dense, dense.conj().T)
     value = _hermitian_norm(dense) if hermitian else _sigma_max(dense)
@@ -79,8 +89,9 @@ def _norm_with_err(mat) -> tuple:
 
 @dataclass(frozen=True)
 class Entries:
-    """A p x q matrix as its nonzero entries in row-major order, vals[j] (float64
-    or complex128) at (rows[j], cols[j]) and 0 elsewhere; operator_norm takes one."""
+    """A p x q matrix as its entries in row-major order, vals[j] (float64 or
+    complex128) at (rows[j], cols[j]) and 0 elsewhere (a listed value may be
+    0, too); operator_norm takes one."""
 
     shape: tuple
     rows: np.ndarray
@@ -235,56 +246,57 @@ def complex_from_pairs(obj) -> np.ndarray:
     return np.ascontiguousarray(arr).view(np.complex128)[..., 0]
 
 
-@dataclass(frozen=True)
 class SpaceOperator:
-    """Dense operator on l2(X); entry mat[y, x] is the (delta_x -> delta_y) coefficient.
+    """Operator on l2(X) held as its `entries`; entry [y, x] is the (delta_x ->
+    delta_y) coefficient. SpaceOperator(space, mat) scans a dense mat once;
+    after the trusted `of_entries`, the dense complex128 `mat` is built on
+    first read, by the readers that need blocks (exact scans, rect_norms,
+    rect_bounds, band_truncate, schur_restrict, commutator_bound_check,
+    rademacher_diagnostics). `norm()` is operator_norm's (value, err), or the
+    pair that `normalised` carries."""
 
-    `norm()` is (value, err) of ||mat||, from operator_norm, except on an
-    operator built by the trusted constructor `SpaceOperator.normalised`,
-    which carries the pair it proved while dividing by the norm.
-    """
-
-    space: FiniteMetricSpace
-    mat: np.ndarray
-    # (value, err) of ||mat||, set only by normalised
-    _norm: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.mat, dtype=np.complex128)
-        if m.shape != (self.space.n, self.space.n):
+    def __init__(self, space: FiniteMetricSpace, mat):
+        m = np.asarray(mat, dtype=np.complex128)
+        if m.shape != (space.n, space.n):
             raise ValueError("operator shape does not match the space")
-        object.__setattr__(self, "mat", m)
-
-    @functools.cached_property
-    def entries(self) -> Entries:
-        """mat's nonzero entries, from one scan of the mat (never changed after)."""
-        return Entries.of(self.mat)
+        self.space, self.mat, self.entries, self._norm = space, m, Entries.of(m), None
 
     @classmethod
-    def normalised(cls, space: FiniteMetricSpace, mat) -> "SpaceOperator":
-        """mat / ||mat||, carrying the (value, err) of its norm that the
-        division proves; a complex128 mat is divided in place and becomes the
-        operator's.
+    def of_entries(cls, space: FiniteMetricSpace, entries: Entries) -> "SpaceOperator":
+        """The operator of n x n complex128 entries, taken as they are."""
+        op = cls.__new__(cls)
+        op.space, op.entries, op._norm = space, entries, None
+        return op
 
-        With (value, err) = operator_norm of the entries, ||mat|| lies in
+    @functools.cached_property
+    def mat(self) -> np.ndarray:
+        """The dense matrix, built from the entries on first read."""
+        return self.entries.toarray()
+
+    @classmethod
+    def normalised(cls, space: FiniteMetricSpace, entries: Entries) -> "SpaceOperator":
+        """The operator of entries / ||entries||, carrying the (value, err) of
+        its norm that the division proves; the complex128 values are divided
+        in place and become the operator's.
+
+        With (value, err) = operator_norm of the entries, the norm lies in
         [value - err, value + err] (the Lanczos value is the lower end of
-        [value, value + err]), so ||mat / value|| lies within rel = err / value
-        of 1. Each stored entry is mat[y, x] times a rounded 1 / value,
-        rounded again, a relative change of at most eps_mach (1 + eps_mach);
-        as ||A|| <= ||A||_F <= sqrt(n) ||A||, the stored matrix is within
-        2 n eps_mach (1 + rel) of mat / value in norm. The carried pair is
-        therefore (1.0, rel + 2 n eps_mach (1 + rel)). A zero (or non-finite)
-        mat is left undivided and carries operator_norm's own pair. Entries
-        are regathered from the divided mat (one that underflows stays, as 0).
+        [value, value + err]), so the norm of entries / value lies within
+        rel = err / value of 1. Each stored value is an entry times a rounded
+        1 / value, rounded again, a relative change of at most eps_mach
+        (1 + eps_mach); as ||A|| <= ||A||_F <= sqrt(n) ||A||, the stored
+        operator is within 2 n eps_mach (1 + rel) of entries / value in norm:
+        the carried pair is (1.0, rel + 2 n eps_mach (1 + rel)). Zero (or
+        non-finite) entries are left undivided and carry operator_norm's own
+        pair. An entry that underflows stays, as 0.
         """
-        op = cls(space=space, mat=mat)
-        value, err = operator_norm(op.entries, with_err=True)
+        op = cls.of_entries(space, entries)
+        value, err = operator_norm(entries, with_err=True)
         if value > 0:
-            np.divide(op.mat, value, out=op.mat)
-            op.entries.vals[:] = op.mat[op.entries.rows, op.entries.cols]
+            np.divide(entries.vals, value, out=entries.vals)
             rel = err / value
             value, err = 1.0, rel + 2 * space.n * np.finfo(float).eps * (1 + rel)
-        object.__setattr__(op, "_norm", (value, err))
+        op._norm = (value, err)
         return op
 
     def norm(self) -> tuple:
@@ -317,9 +329,9 @@ class SpaceOperator:
         return SpaceOperator(space=space, mat=flat.reshape(n, n))
 
     # The norm hooks of the searches, which read nothing of an operator but
-    # `space`, `rect_norms`, `rect_bounds` and `tail_bound`. Here they work on
-    # the dense matrix; quasilocal.QuasiLocalAssembly, which holds no dense
-    # matrix, supplies the same four from its member factors.
+    # `space`, `rect_norms`, `rect_bounds` and `tail_bound`. Here the rectangle
+    # hooks read the dense matrix; quasilocal.QuasiLocalAssembly, which holds no
+    # dense matrix, supplies the same four from its member factors.
 
     def rect_norms(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """sigma_max of each compression 1_A u 1_B, given boolean membership
@@ -336,7 +348,7 @@ class SpaceOperator:
         """Upper estimate value + err of the truncation tail ||u - band_truncate(u, R)||,
         normed on u's entries outside near(R); exactly 0.0, with no norm, if none."""
         e = self.entries
-        outside = ~self.space.near(R)[e.rows, e.cols]
+        outside = ~self.space.within(e.rows, e.cols, R)
         if not outside.any():
             return 0.0
         return sum(operator_norm(Entries(e.shape, e.rows[outside], e.cols[outside], e.vals[outside]), with_err=True))

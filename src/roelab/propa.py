@@ -99,7 +99,10 @@ class PropertyAKernel:
         fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
         ids = np.empty(n, np.intp)
         ids[order] = np.cumsum(fresh)
-        x, y = np.nonzero(np.triu(self.space.near(self.R), 1) & (ids[:, None] != ids[None, :]))
+        if not fresh[1:].any():  # one support (balls covering the space): no pair varies,
+            return None  # and near(R) would list about n^2 close pairs to drop
+        x, y = np.nonzero(self.space.near(self.R))
+        x, y = np.compress((y > x) & (ids[x] != ids[y]), [x, y], axis=1)
         m = np.maximum(self.sizes[x], self.sizes[y])
         twice_gap = 2 * (m - _overlaps(words, x, y))
         product = self.delta * m
@@ -204,7 +207,8 @@ def phi_nu(u: SpaceOperator, field: IsometryField) -> SpaceOperator:
         k(x, y) = |B_x & B_y| / sqrt(|B_x| |B_y|),
 
     taken on u's nonzero entries only, from exact integer overlap counts of
-    the packed supports. So:
+    the packed supports. The result lists exactly u's entry positions, in
+    u's order, a 0 where k is; sz_approximate relies on that. So:
     - unital exactly: k(x, x) = |B_x| / sqrt(|B_x|^2) = 1.0, since the square
       root of an exact square is exact; likewise k(x, y) = 1.0 wherever
       B_x = B_y, so phi_nu(u) = u when every ball is the whole space;
@@ -218,9 +222,8 @@ def phi_nu(u: SpaceOperator, field: IsometryField) -> SpaceOperator:
     kernel = field.kernel
     size = kernel.sizes
     e = u.entries
-    out = np.zeros_like(u.mat)
-    out[e.rows, e.cols] = e.vals * (_overlaps(kernel.supports, e.rows, e.cols) / np.sqrt(size[e.rows] * size[e.cols]))
-    return SpaceOperator(space=u.space, mat=out)
+    k = _overlaps(kernel.supports, e.rows, e.cols) / np.sqrt(size[e.rows] * size[e.cols])
+    return SpaceOperator.of_entries(u.space, Entries(e.shape, e.rows, e.cols, e.vals * k))
 
 
 def _validate_eps_propagation(u: SpaceOperator, eps: float, R, seed: int = 0) -> str:
@@ -302,9 +305,9 @@ def sz_approximate(u: SpaceOperator, eps: float, R, seed: int = 0) -> tuple:
     space = u.space
     mu, field = kernel_chain(space, R, delta)
     approx = phi_nu(u, field)
-    # u - phi_nu(u) vanishes off u's entries, so it is taken on them alone
+    # u - phi_nu(u) vanishes off u's positions, which phi_nu keeps, so it is taken there alone
     e = u.entries
-    diff = e.vals - approx.mat[e.rows, e.cols]
+    diff = e.vals - approx.entries.vals
     live = diff != 0
     error, error_err = 0.0, 0.0
     if live.any():

@@ -9,8 +9,8 @@ R-relation near(R) with R >= 0 is symmetric and reflexive, and no consumer
 needs to know the tolerance.
 
 Consumers outside this module read a space's distances only through
-``near(R)`` (the R-relation dist <= R, and the one place that rejects
-negative and NaN radii), ``radii()`` (the distinct distances),
+``near(R)`` (the R-relation dist <= R) and ``within(x, y, R)`` (it at given
+pairs, and the one place that rejects negative and NaN radii), ``radii()``,
 ``set_distance`` and ``diameter``; no other module reads ``dist``.
 
 Distance matrices from outside the library, through
@@ -90,10 +90,14 @@ class FiniteMetricSpace:
 
     def near(self, R) -> np.ndarray:
         """The R-relation: boolean n x n, entry [x, y] true iff dist(x, y) <= R."""
+        return self.within(slice(None), slice(None), R)
+
+    def within(self, x, y, R) -> np.ndarray:
+        """near(R)[x, y] for index arrays x and y, without the n x n relation."""
         # written negated so that NaN fails too
         if not R >= 0:
             raise ValueError("radius must be nonnegative")
-        return self.dist <= R
+        return self.dist[x, y] <= R
 
     def radii(self) -> np.ndarray:
         """The distinct distances in increasing order; 0 (the diagonal) first."""

@@ -465,22 +465,49 @@ class TestBandContraction:
         _, _, expected = sz_approximate(plain, float(eps), float(R), seed=seed)
         assert results_bytes(report["results"]) == results_bytes(expected)
 
+    @staticmethod
+    def _dense_oracle(space, R, seed):
+        """The contraction as it was once built: both n x n draws copied into a
+        zeroed complex array where near(R), its nonzero entries scanned, and
+        the array divided in place by their operator_norm value; returns the
+        divided array, the entries regathered from it and the carried pair."""
+        rng = np.random.default_rng(seed)
+        n = space.n
+        band = space.near(R)
+        m = np.zeros((n, n), np.complex128)
+        buf = rng.standard_normal((n, n))
+        np.copyto(m.real, buf, where=band)
+        np.copyto(m.imag, rng.standard_normal(out=buf), where=band)
+        e = operators.Entries.of(m)
+        value, err = operator_norm(e, with_err=True)
+        np.divide(m, value, out=m)
+        rel = err / value
+        pair = (1.0, rel + 2 * n * np.finfo(float).eps * (1 + rel))
+        return m, operators.Entries(e.shape, e.rows, e.cols, m[e.rows, e.cols]), pair
+
+    def _assert_matches_the_dense_oracle(self, space, R, seed):
+        m, e, pair = self._dense_oracle(space, R, seed)
+        u = _band_contraction(space, R, seed)
+        assert "mat" not in vars(u)  # built only on first read
+        got = u.entries
+        assert np.array_equal(got.rows, e.rows) and np.array_equal(got.cols, e.cols)
+        assert got.vals.dtype == np.complex128 and got.vals.tobytes() == e.vals.tobytes()
+        assert u.mat.tobytes() == m.tobytes() and u.norm() == pair
+
     @pytest.mark.parametrize(
         "spec, R, seed",
         [("interval:200", 1, 0), ("interval:300", 3, 1), ("interval:600", 2, 2), ("torus:50", 2, 3),
          ("regular:64:4:1", 1, 1)],
     )
     def test_band_drawn_from_the_full_draws(self, spec, R, seed):
-        # the contraction masks the real and then the imaginary n x n draw
-        space = _parse_space(spec)
-        rng = np.random.default_rng(seed)
-        m = np.empty((space.n, space.n), np.complex128)
-        m.real = rng.standard_normal((space.n, space.n))
-        m.imag = rng.standard_normal((space.n, space.n))
-        m[~space.near(R)] = 0
-        expected = SpaceOperator.normalised(space, m)
-        u = _band_contraction(space, R, seed)
-        assert np.array_equal(u.mat, expected.mat) and u.norm() == expected.norm()
+        # the contraction gathers the band of the real and then the imaginary n x n draw
+        self._assert_matches_the_dense_oracle(_parse_space(spec), R, seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("R", range(4))
+    @pytest.mark.parametrize("spec", ["interval:150", "torus:40", "regular:24:3:2"])
+    def test_band_entries_match_the_dense_construction(self, spec, R, seed):
+        self._assert_matches_the_dense_oracle(_parse_space(spec), R, seed)
 
 
 class TestCommandPaths:

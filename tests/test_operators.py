@@ -141,6 +141,14 @@ def _svd_top(m):
     return np.linalg.svd(dense, compute_uv=False)[0]
 
 
+def _assert_lanczos(m):
+    """The Lanczos pair of m's entries, whatever their fill, against LAPACK."""
+    value, err = ops._lanczos_top(ops.Entries.of(m))
+    oracle = _svd_top(m)
+    assert value == pytest.approx(oracle, rel=1e-10, abs=1e-300)
+    assert err >= 0.0 and value + err >= oracle * (1 - 1e-14)
+
+
 def _assert_norm(m):
     """operator_norm against LAPACK to 1e-10 relative; err brackets the oracle."""
     value, err = operator_norm(m, with_err=True)
@@ -169,6 +177,8 @@ class TestOperatorNormLanczos:
         rng = np.random.default_rng(N + (R or 0))
         m = _band(rng, N, N if R is None else R)
         _assert_norm(m)
+        if N > ops.DENSE_NORM_MAX:
+            _assert_lanczos(m)  # a dense one takes LAPACK above FILL_CUT
 
     def test_lanczos_path_is_taken(self, monkeypatch):
         calls = []
@@ -180,8 +190,9 @@ class TestOperatorNormLanczos:
     @pytest.mark.parametrize("shape", [(400, 150), (150, 400), (1000, 130)])
     def test_tall_and_wide(self, shape):
         rng = np.random.default_rng(shape[0])
-        _assert_norm(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        _assert_norm(rng.standard_normal(shape))
+        for m in (rng.standard_normal(shape) + 1j * rng.standard_normal(shape), rng.standard_normal(shape)):
+            _assert_norm(m)
+            _assert_lanczos(m)
 
     def test_sparse_csr(self):
         import scipy.sparse as sparse
@@ -199,12 +210,14 @@ class TestOperatorNormLanczos:
         u = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         v = rng.standard_normal(N + 30)
         _assert_norm(np.outer(u, v))
+        _assert_lanczos(np.outer(u, v))
 
     def test_unitary_all_tied(self):
         rng = np.random.default_rng(8)
         q, _ = np.linalg.qr(rng.standard_normal((200, 200)) + 1j * rng.standard_normal((200, 200)))
         value, _ = _assert_norm(q)
         assert value == pytest.approx(1.0, rel=1e-12)
+        _assert_lanczos(q)
 
     def test_near_tied_pair(self):
         rng = np.random.default_rng(9)
@@ -213,6 +226,7 @@ class TestOperatorNormLanczos:
         s = np.linspace(0.1, 0.9, 200)
         s[0], s[1] = 1.0, 1.0 - 1e-13
         _assert_norm(q1 @ np.diag(s) @ q2.T)
+        _assert_lanczos(q1 @ np.diag(s) @ q2.T)
 
     @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
     def test_gram_neither_overflows_nor_underflows(self, scale):
@@ -248,7 +262,8 @@ class TestOperatorNormLanczos:
         original = ops._orthogonalise
         monkeypatch.setattr(ops, "_orthogonalise", lambda w, Q: bases.append(Q.shape) or original(w, Q))
         rng = np.random.default_rng(shape[0])
-        _assert_norm(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        # a tenth of the entries, below FILL_CUT, so that the Lanczos runs
+        _assert_norm((rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * (rng.random(shape) < 0.1))
         steps = len(bases) // 2  # with_err and plain call
         assert steps > 1 and bases == [(k + 1, min(shape)) for k in range(steps)] * 2
 
@@ -265,8 +280,8 @@ class TestOperatorNormLanczos:
 
 
 class TestGatheredProducts:
-    """Above DENSE_NORM_MAX, a matrix is multiplied by gathering over its
-    nonzero entries, however many of them there are."""
+    """Above DENSE_NORM_MAX, a matrix with at most FILL_CUT of its entries
+    nonzero is multiplied by gathering over them."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -324,9 +339,24 @@ class TestGatheredProducts:
         assert built == []
 
     @pytest.mark.parametrize("fill", [0.5, 1.0])
-    def test_dense_matrix_gathers_too(self, built, fill):
-        _assert_norm(self._sparse(np.random.default_rng(22), (300, 300), fill=fill))
-        assert built == [300, 300] * 2  # with_err and plain call
+    def test_filled_matrix_takes_lapack(self, built, fill):
+        m = self._sparse(np.random.default_rng(22), (300, 300), fill=fill)
+        _assert_norm(m)
+        assert built == []
+        _assert_lanczos(m)  # which would still norm it
+
+    def test_fill_cut_decides_the_path(self, built, monkeypatch):
+        """A dense 200 x 200 matrix takes LAPACK, a 600-point band the Lanczos."""
+        lapack = []
+        original = ops._sigma_max
+        monkeypatch.setattr(ops, "_sigma_max", lambda m: lapack.append(m.shape) or original(m))
+        rng = np.random.default_rng(24)
+        _assert_norm(rng.standard_normal((200, 200)) + 1j * rng.standard_normal((200, 200)))
+        assert lapack == [(200, 200)] * 2 and built == []  # with_err and plain call
+        band = _band(rng, 600, 1)
+        assert np.count_nonzero(band) / band.size <= ops.FILL_CUT
+        _assert_norm(band)
+        assert lapack == [(200, 200)] * 2 and built == [600, 600] * 2
 
     def test_sparse_and_dense_twin_identical(self, built):
         import scipy.sparse as sparse
@@ -349,10 +379,14 @@ class TestSpaceOperator:
         rng = np.random.default_rng(13)
         space = interval_space(200)
         m = np.where(space.near(2), rng.standard_normal((200, 200)) + 1j * rng.standard_normal((200, 200)), 0.0)
-        u = SpaceOperator.normalised(space, m)
-        assert u.mat is m  # divided in place
+        given = ops.Entries.of(m)
+        vals = given.vals
+        u = SpaceOperator.normalised(space, given)
+        assert u.entries is given and u.entries.vals is vals  # divided in place
+        assert vals.tobytes() == (m[given.rows, given.cols] / operator_norm(m)).tobytes()
+        assert "mat" not in vars(u)
         e = u.entries
-        rows, cols = np.nonzero(u.mat)
+        rows, cols = np.nonzero(u.mat)  # built from the entries on first read
         assert np.array_equal(e.rows, rows) and np.array_equal(e.cols, cols)
         assert e.vals.tobytes() == u.mat[rows, cols].tobytes()
         assert np.array_equal(e.toarray(), u.mat)

@@ -581,20 +581,38 @@ class TestSzNorms:
         assert shapes == [(200, 200)] * 2  # normalising u, then emp - phi_nu(u)
         self._assert_brackets_lapack(m, value, err)
 
-    def test_sz_peak_memory(self):
-        """The tracemalloc peak of one propa sz run at N = 600 (eps 1e-2, R 1,
-        seed 0) is 20.7 MiB, about 3.8 complex n x n arrays: u, phi_nu(u),
-        the two kernels and the distance matrix. A complex n x n array alive
-        there, as the dense u - phi_nu(u) the error was once normed on, adds
-        5.5 MiB; the bound sits half an array above the peak."""
-        cfg = {"N": 600, "eps": 1e-2, "R": 1.0, "seed": 0}
+    @staticmethod
+    def _sz_peak(N):
+        """The tracemalloc peak of one propa sz run (eps 1e-2, R 1, seed 0)."""
         tracemalloc.start()
         try:
-            _cmd_propa_sz(cfg)
+            _cmd_propa_sz({"N": N, "eps": 1e-2, "R": 1.0, "seed": 0})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20.7 * 2**20 + 600 * 600 * 16 / 2
+        return peak
+
+    def test_sz_peak_memory(self):
+        """At N = 600 the peak is 6.3 MiB: the int64 distance matrix and the
+        float64 draw buffer, 2.7 MiB each. A complex n x n array alive there,
+        as the dense contraction once was, adds 5.5 MiB, and a float one
+        2.7 MiB; the bound sits a quarter of a complex array above the peak."""
+        assert self._sz_peak(600) < 6.3 * 2**20 + 600 * 600 * 16 / 4
+
+    def test_sz_at_2000_points_allocates_no_complex_square(self):
+        """At N = 2000 the peak is 61.3 MiB, the distance matrix and the draw
+        buffer; one complex n x n array is 61 MiB (the dense construction
+        peaked at 156 MiB)."""
+        assert self._sz_peak(2000) < 70 * 2**20
+
+    def test_sz_builds_no_dense_matrix(self, monkeypatch):
+        u = _band_contraction(interval_space(300), 2, 1)
+        approx, _, _ = sz_approximate(u, 1e-4, 2.0, seed=1)
+        assert "mat" not in vars(u) and "mat" not in vars(approx)
+        # nor does a whole command above DENSE_NORM_MAX densify an entry list
+        monkeypatch.setattr(operators.Entries, "toarray", None)
+        _, holds = _cmd_propa_sz({"N": 600, "eps": 1e-2, "R": 1.0, "seed": 0})
+        assert holds
 
 
 @pytest.fixture(scope="module")
@@ -681,8 +699,12 @@ class TestErrorBars:
 
     def test_sz_holds_needs_the_upper_estimate(self, wide_err, monkeypatch):
         # every T-ball covers the 60 points, so phi_nu(u) = u; a phi_nu that
-        # halves u makes the error ||u|| / 2, a norm taken with its err
-        monkeypatch.setattr(propa, "phi_nu", lambda u, field: SpaceOperator(u.space, u.mat / 2))
+        # halves u on its positions makes the error ||u|| / 2, a norm taken with its err
+        def halved(u, field):
+            e = u.entries
+            return SpaceOperator.of_entries(u.space, operators.Entries(e.shape, e.rows, e.cols, e.vals / 2))
+
+        monkeypatch.setattr(propa, "phi_nu", halved)
         u = banded_contraction(np.random.default_rng(4), interval_space(60), R=2)
         _, error, report = sz_approximate(u, 1e-4, R=2)  # bound 1.8
         assert error + 1.0 < report["bound"] and report["holds"]
