@@ -22,7 +22,7 @@ MASK_CELLS = 1 << 18
 # the random rectangle searches close their seeds CLOSE_BLOCK draws at a time
 STACK_ENTRIES = 1 << 16
 CLOSE_BLOCK = 64
-# relative slack of the exact scans' bound decisions (rect_bounds, and the
+# relative slack of the exact scans' bound decisions (_rect_bounds, and the
 # subset bounds of randsub): far above the relative rounding of a computed
 # bound or LAPACK value, O(p q eps_mach) on a p x q matrix and below 1e-11 at
 # every size the exact scans reach
@@ -46,8 +46,8 @@ _LANCZOS_MAXITER = 500
 
 
 def operator_norm(mat, *, with_err: bool = False):
-    """Largest singular value of a dense array, a scipy sparse matrix or an
-    Entries list, computed in float64 or complex128 whatever the input dtype.
+    """Largest singular value of a dense array or an Entries list, computed in
+    float64 or complex128 whatever the input dtype.
 
     If the smaller side is at most DENSE_NORM_MAX, or more than FILL_CUT of
     the entries are nonzero, LAPACK gives the value, and err is its
@@ -69,19 +69,19 @@ def operator_norm(mat, *, with_err: bool = False):
 
 def _norm_with_err(mat) -> tuple:
     if not isinstance(mat, Entries):
-        mat = mat if hasattr(mat, "tocoo") else np.atleast_2d(np.asarray(mat))
         # LAPACK norms a float32 matrix in single precision, far above err
+        mat = np.atleast_2d(np.asarray(mat))
         mat = mat.astype(np.result_type(mat.dtype, np.float64), copy=False)
     if 0 in mat.shape:
         return 0.0, 0.0
     if min(mat.shape) > DENSE_NORM_MAX:
         # counted before any entry list is gathered, which a filled input never needs
-        nnz = len(mat.vals) if isinstance(mat, Entries) else mat.nnz if hasattr(mat, "tocoo") else np.count_nonzero(mat)
+        nnz = len(mat.vals) if isinstance(mat, Entries) else np.count_nonzero(mat)
         if nnz <= FILL_CUT * math.prod(mat.shape):
             found = _lanczos_top(mat if isinstance(mat, Entries) else Entries.of(mat))
             if found is not None:
                 return found
-    dense = mat.toarray() if hasattr(mat, "toarray") else mat
+    dense = mat.toarray() if isinstance(mat, Entries) else mat
     hermitian = dense.shape[0] == dense.shape[1] and np.array_equal(dense, dense.conj().T)
     value = _hermitian_norm(dense) if hermitian else _sigma_max(dense)
     return value, max(mat.shape) * np.finfo(float).eps * value
@@ -99,14 +99,8 @@ class Entries:
     vals: np.ndarray
 
     @classmethod
-    def of(cls, m) -> "Entries":
-        """The nonzero entries of a dense array or a scipy sparse matrix."""
-        if hasattr(m, "tocoo"):
-            # in CSR order, row-major like the dense scan, so that a sparse
-            # matrix and its dense twin sum each product in the same order
-            coo = m.tocsr().tocoo()
-            live = coo.data != 0
-            return cls(m.shape, coo.row[live], coo.col[live], coo.data[live])
+    def of(cls, m: np.ndarray) -> "Entries":
+        """The nonzero entries of a dense array."""
         # scanned as booleans: np.flatnonzero of a complex array is 2.6x slower
         rows, cols = np.divmod(np.flatnonzero(m != 0), m.shape[1])
         return cls(m.shape, rows, cols, m[rows, cols])
@@ -248,25 +242,22 @@ def complex_from_pairs(obj) -> np.ndarray:
 
 class SpaceOperator:
     """Operator on l2(X) held as its `entries`; entry [y, x] is the (delta_x ->
-    delta_y) coefficient. SpaceOperator(space, mat) scans a dense mat once;
-    after the trusted `of_entries`, the dense complex128 `mat` is built on
-    first read, by the readers that need blocks (exact scans, rect_norms,
-    rect_bounds, band_truncate, schur_restrict, commutator_bound_check,
+    delta_y) coefficient. SpaceOperator(space, mat) scans a dense mat once,
+    or keeps an n x n complex128 Entries as it is; from entries, the dense
+    `mat` is built on first read, by the readers that need blocks (exact
+    scans, rect_norms, band_truncate, schur_restrict, commutator_bound_check,
     rademacher_diagnostics). `norm()` is operator_norm's (value, err), or the
     pair that `normalised` carries."""
 
     def __init__(self, space: FiniteMetricSpace, mat):
-        m = np.asarray(mat, dtype=np.complex128)
+        m = mat if isinstance(mat, Entries) else np.asarray(mat, dtype=np.complex128)
         if m.shape != (space.n, space.n):
             raise ValueError("operator shape does not match the space")
-        self.space, self.mat, self.entries, self._norm = space, m, Entries.of(m), None
-
-    @classmethod
-    def of_entries(cls, space: FiniteMetricSpace, entries: Entries) -> "SpaceOperator":
-        """The operator of n x n complex128 entries, taken as they are."""
-        op = cls.__new__(cls)
-        op.space, op.entries, op._norm = space, entries, None
-        return op
+        if isinstance(m, Entries):
+            self.entries = m
+        else:
+            self.mat, self.entries = m, Entries.of(m)
+        self.space, self._norm = space, None
 
     @functools.cached_property
     def mat(self) -> np.ndarray:
@@ -290,7 +281,7 @@ class SpaceOperator:
         non-finite) entries are left undivided and carry operator_norm's own
         pair. An entry that underflows stays, as 0.
         """
-        op = cls.of_entries(space, entries)
+        op = cls(space, entries)
         value, err = operator_norm(entries, with_err=True)
         if value > 0:
             np.divide(entries.vals, value, out=entries.vals)
@@ -302,14 +293,6 @@ class SpaceOperator:
     def norm(self) -> tuple:
         """(value, err) of ||u||: the pair normalised carried, else operator_norm's."""
         return self._norm or operator_norm(self.entries, with_err=True)
-
-    def to_json(self) -> dict:
-        flat = self.mat.reshape(-1)
-        return {
-            "space_label": self.space.label,
-            "n": self.space.n,
-            "rows": [[float(z.real), float(z.imag)] for z in flat],
-        }
 
     @staticmethod
     def from_json(obj: dict, space: FiniteMetricSpace) -> "SpaceOperator":
@@ -329,20 +312,15 @@ class SpaceOperator:
         return SpaceOperator(space=space, mat=flat.reshape(n, n))
 
     # The norm hooks of the searches, which read nothing of an operator but
-    # `space`, `rect_norms`, `rect_bounds` and `tail_bound`. Here the rectangle
-    # hooks read the dense matrix; quasilocal.QuasiLocalAssembly, which holds no
-    # dense matrix, supplies the same four from its member factors.
+    # `space`, `rect_norms` and `tail_bound`. Here rect_norms reads the dense
+    # matrix; quasilocal.QuasiLocalAssembly, which holds no dense matrix,
+    # supplies both from its member factors.
 
     def rect_norms(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """sigma_max of each compression 1_A u 1_B, given boolean membership
         rows of shape (k, n) for A and B; 0.0 where a side is empty
         (_rect_norms on the dense matrix)."""
         return _rect_norms(self.mat, rows, cols)
-
-    def rect_bounds(self, rows: np.ndarray, cols: np.ndarray) -> tuple:
-        """(lower, upper) bounds on each value of rect_norms(rows, cols)
-        (_rect_bounds on the dense matrix)."""
-        return _rect_bounds(self.mat, rows, cols)
 
     def tail_bound(self, R) -> float:
         """Upper estimate value + err of the truncation tail ||u - band_truncate(u, R)||,
@@ -504,8 +482,11 @@ def _exact_rectangles(u: SpaceOperator, R):
     every nonempty output mask A, in increasing mask order, with B the
     complement of its R-neighbourhood (spaces.neighbourhood_table), the
     largest B separated from A by more than R (rectangle norms are monotone
-    in B, so this B is the worst case), and bounds = u.rect_bounds(A, B), the
-    (lower, upper) bounds on the norms that the scans decide by."""
+    in B, so this B is the worst case), and bounds = _rect_bounds(u.mat, A, B),
+    the (lower, upper) bounds on the norms that the scans decide by. Only a
+    SpaceOperator, which has a dense matrix, is scanned."""
+    if not isinstance(u, SpaceOperator):
+        raise TypeError(f"an exact scan needs a SpaceOperator, not a {type(u).__name__}")
     n = u.space.n
     table = neighbourhood_table(u.space.near(R))
     bits = np.uint32(1) << np.arange(n, dtype=np.uint32)
@@ -514,7 +495,7 @@ def _exact_rectangles(u: SpaceOperator, R):
         masks = np.arange(start, min(start + step, 1 << n), dtype=np.uint32)
         A = (masks[:, None] & bits) != 0
         B = (table[masks][:, None] & bits) == 0
-        yield A, B, u.rect_bounds(A, B)
+        yield A, B, _rect_bounds(u.mat, A, B)
 
 
 def _norms_where(u: SpaceOperator, A, B, run, fill: float) -> np.ndarray:

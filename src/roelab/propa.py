@@ -134,6 +134,8 @@ def _support_radius(R, delta) -> int:
         raise ValueError("radius must be nonnegative")
     if not delta > 0:
         raise ValueError("delta must be positive")
+    if delta == math.inf:  # S would be 0, and no exact delta m compares with it
+        raise ValueError("delta must be finite")
     ratio = 2.0 * R / delta
     if ratio == math.inf:  # an infinite R, or a delta too small for a float S
         raise ValueError(f"support radius 2R/delta = 2 * {R} / {delta} is not finite")
@@ -223,7 +225,7 @@ def phi_nu(u: SpaceOperator, field: IsometryField) -> SpaceOperator:
     size = kernel.sizes
     e = u.entries
     k = _overlaps(kernel.supports, e.rows, e.cols) / np.sqrt(size[e.rows] * size[e.cols])
-    return SpaceOperator.of_entries(u.space, Entries(e.shape, e.rows, e.cols, e.vals * k))
+    return SpaceOperator(u.space, Entries(e.shape, e.rows, e.cols, e.vals * k))
 
 
 def _validate_eps_propagation(u: SpaceOperator, eps: float, R, seed: int = 0) -> str:

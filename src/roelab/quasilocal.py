@@ -66,6 +66,8 @@ def member_dims(family: ExpanderFamily) -> list:
 def schedule(K: int, c0: float) -> list:
     """The threshold rows {k, delta: 1/k, eps: c0 sqrt((1/k) log k)} for
     k = 2..K. k = 1 is left out: its threshold degenerates to 0."""
+    if not c0 > 0:  # checked here too, as a one-member schedule has no row
+        raise ValueError("c0 must be positive")
     return [{"k": k, "delta": 1.0 / k, "eps": formal_bound(1.0 / k, c0)} for k in range(2, K + 1)]
 
 
@@ -143,8 +145,9 @@ class QuasiLocalAssembly:
     i sits on the ambient index range slices[i], L_i = V_i C_i and R_i = V_i,
     where V_i is the (d_i, r_i) orthonormal basis of subspaces[i] and C_i the
     compressed block (I without one). The searches take the assembly as the
-    operator: they read only `space` and the three norm hooks, which are
-    computed from the factors; no dense ambient matrix is built.
+    operator: they read only `space` and the two norm hooks, which are
+    computed from the factors; no dense ambient matrix is built, so the
+    exact scans, which read one, refuse an assembly.
     """
 
     family: ExpanderFamily
@@ -171,11 +174,6 @@ class QuasiLocalAssembly:
                 norms = _factored_rect_norms(L, Rf, rows[live, sl], cols[live, sl])
                 values[live] = np.maximum(values[live], norms)
         return values
-
-    def rect_bounds(self, rows: np.ndarray, cols: np.ndarray) -> tuple:
-        """The trivial bounds (0, inf) on each value of rect_norms: they decide
-        nothing, so an exact scan of an assembly norms every rectangle."""
-        return np.zeros(len(rows)), np.full(len(rows), np.inf)
 
     def tail_bound(self, R) -> float:
         """u - band_truncate(u, R) = u o (dist > R) is block diagonal like u,

@@ -15,7 +15,7 @@ import dataclasses
 import json
 import math
 import reprlib
-from itertools import accumulate, chain
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -33,11 +33,11 @@ def jsonable(obj):
     """Convert results (dataclasses, numpy scalars/arrays, tuples) to plain JSON types.
 
     Each value is visited once. A list of plain values (exact int, str, bool,
-    None), or of rows of them, is copied by one type scan. An integer,
-    unsigned or bool numpy array is returned as its fresh ``tolist()``, which
-    holds only exact int or bool, without an element scan. Any other array
-    goes through its ``tolist()`` element by element, so a non-finite float
-    becomes its repr string ("nan", "inf") and a complex value its repr.
+    None) is copied by one type scan. An integer, unsigned or bool numpy
+    array is returned as its fresh ``tolist()``, which holds only exact int
+    or bool, without an element scan. Any other array goes through its
+    ``tolist()`` element by element, so a non-finite float becomes its repr
+    string ("nan", "inf") and a complex value its repr.
     """
     t = type(obj)
     # exact types: np.float64 subclasses float and np.bool_ is not bool
@@ -47,8 +47,6 @@ def jsonable(obj):
         types = set(map(type, obj))
         if _PLAIN.issuperset(types):
             return list(obj)
-        if types == {list} and _PLAIN.issuperset(map(type, chain.from_iterable(obj))):
-            return list(map(list, obj))  # rows of plain values, such as [x, y] pairs
         return [v if type(v) in _PLAIN else jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind in "biu":
@@ -82,8 +80,9 @@ def dumps(obj) -> str:
     same text. Every value appends its pieces to one list, which is joined
     once at the end, so no value's text is copied by the levels that enclose
     it. A list whose elements are all exact ints is one piece, and a list of
-    nonempty lists of exact ints, such as [x, y] pairs or a distance matrix,
-    is written from per-value tokens built once per call (`_int_rows`).
+    nonempty lists of exact ints, all of one length, such as [x, y] pairs or
+    a distance matrix, is written from per-value tokens built once per call
+    (`_int_rows`).
     """
     out: list = []
     _write(obj, "\n", {}, out)
@@ -107,7 +106,10 @@ def _write(obj, newline: str, memo: dict, out: list) -> None:
         # exact int only: a bool must print as true/false, not as 1/0
         if types == {int}:
             out += "[" + inner, sep.join(map(int.__repr__, obj)), newline + "]"
-        elif types == {list} and all(obj) and set(map(type, chain.from_iterable(obj))) == {int}:
+        elif (
+            types == {list} and all(obj) and len(set(map(len, obj))) == 1
+            and set(map(type, chain.from_iterable(obj))) == {int}
+        ):
             _int_rows(obj, newline, memo, out)
         else:
             lead = "[" + inner
@@ -157,15 +159,15 @@ class _Tokens(dict):
 
 
 def _int_rows(rows: list, newline: str, memo: dict, out: list) -> None:
-    """Append the indented text of a list of nonempty rows of exact ints, such
-    as [x, y] pairs or a distance matrix, at the level of `newline` to `out`.
+    """Append the indented text of a list of nonempty rows of exact ints, all
+    of one length, such as [x, y] pairs or a distance matrix, at the level of
+    `newline` to `out`.
 
     Every entry is one token, its digits and what follows it: the comma and
     line break to the next entry of its row, or at a row's end the row's
     closing bracket, the comma and the next row's opening. The tokens of each
     value are built once per `newline` in `memo`, `out` is extended by one
-    token per entry, and the row ends are set by one slice assignment when
-    all rows have the same length.
+    token per entry, and the row ends are set by one slice assignment.
     """
     inner = newline + "  "
     row = inner + "  "
@@ -174,13 +176,8 @@ def _int_rows(rows: list, newline: str, memo: dict, out: list) -> None:
     within, end = memo[newline]
     start = len(out)
     out += map(within.__getitem__, chain.from_iterable(rows))
-    lasts = map(itemgetter(-1), rows)
-    if len(set(map(len, rows))) == 1:
-        width = len(rows[0])
-        out[start + width - 1 :: width] = map(end.__getitem__, lasts)
-    else:
-        for stop, v in zip(accumulate(map(len, rows)), lasts):
-            out[start + stop - 1] = end[v]
+    width = len(rows[0])
+    out[start + width - 1 :: width] = map(end.__getitem__, map(itemgetter(-1), rows))
     # the last entry first: with one entry the two are the same token
     out[-1] = f"{int.__repr__(rows[-1][-1])}{inner}]{newline}]"
     out[start] = f"[{inner}[{row}{out[start]}"

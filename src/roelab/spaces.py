@@ -379,16 +379,17 @@ def far_points(n: int) -> FiniteMetricSpace:
 
 def interval_space(N: int) -> FiniteMetricSpace:
     """The path metric on {0, ..., N-1}; a metric by construction, not re-validated."""
-    idx = np.arange(N)
-    dist = np.abs(idx[:, None] - idx[None, :]).astype(np.int64, copy=False)
+    idx = np.arange(N, dtype=np.int64)
+    dist = idx[:, None] - idx[None, :]
+    np.abs(dist, out=dist)  # in place: one n x n int64 array, the result
     return FiniteMetricSpace._trusted(dist, f"interval{N}")
 
 
 def torus_space(N: int) -> FiniteMetricSpace:
     """The cyclic metric on Z/N; a metric by construction, not re-validated."""
-    idx = np.arange(N)
-    diff = np.abs(idx[:, None] - idx[None, :])
-    dist = np.minimum(diff, N - diff).astype(np.int64, copy=False)
+    dist = interval_space(N).dist
+    # min(d, N - d) is N - d exactly where d > N // 2
+    np.subtract(N, dist, out=dist, where=dist > N // 2)
     return FiniteMetricSpace._trusted(dist, f"torus{N}")
 
 

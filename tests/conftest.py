@@ -50,6 +50,17 @@ def random_operator(rng, space, R=None):
     return SpaceOperator(space=space, mat=m)
 
 
+def operator_json(u) -> dict:
+    """The --op file format of u, which SpaceOperator.from_json reads: the
+    space's label and size, and each entry of the dense matrix, row-major, as
+    a [re, im] pair."""
+    return {
+        "space_label": u.space.label,
+        "n": u.space.n,
+        "rows": [[float(z.real), float(z.imag)] for z in u.mat.reshape(-1)],
+    }
+
+
 def propagation_oracle(u, tol):
     """The propagation of u: the largest distance carrying an entry of
     modulus > tol, read from the dense distance matrix (-inf for the zero

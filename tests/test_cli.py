@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import operator_json
 from roelab import operators, randsub, spaces, translations
 from roelab.cli import COMMANDS, _band_contraction, _parse_args, _parse_space, _positive_int, build_parser, main, run
 from roelab.operators import DENSE_NORM_MAX, SpaceOperator, eps_propagation_brackets, operator_norm
@@ -144,6 +145,8 @@ class TestMalformedInput:
         # an infinite eps made S = T = 0 and printed a vacuous PASS
         ["propa", "sz", "--eps", "inf"],
         ["propa", "rademacher", "--N", "20", "-R", "infinity"],
+        # an infinite delta made S = 0, and the exact comparison overflowed
+        ["propa", "rademacher", "--N", "5", "--delta", "inf"],
         # [re, im] files: bare numbers, text, infinity, 1 x 2 matrices, a non-integer table
         ["oper", "eps-prop", "--mode", "exact", "--space", "interval:4", "--eps", "0.1",
          "--op", "{dir}/op_bare_rows.json"],
@@ -160,6 +163,10 @@ class TestMalformedInput:
         ["randsub", "mc", "--c0", "nan", "--n", "3", "--delta", "0.2", "--d", "20"],
         ["randsub", "mc", "--d", "20", "--n", "3", "--delta", "0.2", "--c0", "-5"],
         ["ql", "build", "--c0", "nan", "--members", "16,32"],
+        # a one-member schedule has no threshold row, yet c0 is still checked
+        ["ql", "build", "--members", "16", "--c0", "-1"],
+        ["ql", "build", "--members", "16", "--c0", "nan"],
+        ["ql", "witness", "--members", "16", "--c0", "-1", "-R", "1"],
         ["ql", "profile", "--eps", "nan", "--members", "8,12,16"],
         ["ql", "profile", "--members", "8,12,16", "--eps", "0.5,-0.1"],
         # every budget, trial, sample and point count is positive
@@ -329,7 +336,7 @@ class TestCommands:
         rng = np.random.default_rng(0)
         mat = np.where(sp.dist <= 1, rng.standard_normal((12, 12)), 0.0)
         op_file = tmp_path / "op.json"
-        op_file.write_text(json.dumps(SpaceOperator(space=sp, mat=mat).to_json()))
+        op_file.write_text(json.dumps(operator_json(SpaceOperator(space=sp, mat=mat))))
         report, code = run(
             ["oper", "band-dist", "--space", str(space_file), "--op", str(op_file), "-R", "1"]
         )

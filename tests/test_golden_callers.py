@@ -36,9 +36,6 @@ ALLOWED = {
     "report.results_bytes": "perfbench self-test",
     "operators.complex_from_pairs": "reads --op and file: inputs, which a README line cannot ship",
     "operators.SpaceOperator.from_json": "reads --op inputs, which a README line cannot ship",
-    "operators.SpaceOperator.__init__": "the dense constructor: from_json, band_truncate and schur_restrict",
-    "operators.SpaceOperator.to_json": "writes the --op format",
-    "quasilocal.QuasiLocalAssembly.rect_bounds": "search-hook contract; no CLI path scans an assembly exactly",
     "propa.commutator_bound_check": "acceptance criterion 08; ROADMAP item 11 gives it a caller",
 }
 

@@ -9,6 +9,7 @@ from conftest import (
     closed_pair,
     eps_propagation_oracle_pairs,
     eps_propagation_oracle_scan,
+    operator_json,
     propagation_oracle,
     random_connected_graph_space,
     random_operator,
@@ -116,13 +117,6 @@ class TestOperatorNorm:
             assert operator_norm(single, with_err=True) == operator_norm(single.astype(np.complex128), with_err=True)
             assert operator_norm(single.real, with_err=True) == operator_norm(single.real.astype(float), with_err=True)
 
-    def test_single_precision_sparse_is_normed_in_double(self):
-        import scipy.sparse as sparse
-
-        for n in (20, ops.DENSE_NORM_MAX + 40):
-            m = sparse.random(n, n, density=0.1, random_state=n, format="csr", dtype=np.float32)
-            assert operator_norm(m, with_err=True) == operator_norm(m.astype(np.float64), with_err=True)
-
     def test_zero_hermitian(self):
         for dtype in (np.float64, np.complex128):
             value, err = operator_norm(np.zeros((5, 5), dtype), with_err=True)
@@ -193,15 +187,6 @@ class TestOperatorNormLanczos:
         for m in (rng.standard_normal(shape) + 1j * rng.standard_normal(shape), rng.standard_normal(shape)):
             _assert_norm(m)
             _assert_lanczos(m)
-
-    def test_sparse_csr(self):
-        import scipy.sparse as sparse
-
-        m = sparse.random(500, 300, density=0.02, random_state=4, format="csr")
-        _assert_norm(m)
-        _assert_norm(sparse.csr_matrix(_band(np.random.default_rng(5), 400, 2)))
-        small = sparse.random(20, 30, density=0.3, random_state=6, format="csr")
-        _assert_norm(small)
 
     def test_zero_and_rank_one_above_threshold(self):
         N = ops.DENSE_NORM_MAX + 50
@@ -327,14 +312,11 @@ class TestGatheredProducts:
         assert built
 
     def test_all_zero_takes_no_step(self, built):
-        import scipy.sparse as sparse
-
         N = ops.DENSE_NORM_MAX + 1
         assert operator_norm(np.zeros((N, 2 * N)), with_err=True) == (0.0, 0.0)
-        assert operator_norm(sparse.csr_matrix((2 * N, N)), with_err=True) == (0.0, 0.0)
-        # explicit zeros in a sparse matrix are not entries
-        explicit = sparse.csr_matrix((np.zeros(3), ([0, 5, 9], [1, 1, 4])), shape=(N, N))
-        assert explicit.nnz == 3
+        assert operator_norm(ops.Entries.of(np.zeros((2 * N, N))), with_err=True) == (0.0, 0.0)
+        # listed zeros are no step either
+        explicit = ops.Entries((N, N), np.array([0, 5, 9]), np.array([1, 1, 4]), np.zeros(3))
         assert operator_norm(explicit, with_err=True) == (0.0, 0.0)
         assert built == []
 
@@ -357,21 +339,6 @@ class TestGatheredProducts:
         assert np.count_nonzero(band) / band.size <= ops.FILL_CUT
         _assert_norm(band)
         assert lapack == [(200, 200)] * 2 and built == [600, 600] * 2
-
-    def test_sparse_and_dense_twin_identical(self, built):
-        import scipy.sparse as sparse
-
-        rng = np.random.default_rng(23)
-        twins = [
-            _band(rng, 300, 2),
-            _band(rng, 250, 4, complex_=False),
-            self._sparse(rng, (400, 150)),
-            self._sparse(rng, (150, 400), complex_=False),
-        ]
-        for dense in twins:
-            for fmt in (sparse.csr_matrix, sparse.csc_matrix):
-                assert operator_norm(fmt(dense), with_err=True) == operator_norm(dense, with_err=True)
-        assert built
 
 
 class TestSpaceOperator:
@@ -414,7 +381,7 @@ class TestSpaceOperator:
         rng = np.random.default_rng(3)
         sp = interval_space(5)
         u = random_operator(rng, sp)
-        back = SpaceOperator.from_json(u.to_json(), sp)
+        back = SpaceOperator.from_json(operator_json(u), sp)
         assert np.array_equal(back.mat, u.mat)
 
     def test_pairs_bit_identical_to_complex(self):
@@ -437,7 +404,7 @@ class TestSpaceOperator:
         sp = interval_space(5)
         u = random_operator(np.random.default_rng(0), sp)
         with pytest.raises(ValueError):
-            SpaceOperator.from_json(u.to_json(), interval_space(6))
+            SpaceOperator.from_json(operator_json(u), interval_space(6))
 
 
 class TestPropagation:
@@ -1027,7 +994,7 @@ def test_rect_bounds_enclose_the_lapack_norm(n, kind, exponent, seed):
     rows = rng.random((40, n)) < 0.5
     cols = rng.random((40, n)) < 0.5
     u = SpaceOperator(space=far_points(n), mat=mat)
-    _assert_bound_premise(*u.rect_bounds(rows, cols), u.rect_norms(rows, cols))
+    _assert_bound_premise(*ops._rect_bounds(u.mat, rows, cols), u.rect_norms(rows, cols))
 
 
 def test_non_finite_bounds_are_normed():

@@ -702,7 +702,7 @@ class TestErrorBars:
         # halves u on its positions makes the error ||u|| / 2, a norm taken with its err
         def halved(u, field):
             e = u.entries
-            return SpaceOperator.of_entries(u.space, operators.Entries(e.shape, e.rows, e.cols, e.vals / 2))
+            return SpaceOperator(u.space, operators.Entries(e.shape, e.rows, e.cols, e.vals / 2))
 
         monkeypatch.setattr(propa, "phi_nu", halved)
         u = banded_contraction(np.random.default_rng(4), interval_space(60), R=2)

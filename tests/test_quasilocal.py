@@ -464,6 +464,11 @@ class TestFactoredHooksEqualDenseDefaults:
             with pytest.raises(ValueError):
                 small_assembly.tail_bound(R)
 
+    def test_exact_scans_refuse_an_assembly(self, small_assembly):
+        # they read the dense matrix, which an assembly does not hold
+        with pytest.raises(TypeError, match="SpaceOperator"):
+            next(operators._exact_rectangles(small_assembly, 1))
+
 
 @pytest.mark.parametrize("seed", [0, 2])
 def test_projection_tails_take_the_hermitian_route(monkeypatch, seed):

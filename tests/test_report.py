@@ -186,14 +186,15 @@ class TestDumps:
 
     @pytest.mark.parametrize("obj", [
         # the same values at two indent levels, and at one level in blocks of
-        # equal and of ragged rows
+        # equal rows and of ragged rows (which the generic writer takes)
         {"a": [[1, 2], [2, 1]], "b": {"c": [[1, 2], [2, 1]]}, "d": [[[2, 1]], [[1, 2], [2, 1]]]},
         {"a": [[1, 2], [3, 4]], "b": [[1], [2, 3, 4]], "c": [[4, 3], [2, 1]]},
         # one row, and rows of length 1
         [[5, 6, 7]], [[4]], [[1], [2], [1]], {"x": [[0]], "y": [[0], [0]]},
         # beyond int64, and negatives (-1 and -2 share a hash)
         [[2 ** 63, -(2 ** 63) - 1], [2 ** 64 + 1, 2 ** 63]], [[-1, -2], [-2, -1]], [[-(10 ** 30)], [10 ** 30]],
-        # ragged blocks, one of them with as many entries as rows times the first row's length
+        # ragged blocks, one of them with as many entries as rows times the first
+        # row's length, which a row-length check must not take for equal rows
         [[1, 2, 3], [4], [5, 6]], [[1, 2], [3], [4, 5, 6]], [[7], [7, 7]],
     ])
     def test_int_row_tokens(self, obj):
