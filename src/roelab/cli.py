@@ -267,9 +267,9 @@ def _cmd_propa_sz(cfg):
 
 def _cmd_propa_rademacher(cfg):
     space = spaces.interval_space(cfg["N"])
-    mu, field = propa.kernel_chain(space, cfg["R"], cfg["delta"])
+    mu, nu = propa.kernel_chain(space, cfg["R"], cfg["delta"])
     u = _band_contraction(space, cfg["R"], cfg["seed"])
-    report = propa.rademacher_diagnostics(field, mu, cfg["trials"], cfg["seed"], u=u)
+    report = propa.rademacher_diagnostics(nu, mu, cfg["trials"], cfg["seed"], u=u)
     ok = all(v for k, v in report.items() if k.endswith("_ok"))
     return report, ok
 
@@ -417,26 +417,36 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _config_parser() -> argparse.ArgumentParser:
+    """A parser of --config alone, in every spelling that build_parser()
+    accepts; built once per process."""
+    parser = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    parser.add_argument("--config")
+    return parser
+
+
 def _merge_config(argv: list) -> list:
-    """Splice config-file values into argv as flags, so required args may come
-    from the file; explicitly passed flags win."""
-    if "--config" not in argv[:-1]:  # a trailing --config is argparse's error to report
+    """Splice config-file values in as flags right after `module action`, so
+    required args may come from the file and every flag the user passes, in
+    any spelling argparse accepts, comes later and wins."""
+    try:
+        path = _config_parser().parse_known_args(argv)[0].config
+    except argparse.ArgumentError:  # a --config with no path is argparse's error to report
         return argv
-    path = argv[argv.index("--config") + 1]
+    if path is None:
+        return argv
     with open(path) as fh:
         file_cfg = json.load(fh)
     if not isinstance(file_cfg, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    passed = {a.lstrip("-").replace("-", "_") for a in argv if a.startswith("-")}
     extra = []
     for key, value in file_cfg.items():
-        if key in passed:
-            continue
         flag = "-R" if key == "R" else "--" + key.replace("_", "-")
         if isinstance(value, list):
             value = ",".join(str(v) for v in value)
         extra += [flag, str(value)]
-    return list(argv) + extra
+    return argv[:2] + extra + argv[2:]
 
 
 def _parse_args(argv) -> argparse.Namespace:

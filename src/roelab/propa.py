@@ -154,54 +154,30 @@ def uniform_ball_kernel(space: FiniteMetricSpace, R, delta: float) -> PropertyAK
     return PropertyAKernel(space=space, S=S, delta=delta, R=R)
 
 
-@dataclass(frozen=True)
-class IsometryField:
-    """Square roots f_z = nu_.(z)^(1/2) of a kernel, viewed as multiplication
-    operators; built only by isometry_field. The n x n array F of the roots
-    is built on first use: phi_nu works from the kernel's packed supports,
-    and only rademacher_diagnostics reads F."""
-
-    kernel: PropertyAKernel
-
-    @cached_property
-    def F(self) -> np.ndarray:
-        """F[z, x] = nu_x(z)^(1/2)."""
-        return np.sqrt(self.kernel.mu.T)
-
-    @property
-    def T(self) -> float:
-        return self.kernel.S
-
-    @property
-    def space(self) -> FiniteMetricSpace:
-        return self.kernel.space
-
-    @property
-    def delta(self) -> float:
-        return self.kernel.delta
-
-
-def isometry_field(nu: PropertyAKernel) -> IsometryField:
-    """The field F[z, x] = nu_x(z)^(1/2) = 1_{B_x}(z) / sqrt|B_x|; nothing is
+def isometry_field(nu: PropertyAKernel) -> np.ndarray:
+    """The field of square roots f_z = nu_.(z)^(1/2) as the dense n x n array
+    F[z, x] = nu_x(z)^(1/2) = 1_{B_x}(z) / sqrt|B_x|. Only rademacher_diagnostics
+    builds it: phi_nu works from the kernel's packed supports. Nothing is
     re-checked, since the proved kernel nu gives each property:
     - unit columns: sum_z F[z, x]^2 = sum_z nu_x(z) = 1;
     - support within T = S: F[z, x] > 0 only on B_x = Ball(x, S);
     - for dist(x, y) <= R, ||F_x - F_y||^2 <= ||nu_x - nu_y||_1 < delta,
       since (sqrt a - sqrt b)^2 <= |a - b| for a, b >= 0, term by term.
     """
-    return IsometryField(kernel=nu)
+    return np.sqrt(nu.mu.T)
 
 
 def kernel_chain(space: FiniteMetricSpace, R, delta: float) -> tuple:
-    """The two kernel stages on a space: mu for (delta, R), and the field of
-    nu for (delta, S), S the support radius of mu. Returns (mu, field)."""
+    """The two kernel stages on a space: mu for (delta, R), and nu for
+    (delta, S), S the support radius of mu, whose square roots are the
+    isometry field. Returns (mu, nu)."""
     mu = uniform_ball_kernel(space, R, delta)
-    return mu, isometry_field(uniform_ball_kernel(space, mu.S, delta))
+    return mu, uniform_ball_kernel(space, mu.S, delta)
 
 
-def phi_nu(u: SpaceOperator, field: IsometryField) -> SpaceOperator:
-    """Schur multiplication by the field's Gram kernel k(x, y) = sum_z f_z(x) f_z(y),
-    that is, sum_z f_z u f_z.
+def phi_nu(u: SpaceOperator, nu: PropertyAKernel) -> SpaceOperator:
+    """Schur multiplication by the Gram kernel k(x, y) = sum_z f_z(x) f_z(y) of
+    nu's isometry field, that is, sum_z f_z u f_z.
 
     With f_z(x) = 1_{B_x}(z) / sqrt|B_x| for the balls B_x of the kernel,
     k has the closed form
@@ -219,12 +195,11 @@ def phi_nu(u: SpaceOperator, field: IsometryField) -> SpaceOperator:
     - propagation at most 2T unmasked: beyond 2T the balls of radius T are
       disjoint, the count is 0 and k(x, y) is exactly 0.
     """
-    if u.space.n != field.space.n:
-        raise KernelInvalid("operator and field live on different spaces")
-    kernel = field.kernel
-    size = kernel.sizes
+    if u.space.n != nu.space.n:
+        raise KernelInvalid("operator and kernel live on different spaces")
+    size = nu.sizes
     e = u.entries
-    k = _overlaps(kernel.supports, e.rows, e.cols) / np.sqrt(size[e.rows] * size[e.cols])
+    k = _overlaps(nu.supports, e.rows, e.cols) / np.sqrt(size[e.rows] * size[e.cols])
     return SpaceOperator(u.space, Entries(e.shape, e.rows, e.cols, e.vals * k))
 
 
@@ -305,8 +280,8 @@ def sz_approximate(u: SpaceOperator, eps: float, R, seed: int = 0) -> tuple:
     method = _validate_eps_propagation(u, eps, R, seed=seed)
     delta = math.sqrt(eps)
     space = u.space
-    mu, field = kernel_chain(space, R, delta)
-    approx = phi_nu(u, field)
+    mu, nu = kernel_chain(space, R, delta)
+    approx = phi_nu(u, nu)
     # u - phi_nu(u) vanishes off u's positions, which phi_nu keeps, so it is taken there alone
     e = u.entries
     diff = e.vals - approx.entries.vals
@@ -315,13 +290,13 @@ def sz_approximate(u: SpaceOperator, eps: float, R, seed: int = 0) -> tuple:
     if live.any():
         error, error_err = operator_norm(Entries(e.shape, e.rows[live], e.cols[live], diff[live]), with_err=True)
     bound = 18.0 * eps ** 0.25
-    covers = bool(2 * field.T >= space.diameter)
+    covers = bool(2 * nu.S >= space.diameter)
     report = {
         "eps": eps,
         "R": R,
         "delta": delta,
         "S": mu.S,
-        "T": field.T,
+        "T": nu.S,
         "error": error,
         "bound": bound,
         "holds": bool(error + error_err < bound),
@@ -348,7 +323,7 @@ def _bonferroni_z(k: float, n: int) -> float:
 
 
 def rademacher_diagnostics(
-    field: IsometryField, mu: PropertyAKernel, trials: int, seed: int, u: SpaceOperator
+    nu: PropertyAKernel, mu: PropertyAKernel, trials: int, seed: int, u: SpaceOperator
 ) -> dict:
     """Moment and perturbation diagnostics for the sign-field analysis.
 
@@ -361,19 +336,20 @@ def rademacher_diagnostics(
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
-    if mu.space.n != field.space.n:
+    if mu.space.n != nu.space.n:
         raise KernelInvalid("smoothing kernel must live on the field's space")
-    space = field.space
+    space = nu.space
     n = space.n
-    delta = field.delta
+    delta = nu.delta
+    F = isometry_field(nu)
     C = delta ** -0.5
     rng = np.random.default_rng(seed)
     signs = (rng.integers(0, 2, size=(trials, n)) * 2 - 1).astype(np.float64)
-    f = signs @ field.F  # f_w = sum_z w_z f_z, one row per sign vector w
+    f = signs @ F  # f_w = sum_z w_z f_z, one row per sign vector w
     g = np.clip(f, -C, C)
     h = g @ mu.mu.T  # h(x) = sum_z mu_x(z) g(z)
 
-    sup_bound = math.sqrt(growth(space, field.T))
+    sup_bound = math.sqrt(growth(space, nu.S))
     sup_ok = bool(np.abs(f).max() <= sup_bound + 1e-9)
 
     z3, z4 = _bonferroni_z(3, n), _bonferroni_z(4, n)
@@ -381,7 +357,7 @@ def rademacher_diagnostics(
     second, second_se = _mean_se(power)
     second_ok = bool(np.all(np.abs(second - 1.0) <= z3 * second_se))
 
-    fourth_closed = 3.0 - 2.0 * (field.F ** 4).sum(axis=0)
+    fourth_closed = 3.0 - 2.0 * (F ** 4).sum(axis=0)
     # f^4 as the square of f^2, in place: no libm pow, and no second array
     fourth_emp, fourth_se = _mean_se(np.square(power, out=power))
     del power  # freed before the arrays below, so the peak does not grow
@@ -424,5 +400,5 @@ def rademacher_diagnostics(
         "lipschitz_max": lip,
         "lipschitz_bound": C * delta,
         "lipschitz_ok": lip_ok,
-        "reconstruction_gap": operator_norm(emp - phi_nu(u, field).mat),
+        "reconstruction_gap": operator_norm(emp - phi_nu(u, nu).mat),
     }

@@ -361,10 +361,7 @@ def gap_certificate(rep: UnitaryRep, space: FiniteMetricSpace, R) -> Certificate
     band = space.near(R)[:n, :n]  # band[j, i]: entry (row j, col i) inside the band
     eps_achieved = rep.band_residual_max(~band)
     tensor_value = operator_norm(band.astype(float)) / n
-    sups = [
-        1.0 / n if any(x < n and y < n for x, y in part.pairs.items()) else 0.0
-        for part in decomposition.parts
-    ]
+    sups = [1.0 / n if ((p[:, 0] < n) & (p[:, 1] < n)).any() else 0.0 for p in decomposition.parts]
 
     N = growth(space, R)
     gap = gap_lower_bound(n, N)

@@ -135,6 +135,10 @@ class FiniteMetricSpace:
         if kind == "graph":
             if not (np.isfinite(data) & (data == np.round(data))).all():
                 raise InvalidMetric("graph metric entries must be finite integers")
+            # float64 reads integers exactly only below 2^53, and a graph
+            # distance is at most n - 1
+            if (np.abs(data) >= 2.0 ** 53).any():
+                raise InvalidMetric("graph metric entries must be below 2^53 in absolute value")
             data = data.astype(np.int64)
         return FiniteMetricSpace(dist=data, label=obj.get("label", ""))
 
@@ -157,11 +161,14 @@ def _validate_metric(d: np.ndarray) -> None:
     off = d + np.where(np.eye(n, dtype=bool), np.inf, 0.0)
     if np.any(off <= (0 if integer else tol)):
         raise InvalidMetric("zero or negative distance between distinct points")
-    # triangle inequality, one pivot at a time to keep memory at n^2
-    for k in range(n):
-        via_k = d[:, k][:, None] + d[k, :][None, :]
-        if np.any(d > via_k + tol):
-            raise InvalidMetric(f"triangle inequality fails through point {k}")
+    # triangle inequality, one pivot at a time to keep memory at n^2; a float
+    # sum that overflows to inf is above every entry, as the exact sum is, so
+    # the overflow hides no violation
+    with np.errstate(over="ignore"):
+        for k in range(n):
+            via_k = d[:, k][:, None] + d[k, :][None, :]
+            if np.any(d > via_k + tol):
+                raise InvalidMetric(f"triangle inequality fails through point {k}")
 
 
 @dataclass

@@ -11,32 +11,17 @@ from .spaces import FiniteMetricSpace
 
 
 @dataclass
-class PartialTranslation:
-    """Injective partial map on point ids, stored as its graph {x: y}."""
-
-    pairs: dict
-
-    def graph_array(self) -> np.ndarray:
-        """The graph as an (m, 2) int array of [x, y] rows, sorted by x."""
-        m = len(self.pairs)
-        rows = np.empty((m, 2), dtype=np.int64)
-        rows[:, 0] = np.fromiter(self.pairs, np.int64, m)
-        rows[:, 1] = np.fromiter(self.pairs.values(), np.int64, m)
-        # decompose_band fills each part row by row, so this is already in order
-        if m > 1 and not (rows[1:, 0] > rows[:-1, 0]).all():
-            rows = rows[np.argsort(rows[:, 0])]
-        return rows
-
-
-@dataclass
 class TranslationDecomposition:
+    """The parts of a band partition. Each part is the graph of an injective
+    partial map on point ids, an (m, 2) int64 array of [x, y] rows sorted by x."""
+
     R: float
     parts: list
 
     def json_arrays(self) -> dict:
-        """The decomposition's JSON schema with each part's pairs as its
-        graph_array(), which `report.jsonable` turns into plain lists."""
-        return {"R": float(self.R), "parts": [{"pairs": p.graph_array()} for p in self.parts]}
+        """The decomposition's JSON schema, which `report.jsonable` turns into
+        plain lists."""
+        return {"R": float(self.R), "parts": [{"pairs": p} for p in self.parts]}
 
 
 def decompose_band(space: FiniteMetricSpace, R) -> TranslationDecomposition:
@@ -52,32 +37,36 @@ def decompose_band(space: FiniteMetricSpace, R) -> TranslationDecomposition:
     2 (N_X(R) - 1) busy parts and at most 2 N_X(R) - 1 parts are used. The
     cap 2 N_X(R) is a verdict: the command that prints the decomposition
     checks and reports it (`within_cap`).
+
+    The loop records each pair's part index; a stable sort by that index then
+    cuts the row-major pairs into the parts, each still sorted by x.
     """
     xs, ys = np.nonzero(space.near(R))  # row-major, i.e. lexicographic by (x, y)
     ran_bits = [0] * space.n
-    parts: list[dict] = []
+    index = []
     row, used = -1, 0
     for x, y in zip(xs.tolist(), ys.tolist()):
         if x != row:
             row, used = x, 0
         busy = ran_bits[y] | used
         bit = ~busy & (busy + 1)
-        i = bit.bit_length() - 1
-        if i == len(parts):
-            parts.append({})
-        parts[i][x] = y
+        index.append(bit.bit_length() - 1)
         used |= bit
         ran_bits[y] |= bit
-    return TranslationDecomposition(R=R, parts=[PartialTranslation(pairs=p) for p in parts])
+    index = np.array(index, np.int64)
+    pairs = np.column_stack((xs, ys)).astype(np.int64)[np.argsort(index, kind="stable")]
+    ends = np.cumsum(np.bincount(index)).tolist()
+    return TranslationDecomposition(R=R, parts=[pairs[a:b] for a, b in zip([0] + ends, ends)])
 
 
-def schur_restrict(u: SpaceOperator, T: PartialTranslation) -> SpaceOperator:
-    """Keep exactly the entries of u on graph(T), zero everywhere else.
+def schur_restrict(u: SpaceOperator, pairs: np.ndarray) -> SpaceOperator:
+    """Keep exactly the entries of u on the graph of a part, its [x, y] rows,
+    zero everywhere else.
 
     The result is a generalized permutation matrix, so its operator norm is
     the largest kept entry modulus.
     """
+    x, y = pairs.T
     out = np.zeros_like(u.mat)
-    for x, y in T.pairs.items():
-        out[y, x] = u.mat[y, x]
+    out[y, x] = u.mat[y, x]
     return SpaceOperator(space=u.space, mat=out)

@@ -230,7 +230,8 @@ def reference_variations(space, S, R) -> dict:
     }
 
 
-def reference_gram(field):
-    """The Gram kernel k(x, y) = sum_z f_z(x) f_z(y) of an isometry field, as
-    the GEMM F^T F of its dense roots."""
-    return field.F.T @ field.F
+def reference_gram(nu):
+    """The Gram kernel k(x, y) = sum_z f_z(x) f_z(y) of the isometry field of a
+    kernel nu, as the GEMM F^T F of its dense roots F[z, x] = nu_x(z)^(1/2)."""
+    F = np.sqrt(nu.mu.T)
+    return F.T @ F

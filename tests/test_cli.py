@@ -97,6 +97,8 @@ class TestMalformedInput:
         "metric_fractional.json": {"metric": {"kind": "graph", "data": [[0, 1.5], [1.5, 0]]}},
         "metric_infinite.json": {"metric": {"kind": "explicit", "data": [[0, float("inf")], [float("inf"), 0]]}},
         "metric_null.json": {"metric": {"kind": "graph", "data": [[0, None], [None, 0]]}},
+        # 2^63 - 1 reads as the float 2^63, which overflowed the int64 cast
+        "metric_huge_graph.json": {"metric": {"kind": "graph", "data": [[0, 2 ** 63 - 1], [2 ** 63 - 1, 0]]}},
         "metric_weighted.json": {"metric": {"kind": "weighted", "data": [[0, 1.5], [1.5, 0]]}},
         "group_bare.json": {"table": [[0]], "matrices": [[[1.0]]]},
         "group_1x2.json": {"table": [[0]], "matrices": [[[[1.0, 0.0], [0.0, 0.0]]]]},
@@ -187,6 +189,7 @@ class TestMalformedInput:
         ["space", "kappa", "-R", "1", "--space", "{dir}/metric_infinite.json"],
         ["space", "kappa", "-R", "1", "--space", "{dir}/metric_null.json"],
         ["space", "kappa", "-R", "1", "--space", "{dir}/metric_weighted.json"],
+        ["space", "kappa", "-R", "1", "--space", "{dir}/metric_huge_graph.json"],
         # operator files whose size is not an exact int
         ["oper", "band-dist", "--space", "interval:2", "--op", "{dir}/op_float_n.json"],
         ["oper", "band-dist", "--space", "interval:1", "--op", "{dir}/op_bool_n.json"],
@@ -380,6 +383,23 @@ class TestConfigAndOutput:
         assert code == 0
         assert report["config"]["members"] == [8, 12, 16]
         assert report["results"]["members"] == [8, 12, 16]
+
+    @pytest.mark.parametrize(
+        "flags, members, c0",
+        [
+            (["--config={cfg}"], [16, 32], 2.5),
+            (["--conf", "{cfg}"], [16, 32], 2.5),
+            # a flag the user passes wins over the file in any spelling argparse accepts
+            (["--config", "{cfg}", "--c0=4"], [16, 32], 4.0),
+            (["--config", "{cfg}", "--mem", "16"], [16], 2.5),
+        ],
+        ids=["equals", "abbreviated", "flag-equals", "flag-abbreviated"],
+    )
+    def test_config_spellings(self, tmp_path, flags, members, c0):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"members": [16, 32], "c0": 2.5}))
+        report, _ = run(["ql", "build"] + [f.format(cfg=cfg) for f in flags])
+        assert (report["config"]["members"], report["config"]["c0"]) == (members, c0)
 
     def test_csv_of_lists(self, capsys):
         code = main(["ql", "build", "--members", "8,12,16", "--format", "csv"])

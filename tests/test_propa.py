@@ -144,17 +144,27 @@ class TestKernels:
 
     def test_kernel_chain_allocates_no_dense_float_array(self):
         """Both stages at N = 2000 (S = 20, T = 400) peak below one n x n
-        float64 array: the kernels are packed bit rows, and mu and F are built
-        only on first use."""
+        float64 array: the kernels are packed bit rows, the dense mu is built
+        only on first use, and the field F only by isometry_field."""
         space = interval_space(2000)
         tracemalloc.start()
         try:
-            mu, field = propa.kernel_chain(space, 1, 0.1)
+            mu, nu = propa.kernel_chain(space, 1, 0.1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (mu.S, field.T) == (20, 400)
+        assert (mu.S, nu.S) == (20, 400)
         assert peak < 8 * space.n ** 2
+
+    def test_sz_builds_no_isometry_field(self, monkeypatch):
+        """propa sz reads the kernel's packed supports; only propa rademacher
+        builds the dense field."""
+
+        def refuse(nu):
+            raise AssertionError("propa sz built the dense isometry field")
+
+        monkeypatch.setattr(propa, "isometry_field", refuse)
+        _cmd_propa_sz({"N": 600, "eps": 1e-2, "R": 1.0, "seed": 0})
 
 
 def reference_validate_kernel(space, mu, S, delta, R) -> None:
@@ -311,11 +321,11 @@ class TestIsometryField:
     def test_properties_follow_from_the_kernel(self, seed):
         # isometry_field checks nothing; these are the facts its docstring proves
         nu = seeded_kernel(seed)
-        field = isometry_field(nu)
-        space, F = nu.space, field.F
-        assert field.T == nu.S
+        F = isometry_field(nu)
+        space = nu.space
+        assert F.shape == (space.n, space.n)
         assert np.abs((F ** 2).sum(axis=0) - 1.0).max() <= 1e-12
-        assert not np.any((F > 0) & (space.dist > field.T))
+        assert not np.any((F > 0) & (space.dist > nu.S))
         for x, y in np.argwhere((space.dist <= nu.R) & ~np.eye(space.n, dtype=bool)):
             qv = ((F[:, x] - F[:, y]) ** 2).sum()
             assert qv <= np.abs(nu.mu[x] - nu.mu[y]).sum() + 1e-12
@@ -323,14 +333,14 @@ class TestIsometryField:
 
     def test_columns_unit_norm(self):
         sp = interval_space(30)
-        field = isometry_field(uniform_ball_kernel(sp, R=2, delta=0.5))
-        assert np.abs((field.F ** 2).sum(axis=0) - 1.0).max() < 1e-12
+        F = isometry_field(uniform_ball_kernel(sp, R=2, delta=0.5))
+        assert np.abs((F ** 2).sum(axis=0) - 1.0).max() < 1e-12
 
     def test_gram_psd_unit_diagonal(self):
         # phi_nu of the all-ones operator is the Gram kernel on every pair
         sp = torus_space(24)
-        field = isometry_field(uniform_ball_kernel(sp, R=1, delta=0.5))
-        g = phi_nu(SpaceOperator(space=sp, mat=np.ones((24, 24))), field).mat
+        nu = uniform_ball_kernel(sp, R=1, delta=0.5)
+        g = phi_nu(SpaceOperator(space=sp, mat=np.ones((24, 24))), nu).mat
         assert np.all(np.diag(g) == 1.0)
         assert np.all(g.imag == 0) and np.array_equal(g, g.T)
         assert np.linalg.eigvalsh(g.real).min() > -1e-9
@@ -338,10 +348,10 @@ class TestIsometryField:
     def test_quadratic_variation_below_delta(self):
         sp = interval_space(40)
         nu = uniform_ball_kernel(sp, R=2, delta=0.3)
-        field = isometry_field(nu)
+        F = isometry_field(nu)
         close = np.argwhere((sp.dist <= 2) & (sp.dist > 0))
         for x, y in close:
-            assert ((field.F[:, x] - field.F[:, y]) ** 2).sum() < 0.3
+            assert ((F[:, x] - F[:, y]) ** 2).sum() < 0.3
 
 
 def seeded_space(seed):
@@ -395,13 +405,13 @@ class TestPackedOverlaps:
         rng = np.random.default_rng(seed)
         space = seeded_space(seed)
         R = (1, 2)[seed % 2]
-        field = isometry_field(uniform_ball_kernel(space, R, (0.3, 0.6, 1.2, 2.5)[seed % 4]))
-        gram = reference_gram(field)
-        k = phi_nu(SpaceOperator(space=space, mat=np.ones((space.n, space.n))), field).mat
+        nu = uniform_ball_kernel(space, R, (0.3, 0.6, 1.2, 2.5)[seed % 4])
+        gram = reference_gram(nu)
+        k = phi_nu(SpaceOperator(space=space, mat=np.ones((space.n, space.n))), nu).mat
         assert np.all(np.diag(k) == 1.0)
         assert np.abs(k - gram).max() <= 1e-12
-        u = random_operator(rng, space, R=(None, 2 * field.T)[seed % 2])
-        out = phi_nu(u, field).mat
+        u = random_operator(rng, space, R=(None, 2 * nu.S)[seed % 2])
+        out = phi_nu(u, nu).mat
         support = u.mat != 0
         assert np.all(out[~support] == 0)
         assert np.abs(out - u.mat * gram)[support].max() <= 1e-12
@@ -410,32 +420,32 @@ class TestPackedOverlaps:
 class TestPhiNu:
     def test_unital(self):
         sp = interval_space(25)
-        field = isometry_field(uniform_ball_kernel(sp, R=1, delta=0.5))
+        nu = uniform_ball_kernel(sp, R=1, delta=0.5)
         ident = SpaceOperator(space=sp, mat=np.eye(25, dtype=complex))
-        assert np.abs(phi_nu(ident, field).mat - np.eye(25)).max() < 1e-12
+        assert np.abs(phi_nu(ident, nu).mat - np.eye(25)).max() < 1e-12
 
     def test_output_propagation(self):
         rng = np.random.default_rng(0)
         sp = interval_space(40)
-        field = isometry_field(uniform_ball_kernel(sp, R=1, delta=1.0))
+        nu = uniform_ball_kernel(sp, R=1, delta=1.0)
         u = random_operator(rng, sp)
-        out = phi_nu(u, field)
-        assert propagation_oracle(out, 0.0) <= 2 * field.T
+        out = phi_nu(u, nu)
+        assert propagation_oracle(out, 0.0) <= 2 * nu.S
 
     def test_contraction(self):
         rng = np.random.default_rng(1)
         sp = torus_space(30)
-        field = isometry_field(uniform_ball_kernel(sp, R=1, delta=0.8))
+        nu = uniform_ball_kernel(sp, R=1, delta=0.8)
         u = random_operator(rng, sp)
-        assert operator_norm(phi_nu(u, field).mat) <= operator_norm(u.mat) + 1e-9
+        assert operator_norm(phi_nu(u, nu).mat) <= operator_norm(u.mat) + 1e-9
 
     def test_positivity_preserved(self):
         rng = np.random.default_rng(2)
         sp = interval_space(15)
-        field = isometry_field(uniform_ball_kernel(sp, R=1, delta=0.7))
+        nu = uniform_ball_kernel(sp, R=1, delta=0.7)
         a = rng.standard_normal((15, 15))
         pos = SpaceOperator(space=sp, mat=(a @ a.T).astype(complex))
-        out = phi_nu(pos, field)
+        out = phi_nu(pos, nu)
         assert np.linalg.eigvalsh(out.mat).min() > -1e-9
 
 
@@ -620,45 +630,44 @@ def setup():
     sp = torus_space(40)
     mu = uniform_ball_kernel(sp, R=2, delta=0.5)
     nu = uniform_ball_kernel(sp, mu.S, 0.5)
-    field = isometry_field(nu)
-    return sp, mu, field
+    return sp, mu, nu
 
 
 class TestRademacher:
     def test_all_checks_pass(self, setup):
-        sp, mu, field = setup
+        sp, mu, nu = setup
         u = SpaceOperator(space=sp, mat=np.eye(40, dtype=complex) * 0.5)
-        out = rademacher_diagnostics(field, mu, trials=1500, seed=0, u=u)
+        out = rademacher_diagnostics(nu, mu, trials=1500, seed=0, u=u)
         for key, value in out.items():
             if key.endswith("_ok"):
                 assert value, (key, out)
 
     def test_fourth_moment_closed_form(self, setup):
-        sp, mu, field = setup
+        sp, mu, nu = setup
         u = SpaceOperator(space=sp, mat=np.eye(40, dtype=complex))
-        out = rademacher_diagnostics(field, mu, trials=500, seed=1, u=u)
+        out = rademacher_diagnostics(nu, mu, trials=500, seed=1, u=u)
         assert out["fourth_closed_max"] <= 3.0 + 1e-12
 
     def test_reconstruction_gap_small_at_many_trials(self, setup):
-        sp, mu, field = setup
+        sp, mu, nu = setup
         u = SpaceOperator(space=sp, mat=np.eye(40, dtype=complex))
-        out = rademacher_diagnostics(field, mu, trials=20_000, seed=2, u=u)
+        out = rademacher_diagnostics(nu, mu, trials=20_000, seed=2, u=u)
         # empirical average of f u f approaches the Schur-multiplier image
         assert out["reconstruction_gap"] < 0.05
 
     def test_trials_validation(self, setup):
-        sp, mu, field = setup
+        sp, mu, nu = setup
         u = SpaceOperator(space=sp, mat=np.eye(40, dtype=complex))
         with pytest.raises(ValueError):
-            rademacher_diagnostics(field, mu, trials=10, seed=0, u=u)
+            rademacher_diagnostics(nu, mu, trials=10, seed=0, u=u)
 
     def test_lipschitz_max_is_the_same_in_any_block(self, setup, monkeypatch):
-        sp, mu, field = setup
+        sp, mu, nu = setup
         u = SpaceOperator(space=sp, mat=np.eye(40, dtype=complex))
-        whole = rademacher_diagnostics(field, mu, trials=300, seed=3, u=u)
+        whole = rademacher_diagnostics(nu, mu, trials=300, seed=3, u=u)
         for pairs in (1, 7):  # 160 close pairs on torus:40 at R = 2
             monkeypatch.setattr(propa, "LIP_PAIRS", pairs)
-            assert rademacher_diagnostics(field, mu, trials=300, seed=3, u=u) == whole
+            assert rademacher_diagnostics(nu, mu, trials=300, seed=3, u=u) == whole
 
     def test_lipschitz_blocks_bound_the_peak(self):
         # gathering two trials x |close| arrays at once peaked at 33 MiB here
@@ -700,7 +709,7 @@ class TestErrorBars:
     def test_sz_holds_needs_the_upper_estimate(self, wide_err, monkeypatch):
         # every T-ball covers the 60 points, so phi_nu(u) = u; a phi_nu that
         # halves u on its positions makes the error ||u|| / 2, a norm taken with its err
-        def halved(u, field):
+        def halved(u, nu):
             e = u.entries
             return SpaceOperator(u.space, operators.Entries(e.shape, e.rows, e.cols, e.vals / 2))
 

@@ -370,7 +370,7 @@ class TestGapCertificate:
         assert cert.pair_count == int(band.sum())
         sups = []
         for part in decompose_band(space, R).parts:
-            inside = [(y, x) for x, y in part.pairs.items() if x < n and y < n]  # (row, col)
+            inside = [(y, x) for x, y in part.tolist() if x < n and y < n]  # (row, col)
             blocks = [tensor[j * n : (j + 1) * n, i * n : (i + 1) * n] for j, i in inside]
             sups.append(max((float(np.linalg.norm(b, 2)) for b in blocks), default=0.0))
         assert np.allclose(cert.per_translation_sup, sups, rtol=0, atol=1e-12)

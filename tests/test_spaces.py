@@ -99,6 +99,12 @@ class TestValidation:
         d = np.array([[0.0, 1.0], [1.0 + 5e-10, 0.0]])
         FiniteMetricSpace(dist=d)  # within 1e-9
 
+    def test_huge_float_metric_constructs(self):
+        # 1e308 + 1e308 overflows to inf in the triangle check, which raised a
+        # RuntimeWarning (an error under pytest) although the metric is valid
+        sp = FiniteMetricSpace.from_json({"metric": {"kind": "explicit", "data": [[0, 1e308], [1e308, 0]]}})
+        assert sp.diameter == 1e308
+
     def test_accepts_valid_float_metric(self):
         d = np.array([[0.0, 1.5, 2.0], [1.5, 0.0, 1.0], [2.0, 1.0, 0.0]])
         sp = FiniteMetricSpace(dist=d)
@@ -362,7 +368,8 @@ class TestSerialization:
          ("explicit", [[0, math.nan], [math.nan, 0]], "finite"),
          ("explicit", [[0, "a"], ["a", 0]], "numeric"),
          ("explicit", [[0, 1], [1]], "numeric"),
-         ("weighted", [[0, 1], [1, 0]], "unknown metric kind")],
+         ("weighted", [[0, 1], [1, 0]], "unknown metric kind"),
+         ("graph", [[0, 2 ** 63 - 1], [2 ** 63 - 1, 0]], "below 2")],  # overflowed the int64 cast
     )
     def test_bad_metric_data_rejected(self, kind, data, match):
         with pytest.raises(InvalidMetric, match=match):

@@ -8,7 +8,7 @@ from roelab.operators import band_truncate, operator_norm
 from roelab.spaces import interval_space
 from roelab.spaces import growth
 from roelab.report import jsonable
-from roelab.translations import PartialTranslation, decompose_band, schur_restrict
+from roelab.translations import decompose_band, schur_restrict
 
 
 def reference_decompose_band(space, R):
@@ -33,9 +33,10 @@ def reference_decompose_band(space, R):
 
 def assert_same_as_reference(space, R):
     parts = decompose_band(space, R).parts
+    assert all(p.dtype == np.int64 and p.shape[1:] == (2,) for p in parts)
     # same partition, and the same order of entries within each part
-    assert [list(p.pairs.items()) for p in parts] == [
-        list(p.items()) for p in reference_decompose_band(space, R)]
+    assert [p.tolist() for p in parts] == [
+        [[x, y] for x, y in p.items()] for p in reference_decompose_band(space, R)]
     return parts
 
 
@@ -44,7 +45,7 @@ def cover_matrix(space, decomposition):
     n = space.n
     count = np.zeros((n, n), dtype=int)
     for part in decomposition.parts:
-        for x, y in part.pairs.items():
+        for x, y in part.tolist():
             count[y, x] += 1
     return count
 
@@ -75,16 +76,15 @@ class TestDecomposeBand:
         sp = random_connected_graph_space(rng, 12)
         dec = decompose_band(sp, 2)
         for part in dec.parts:
-            xs = list(part.pairs)
-            ys = list(part.pairs.values())
-            assert len(xs) == len(set(xs))  # injective on domain
+            xs, ys = part.T.tolist()
+            assert xs == sorted(set(xs))  # injective on domain, sorted by x
             assert len(ys) == len(set(ys))  # injective on range
 
     def test_radius_zero_is_identity_graph(self):
         sp = interval_space(5)
         dec = decompose_band(sp, 0)
         assert len(dec.parts) == 1
-        assert sorted(dec.parts[0].pairs.items()) == [(i, i) for i in range(5)]
+        assert dec.parts[0].tolist() == [[i, i] for i in range(5)]
 
     def test_deterministic(self):
         sp = interval_space(8)
@@ -103,11 +103,11 @@ class TestDecomposeBand:
 
     def test_json_arrays_convert_to_the_list_schema(self):
         dec = decompose_band(random_connected_graph_space(np.random.default_rng(2), 20), 2)
-        # a part whose pairs were not added in order, and an empty one
-        dec.parts += [PartialTranslation(pairs={5: 1, 2: 7, 9: 0}), PartialTranslation(pairs={})]
-        lists = {"R": 2.0, "parts": [{"pairs": [list(pair) for pair in sorted(p.pairs.items())]} for p in dec.parts]}
+        # a further part, and an empty one
+        dec.parts += [np.array([[2, 7], [5, 1], [9, 0]]), np.empty((0, 2), np.int64)]
+        lists = {"R": 2.0, "parts": [{"pairs": p.tolist()} for p in dec.parts]}
         assert typed(jsonable(dec.json_arrays())) == typed(lists)
-        assert dec.parts[-2].graph_array().tolist() == [[2, 7], [5, 1], [9, 0]]
+        assert lists["parts"][-2:] == [{"pairs": [[2, 7], [5, 1], [9, 0]]}, {"pairs": []}]
 
 
 @settings(max_examples=80, deadline=None)
@@ -149,5 +149,5 @@ class TestSchurRestrict:
         dec = decompose_band(sp, 1)
         for part in dec.parts:
             restricted = schur_restrict(u, part)
-            entries = [abs(u.mat[y, x]) for x, y in part.pairs.items()]
+            entries = [abs(u.mat[y, x]) for x, y in part.tolist()]
             assert operator_norm(restricted.mat) == pytest.approx(max(entries), abs=1e-9)
