@@ -185,7 +185,7 @@ def _cmd_reps_gap_cert(cfg):
     rep = _parse_group(cfg["group"])
     space = _parse_space(cfg["space"])
     report = reps.gap_certificate(rep, space, cfg["R"])
-    return report, report.verdict == "PASS"
+    return report, report["verdict"] == "PASS"
 
 
 def _cmd_randsub_mc(cfg):
@@ -197,8 +197,7 @@ def _cmd_randsub_mc(cfg):
 
 def _cmd_randsub_levy(cfg):
     rep = randsub.levy_median_check(cfg["d"], cfg["delta"], cfg["trials"], cfg["seed"])
-    ok = rep.median_ok and rep.mean_square_ok
-    return rep, ok
+    return rep, rep["median_ok"] and rep["mean_square_ok"]
 
 
 def _cmd_randsub_entropy(cfg):
@@ -224,14 +223,15 @@ def _cmd_ql_build(cfg):
     assembly, rejects = _build_assembly(cfg)
     inv = quasilocal.projection_invariants(assembly)
     ok = inv["idempotency_dev"] <= 1e-8 and inv["self_adjoint_dev"] <= 1e-8
+    rows = assembly.schedule
     return {
         "members": [m.n for m in assembly.family.members],
         "kappa": assembly.family.kappa,
         "kappa_kind": assembly.family.kappa_kind,
         "c0": cfg["c0"],
         "rejections": rejects,
-        "schedule": assembly.schedule,
-        "schedule_vacuous": assembly.schedule_vacuous,
+        "schedule": rows,
+        "schedule_vacuous": [row["certificate"] == "vacuous" for row in rows],
         "projection": inv,
     }, ok
 

@@ -332,16 +332,6 @@ class SpaceOperator:
         return sum(operator_norm(Entries(e.shape, e.rows[outside], e.cols[outside], e.vals[outside]), with_err=True))
 
 
-@dataclass(frozen=True)
-class RectangleWitness:
-    """A compression 1_A u 1_B together with its separation and norm."""
-
-    A: tuple
-    B: tuple
-    separation: float
-    value: float
-
-
 def band_truncate(u: SpaceOperator, R) -> SpaceOperator:
     kept = np.where(u.space.near(R), u.mat, 0.0)
     return SpaceOperator(space=u.space, mat=kept)
@@ -470,11 +460,12 @@ def first_largest(values: np.ndarray, best: float) -> int | None:
 class Bracket:
     """A two-sided bound [lower, upper] from a search (an eps-propagation
     radius, a distance to the band operators), with the rectangle that
-    witnesses the lower end; None where no rectangle does."""
+    witnesses the lower end (the dict `_witness` builds); None where no
+    rectangle does."""
 
     lower: float
     upper: float
-    witness: RectangleWitness | None
+    witness: dict | None
 
 
 def _exact_rectangles(u: SpaceOperator, R):
@@ -528,7 +519,7 @@ def _violation_candidates(lower: np.ndarray, upper: np.ndarray, eps: float) -> n
     return run | ~(np.isfinite(lower) & np.isfinite(upper))
 
 
-def eps_propagation_violation(u: SpaceOperator, eps: float, R) -> RectangleWitness | None:
+def eps_propagation_violation(u: SpaceOperator, eps: float, R) -> dict | None:
     """Witness of the first output mask, in increasing mask order, whose
     worst-case rectangle at radius R (_exact_rectangles) has norm not <= eps
     (NaN counts as a violation); None if u has eps-propagation <= R. The scan
@@ -688,12 +679,12 @@ def _distinct_rows(A, B) -> tuple:
     return first, inverse
 
 
-def _witness(space: FiniteMetricSpace, a_row, b_row, value) -> RectangleWitness:
-    """The witness of the rectangle with boolean membership rows a_row, b_row."""
+def _witness(space: FiniteMetricSpace, a_row, b_row, value) -> dict:
+    """The witness of the rectangle with boolean membership rows a_row, b_row:
+    the compression 1_A u 1_B, with its separation and norm."""
     A, B = np.flatnonzero(a_row), np.flatnonzero(b_row)
-    return RectangleWitness(
-        A=tuple(A.tolist()), B=tuple(B.tolist()), separation=space.set_distance(A, B), value=float(value)
-    )
+    separation = space.set_distance(A, B)
+    return {"A": tuple(A.tolist()), "B": tuple(B.tolist()), "separation": separation, "value": float(value)}
 
 
 def dist_to_band_bounds(

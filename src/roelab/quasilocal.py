@@ -206,11 +206,6 @@ class QuasiLocalAssembly:
                 row["certificate"] = "greedy"
         return rows
 
-    @property
-    def schedule_vacuous(self) -> list:
-        """One flag per schedule row: its threshold cannot be reached."""
-        return [row["certificate"] == "vacuous" for row in self.schedule]
-
 
 def assemble(
     family: ExpanderFamily, subspaces: list, blocks: list | None = None, c0: float = 3.0

@@ -226,23 +226,7 @@ def restricted_norm_max(sample: SubspaceSample, delta: float) -> RestrictedNormR
     return RestrictedNormReport(delta, k, mode, value, tuple(int(i) for i in E))
 
 
-@dataclass(frozen=True)
-class MonteCarloReport:
-    d: int
-    n: int
-    delta: float
-    c0: float
-    trials: int
-    seed: int
-    bound: float
-    vacuous: bool
-    empirical_probability: float
-    values: tuple
-
-
-def mc_lemma_random(
-    d: int, n: int, delta: float, c0: float, trials: int, seed: int
-) -> MonteCarloReport:
+def mc_lemma_random(d: int, n: int, delta: float, c0: float, trials: int, seed: int) -> dict:
     """Fraction of random subspaces whose restricted norm stays under the bound.
 
     Where `restricted_norm_max` searches greedily its values are lower bounds
@@ -260,37 +244,21 @@ def mc_lemma_random(
         values.append(restricted_norm_max(sample, delta).value)
     values = np.array(values)
     prob = float(np.mean(values < bound))
-    return MonteCarloReport(
-        d=d,
-        n=n,
-        delta=delta,
-        c0=c0,
-        trials=trials,
-        seed=seed,
-        bound=bound,
-        vacuous=vacuous_threshold(bound),
-        empirical_probability=prob,
-        values=tuple(float(v) for v in values),
-    )
+    return {
+        "d": d,
+        "n": n,
+        "delta": delta,
+        "c0": c0,
+        "trials": trials,
+        "seed": seed,
+        "bound": bound,
+        "vacuous": vacuous_threshold(bound),
+        "empirical_probability": prob,
+        "values": tuple(float(v) for v in values),
+    }
 
 
-@dataclass(frozen=True)
-class LevyReport:
-    d: int
-    delta: float
-    k: int
-    trials: int
-    seed: int
-    median: float
-    median_bound: float
-    median_ok: bool
-    mean_square: float
-    mean_square_se: float
-    mean_square_ok: bool
-    tails: dict
-
-
-def levy_median_check(d: int, delta: float, trials: int, seed: int) -> LevyReport:
+def levy_median_check(d: int, delta: float, trials: int, seed: int) -> dict:
     """Concentration of ||1_E x|| for uniform sphere points and a fixed coordinate set E."""
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
@@ -312,20 +280,20 @@ def levy_median_check(d: int, delta: float, trials: int, seed: int) -> LevyRepor
     for t in (0.05, 0.1):
         frac = float(np.mean(norms > median + t))
         tails[t] = {"fraction": frac, "bound": 2.0 * math.exp(-(t ** 2) * d / 2.0)}
-    return LevyReport(
-        d=d,
-        delta=delta,
-        k=k,
-        trials=trials,
-        seed=seed,
-        median=median,
-        median_bound=median_bound,
-        median_ok=bool(median <= median_bound),
-        mean_square=mean_sq,
-        mean_square_se=se,
-        mean_square_ok=bool(abs(mean_sq - exact_mean_sq) <= 3 * se),
-        tails=tails,
-    )
+    return {
+        "d": d,
+        "delta": delta,
+        "k": k,
+        "trials": trials,
+        "seed": seed,
+        "median": median,
+        "median_bound": median_bound,
+        "median_ok": bool(median <= median_bound),
+        "mean_square": mean_sq,
+        "mean_square_se": se,
+        "mean_square_ok": bool(abs(mean_sq - exact_mean_sq) <= 3 * se),
+        "tails": tails,
+    }
 
 
 def entropy_count_bound(d: int, delta: float):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -300,23 +299,7 @@ def gap_lower_bound(n: float, N: float) -> float:
     return max(0.0, (rn - 2.0 * N) / (rn + 2.0 * N))
 
 
-@dataclass(frozen=True)
-class CertificateReport:
-    n: int
-    group_order: int
-    growth_N: int
-    eps_achieved: float
-    gap_bound: float
-    tensor_value: float
-    per_translation_sup: tuple
-    pair_count: int
-    checks: dict
-    vacuous: dict
-    verdict: str
-    half_form_lower: float
-
-
-def gap_certificate(rep: UnitaryRep, space: FiniteMetricSpace, R) -> CertificateReport:
+def gap_certificate(rep: UnitaryRep, space: FiniteMetricSpace, R) -> dict:
     """Numeric certificate for the band-approximation obstruction chain.
 
     Places the representation as the coordinate block on points 0..n-1 of X,
@@ -373,18 +356,17 @@ def gap_certificate(rep: UnitaryRep, space: FiniteMetricSpace, R) -> Certificate
     }
     trivial_eps = bool(eps_achieved >= 1.0 - CERT_TOL)
     vacuous = {"tensor_lower": trivial_eps, "translation_sups": True, "gap": trivial_eps or gap == 0.0}
-    verdict = "PASS" if all(checks.values()) else "FAIL"
-    return CertificateReport(
-        n=n,
-        group_order=rep.group.order,
-        growth_N=N,
-        eps_achieved=float(eps_achieved),
-        gap_bound=float(gap),
-        tensor_value=float(tensor_value),
-        per_translation_sup=tuple(sups),
-        pair_count=int(band.sum()),
-        checks=checks,
-        vacuous=vacuous,
-        verdict=verdict,
-        half_form_lower=max(0.0, float(gap) - 0.1),
-    )
+    return {
+        "n": n,
+        "group_order": rep.group.order,
+        "growth_N": N,
+        "eps_achieved": float(eps_achieved),
+        "gap_bound": float(gap),
+        "tensor_value": float(tensor_value),
+        "per_translation_sup": tuple(sups),
+        "pair_count": int(band.sum()),
+        "checks": checks,
+        "vacuous": vacuous,
+        "verdict": "PASS" if all(checks.values()) else "FAIL",
+        "half_form_lower": max(0.0, float(gap) - 0.1),
+    }

@@ -163,11 +163,18 @@ def _validate_metric(d: np.ndarray) -> None:
         raise InvalidMetric("zero or negative distance between distinct points")
     # triangle inequality, one pivot at a time to keep memory at n^2; a float
     # sum that overflows to inf is above every entry, as the exact sum is, so
-    # the overflow hides no violation
+    # the overflow hides no violation. An integer sum would wrap around, so
+    # integers test d[i, j] - d[k, j] > d[i, k]: the entries are nonnegative
+    # here, so the difference cannot overflow, and it is clipped at 0 so that
+    # an unsigned one cannot wrap below 0 either
     with np.errstate(over="ignore"):
         for k in range(n):
-            via_k = d[:, k][:, None] + d[k, :][None, :]
-            if np.any(d > via_k + tol):
+            if integer:
+                bad = d - np.minimum(d, d[k, :]) > d[:, k][:, None]
+            else:
+                via_k = d[:, k][:, None] + d[k, :][None, :]
+                bad = d > via_k + tol
+            if np.any(bad):
                 raise InvalidMetric(f"triangle inequality fails through point {k}")
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from roelab.operators import (
-    RectangleWitness,
     SpaceOperator,
     _sigma_max,
     band_truncate,
@@ -173,9 +172,9 @@ def reference_band_dist_random(u, R, budget, seed, pool=None):
         value = _sigma_max(u.mat[np.ix_(A, B)])
         if value > best:
             best = float(value)
-            witness = RectangleWitness(
-                A=tuple(A.tolist()), B=tuple(B.tolist()), separation=u.space.set_distance(A, B), value=best
-            )
+            witness = {
+                "A": tuple(A.tolist()), "B": tuple(B.tolist()), "separation": u.space.set_distance(A, B), "value": best
+            }
     return best, witness
 
 
@@ -204,9 +203,7 @@ def reference_eps_prop_heuristic(u, eps, seed, budget):
             sep = space.set_distance(A, B)
             if sep > lower:
                 lower = float(sep)
-                witness = RectangleWitness(
-                    A=tuple(A.tolist()), B=tuple(B.tolist()), separation=sep, value=value
-                )
+                witness = {"A": tuple(A.tolist()), "B": tuple(B.tolist()), "separation": sep, "value": value}
     return lower, float(radii[lo]), witness
 
 

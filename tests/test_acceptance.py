@@ -131,19 +131,19 @@ def test_criterion_03_gap_certificate_chain():
     """Certificate chain at p=5 and p=67; the boundary identity eps > 3/5."""
     start = time.monotonic()
     c5 = gap_certificate(heisenberg_rep(5), far_points(5), R=2)
-    ok = c5.verdict == "PASS" and c5.eps_achieved == 1.0
-    ok = ok and c5.gap_bound == pytest.approx(gap_lower_bound(5, 1))
+    ok = c5["verdict"] == "PASS" and c5["eps_achieved"] == 1.0
+    ok = ok and c5["gap_bound"] == pytest.approx(gap_lower_bound(5, 1))
     c67 = gap_certificate(heisenberg_rep(67), far_points(67), R=2)
     expected67 = (math.sqrt(67) - 2.0) / (math.sqrt(67) + 2.0)
-    ok = ok and c67.verdict == "PASS" and c67.eps_achieved == 1.0
-    ok = ok and c67.gap_bound == pytest.approx(expected67, abs=1e-12)
+    ok = ok and c67["verdict"] == "PASS" and c67["eps_achieved"] == 1.0
+    ok = ok and c67["gap_bound"] == pytest.approx(expected67, abs=1e-12)
     # boundary identity: growth exactly sqrt(n)/8 forces eps > 3/5
     for n in (64.0, 256.0, 1024.0):
         ok = ok and gap_lower_bound(n, math.sqrt(n) / 8.0) == pytest.approx(0.6, abs=1e-12)
     # formula evaluation cross-check at n=25, N=1
     ok = ok and gap_lower_bound(25, 1) == pytest.approx(3.0 / 7.0, abs=1e-12)
     elapsed = time.monotonic() - start
-    verdict(3, ok and elapsed < 300.0, f"p=67 gap {c67.gap_bound:.4f}, {elapsed:.1f}s (< 5min)")
+    verdict(3, ok and elapsed < 300.0, f"p=67 gap {c67['gap_bound']:.4f}, {elapsed:.1f}s (< 5min)")
 
 
 def test_criterion_04_band_projection_identity():
@@ -189,14 +189,14 @@ def test_criterion_06_random_subspace_ingredients():
     levy = levy_median_check(d=d, delta=delta, trials=2000, seed=606)
     lo = math.sqrt(delta) - 3.0 / math.sqrt(d)
     hi = math.sqrt(delta) + 12.0 / math.sqrt(d)
-    ok = lo <= levy.median <= hi
+    ok = lo <= levy["median"] <= hi
     for dd in (40, 80, 120, 200, 320, 400, 500, 640, 800, 1000):
         for frac in (0.1, 0.2, 0.25, 0.4, 0.5):
             k = int(round(frac * dd))
             log_binomial, H_bound = entropy_count_bound(dd, k / dd)
             ok = ok and log_binomial <= H_bound + 1e-9
     mc = mc_lemma_random(d=30, n=4, delta=0.2, c0=100.0, trials=10, seed=606)
-    ok = ok and mc.vacuous and mc.bound > 1.0
+    ok = ok and mc["vacuous"] and mc["bound"] > 1.0
     worst_gap = 0.0
     for seed in range(50):
         s = sample_subspace(d=12, n=2, seed=seed)
@@ -208,7 +208,7 @@ def test_criterion_06_random_subspace_ingredients():
     verdict(
         6,
         ok and elapsed < 120.0,
-        f"median {levy.median:.3f} in [{lo:.3f},{hi:.3f}], greedy gap {worst_gap:.3e}, "
+        f"median {levy['median']:.3f} in [{lo:.3f},{hi:.3f}], greedy gap {worst_gap:.3e}, "
         f"{elapsed:.1f}s (< 2min)",
     )
 

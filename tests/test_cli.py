@@ -159,6 +159,10 @@ class TestMalformedInput:
         ["reps", "irr-check", "--group", "file:{dir}/group_bare.json"],
         ["reps", "irr-check", "--group", "file:{dir}/group_1x2.json"],
         ["reps", "irr-check", "--group", "file:{dir}/group_text_table.json"],
+        # a group spec names heis:P, sym:M or file:PATH
+        ["reps", "gap-cert", "--space", "far:3", "--group", "nope:3"],
+        # the spectral expansion bound reads the unit-distance graph, which far points lack
+        ["space", "kappa", "--space", "far:3", "--mode", "spectral"],
         # the gap certificate's closed forms need a unitary irreducible
         ["reps", "gap-cert", "--space", "far:2", "--group", "file:{dir}/group_z2_diag.json"],
         # c0 must be positive; a NaN eps anywhere in a profile's list is rejected

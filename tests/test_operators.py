@@ -20,7 +20,6 @@ from roelab import operators as ops
 from roelab.errors import TooLargeForExact
 from roelab.operators import (
     Bracket,
-    RectangleWitness,
     SpaceOperator,
     band_truncate,
     complex_from_pairs,
@@ -407,6 +406,14 @@ class TestSpaceOperator:
             SpaceOperator.from_json(operator_json(u), interval_space(6))
 
 
+    def test_json_row_count_check(self):
+        sp = interval_space(5)
+        obj = operator_json(random_operator(np.random.default_rng(0), sp))
+        obj["rows"] = obj["rows"][:-1]
+        with pytest.raises(ValueError, match=r"^operator json needs n \* n = 25 \[re, im\] rows$"):
+            SpaceOperator.from_json(obj, sp)
+
+
 class TestPropagation:
     def test_band_truncation_controls_propagation(self):
         rng = np.random.default_rng(4)
@@ -527,7 +534,7 @@ class TestEpsPropagation:
         u = random_operator(rng, sp)
         res = eps_propagation_radius(u, 0.5)
         if res.witness is not None:
-            A, B = np.array(res.witness.A), np.array(res.witness.B)
+            A, B = np.array(res.witness["A"]), np.array(res.witness["B"])
             assert operator_norm(u.mat[np.ix_(A, B)]) > 0.5
             assert sp.set_distance(A, B) == res.lower
 
@@ -556,7 +563,7 @@ class TestBandDistance:
         u = random_operator(rng, sp)
         b = dist_to_band_bounds(u, 2)
         assert b.witness is not None
-        assert b.witness.separation > 2
+        assert b.witness["separation"] > 2
 
     def test_large_instance_uses_random_search(self):
         rng = np.random.default_rng(14)
@@ -631,10 +638,10 @@ def reference_eps_propagation_exact(u, eps):
             best_R = r_a
             if lo > 0:
                 B = _worst_B(space, A, radii[lo - 1])
-                witness = RectangleWitness(
-                    A=tuple(A.tolist()), B=tuple(B.tolist()),
-                    separation=space.set_distance(A, B), value=operator_norm(u.mat[np.ix_(A, B)]),
-                )
+                witness = {
+                    "A": tuple(A.tolist()), "B": tuple(B.tolist()),
+                    "separation": space.set_distance(A, B), "value": operator_norm(u.mat[np.ix_(A, B)]),
+                }
     return float(best_R), witness
 
 
@@ -651,17 +658,11 @@ def reference_dist_to_band_exact(u, R):
             value = _lapack_norm(u.mat[np.ix_(A, B)])
             if value > best:
                 best = value
-                witness = RectangleWitness(
-                    A=tuple(A.tolist()), B=tuple(B.tolist()),
-                    separation=space.set_distance(A, B), value=value,
-                )
+                witness = {
+                    "A": tuple(A.tolist()), "B": tuple(B.tolist()),
+                    "separation": space.set_distance(A, B), "value": value,
+                }
     return best, witness
-
-
-def _same_witness(a, b):
-    if a is None or b is None:
-        return a is None and b is None
-    return (a.A, a.B, a.separation, a.value) == (b.A, b.B, b.separation, b.value)
 
 
 def _scan_operator(rng, space, kind):
@@ -687,9 +688,9 @@ def _assert_scans_match_reference(u, eps_values):
         res = eps_propagation_radius(u, eps)
         best_R, witness = reference_eps_propagation_exact(u, eps)
         assert res.lower == res.upper == best_R
-        assert _same_witness(res.witness, witness)
+        assert res.witness == witness
         if j == 0 and witness is not None:
-            eps_values.append(witness.value)
+            eps_values.append(witness["value"])
     tail_upper = None
     for R in u.space.radii():
         b = dist_to_band_bounds(u, R)
@@ -697,7 +698,7 @@ def _assert_scans_match_reference(u, eps_values):
         tail, err = operator_norm(u.mat - band_truncate(u, R).mat, with_err=True)
         assert b.lower == lower
         assert b.upper == tail + err
-        assert _same_witness(b.witness, witness)
+        assert b.witness == witness
         tail_upper = b.upper
     return tail_upper
 
@@ -791,9 +792,9 @@ def reference_eps_propagation_violation(u, eps, R):
         B = _worst_B(space, A, R)
         value = _lapack_norm(u.mat[np.ix_(A, B)]) if B.size else 0.0
         if not value <= eps:
-            return RectangleWitness(
-                A=tuple(A.tolist()), B=tuple(B.tolist()), separation=space.set_distance(A, B), value=value
-            )
+            return {
+                "A": tuple(A.tolist()), "B": tuple(B.tolist()), "separation": space.set_distance(A, B), "value": value
+            }
     return None
 
 
@@ -819,11 +820,11 @@ def test_violation_is_none_exactly_at_and_above_the_exact_radius(n, seed, kind):
         for R in probes:
             witness = eps_propagation_violation(u, eps, R)
             assert (witness is None) == (best_R <= R)
-            assert _same_witness(witness, reference_eps_propagation_violation(u, eps, R))
+            assert witness == reference_eps_propagation_violation(u, eps, R)
             if witness is not None:
-                assert witness.separation > R and not witness.value <= eps
+                assert witness["separation"] > R and not witness["value"] <= eps
                 if len(eps_values) == 1:
-                    eps_values.append(witness.value)
+                    eps_values.append(witness["value"])
 
 
 def test_violation_scan_stops_at_the_first_violating_chunk(monkeypatch):
@@ -840,7 +841,7 @@ def test_violation_scan_stops_at_the_first_violating_chunk(monkeypatch):
 
     monkeypatch.setattr(ops, "_exact_rectangles", counting)
     monkeypatch.setattr(ops, "MASK_CELLS", 64)  # 6 masks per chunk at n = 10
-    assert eps_propagation_violation(u, 1e-3, 0).A == (0,)
+    assert eps_propagation_violation(u, 1e-3, 0)["A"] == (0,)
     assert len(chunks) == 1
     chunks.clear()
     assert eps_propagation_violation(u, 1e-3, space.diameter) is None
@@ -870,7 +871,7 @@ def test_exact_radius_at_n14_across_mask_chunks(monkeypatch, eps):
     res = eps_propagation_radius(u, eps)
     best_R, witness = reference_eps_propagation_exact(u, eps)
     assert 0 < res.lower == res.upper == best_R < space.diameter
-    assert _same_witness(res.witness, witness)
+    assert res.witness == witness
 
 
 def reference_bisection(n: int, clear) -> tuple:
@@ -1034,13 +1035,13 @@ def test_exact_scans_norm_few_rectangles(monkeypatch):
     res = eps_propagation_radius(u, 0.05)
     assert sum(scanned) >= 2 * 4095 and sum(normed) <= 4
     best_R, witness = reference_eps_propagation_exact(u, 0.05)
-    assert res.lower == best_R and _same_witness(res.witness, witness)
+    assert res.lower == best_R and res.witness == witness
     scanned.clear()
     normed.clear()
     b = dist_to_band_bounds(u, 1)
     assert sum(scanned) == 4095 and sum(normed) <= 200
     lower, witness = reference_dist_to_band_exact(u, 1)
-    assert b.lower == lower and _same_witness(b.witness, witness)
+    assert b.lower == lower and b.witness == witness
 
 
 def test_zero_upper_bounds_are_skipped_once_best_is_nonnegative():
@@ -1075,7 +1076,7 @@ def test_band_distance_gathers_no_zero_rectangle(monkeypatch):
                 gathered.clear()
                 full = dist_to_band_bounds(u, R)
             assert sum(gathered) == 4095
-            assert b.lower == full.lower and _same_witness(b.witness, full.witness)
+            assert b.lower == full.lower and b.witness == full.witness
             if R == 1:
                 assert b.lower == 0.0 and b.witness is None and skipped == 0
             else:
@@ -1157,7 +1158,7 @@ class TestSigmaMaxStack:
         b = dist_to_band_bounds(u, 1)
         lower, witness = reference_dist_to_band_exact(u, 1)
         assert b.lower == lower
-        assert _same_witness(b.witness, witness)
+        assert b.witness == witness
 
 
 # ---------------------------------------------------------------- batched random searches
@@ -1168,11 +1169,11 @@ def _assert_random_searches_match_reference(u, R, eps, budget, seed, pool=None):
     lower, witness = reference_band_dist_random(u, R, budget, seed, pool)
     tail, err = operator_norm(u.mat - band_truncate(u, R).mat, with_err=True)
     assert (b.lower, b.upper) == (lower, tail + err)
-    assert _same_witness(b.witness, witness)
+    assert b.witness == witness
     res = eps_propagation_brackets(u, [eps], seed=seed, budget=budget)[0]
     lower, upper, witness = reference_eps_prop_heuristic(u, eps, seed, budget)
     assert (res.lower, res.upper) == (lower, upper)
-    assert _same_witness(res.witness, witness)
+    assert res.witness == witness
     return b, res
 
 
@@ -1199,7 +1200,7 @@ def test_random_searches_equal_per_draw_loops(n, seed, kind, budget, with_pool):
     b, res = _assert_random_searches_match_reference(u, R, float(rng.uniform(0.05, 1.5)), budget, seed, pool)
     for witness in (b.witness, res.witness):  # ties: eps is a drawn rectangle's norm exactly
         if witness is not None:
-            _assert_random_searches_match_reference(u, R, witness.value, budget, seed, pool)
+            _assert_random_searches_match_reference(u, R, witness["value"], budget, seed, pool)
     if kind == "zero":
         assert b.witness is None and res.witness is None and res.lower == 0.0
 
@@ -1220,14 +1221,14 @@ def test_brackets_equal_per_eps_per_draw_loops(n, seed, kind, budget, eps_values
     u = _scan_operator(rng, random_connected_graph_space(rng, n), kind)
     eps_list = sorted(eps_values, reverse=True)
     witnesses = [r.witness for r in eps_propagation_brackets(u, eps_list, seed=seed, budget=budget)]
-    ties = sorted({w.value for w in witnesses if w is not None}, reverse=True)
+    ties = sorted({w["value"] for w in witnesses if w is not None}, reverse=True)
     for eps_list in (eps_list, ties):
         results = eps_propagation_brackets(u, eps_list, seed=seed, budget=budget)
         assert len(results) == len(eps_list)
         for eps, res in zip(eps_list, results):
             lower, upper, witness = reference_eps_prop_heuristic(u, eps, seed, budget)
             assert isinstance(res, Bracket) and (res.lower, res.upper) == (lower, upper)
-            assert _same_witness(res.witness, witness)
+            assert res.witness == witness
             assert res == eps_propagation_brackets(u, [eps], seed=seed, budget=budget)[0]
 
 
@@ -1360,7 +1361,7 @@ def test_random_searches_on_float_metric():
     u = _scan_operator(rng, space, "dense-complex")
     b, res = _assert_random_searches_match_reference(u, 1.7, 0.3, 200, 5)
     assert b.witness is not None and res.witness is not None
-    assert isinstance(res.witness.separation, np.floating)
+    assert isinstance(res.witness["separation"], np.floating)
 
 
 def reference_random_rectangles(u, radii, seeds):

@@ -448,6 +448,12 @@ class TestPhiNu:
         out = phi_nu(pos, nu)
         assert np.linalg.eigvalsh(out.mat).min() > -1e-9
 
+    def test_rejects_kernel_on_another_space(self):
+        u = SpaceOperator(space=interval_space(6), mat=np.eye(6))
+        nu = uniform_ball_kernel(interval_space(7), R=1, delta=0.5)
+        with pytest.raises(KernelInvalid, match="^operator and kernel live on different spaces$"):
+            phi_nu(u, nu)
+
 
 class TestCommutatorBound:
     def test_holds_on_banded_contractions(self):
@@ -465,6 +471,11 @@ class TestCommutatorBound:
         h = np.tile([0.0, 1.0], 5)
         with pytest.raises(HypothesisViolated, match=re.escape("|h(0) - h(1)| = 1 > delta")):
             commutator_bound_check(u, h, R=1, delta=0.1, eps=1e-9)
+
+    def test_rejects_h_of_the_wrong_shape(self):
+        u = banded_contraction(np.random.default_rng(0), interval_space(10), R=1)
+        with pytest.raises(ValueError, match="^h must be a real diagonal over the space$"):
+            commutator_bound_check(u, np.linspace(0.0, 1.0, 9), R=1, delta=0.5, eps=1e-9)
 
     def test_rejects_h_out_of_range(self):
         sp = interval_space(10)
@@ -489,11 +500,29 @@ class TestCommutatorBound:
             commutator_bound_check(u, np.linspace(0, 1, 10), R=1, delta=0.9, eps=1e-6)
 
 
+    def test_heuristic_search_above_the_exact_scan(self):
+        # u = J/n, every entry 1/n, on more points than the exact scan takes:
+        # its tail at R = 0 is ||J - I|| / n = (n - 1)/n, above both eps, and
+        # a rectangle 1_A u 1_B has norm sqrt(|A| |B|) / n, at most 1/2 for
+        # disjoint A and B. So at eps = 0.6 the search finds no violation,
+        # and at eps = 0.4 it finds one at a separation above R = 0
+        n = 30
+        u = SpaceOperator(space=interval_space(n), mat=np.full((n, n), 1.0 / n))
+        assert n > operators.EXACT_EPSPROP_MAX
+        assert u.tail_bound(0) == pytest.approx((n - 1) / n, abs=1e-12)
+        _, _, report = sz_approximate(u, 0.6, 0)
+        assert report["propagation_check"] == "heuristic-search"
+        res = eps_propagation_brackets(u, [0.4], budget=300)[0]
+        assert res.lower == 6.0 and res.witness["value"] > 0.4
+        message = f"found rectangle of separation {res.lower} with norm above eps (witness {res.witness})"
+        with pytest.raises(HypothesisViolated, match=f"^{re.escape(message)}$"):
+            sz_approximate(u, 0.4, 0)
+
     def test_exact_scan_raises_with_its_witness(self):
         # |X| = 10 takes the exact scan at R; the tail bound exceeds eps
         u = banded_contraction(np.random.default_rng(1), interval_space(10), R=6)
         witness = operators.eps_propagation_violation(u, 1e-6, 1)
-        assert witness.separation > 1 and witness.value > 1e-6
+        assert witness["separation"] > 1 and witness["value"] > 1e-6
         with pytest.raises(HypothesisViolated, match=re.escape(str(witness))):
             propa._validate_eps_propagation(u, 1e-6, 1)
 
@@ -642,6 +671,13 @@ class TestRademacher:
             if key.endswith("_ok"):
                 assert value, (key, out)
 
+    def test_rejects_smoothing_kernel_on_another_space(self, setup):
+        sp, _, nu = setup
+        mu = uniform_ball_kernel(torus_space(41), R=2, delta=0.5)
+        u = SpaceOperator(space=sp, mat=np.eye(40, dtype=complex) * 0.5)
+        with pytest.raises(KernelInvalid, match="^smoothing kernel must live on the field's space$"):
+            rademacher_diagnostics(nu, mu, trials=100, seed=0, u=u)
+
     def test_fourth_moment_closed_form(self, setup):
         sp, mu, nu = setup
         u = SpaceOperator(space=sp, mat=np.eye(40, dtype=complex))
@@ -771,4 +807,4 @@ class TestErrorBars:
 
     def test_gap_certificate(self, wide_err):
         cert = gap_certificate(heisenberg_rep(5), far_points(5), R=2)
-        assert cert.checks["tensor_lower"]  # the value, a lower estimate
+        assert cert["checks"]["tensor_lower"]  # the value, a lower estimate

@@ -19,7 +19,7 @@ from roelab.quasilocal import (
     select_subspaces,
 )
 from roelab.randsub import formal_bound, restricted_norm_max, sample_subspace, trial_seed
-from roelab.spaces import KAPPA_EXACT, KAPPA_SPECTRAL, piece_slices
+from roelab.spaces import KAPPA_EXACT, KAPPA_SPECTRAL, ExpanderFamily, far_points, piece_slices
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +138,7 @@ class TestVacuousSchedule:
         for c0, flags in [(3.0, [True, True, True]), (1.69, [False, True, False])]:
             subs, _ = select_subspaces(family, c0=c0, seed=0)
             asm = assemble(family, subs, c0=c0)
-            assert asm.schedule_vacuous == flags
+            assert [r["certificate"] == "vacuous" for r in asm.schedule] == flags
             assert [r["eps"] > 1 for r in asm.schedule] == flags
 
 
@@ -173,7 +173,7 @@ class TestScheduleCertificate:
         # k = 4 only that member with C(20, 5) = 15504
         certs, asm, _ = _certificates([8, 12, 16, 20], 3, 1.69)
         assert certs == {2: "greedy", 3: "vacuous", 4: "exact"}
-        assert asm.schedule_vacuous == [False, True, False]
+        assert [r["certificate"] == "vacuous" for r in asm.schedule] == [False, True, False]
 
 
 class TestAssembly:
@@ -211,6 +211,18 @@ class TestAssembly:
         subs, _ = select_subspaces(family, c0=3.0, seed=0)
         with pytest.raises(DimensionMismatch):
             assemble(family, subs[:1], c0=3.0)
+
+    def test_subspace_of_another_size(self):
+        family = regular_family([8, 12], degree=3, seed=0)
+        subs, _ = select_subspaces(family, c0=3.0, seed=0)
+        with pytest.raises(DimensionMismatch, match="^subspace ambient dimension must match the member size$"):
+            assemble(family, subs[::-1], c0=3.0)
+
+    def test_member_too_small_for_its_dimension(self):
+        # member 0 carries dimension 1, which needs at least 2 points
+        family = ExpanderFamily(members=[far_points(1)], kappa=2.0, kappa_kind=KAPPA_EXACT)
+        with pytest.raises(DimensionMismatch, match="^member 0 too small for dimension 1$"):
+            select_subspaces(family, c0=3.0)
 
     def test_schedule_rows(self, small_assembly):
         rows = small_assembly.schedule
@@ -279,7 +291,7 @@ class TestWitness:
 
     def test_witness_rectangle_verifies(self, small_assembly):
         b = non_band_witness(small_assembly, R=1, budget=300, seed=0)
-        A, B = np.array(b.witness.A), np.array(b.witness.B)
+        A, B = np.array(b.witness["A"]), np.array(b.witness["B"])
         value = operator_norm(dense_operator(small_assembly).mat[np.ix_(A, B)])
         assert value == pytest.approx(b.lower, abs=1e-9)
         assert small_assembly.space.set_distance(A, B) > 1
@@ -361,8 +373,10 @@ def assert_same_witness(witness, ref):
     norms and the dense LAPACK oracle round differently)."""
     assert (witness is None) == (ref is None)
     if witness is not None:
-        assert (witness.A, witness.B, witness.separation) == (ref.A, ref.B, ref.separation)
-        assert witness.value == pytest.approx(ref.value, abs=1e-12)
+        for key in ("A", "B", "separation"):
+            assert witness[key] == ref[key]
+        assert witness["value"] == pytest.approx(ref["value"], abs=1e-12)
+        assert witness.keys() == ref.keys()
 
 
 def assert_same_mechanism(out, ref):

@@ -252,6 +252,15 @@ class TestReportDiff:
         b = make_report("m.a", {}, {"x": [1, 2]}, 0.0)
         assert report_diff(a, b) == [("results.x", "length 1 != 2")]
 
+    def test_changed_string_and_bool(self):
+        # the reference check of the benchmark reads a flipped verdict or flag here
+        a = make_report("m.a", {}, {"verdict": "PASS", "holds": True, "n": 3}, 0.0)
+        b = make_report("m.a", {}, {"verdict": "FAIL", "holds": False, "n": 3}, 0.0)
+        assert report_diff(a, b, tol=1.0) == [
+            ("results.holds", "True != False"),
+            ("results.verdict", "'PASS' != 'FAIL'"),
+        ]
+
     def test_different_commands_raise(self):
         a = make_report("m.a", {}, {}, 0.0)
         b = make_report("m.b", {}, {}, 0.0)

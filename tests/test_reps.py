@@ -121,6 +121,17 @@ class TestGroups:
             with pytest.raises(ValueError, match="element 1 has no unique inverse"):
                 TableGroup(t)
 
+    @pytest.mark.parametrize(
+        "table,message",
+        [([[0, 1, 2], [2, 0, 1], [1, 2, 0]], "identity law fails"),  # e g = g, but g e != g
+         ([[0, 1, 2], [1, 2, 0], [2, 2, 0]], "inverse law fails"),  # 2 2 = 0, but 2 1 != 0
+         ([[0, 1, 1], [1, 0, 0]], "multiplication table must be square"),
+         ([[1, 1], [1, 1]], "multiplication table has no unique identity")],
+    )
+    def test_table_group_rejects_each_law(self, table, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TableGroup(np.array(table))
+
     def test_table_group_rejects_non_integer_table(self):
         with pytest.raises(ValueError, match="integers"):
             TableGroup(np.array([[0.0]]))
@@ -338,11 +349,11 @@ class TestGapCertificate:
     def test_heisenberg5_far5(self):
         rep = heisenberg_rep(5)
         cert = gap_certificate(rep, far_points(5), R=2)
-        assert cert.verdict == "PASS"
-        assert cert.eps_achieved == 1.0
-        assert cert.gap_bound == pytest.approx((math.sqrt(5) - 2) / (math.sqrt(5) + 2))
-        assert cert.growth_N == 1
-        assert cert.pair_count == 5
+        assert cert["verdict"] == "PASS"
+        assert cert["eps_achieved"] == 1.0
+        assert cert["gap_bound"] == pytest.approx((math.sqrt(5) - 2) / (math.sqrt(5) + 2))
+        assert cert["growth_N"] == 1
+        assert cert["pair_count"] == 5
 
     @pytest.mark.parametrize(
         "make,space,R",
@@ -365,15 +376,15 @@ class TestGapCertificate:
             eps = max(eps, float(np.linalg.norm(m - c, 2)))
             tensor += np.kron(c, m.conj()) / order
         cert = gap_certificate(rep, space, R)
-        assert cert.eps_achieved == pytest.approx(eps, abs=1e-12)
-        assert cert.tensor_value == pytest.approx(float(np.linalg.norm(tensor, 2)), abs=1e-9)
-        assert cert.pair_count == int(band.sum())
+        assert cert["eps_achieved"] == pytest.approx(eps, abs=1e-12)
+        assert cert["tensor_value"] == pytest.approx(float(np.linalg.norm(tensor, 2)), abs=1e-9)
+        assert cert["pair_count"] == int(band.sum())
         sups = []
         for part in decompose_band(space, R).parts:
             inside = [(y, x) for x, y in part.tolist() if x < n and y < n]  # (row, col)
             blocks = [tensor[j * n : (j + 1) * n, i * n : (i + 1) * n] for j, i in inside]
             sups.append(max((float(np.linalg.norm(b, 2)) for b in blocks), default=0.0))
-        assert np.allclose(cert.per_translation_sup, sups, rtol=0, atol=1e-12)
+        assert np.allclose(cert["per_translation_sup"], sups, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("space", [far_points(5), interval_space(9), random_regular(12, 3, 1)])
     def test_dense_stack_agrees_with_heisenberg(self, space):
@@ -381,29 +392,29 @@ class TestGapCertificate:
         rep = heisenberg_rep(5)
         dense = DenseRep(rep.group, rep.matrices(np.arange(rep.group.order)))
         a, b = gap_certificate(rep, space, 1), gap_certificate(dense, space, 1)
-        assert a.eps_achieved == pytest.approx(b.eps_achieved, abs=1e-12)
-        assert a.tensor_value == pytest.approx(b.tensor_value, abs=1e-12)
-        assert np.allclose(a.per_translation_sup, b.per_translation_sup, rtol=0, atol=1e-12)
-        assert (a.pair_count, a.checks, a.verdict) == (b.pair_count, b.checks, b.verdict)
+        assert a["eps_achieved"] == pytest.approx(b["eps_achieved"], abs=1e-12)
+        assert a["tensor_value"] == pytest.approx(b["tensor_value"], abs=1e-12)
+        assert np.allclose(a["per_translation_sup"], b["per_translation_sup"], rtol=0, atol=1e-12)
+        assert (a["pair_count"], a["checks"], a["verdict"]) == (b["pair_count"], b["checks"], b["verdict"])
 
     def test_tensor_value_on_interval_placement(self):
         # a placement where the band keeps everything: eps = 0, tensor value = 1
         rep = heisenberg_rep(3)
         sp = interval_space(3)
         cert = gap_certificate(rep, sp, R=2)
-        assert cert.eps_achieved == 0.0
-        assert cert.tensor_value == pytest.approx(1.0, abs=1e-6)
-        assert cert.verdict == "PASS"
+        assert cert["eps_achieved"] == 0.0
+        assert cert["tensor_value"] == pytest.approx(1.0, abs=1e-6)
+        assert cert["verdict"] == "PASS"
 
     def test_per_translation_sup_bound(self):
         rep = heisenberg_rep(5)
         cert = gap_certificate(rep, far_points(5), R=2)
-        bound = (1.0 + cert.eps_achieved) / math.sqrt(5) + 1e-7
-        assert all(s <= bound for s in cert.per_translation_sup)
+        bound = (1.0 + cert["eps_achieved"]) / math.sqrt(5) + 1e-7
+        assert all(s <= bound for s in cert["per_translation_sup"])
 
     def test_half_form_lower(self):
         cert = gap_certificate(heisenberg_rep(5), far_points(5), R=2)
-        assert cert.half_form_lower == pytest.approx(max(0.0, cert.gap_bound - 0.1))
+        assert cert["half_form_lower"] == pytest.approx(max(0.0, cert["gap_bound"] - 0.1))
 
     @pytest.mark.parametrize(
         "make,space,R,vacuous",
@@ -413,8 +424,8 @@ class TestGapCertificate:
     )
     def test_vacuity_flags(self, make, space, R, vacuous):
         cert = gap_certificate(make(), space, R)
-        assert cert.verdict == "PASS"
-        assert tuple(cert.vacuous[k] for k in ("tensor_lower", "translation_sups", "gap")) == vacuous
+        assert cert["verdict"] == "PASS"
+        assert tuple(cert["vacuous"][k] for k in ("tensor_lower", "translation_sups", "gap")) == vacuous
 
     def test_refuses_reducible_rep(self):
         # Z/2 acting as diag(1, +-1) on C^2: unitary but reducible

@@ -73,6 +73,10 @@ class TestValidation:
         with pytest.raises(InvalidMetric):
             FiniteMetricSpace(dist=d)
 
+    def test_rejects_non_square(self):
+        with pytest.raises(InvalidMetric, match="^distance matrix must be square$"):
+            FiniteMetricSpace(dist=np.zeros((2, 3)))
+
     def test_rejects_float_asymmetry_above_tolerance(self):
         # 9e-6 apart: within numpy's default relative tolerance of allclose,
         # far above METRIC_TOL
@@ -104,6 +108,33 @@ class TestValidation:
         # RuntimeWarning (an error under pytest) although the metric is valid
         sp = FiniteMetricSpace.from_json({"metric": {"kind": "explicit", "data": [[0, 1e308], [1e308, 0]]}})
         assert sp.diameter == 1e308
+
+    @pytest.mark.parametrize("dtype,a", [(np.int64, 2 ** 62), (np.uint64, 2 ** 63)])
+    def test_huge_integer_metric_constructs(self, dtype, a):
+        # a + a wrapped around in the triangle sum through point 0 (to -2^63
+        # in int64, to 0 in uint64), below d[1, 2] = 1, which rejected a
+        # valid metric
+        assert FiniteMetricSpace(dist=np.array([[0, a], [a, 0]], dtype=dtype)).diameter == a
+        d = np.array([[0, a, a], [a, 0, 1], [a, 1, 0]], dtype=dtype)
+        assert FiniteMetricSpace(dist=d).diameter == a
+
+    def test_huge_integer_violation_names_its_pivot(self):
+        # 2^62 + 2 > 2^62 + 1 fails through point 1 only; the wrapped sum
+        # d[1, 0] + d[0, 2] made point 0 look like the one it fails through
+        a = 2 ** 62
+        d = np.array([[0, a, a + 2], [a, 0, 1], [a + 2, 1, 0]])
+        with pytest.raises(InvalidMetric, match=r"^triangle inequality fails through point 1$"):
+            FiniteMetricSpace(dist=d)
+        d[0, 2] = d[2, 0] = a + 1  # on the triangle's boundary
+        assert FiniteMetricSpace(dist=d).n == 3
+
+    def test_unsigned_metric(self):
+        # d[i, j] - d[k, j] < 0 must not wrap around to a large unsigned value
+        d = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=np.uint8)
+        assert FiniteMetricSpace(dist=d).n == 3
+        d[0, 2] = d[2, 0] = 3
+        with pytest.raises(InvalidMetric, match="through point 1"):
+            FiniteMetricSpace(dist=d)
 
     def test_accepts_valid_float_metric(self):
         d = np.array([[0.0, 1.5, 2.0], [1.5, 0.0, 1.0], [2.0, 1.0, 0.0]])
@@ -157,6 +188,11 @@ class TestFromGraph:
         adj = np.zeros((3, 3), dtype=np.int64)
         adj[0, 1] = 1
         with pytest.raises(NonSymmetricInput):
+            from_graph(adj)
+
+    def test_rejects_self_loop(self):
+        adj = np.array([[1, 1], [1, 0]])  # square, symmetric and 0/1
+        with pytest.raises(NonSymmetricInput, match="^adjacency must have a zero diagonal$"):
             from_graph(adj)
 
     def test_path_metric(self):
@@ -399,6 +435,10 @@ class TestCoarseUnion:
         assert np.array_equal(u.dist[sa, sa], a.dist)
         assert np.array_equal(u.dist[sb, sb], b.dist)
 
+    def test_rejects_no_members(self):
+        with pytest.raises(ValueError, match="^coarse_union needs at least one member$"):
+            coarse_union([])
+
     def test_gaps_dominate_diameters_and_powers(self):
         members = [path_space(n) for n in (3, 5, 9, 17)]
         u = coarse_union(members)
@@ -443,6 +483,15 @@ class TestCoarseUnion:
 
 
 class TestExpansion:
+    def test_spectral_needs_unit_distance_pairs(self):
+        # the CLI reaches this through `space kappa --space far:3 --mode spectral`
+        with pytest.raises(InvalidMetric, match="^space has no unit-distance pairs; no adjacency structure$"):
+            expansion_kappa(far_points(3), 1, mode="spectral")
+
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+            expansion_kappa(path_space(4), 1, mode="bogus")
+
     def test_exact_on_complete_graph(self):
         # K4: any A with |A| <= 2 has N_1(A) = all 4 points
         adj = 1 - np.eye(4, dtype=np.int64)
@@ -569,6 +618,13 @@ class TestExpansion:
 
 
 class TestGenerators:
+    def test_random_regular_gives_up(self, monkeypatch):
+        import roelab.spaces
+
+        monkeypatch.setattr(roelab.spaces, "REGULAR_TRIES", 0)
+        with pytest.raises(GenerationFailed, match="^no connected simple 3-regular graph on 8 vertices after 0 tries$"):
+            random_regular(8, 3, seed=0)
+
     def test_random_regular_degrees(self):
         for seed in range(5):
             sp = random_regular(14, 3, seed=seed)
